@@ -180,7 +180,7 @@ class SuperNode:
         applied = 0
         # Applied-move statistics are measured as deltas over the chains'
         # own counters: failed placements restore them (place_leaf is
-        # transactional) and legality probes run on clones, so the deltas
+        # transactional) and legality probes always roll back, so the deltas
         # count exactly the moves that survive — the same numbers
         # :meth:`record` later reports per node.
         leaf_moves_before = sum(c.leaf_swaps_applied for c in self.chains)
@@ -383,14 +383,9 @@ class SuperNode:
         chain = self.chains[lane]
         _STAT_MOVES_PROBED.add()
         current = chain.slot_of_value(value)
-        if current == target:
-            return True
-        if chain.can_swap_leaves(current, target):
-            ok = chain.can_place_leaf(value, target, locked[lane])
-        elif not self.allow_trunk_swaps:
-            ok = False
-        else:
-            ok = chain.can_place_leaf(value, target, locked[lane])
+        ok = (
+            chain.can_swap_leaves(current, target) or self.allow_trunk_swaps
+        ) and chain.can_place_leaf(value, target, locked[lane])
         if not ok:
             _STAT_MOVES_REJECTED.add()
         return ok

@@ -27,6 +27,16 @@ edges on its path from the root: ``False`` = identity (``+`` / ``*``),
   (Section IV-C3) — leaves ride along with their trunk unit, which is
   exactly how a leaf can legally migrate to a slot whose static APO differs
   from the leaf's.
+
+Two things follow from these rules and make every legality query a
+lookup.  Legal moves exchange unit contents, never chain edges, so the
+tree *shape* is fixed for the life of a chain; and a legal trunk swap
+keeps every node's APO, so the APO of each trunk *position* is fixed too.
+Exchanging the opcodes at two positions keeps all trunk APOs iff the
+opcodes have equal inverse-ness or neither position has a trunk child at
+operand index 1 (the only edge an inverse opcode negates); the swap is
+then legal iff the pooled leaves can be laid out so that each lands in a
+slot of the APO it carries now.
 """
 
 from __future__ import annotations
@@ -102,14 +112,8 @@ class TrunkUnit:
     def is_inverse(self) -> bool:
         return self.opcode is not base_opcode(self.opcode)
 
-    def chain_indexes(self) -> List[int]:
-        return [i for i, c in enumerate(self.children) if isinstance(c, TrunkUnit)]
-
     def leaf_indexes(self) -> List[int]:
         return [i for i, c in enumerate(self.children) if isinstance(c, Leaf)]
-
-    def leaves(self) -> List[Leaf]:
-        return [c for c in self.children if isinstance(c, Leaf)]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"TrunkUnit({self.opcode}, {self.children})"
@@ -130,24 +134,48 @@ class Slot:
     depth: int
 
 
+#: what :meth:`LaneChain.place_leaf` rolls back to: every unit's opcode and
+#: children, then the leaf-swap and trunk-swap counters
+_Snapshot = Tuple[List[Tuple[TrunkUnit, Opcode, List[Union[TrunkUnit, Leaf]]]], int, int]
+
+
 class LaneChain:
-    """The per-lane expression tree of a Multi-/Super-Node."""
+    """The per-lane expression tree of a Multi-/Super-Node.
+
+    The tree shape and the trunk APOs are fixed for the life of the chain
+    (see the module docstring), so both are computed once here: the
+    pre-order trunk list, a path -> unit map, the slot list with each
+    slot's owning unit, and the APO of every trunk position.  Moves change
+    only unit opcodes and leaf children, never which units exist.
+    """
 
     def __init__(self, root: TrunkUnit, family: Opcode) -> None:
         self.root = root
         self.family = family  # base (commutative) opcode of the family
-        # Tree *shape* is invariant under every legal move (leaf swaps and
-        # trunk swaps exchange unit contents, never chain edges), so the
-        # traversal results are cached; only root replacement invalidates.
-        self._trunks_cache: Optional[List[Tuple[Tuple[int, ...], TrunkUnit]]] = None
-        self._slots_cache: Optional[List[Slot]] = None
+        self._trunks: List[Tuple[Tuple[int, ...], TrunkUnit]] = []
+        self._trunk_apos: Dict[Tuple[int, ...], APO] = {}
+
+        def walk(unit: TrunkUnit, path: Tuple[int, ...], apo: APO) -> None:
+            self._trunks.append((path, unit))
+            self._trunk_apos[path] = apo
+            for i, child in enumerate(unit.children):
+                if isinstance(child, TrunkUnit):
+                    walk(child, path + (i,), apo ^ (unit.is_inverse and i == 1))
+
+        walk(root, (), APO_PLUS)
+        self._unit_at: Dict[Tuple[int, ...], TrunkUnit] = dict(self._trunks)
+        self._slot_units: List[Tuple[Slot, TrunkUnit]] = sorted(
+            (
+                (Slot(path, index, depth=len(path)), unit)
+                for path, unit in self._trunks
+                for index in unit.leaf_indexes()
+            ),
+            key=lambda pair: (pair[0].depth, pair[0].trunk_path, pair[0].child_index),
+        )
+        self._slots: List[Slot] = [slot for slot, _ in self._slot_units]
         #: applied-move counters (observability for reports/ablations)
         self.leaf_swaps_applied = 0
         self.trunk_swaps_applied = 0
-
-    def _invalidate_caches(self) -> None:
-        self._trunks_cache = None
-        self._slots_cache = None
 
     # -- construction -----------------------------------------------------------
 
@@ -169,61 +197,35 @@ class LaneChain:
     # -- traversal ----------------------------------------------------------------
 
     def trunks(self) -> List[Tuple[Tuple[int, ...], TrunkUnit]]:
-        """(path, unit) pairs in pre-order (cached; shape-invariant)."""
-        if self._trunks_cache is not None:
-            return self._trunks_cache
-        result: List[Tuple[Tuple[int, ...], TrunkUnit]] = []
-
-        def walk(unit: TrunkUnit, path: Tuple[int, ...]) -> None:
-            result.append((path, unit))
-            for i, child in enumerate(unit.children):
-                if isinstance(child, TrunkUnit):
-                    walk(child, path + (i,))
-
-        walk(self.root, ())
-        self._trunks_cache = result
-        return result
+        """(path, unit) pairs in pre-order."""
+        return self._trunks
 
     def trunk_at(self, path: Sequence[int]) -> TrunkUnit:
-        unit = self.root
-        for index in path:
-            child = unit.children[index]
-            if not isinstance(child, TrunkUnit):
-                raise KeyError(f"no trunk at path {tuple(path)}")
-            unit = child
+        unit = self._unit_at.get(tuple(path))
+        if unit is None:
+            raise KeyError(f"no trunk at path {tuple(path)}")
         return unit
 
     def size(self) -> int:
         """Number of trunk instructions (the paper's node size/depth)."""
-        return len(self.trunks())
+        return len(self._trunks)
 
     def slots(self) -> List[Slot]:
-        """All leaf slots ordered root-most first (Listing 2, line 5).
-
-        Cached: slot positions depend only on the (invariant) tree shape.
-        """
-        if self._slots_cache is not None:
-            return self._slots_cache
-        found: List[Slot] = []
-        for path, unit in self.trunks():
-            for index in unit.leaf_indexes():
-                found.append(Slot(path, index, depth=len(path)))
-        found.sort(key=lambda s: (s.depth, s.trunk_path, s.child_index))
-        self._slots_cache = found
-        return found
+        """All leaf slots ordered root-most first (Listing 2, line 5)."""
+        return self._slots
 
     def leaf_at(self, slot: Slot) -> Leaf:
-        child = self.trunk_at(slot.trunk_path).children[slot.child_index]
+        child = self._unit_at[slot.trunk_path].children[slot.child_index]
         if not isinstance(child, Leaf):
             raise KeyError(f"slot {slot} does not hold a leaf")
         return child
 
     def leaf_values(self) -> List[Value]:
-        return [self.leaf_at(slot).value for slot in self.slots()]
+        return [unit.children[slot.child_index].value for slot, unit in self._slot_units]
 
     def slot_of_value(self, value: Value) -> Slot:
-        for slot in self.slots():
-            if self.leaf_at(slot).value is value:
+        for slot, unit in self._slot_units:
+            if unit.children[slot.child_index].value is value:
                 return slot
         raise KeyError(f"value {value.ref()} is not a leaf of this chain")
 
@@ -231,46 +233,24 @@ class LaneChain:
 
     def trunk_apos(self) -> Dict[Tuple[int, ...], APO]:
         """APO of every trunk *position*, keyed by path."""
-        apos: Dict[Tuple[int, ...], APO] = {}
-
-        def walk(unit: TrunkUnit, path: Tuple[int, ...], apo: APO) -> None:
-            apos[path] = apo
-            for i, child in enumerate(unit.children):
-                if isinstance(child, TrunkUnit):
-                    walk(child, path + (i,), apo ^ (unit.is_inverse and i == 1))
-
-        walk(self.root, (), APO_PLUS)
-        return apos
+        return dict(self._trunk_apos)
 
     def slot_apo(self, slot: Slot) -> APO:
-        trunk_apo = self.trunk_apos()[slot.trunk_path]
-        unit = self.trunk_at(slot.trunk_path)
-        return trunk_apo ^ (unit.is_inverse and slot.child_index == 1)
+        unit = self._unit_at[slot.trunk_path]
+        return self._trunk_apos[slot.trunk_path] ^ (
+            unit.is_inverse and slot.child_index == 1
+        )
 
     def slot_apos(self) -> Dict[Slot, APO]:
-        """APO of every slot, computed in one walk (ordering of keys
-        matches :meth:`slots`)."""
-        apos: Dict[Slot, APO] = {}
-
-        def walk(unit: TrunkUnit, path: Tuple[int, ...], apo: APO) -> None:
-            inverse = unit.is_inverse
-            for index, child in enumerate(unit.children):
-                child_apo = apo ^ (inverse and index == 1)
-                if isinstance(child, TrunkUnit):
-                    walk(child, path + (index,), child_apo)
-                else:
-                    apos[Slot(path, index, depth=len(path))] = child_apo
-
-        walk(self.root, (), APO_PLUS)
-        return {slot: apos[slot] for slot in self.slots()}
+        """APO of every slot (ordering of keys matches :meth:`slots`)."""
+        return {slot: self.slot_apo(slot) for slot in self._slots}
 
     def value_apos(self) -> Dict[int, APO]:
-        """APO of every leaf object (keyed by ``id``) and trunk position.
+        """APO of every leaf object (keyed by ``id``) and trunk unit.
 
-        This is the map trunk-swap legality compares before/after: the
-        paper requires "the APO of all nodes remains the same".  Computed
-        in a single tree walk (this is the hottest query in the reorder
-        search).
+        The paper's trunk-swap rule in its literal form: "the APO of all
+        nodes remains the same" (DOT dumps read it; tests compare it
+        before and after a move).  Computed in one tree walk.
         """
         apos: Dict[int, APO] = {}
 
@@ -290,14 +270,17 @@ class LaneChain:
     def signed_terms(self) -> List[Tuple[APO, Value]]:
         """Flattened semantics: the lane equals the APO-signed fold of its
         leaves.  Used by tests as the semantic invariant."""
-        return [(self.slot_apo(slot), self.leaf_at(slot).value) for slot in self.slots()]
+        return [
+            (self.slot_apo(slot), unit.children[slot.child_index].value)
+            for slot, unit in self._slot_units
+        ]
 
     # -- moves (Sections IV-C2 / IV-C3) ------------------------------------------------
 
     def swap_leaves(self, a: Slot, b: Slot) -> None:
         """Unchecked leaf exchange between two slots."""
-        unit_a = self.trunk_at(a.trunk_path)
-        unit_b = self.trunk_at(b.trunk_path)
+        unit_a = self._unit_at[a.trunk_path]
+        unit_b = self._unit_at[b.trunk_path]
         unit_a.children[a.child_index], unit_b.children[b.child_index] = (
             unit_b.children[b.child_index],
             unit_a.children[a.child_index],
@@ -322,40 +305,49 @@ class LaneChain:
         stays at the bottom).
 
         A placement is applied only when afterwards *every* node's APO is
-        unchanged — the paper's legality rule (Section IV-C3).  Returns
-        False (state untouched) when no legal placement exists.
+        unchanged — the paper's legality rule (Section IV-C3), checked in
+        closed form (module docstring): no tree walk, and the chain is
+        touched only once a legal placement is known.  Of the layouts of
+        the pooled leaves, the first in ``itertools.permutations`` order
+        whose per-slot APOs match is applied.  Returns False (state
+        untouched) when no legal placement exists.
         """
         if path_a == path_b:
             return False
         # One path being a prefix of the other is fine (parent/child swap):
         # only opcodes and leaves move, so the tree shape is preserved.
-        unit_a = self.trunk_at(path_a)
-        unit_b = self.trunk_at(path_b)
-        before = self.value_apos()
-        original = (
-            unit_a.opcode,
-            list(unit_a.children),
-            unit_b.opcode,
-            list(unit_b.children),
-        )
+        unit_a = self._unit_at[path_a]
+        unit_b = self._unit_at[path_b]
+        inverse_a, inverse_b = unit_a.is_inverse, unit_b.is_inverse
+        if inverse_a != inverse_b and (
+            isinstance(unit_a.children[1], TrunkUnit)
+            or isinstance(unit_b.children[1], TrunkUnit)
+        ):
+            return False  # a trunk below an index-1 edge would change APO
         free_a = unit_a.leaf_indexes()
         free_b = unit_b.leaf_indexes()
-        pool = unit_a.leaves() + unit_b.leaves()
-
-        for perm in itertools.permutations(pool):
-            unit_a.opcode, unit_b.opcode = original[2], original[0]
-            it = iter(perm)
-            for index in free_a:
-                unit_a.children[index] = next(it)
-            for index in free_b:
-                unit_b.children[index] = next(it)
-            if self.value_apos() == before:
-                self.trunk_swaps_applied += 1
-                return True
-        # No legal placement: revert.
-        unit_a.opcode, unit_a.children = original[0], original[1]
-        unit_b.opcode, unit_b.children = original[2], original[3]
-        return False
+        pool = [unit_a.children[i] for i in free_a] + [unit_b.children[i] for i in free_b]
+        apo_a = self._trunk_apos[path_a]
+        apo_b = self._trunk_apos[path_b]
+        carried = [apo_a ^ (inverse_a and i == 1) for i in free_a] + [
+            apo_b ^ (inverse_b and i == 1) for i in free_b
+        ]
+        wanted = [apo_a ^ (inverse_b and i == 1) for i in free_a] + [
+            apo_b ^ (inverse_a and i == 1) for i in free_b
+        ]
+        for perm in itertools.permutations(range(len(pool))):
+            if [carried[i] for i in perm] == wanted:
+                break
+        else:
+            return False
+        unit_a.opcode, unit_b.opcode = unit_b.opcode, unit_a.opcode
+        placed = iter([pool[i] for i in perm])
+        for index in free_a:
+            unit_a.children[index] = next(placed)
+        for index in free_b:
+            unit_b.children[index] = next(placed)
+        self.trunk_swaps_applied += 1
+        return True
 
     # -- high-level placement (used by Listings 2/3) ---------------------------------------
 
@@ -374,39 +366,7 @@ class LaneChain:
         ones).  Returns True and mutates the chain on success; the chain is
         left unchanged on failure.
         """
-        locked = locked or {}
-
-        def locked_ok(chain: "LaneChain") -> bool:
-            return all(
-                chain.leaf_at(slot).value is want for slot, want in locked.items()
-            )
-
-        current = self.slot_of_value(value)
-        if current == target:
-            return True
-        if self.can_swap_leaves(current, target):
-            snapshot = self.clone()
-            self.swap_leaves(current, target)
-            if locked_ok(self):
-                return True
-            self._restore_from(snapshot)
-            return False
-        # Trunk-assisted movement: try each legal trunk swap, then see if the
-        # leaf landed (it rides with its unit) or can now swap directly.
-        paths = [path for path, _ in self.trunks()]
-        for path_a, path_b in itertools.combinations(paths, 2):
-            snapshot = self.clone()
-            if not self.try_swap_trunks(path_a, path_b):
-                continue
-            where = self.slot_of_value(value)
-            if where == target and locked_ok(self):
-                return True
-            if self.can_swap_leaves(where, target):
-                self.swap_leaves(where, target)
-                if locked_ok(self):
-                    return True
-            self._restore_from(snapshot)
-        return False
+        return self._place(value, target, locked or {}, keep=True)
 
     def can_place_leaf(
         self,
@@ -414,14 +374,62 @@ class LaneChain:
         target: Slot,
         locked: Optional[Dict[Slot, Value]] = None,
     ) -> bool:
-        """Non-mutating legality probe for :meth:`place_leaf`."""
-        return self.clone().place_leaf(value, target, locked)
+        """Non-mutating legality probe for :meth:`place_leaf`: the same
+        search, always rolled back (units, leaves and counters)."""
+        return self._place(value, target, locked or {}, keep=False)
 
-    def _restore_from(self, snapshot: "LaneChain") -> None:
-        self.root = snapshot.root
-        self.leaf_swaps_applied = snapshot.leaf_swaps_applied
-        self.trunk_swaps_applied = snapshot.trunk_swaps_applied
-        self._invalidate_caches()
+    def _place(
+        self, value: Value, target: Slot, locked: Dict[Slot, Value], keep: bool
+    ) -> bool:
+        current = self.slot_of_value(value)
+        if current == target:
+            return True
+        # Every failed attempt below rolls back to this one state.
+        snapshot = self._snapshot()
+        if self.can_swap_leaves(current, target):
+            self.swap_leaves(current, target)
+            placed = self._locked_ok(locked)
+        else:
+            placed = self._place_via_trunks(value, target, locked, snapshot)
+        if not (placed and keep):
+            self._restore(snapshot)
+        return placed
+
+    def _place_via_trunks(
+        self,
+        value: Value,
+        target: Slot,
+        locked: Dict[Slot, Value],
+        snapshot: _Snapshot,
+    ) -> bool:
+        """Trunk-assisted movement: try each legal trunk swap, then see if
+        the leaf landed (it rides with its unit) or can now swap directly."""
+        paths = [path for path, _ in self._trunks]
+        for path_a, path_b in itertools.combinations(paths, 2):
+            if not self.try_swap_trunks(path_a, path_b):
+                continue
+            where = self.slot_of_value(value)
+            if where == target and self._locked_ok(locked):
+                return True
+            if self.can_swap_leaves(where, target):
+                self.swap_leaves(where, target)
+                if self._locked_ok(locked):
+                    return True
+            self._restore(snapshot)
+        return False
+
+    def _locked_ok(self, locked: Dict[Slot, Value]) -> bool:
+        return all(self.leaf_at(slot).value is want for slot, want in locked.items())
+
+    def _snapshot(self) -> _Snapshot:
+        units = [(unit, unit.opcode, list(unit.children)) for _, unit in self._trunks]
+        return units, self.leaf_swaps_applied, self.trunk_swaps_applied
+
+    def _restore(self, snapshot: _Snapshot) -> None:
+        units, self.leaf_swaps_applied, self.trunk_swaps_applied = snapshot
+        for unit, opcode, children in units:
+            unit.opcode = opcode
+            unit.children[:] = children
 
     # -- evaluation (test oracle) ----------------------------------------------------------
 

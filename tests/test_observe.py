@@ -336,7 +336,7 @@ class TestCounterContracts:
     @pytest.mark.parametrize("kernel,config", _PROPERTY_CASES)
     def test_move_counters_match_supernode_records(self, kernel, config):
         """The trunk/leaf-move counters must equal the per-record sums: the
-        transactional reorder (rolled-back placements, clone probes) may not
+        transactional reorder (rolled-back placements and probes) may not
         leak into the global statistics."""
         result = compile_module(kernel.build(), config, DEFAULT_TARGET)
         records = result.report.formed_nodes(vectorized_only=False)

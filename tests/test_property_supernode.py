@@ -6,6 +6,7 @@ generates random chain shapes (random add/sub or mul/div trees) and random
 move requests; the model must either refuse a move or preserve semantics.
 """
 
+import itertools
 import math
 import random
 
@@ -22,7 +23,7 @@ from repro.ir import (
     Opcode,
 )
 from repro.vectorizer import build_lane_chain
-from repro.vectorizer.supernode import LaneChain
+from repro.vectorizer.supernode import LaneChain, Leaf
 
 
 def _random_chain(seed: int, family: str, max_depth: int):
@@ -156,6 +157,104 @@ def test_signed_terms_invariant_under_any_legal_move_sequence(seed, family):
         target = rng.choice(slots)
         chain.place_leaf(leaf, target)
     assert term_key(chain) == before
+
+
+def _brute_force_swap(chain: LaneChain, path_a, path_b) -> bool:
+    """The trunk-swap rule checked literally (Section IV-C3): exchange the
+    two opcodes, try every layout of the pooled leaves in
+    ``itertools.permutations`` order, and keep the first under which
+    ``value_apos()`` — every node's APO — is unchanged.  Reference oracle
+    for the closed-form :meth:`LaneChain.try_swap_trunks`."""
+    if path_a == path_b:
+        return False
+    unit_a, unit_b = chain.trunk_at(path_a), chain.trunk_at(path_b)
+    before = chain.value_apos()
+    original = (unit_a.opcode, list(unit_a.children), unit_b.opcode, list(unit_b.children))
+    free_a, free_b = unit_a.leaf_indexes(), unit_b.leaf_indexes()
+    pool = [unit_a.children[i] for i in free_a] + [unit_b.children[i] for i in free_b]
+    for perm in itertools.permutations(pool):
+        unit_a.opcode, unit_b.opcode = original[2], original[0]
+        placed = iter(perm)
+        for index in free_a:
+            unit_a.children[index] = next(placed)
+        for index in free_b:
+            unit_b.children[index] = next(placed)
+        if chain.value_apos() == before:
+            return True
+    unit_a.opcode, unit_a.children[:] = original[0], original[1]
+    unit_b.opcode, unit_b.children[:] = original[2], original[3]
+    return False
+
+
+def _layout(chain: LaneChain):
+    """Opcode and leaf values (by identity) at every trunk position."""
+    return [
+        (path, unit.opcode, [id(c.value) if isinstance(c, Leaf) else None for c in unit.children])
+        for path, unit in chain.trunks()
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    family=st.sampled_from(["add", "fmul"]),
+    depth=st.integers(2, 5),
+)
+def test_trunk_swap_matches_brute_force_oracle(seed, family, depth):
+    """Every ordered pair of positions, applied in turn: the closed-form
+    check gives the oracle's verdict and the oracle's leaf placement, and
+    the cached trunk APOs keep describing the tree."""
+    root = _random_chain(seed, family, max_depth=depth)
+    chain = build_lane_chain(root, allow_inverse=True, fast_math=True)
+    if chain is None:
+        return
+    paths = [path for path, _ in chain.trunks()]
+    for path_a, path_b in itertools.product(paths, repeat=2):
+        oracle = chain.clone()
+        expected = _brute_force_swap(oracle, path_a, path_b)
+        swaps_before = chain.trunk_swaps_applied
+        assert chain.try_swap_trunks(path_a, path_b) == expected, (path_a, path_b)
+        assert _layout(chain) == _layout(oracle), (path_a, path_b)
+        assert chain.trunk_swaps_applied == swaps_before + expected
+        walked = chain.value_apos()
+        assert chain.trunk_apos() == {
+            path: walked[id(unit)] for path, unit in chain.trunks()
+        }
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    family=st.sampled_from(["add", "fmul"]),
+    depth=st.integers(2, 5),
+)
+def test_can_place_leaf_is_a_pure_probe(seed, family, depth):
+    """``can_place_leaf`` agrees with ``place_leaf`` on a clone and leaves
+    the chain exactly as it found it: same tree, same counters, and the
+    same ``Leaf`` objects in the same slots."""
+    root = _random_chain(seed, family, max_depth=depth)
+    chain = build_lane_chain(root, allow_inverse=True, fast_math=True)
+    if chain is None:
+        return
+    rng = random.Random(seed + 4)
+    slots = chain.slots()
+    leaves = chain.leaf_values()
+    for _ in range(3):  # start from a reordered chain with non-zero counters
+        chain.place_leaf(rng.choice(leaves), rng.choice(slots))
+    for value in leaves:
+        for target in slots:
+            locked = {
+                slot: chain.leaf_at(slot).value
+                for slot in rng.sample(slots, rng.randint(0, len(slots) // 2))
+            }
+            text = repr(chain)
+            counters = (chain.leaf_swaps_applied, chain.trunk_swaps_applied)
+            leaf_objects = [id(chain.leaf_at(slot)) for slot in slots]
+            expected = chain.clone().place_leaf(value, target, locked)
+            assert chain.can_place_leaf(value, target, locked) == expected
+            assert repr(chain) == text
+            assert (chain.leaf_swaps_applied, chain.trunk_swaps_applied) == counters
+            assert [id(chain.leaf_at(slot)) for slot in slots] == leaf_objects
 
 
 @settings(max_examples=40, deadline=None)
