@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..ir.module import Module
 from ..kernels.suite import Kernel
 from ..machine.targets import DEFAULT_TARGET, TargetMachine
 from ..observe.session import CompilerSession, current_session
@@ -88,6 +89,28 @@ def run_kernel_config(
     ``engine`` selects the execution engine for the simulation (``None``
     = process default); cycle totals are engine-independent.
     """
+    inputs = kernel.make_inputs(random.Random(seed))
+    return _run_built(
+        kernel, config, target, kernel.build(), inputs,
+        session=session, journal=journal, engine=engine,
+    )
+
+
+def _run_built(
+    kernel: Kernel,
+    config: SLPConfig,
+    target: TargetMachine,
+    module: Module,
+    inputs: Dict[str, List],
+    *,
+    session: Optional[CompilerSession] = None,
+    journal: bool = False,
+    engine: Optional[str] = None,
+) -> KernelRun:
+    """:func:`run_kernel_config` on an already built ``module`` and drawn
+    ``inputs``.  ``compile_module`` clones ``module`` and ``simulate``
+    only reads ``inputs``, so one build and one draw can serve every
+    configuration of a kernel."""
     own = session if session is not None else current_session().derive(
         name=f"bench:{kernel.name}/{config.name}"
     )
@@ -95,8 +118,7 @@ def run_kernel_config(
         from ..observe.journal import DecisionJournal
 
         own.journal = DecisionJournal(enabled=True)
-    inputs = kernel.make_inputs(random.Random(seed))
-    compiled = compile_module(kernel.build(), config, target, session=own)
+    compiled = compile_module(module, config, target, session=own)
     result = simulate(
         compiled.module,
         kernel.function,
@@ -163,9 +185,11 @@ def run_kernel_matrix(
     configs = list(configs)
     if not any(c.name == O3_CONFIG.name for c in configs):
         configs.insert(0, O3_CONFIG)
+    module = kernel.build()
+    inputs = kernel.make_inputs(random.Random(seed))
     runs = {
-        config.name: run_kernel_config(
-            kernel, config, target, seed, journal=journal, engine=engine
+        config.name: _run_built(
+            kernel, config, target, module, inputs, journal=journal, engine=engine
         )
         for config in configs
     }

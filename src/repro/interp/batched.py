@@ -2,7 +2,7 @@
 
 The second half of the plan/evaluate split (see :mod:`repro.interp.plan`):
 a :class:`BatchedInterpreter` binds a function's cached plan to one flat
-register list plus packed memory accessors, then executes whole basic
+register list and packed memory, then executes whole basic
 blocks at a time — one pre-built zero-argument closure per instruction, a
 single budget check and a single visit-count increment per block, and
 cycle accounting folded to ``visits x pre-summed block cost`` at the end.

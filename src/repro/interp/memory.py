@@ -112,18 +112,18 @@ class Memory:
             return
         self.store_scalar(addr, type_, value)
 
-    # -- packed accessor factories (planned engine) ----------------------------------
+    # -- planned-engine step factories --------------------------------------------
     #
-    # The batched engine binds one closure per load/store site at plan-bind
-    # time.  Each closure captures the pre-compiled ``struct.Struct`` and
-    # the raw buffer, so the per-access work is one bounds compare plus one
-    # bulk (un)pack — vectors move all lanes in a single struct call.  Any
-    # failure (out of bounds, unpackable value) replays the element-wise
+    # The batched engine binds one step per load/store site at plan-bind
+    # time.  A step reads its address register, makes one bounds compare
+    # and one pre-compiled ``struct.Struct`` call on the raw buffer (vectors
+    # move all lanes at once) and, for a load, writes its result register.
+    # Any failure (out of bounds, unpackable value) replays the element-wise
     # reference path, which raises the exact reference exception after the
     # exact partial-store prefix.
 
-    def scalar_loader(self, type_: Type):
-        """A ``load(addr) -> value`` closure for one scalar type."""
+    def scalar_load_step(self, type_: Type, regs: List, d: int, p: int):
+        """The step for ``regs[d] = load type_, regs[p]``."""
         size = _scalar_size(type_)
         unpack_from = struct.Struct(_scalar_code(type_)).unpack_from
         data = self._data
@@ -131,28 +131,30 @@ class Memory:
         if isinstance(type_, IntType) and type_.bits < 8:
             wrap = type_.wrap
 
-            def load(addr):
+            def step():
+                addr = regs[p]
                 if addr <= 0 or addr + size > limit:
                     raise MemoryError_(
                         f"access of {size} bytes at {addr} out of bounds"
                     )
-                return wrap(unpack_from(data, addr)[0])
+                regs[d] = wrap(unpack_from(data, addr)[0])
 
-            return load
+            return step
 
         # i8..i64 round-trip exactly through their signed struct codes, so
         # the reference path's wrap() is the identity and can be skipped.
-        def load(addr):
+        def step():
+            addr = regs[p]
             if addr <= 0 or addr + size > limit:
                 raise MemoryError_(
                     f"access of {size} bytes at {addr} out of bounds"
                 )
-            return unpack_from(data, addr)[0]
+            regs[d] = unpack_from(data, addr)[0]
 
-        return load
+        return step
 
-    def scalar_storer(self, type_: Type):
-        """A ``store(addr, value)`` closure for one scalar type."""
+    def scalar_store_step(self, type_: Type, regs: List, v: int, p: int):
+        """The step for ``store type_ regs[v], regs[p]``."""
         size = _scalar_size(type_)
         pack_into = struct.Struct(_scalar_code(type_)).pack_into
         data = self._data
@@ -160,103 +162,123 @@ class Memory:
         if isinstance(type_, IntType):
             wrap = type_.wrap
 
-            def store(addr, value):
+            def step():
+                addr = regs[p]
                 if addr <= 0 or addr + size > limit:
                     raise MemoryError_(
                         f"access of {size} bytes at {addr} out of bounds"
                     )
-                pack_into(data, addr, wrap(int(value)))
+                pack_into(data, addr, wrap(int(regs[v])))
 
-            return store
+            return step
 
-        def store(addr, value):
+        def step():
+            addr = regs[p]
             if addr <= 0 or addr + size > limit:
                 raise MemoryError_(
                     f"access of {size} bytes at {addr} out of bounds"
                 )
-            pack_into(data, addr, value)
+            pack_into(data, addr, regs[v])
 
-        return store
+        return step
 
-    def vector_loader(self, vec_type: VectorType):
-        """A whole-vector ``load(addr) -> tuple`` closure (one bulk unpack)."""
+    def vector_load_step(self, vec_type: VectorType, regs: List, d: int, p: int):
+        """The step for ``regs[d] = load vec_type, regs[p]`` (one bulk unpack)."""
         element = vec_type.element
         count = vec_type.count
         total = _scalar_size(element) * count
         unpack_from = struct.Struct(f"{count}{_scalar_code(element)}").unpack_from
         data = self._data
         limit = len(data)
+        load_value = self.load_value
         if isinstance(element, IntType) and element.bits < 8:
             wrap = element.wrap
 
-            def load(addr):
+            def step():
+                addr = regs[p]
                 if addr <= 0 or addr + total > limit:
                     # element-wise replay raises the reference error
-                    return self.load_value(addr, vec_type)
-                return tuple(wrap(raw) for raw in unpack_from(data, addr))
+                    regs[d] = load_value(addr, vec_type)
+                    return
+                regs[d] = tuple(wrap(raw) for raw in unpack_from(data, addr))
 
-            return load
+            return step
 
-        def load(addr):
+        def step():
+            addr = regs[p]
             if addr <= 0 or addr + total > limit:
-                return self.load_value(addr, vec_type)
-            return unpack_from(data, addr)
+                regs[d] = load_value(addr, vec_type)
+                return
+            regs[d] = unpack_from(data, addr)
 
-        return load
+        return step
 
-    def vector_storer(self, vec_type: VectorType):
-        """A whole-vector ``store(addr, values)`` closure (one bulk pack)."""
+    def vector_store_step(self, vec_type: VectorType, regs: List, v: int, p: int):
+        """The step for ``store vec_type regs[v], regs[p]`` (one bulk pack)."""
         element = vec_type.element
         count = vec_type.count
         total = _scalar_size(element) * count
         pack_into = struct.Struct(f"{count}{_scalar_code(element)}").pack_into
         data = self._data
         limit = len(data)
+        store_value = self.store_value
         if isinstance(element, IntType):
             wrap = element.wrap
 
-            def store(addr, values):
+            def step():
+                addr = regs[p]
+                values = regs[v]
                 if addr <= 0 or addr + total > limit:
-                    self.store_value(addr, vec_type, values)
+                    store_value(addr, vec_type, values)
                     return
                 try:
-                    pack_into(data, addr, *[wrap(int(v)) for v in values])
+                    pack_into(data, addr, *[wrap(int(x)) for x in values])
                 except Exception:
                     # replay element-wise: identical partial-store prefix,
                     # identical per-element exception
-                    self.store_value(addr, vec_type, values)
+                    store_value(addr, vec_type, values)
 
-            return store
+            return step
 
-        def store(addr, values):
+        def step():
+            addr = regs[p]
+            values = regs[v]
             if addr <= 0 or addr + total > limit:
-                self.store_value(addr, vec_type, values)
+                store_value(addr, vec_type, values)
                 return
             try:
                 pack_into(data, addr, *values)
             except Exception:
-                self.store_value(addr, vec_type, values)
+                store_value(addr, vec_type, values)
 
-        return store
+        return step
 
     # -- array helpers (test/workload convenience) ----------------------------------
 
     def write_array(self, addr: int, element: Type, values: Sequence) -> None:
+        """Store ``values`` from ``addr`` as ``store_scalar`` on each element
+        in turn would, in one ``struct`` call when every value packs."""
         count = len(values)
         stride = _scalar_size(element)
-        if count and 0 < addr and addr + stride * count <= len(self._data):
+        end = addr + stride * count
+        if count and 0 < addr and end <= len(self._data):
+            saved = self._data[addr:end]
             try:
-                if isinstance(element, IntType):
+                if isinstance(element, IntType) and element.bits < 8:
+                    # i1 wraps first: its byte code would store 2..127 as is
                     wrap = element.wrap
                     packed = [wrap(int(v)) for v in values]
                 else:
+                    # i8..i64 values in range and floats pack as they are;
+                    # any other value makes the call raise
                     packed = values
                 struct.pack_into(
                     f"{count}{_scalar_code(element)}", self._data, addr, *packed
                 )
                 return
             except Exception:
-                pass  # element-wise replay raises the reference error
+                self._data[addr:end] = saved  # a failed pack zeroes its range
+        # element-wise replay raises the reference error
         for i, value in enumerate(values):
             self.store_scalar(addr + i * stride, element, value)
 

@@ -10,9 +10,10 @@ of that work *once per function*:
   materialized into the register file at bind time, so operand access at
   run time is a plain list index;
 * every instruction is compiled to an **emit factory** — a closure maker
-  ``emit(regs, memory) -> step()`` that captures its operand slots, its
-  pre-specialized lane functions and its memory accessors, so executing
-  the instruction is one zero-argument call with no dispatch;
+  ``emit(regs, memory) -> step()`` that captures its operand slots and
+  its pre-specialized lane functions (loads and stores take their step
+  from :class:`~repro.interp.memory.Memory`), so executing the
+  instruction is one zero-argument call with no dispatch;
 * the cost-model charge of every instruction is pre-computed, and each
   block carries pre-summed totals so straight-line runs can account whole
   blocks at a time (see :mod:`repro.interp.batched`).
@@ -29,7 +30,9 @@ exception text.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -79,17 +82,44 @@ _PLAN_MISSES = STAT("interp.plan_cache.misses", "planned-function cache misses")
 # message on traps — without re-branching on opcode or type per call.
 
 
+#: integer opcodes whose fold is ``wrap(op(a, b))``
+_WRAPPING_INT_OPS: Dict[Opcode, Callable] = {
+    Opcode.ADD: operator.add,
+    Opcode.SUB: operator.sub,
+    Opcode.MUL: operator.mul,
+    Opcode.AND: operator.and_,
+    Opcode.OR: operator.or_,
+    Opcode.XOR: operator.xor,
+}
+
+
+@functools.cache
 def _lane_fn(opcode: Opcode, elem) -> Callable:
-    """A specialized scalar function for one (binary opcode, element type)."""
+    """A specialized scalar function for one (binary opcode, element type).
+
+    The functions are pure and types are interned, so every plan shares one
+    per pair instead of retaining a closure per instruction.
+    """
     if isinstance(elem, IntType):
         wrap = elem.wrap
         bits = elem.bits
-        if opcode is Opcode.ADD:
-            return lambda a, b: wrap(a + b)
-        if opcode is Opcode.SUB:
-            return lambda a, b: wrap(a - b)
-        if opcode is Opcode.MUL:
-            return lambda a, b: wrap(a * b)
+        op = _WRAPPING_INT_OPS.get(opcode)
+        if op is not None:
+            # wrap(op(a, b)) with IntType.wrap's body inlined: ``&=`` keeps
+            # its TypeError text, and i1's ``half`` of 2 is never reached
+            # because wrap subtracts nothing for i1
+            mask = (1 << bits) - 1
+            half = 1 << max(bits - 1, 1)
+            full = 1 << bits
+
+            def wrapping(a, b):
+                value = op(a, b)
+                value &= mask
+                if value >= half:
+                    value -= full
+                return value
+
+            return wrapping
         if opcode is Opcode.SDIV:
 
             def sdiv(a, b):
@@ -98,12 +128,6 @@ def _lane_fn(opcode: Opcode, elem) -> Callable:
                 return wrap(int(a / b))
 
             return sdiv
-        if opcode is Opcode.AND:
-            return lambda a, b: wrap(a & b)
-        if opcode is Opcode.OR:
-            return lambda a, b: wrap(a | b)
-        if opcode is Opcode.XOR:
-            return lambda a, b: wrap(a ^ b)
         if opcode is Opcode.SHL:
             return lambda a, b: wrap(a << (b % bits))
         if opcode is Opcode.ASHR:
@@ -295,22 +319,12 @@ def _emit_for(inst: Instruction, slot_of: Callable) -> Callable:
         if isinstance(type_, VectorType):
 
             def emit(regs, memory, d=d, p=p, type_=type_):
-                load = memory.vector_loader(type_)
-
-                def step():
-                    regs[d] = load(regs[p])
-
-                return step
+                return memory.vector_load_step(type_, regs, d, p)
 
             return emit
 
         def emit(regs, memory, d=d, p=p, type_=type_):
-            load = memory.scalar_loader(type_)
-
-            def step():
-                regs[d] = load(regs[p])
-
-            return step
+            return memory.scalar_load_step(type_, regs, d, p)
 
         return emit
 
@@ -321,22 +335,12 @@ def _emit_for(inst: Instruction, slot_of: Callable) -> Callable:
         if isinstance(type_, VectorType):
 
             def emit(regs, memory, v=v, p=p, type_=type_):
-                store = memory.vector_storer(type_)
-
-                def step():
-                    store(regs[p], regs[v])
-
-                return step
+                return memory.vector_store_step(type_, regs, v, p)
 
             return emit
 
         def emit(regs, memory, v=v, p=p, type_=type_):
-            store = memory.scalar_storer(type_)
-
-            def step():
-                store(regs[p], regs[v])
-
-            return step
+            return memory.scalar_store_step(type_, regs, v, p)
 
         return emit
 

@@ -20,7 +20,7 @@ from .instructions import (
     Opcode,
     StoreInst,
 )
-from .values import Constant, Value
+from .values import Constant, GlobalBuffer, Value
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,6 @@ def may_alias(a: AddressInfo, b: AddressInfo) -> bool:
     index aliases iff the constant offsets coincide.  Everything else is
     assumed to alias.
     """
-    from .values import GlobalBuffer
-
     if (
         isinstance(a.base, GlobalBuffer)
         and isinstance(b.base, GlobalBuffer)

@@ -9,6 +9,7 @@ or overflow behaviour (integer ops wrap like the interpreter does).
 from __future__ import annotations
 
 import math
+import struct
 from typing import Optional
 
 from .instructions import (
@@ -67,8 +68,6 @@ def fold_binary(opcode: Opcode, type_, a, b):
 
 def _round(type_: FloatType, value: float) -> float:
     if type_.bits == 32:
-        import struct
-
         return struct.unpack("f", struct.pack("f", value))[0]
     return value
 

@@ -4,9 +4,28 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from .block import BasicBlock
 from .function import Function
+from .instructions import (
+    AltBinaryInst,
+    BinaryInst,
+    BranchInst,
+    CallInst,
+    CastInst,
+    CmpInst,
+    CondBranchInst,
+    ExtractElementInst,
+    GepInst,
+    InsertElementInst,
+    LoadInst,
+    PhiInst,
+    RetInst,
+    SelectInst,
+    ShuffleVectorInst,
+    StoreInst,
+)
 from .types import Type
-from .values import GlobalBuffer
+from .values import Constant, GlobalBuffer, Value
 
 
 class Module:
@@ -76,10 +95,6 @@ class Module:
         the referenced instruction is cloned — the same two-phase scheme
         the textual parser uses.
         """
-        from .block import BasicBlock
-        from .function import Function
-        from .values import Value
-
         clone = Module(self.name)
         for name, buffer in self.globals.items():
             clone.add_global(
@@ -113,8 +128,6 @@ class Module:
             placeholders: Dict[int, "Value"] = {}
 
             def map_operand(op: "Value") -> "Value":
-                from .values import Constant
-
                 mapped = value_map.get(id(op))
                 if mapped is not None:
                     return mapped
@@ -158,25 +171,6 @@ class Module:
 
 def _clone_instruction(inst, map_operand, block_map):
     """Construct a fresh copy of ``inst`` with mapped operands/targets."""
-    from .instructions import (
-        AltBinaryInst,
-        BinaryInst,
-        BranchInst,
-        CallInst,
-        CastInst,
-        CmpInst,
-        CondBranchInst,
-        ExtractElementInst,
-        GepInst,
-        InsertElementInst,
-        LoadInst,
-        PhiInst,
-        RetInst,
-        SelectInst,
-        ShuffleVectorInst,
-        StoreInst,
-    )
-
     if isinstance(inst, PhiInst):
         phi = PhiInst(inst.type, inst.name)
         for value, block in zip(inst.operands, inst.incoming_blocks):

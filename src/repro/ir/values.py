@@ -21,7 +21,7 @@ import math
 import struct
 from typing import Iterator, List, Optional, Sequence
 
-from .types import FloatType, IntType, Type, VectorType
+from .types import FloatType, IntType, Type, VectorType, pointer_to
 
 
 class Use:
@@ -248,8 +248,6 @@ class GlobalBuffer(Value):
         count: int,
         initializer: Optional[Sequence] = None,
     ) -> None:
-        from .types import pointer_to
-
         super().__init__(pointer_to(element), name)
         self.element = element
         self.count = count

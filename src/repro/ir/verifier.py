@@ -34,11 +34,6 @@ class VerificationError(Exception):
     """Raised when IR fails verification."""
 
 
-def _check(condition: bool, message: str) -> None:
-    if not condition:
-        raise VerificationError(message)
-
-
 def _reverse_postorder(function: Function) -> Dict[int, int]:
     """Map ``id(block)`` -> RPO index for blocks reachable from entry."""
     order: List[BasicBlock] = []
@@ -60,54 +55,63 @@ def _predecessors(function: Function) -> Dict[BasicBlock, List[BasicBlock]]:
     preds: Dict[BasicBlock, List[BasicBlock]] = {b: [] for b in function.blocks}
     for block in function.blocks:
         for succ in block.successors():
-            _check(
-                succ in preds,
-                f"{function.name}: branch from {block.name} to foreign block "
-                f"{succ.name}",
-            )
+            if succ not in preds:
+                raise VerificationError(
+                    f"{function.name}: branch from {block.name} to foreign "
+                    f"block {succ.name}"
+                )
             preds[succ].append(block)
     return preds
 
 
 def verify_function(function: Function) -> None:
-    _check(bool(function.blocks), f"function {function.name} has no blocks")
+    if not function.blocks:
+        raise VerificationError(f"function {function.name} has no blocks")
     defined: Set[int] = set()
     for arg in function.arguments:
         defined.add(id(arg))
+    # id(value) -> its use records, each as ``id(user) << 32 | index``,
+    # built on the value's first appearance as an operand.  An int per
+    # record rather than a tuple: the garbage collector does not track
+    # ints, so the checks trigger no extra collections.  Operand indices
+    # never reach 2**32, so the key is unique.
+    use_records: Dict[int, Set[int]] = {}
 
     # Pass 1: structure, terminators, phi placement, use-list integrity.
     for block in function.blocks:
-        _check(
-            block.terminator is not None,
-            f"{function.name}/{block.name}: missing terminator",
-        )
-        for i, inst in enumerate(block):
-            _check(
-                inst.parent is block,
-                f"{function.name}/{block.name}: instruction with stale parent",
+        if block.terminator is None:
+            raise VerificationError(
+                f"{function.name}/{block.name}: missing terminator"
             )
-            if inst.is_terminator:
-                _check(
-                    i == len(block.instructions) - 1,
-                    f"{function.name}/{block.name}: terminator not last",
+        last = len(block.instructions) - 1
+        seen_non_phi = False
+        for i, inst in enumerate(block):
+            if inst.parent is not block:
+                raise VerificationError(
+                    f"{function.name}/{block.name}: instruction with stale "
+                    f"parent"
+                )
+            if inst.is_terminator and i != last:
+                raise VerificationError(
+                    f"{function.name}/{block.name}: terminator not last"
                 )
             if isinstance(inst, PhiInst):
-                _check(
-                    all(
-                        isinstance(prev, PhiInst)
-                        for prev in block.instructions[:i]
-                    ),
-                    f"{function.name}/{block.name}: phi after non-phi",
-                )
+                if seen_non_phi:
+                    raise VerificationError(
+                        f"{function.name}/{block.name}: phi after non-phi"
+                    )
+            else:
+                seen_non_phi = True
             for index, op in enumerate(inst.operands):
-                _check(
-                    any(
-                        use.user is inst and use.index == index
-                        for use in op.uses
-                    ),
-                    f"{function.name}/{block.name}: operand {index} of "
-                    f"{inst.opcode} missing its use record",
-                )
+                records = use_records.get(id(op))
+                if records is None:
+                    records = {id(use.user) << 32 | use.index for use in op.uses}
+                    use_records[id(op)] = records
+                if id(inst) << 32 | index not in records:
+                    raise VerificationError(
+                        f"{function.name}/{block.name}: operand {index} of "
+                        f"{inst.opcode} missing its use record"
+                    )
             defined.add(id(inst))
 
     # Pass 2: every operand must be a known kind of value defined somewhere
@@ -118,16 +122,16 @@ def verify_function(function: Function) -> None:
                 if isinstance(op, (Constant, GlobalBuffer)):
                     continue
                 if isinstance(op, Argument):
-                    _check(
-                        op in function.arguments,
-                        f"{function.name}: foreign argument %{op.name}",
-                    )
+                    if op not in function.arguments:
+                        raise VerificationError(
+                            f"{function.name}: foreign argument %{op.name}"
+                        )
                     continue
-                _check(
-                    id(op) in defined,
-                    f"{function.name}/{block.name}: operand %{op.name} of "
-                    f"{inst.opcode} is not defined in this function",
-                )
+                if id(op) not in defined:
+                    raise VerificationError(
+                        f"{function.name}/{block.name}: operand %{op.name} "
+                        f"of {inst.opcode} is not defined in this function"
+                    )
 
     # Pass 3: straight-line dominance within each block — a non-phi use of
     # an instruction defined in the *same* block must come after the def.
@@ -138,11 +142,10 @@ def verify_function(function: Function) -> None:
                 continue
             for op in inst.operands:
                 j = position.get(id(op))
-                if j is not None:
-                    _check(
-                        j < i,
-                        f"{function.name}/{block.name}: %{op.name} used before "
-                        f"definition",
+                if j is not None and j >= i:
+                    raise VerificationError(
+                        f"{function.name}/{block.name}: %{op.name} used "
+                        f"before definition"
                     )
 
     # Pass 3b: cross-block use-before-def ordering.  For the reducible
@@ -168,41 +171,44 @@ def verify_function(function: Function) -> None:
                 if home is None or home is block:
                     continue
                 home_index = rpo.get(id(home))
-                _check(
-                    home_index is not None and home_index < use_index,
-                    f"{function.name}/{block.name}: %{op.name} used before "
-                    f"its defining block {home.name} (no dominating path)",
-                )
+                if home_index is None or home_index >= use_index:
+                    raise VerificationError(
+                        f"{function.name}/{block.name}: %{op.name} used "
+                        f"before its defining block {home.name} (no "
+                        f"dominating path)"
+                    )
 
     # Pass 4: phi edges match predecessors exactly.
     preds = _predecessors(function)
     for block in function.blocks:
         for phi in block.phis():
             incoming_blocks = list(phi.incoming_blocks)
-            _check(
-                len(incoming_blocks) == len(set(id(b) for b in incoming_blocks)),
-                f"{function.name}/{block.name}: duplicate phi predecessor",
-            )
-            expect = {id(b) for b in preds[block]}
             got = {id(b) for b in incoming_blocks}
-            _check(
-                expect == got,
-                f"{function.name}/{block.name}: phi predecessors "
-                f"{sorted(b.name for b in incoming_blocks)} != CFG predecessors "
-                f"{sorted(b.name for b in preds[block])}",
-            )
+            if len(incoming_blocks) != len(got):
+                raise VerificationError(
+                    f"{function.name}/{block.name}: duplicate phi predecessor"
+                )
+            if got != {id(b) for b in preds[block]}:
+                raise VerificationError(
+                    f"{function.name}/{block.name}: phi predecessors "
+                    f"{sorted(b.name for b in incoming_blocks)} != CFG "
+                    f"predecessors {sorted(b.name for b in preds[block])}"
+                )
 
     # Pass 5: use lists point back at real operands.
     for block in function.blocks:
         for inst in block:
             for use in inst.uses:
-                _check(
-                    isinstance(use.user, User)
-                    and use.index < use.user.num_operands
-                    and use.user.operand(use.index) is inst,
-                    f"{function.name}/{block.name}: stale use record on "
-                    f"%{inst.name}",
-                )
+                user = use.user
+                if not (
+                    isinstance(user, User)
+                    and use.index < user.num_operands
+                    and user.operand(use.index) is inst
+                ):
+                    raise VerificationError(
+                        f"{function.name}/{block.name}: stale use record on "
+                        f"%{inst.name}"
+                    )
 
     # Pass 6: vector-lane bounds.  Static insert/extract lanes and shuffle
     # masks must index existing lanes — the fuzzing reducer leans on this
@@ -212,32 +218,33 @@ def verify_function(function: Function) -> None:
         for inst in block:
             if isinstance(inst, (InsertElementInst, ExtractElementInst)):
                 vec_type = inst.operand(0).type
-                _check(
-                    isinstance(vec_type, VectorType),
-                    f"{function.name}/{block.name}: {inst.opcode} on "
-                    f"non-vector {vec_type}",
-                )
+                if not isinstance(vec_type, VectorType):
+                    raise VerificationError(
+                        f"{function.name}/{block.name}: {inst.opcode} on "
+                        f"non-vector {vec_type}"
+                    )
                 lane = inst.lane
-                if isinstance(lane, Constant):
-                    _check(
-                        0 <= int(lane.value) < vec_type.count,
+                if isinstance(lane, Constant) and not (
+                    0 <= int(lane.value) < vec_type.count
+                ):
+                    raise VerificationError(
                         f"{function.name}/{block.name}: {inst.opcode} lane "
-                        f"{lane.value} out of range for {vec_type}",
+                        f"{lane.value} out of range for {vec_type}"
                     )
             if isinstance(inst, ShuffleVectorInst):
                 a_type = inst.a.type
-                _check(
-                    isinstance(a_type, VectorType),
-                    f"{function.name}/{block.name}: shufflevector on "
-                    f"non-vector {a_type}",
-                )
+                if not isinstance(a_type, VectorType):
+                    raise VerificationError(
+                        f"{function.name}/{block.name}: shufflevector on "
+                        f"non-vector {a_type}"
+                    )
                 limit = a_type.count + inst.b.type.count
-                _check(
-                    all(0 <= m < limit for m in inst.mask),
-                    f"{function.name}/{block.name}: shuffle mask "
-                    f"{list(inst.mask)} out of range for {limit} source "
-                    f"lanes",
-                )
+                if not all(0 <= m < limit for m in inst.mask):
+                    raise VerificationError(
+                        f"{function.name}/{block.name}: shuffle mask "
+                        f"{list(inst.mask)} out of range for {limit} source "
+                        f"lanes"
+                    )
 
 
 def verify_module(module: Module) -> None:

@@ -10,6 +10,7 @@ skeleton; the caller supplies only the straight-line body.
 from __future__ import annotations
 
 import random
+from itertools import repeat, starmap
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..ir.builder import IRBuilder
@@ -120,19 +121,40 @@ def make_straightline_kernel(
     return function
 
 
+# The input helpers below return the values of one ``rng.uniform`` or
+# ``rng.randint`` call per element and leave ``rng`` in the same state,
+# without those methods' per-call overhead: ``uniform`` is ``lo + (hi - lo)
+# * random()`` and ``randint`` a ``getrandbits`` rejection loop, both
+# evaluated inline here.  ``tests/test_kernels_inputs.py`` holds them to
+# that on twin generators.
+
+
 def random_floats(rng: random.Random, count: int, lo: float = -8.0, hi: float = 8.0) -> List[float]:
-    return [rng.uniform(lo, hi) for _ in range(count)]
+    span = hi - lo
+    # starmap makes the ``count`` rng.random() calls without a Python loop
+    return [lo + span * r for r in starmap(rng.random, repeat((), count))]
 
 
 def random_nonzero_floats(
     rng: random.Random, count: int, lo: float = 0.5, hi: float = 8.0
 ) -> List[float]:
     """Strictly-positive values, safe as divisors in div-chain kernels."""
-    return [rng.uniform(lo, hi) for _ in range(count)]
+    return random_floats(rng, count, lo, hi)
 
 
 def random_ints(rng: random.Random, count: int, lo: int = -64, hi: int = 64) -> List[int]:
-    return [rng.randint(lo, hi) for _ in range(count)]
+    width = hi - lo + 1
+    if width <= 0:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    getrandbits = rng.getrandbits
+    bits = width.bit_length()
+    values = []
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        values.append(lo + r)
+    return values
 
 
 def finish_module(module: Module) -> Module:

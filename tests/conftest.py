@@ -7,6 +7,7 @@ import random
 from typing import Dict, List, Sequence
 
 import pytest
+from hypothesis import settings
 
 from repro.ir import (
     F64,
@@ -18,6 +19,13 @@ from repro.ir import (
     Module,
     verify_module,
 )
+
+# Tier-1 is deterministic: every property test draws the same examples on
+# every run, and no example database carries a failure from one run into
+# the next.  The per-test ``@settings(max_examples=...)`` decorators
+# inherit this profile.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 def build_simple_store_module(num_lanes: int = 2, opcode: str = "fadd") -> Module:

@@ -11,6 +11,7 @@ and the step watchdog firing at the exact same instruction.
 """
 
 import math
+import operator
 import os
 import struct
 
@@ -32,6 +33,10 @@ from repro.interp import (
 )
 from repro.ir import (
     F64,
+    I1,
+    I8,
+    I16,
+    I32,
     I64,
     VOID,
     CmpPredicate,
@@ -265,6 +270,89 @@ class TestEdgeSemantics:
                     interp.run("f", [addr, (1, 2)])
                 messages.append(str(excinfo.value))
             assert messages[0] == messages[1], addr
+
+    # 0: null; -8: negative; 252: the 8-byte access crosses the 256-byte end
+    SCALAR_OOB_ADDRESSES = (0, -8, 252)
+
+    def test_scalar_load_out_of_bounds_parity(self):
+        module = Module("m")
+        function = Function("f", [("p", pointer_to(F64))], F64)
+        module.add_function(function)
+        builder = IRBuilder(function.add_block("entry"))
+        builder.ret(builder.load(function.arguments[0]))
+        for addr in self.SCALAR_OOB_ADDRESSES:
+            errors = []
+            for engine in ("scalar", "batched"):
+                interp = make_interpreter(module, engine, memory=Memory(256))
+                with pytest.raises(MemoryError_) as excinfo:
+                    interp.run("f", [addr])
+                errors.append((type(excinfo.value), str(excinfo.value)))
+            assert errors[0] == errors[1], addr
+
+    def test_scalar_store_out_of_bounds_parity(self):
+        module = Module("m")
+        function = Function("f", [("p", pointer_to(I64)), ("v", I64)], VOID)
+        module.add_function(function)
+        builder = IRBuilder(function.add_block("entry"))
+        builder.store(function.arguments[1], function.arguments[0])
+        builder.ret()
+        for addr in self.SCALAR_OOB_ADDRESSES:
+            states = []
+            for engine in ("scalar", "batched"):
+                memory = Memory(256)
+                interp = make_interpreter(module, engine, memory=memory)
+                with pytest.raises(MemoryError_) as excinfo:
+                    interp.run("f", [addr, -1])  # all-ones bytes
+                states.append((
+                    type(excinfo.value),
+                    str(excinfo.value),
+                    memory.read_array(1, I8, 255),  # every addressable byte
+                ))
+            assert states[0] == states[1], addr
+
+    @pytest.mark.parametrize("lanes", [1, 8])
+    @pytest.mark.parametrize("element", [I1, I8, I16, I32, I64], ids=str)
+    @pytest.mark.parametrize("opcode", ["add", "sub", "mul", "and_", "or_", "xor"])
+    def test_integer_overflow_parity(self, element, opcode, lanes):
+        type_ = element if lanes == 1 else vector_of(element, lanes)
+        module = Module("m")
+        function = Function("f", [("a", type_), ("b", type_)], type_)
+        module.add_function(function)
+        builder = IRBuilder(function.add_block("entry"))
+        builder.ret(getattr(builder, opcode)(*function.arguments))
+        python_op = getattr(operator, opcode)
+        lo, hi = element.min_value(), element.max_value()
+        pairs = [(hi, 1), (lo, -1), (lo, 1), (hi, hi), (lo, lo), (lo, hi),
+                 (hi, 2), (-1, 1)]
+        if lanes > 1:  # one pair per lane
+            pairs = [tuple(zip(*pairs))]
+        for a, b in pairs:
+            if lanes == 1:
+                want = element.wrap(python_op(a, b))
+            else:
+                want = tuple(element.wrap(python_op(x, y)) for x, y in zip(a, b))
+            results = [
+                make_interpreter(module, engine).run("f", [a, b])
+                for engine in ("scalar", "batched")
+            ]
+            assert results[0] == results[1] == want, (a, b)
+
+    def test_integer_add_on_float_operand_traps_alike(self):
+        module = Module("m")
+        function = Function("f", [("a", I64), ("x", F64)], I64)
+        module.add_function(function)
+        builder = IRBuilder(function.add_block("entry"))
+        total = builder.add(function.arguments[0], function.arguments[0])
+        # a float reaching an integer add: the constructor refuses the
+        # mismatch, so force it in behind the type check
+        total.set_operand(1, function.arguments[1])
+        builder.ret(total)
+        messages = []
+        for engine in ("scalar", "batched"):
+            with pytest.raises(TrapError) as excinfo:
+                make_interpreter(module, engine).run("f", [3, 0.5])
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
 
     def test_budget_fires_at_identical_step(self):
         module = _loop_module()

@@ -9,6 +9,7 @@ from repro.interp.memory import _scalar_size
 from repro.ir import (
     F32,
     F64,
+    I1,
     I8,
     I64,
     VOID,
@@ -79,6 +80,38 @@ class TestMemory:
         module.add_global("A", I64, 4, [1, 2, 3, 4])
         interp = Interpreter(module)
         assert interp.read_global("A") == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize(
+        "element, values",
+        [
+            (I1, [1, 2, 3, 0]),
+            (I8, [1, 300, -200, 127]),
+            (I64, [1, 2.0, 3, 4]),
+            (I64, [1, 2, None, 4]),
+            (F64, [1.0, 2.0, "x", 4.0]),
+        ],
+        ids=["i1", "i8-wraps", "i64-from-float", "i64-raises", "f64-raises"],
+    )
+    def test_write_array_matches_element_wise(self, element, values):
+        # the bulk path must leave the bytes and raise the error that one
+        # store_scalar per element leaves and raises
+        bulk, reference = Memory(size=256), Memory(size=256)
+        stride = _scalar_size(element)
+        outcomes = []
+        for mem in (bulk, reference):
+            mem._data[:] = bytes(range(256))
+            try:
+                if mem is bulk:
+                    mem.write_array(64, element, values)
+                else:
+                    for i, value in enumerate(values):
+                        mem.store_scalar(64 + i * stride, element, value)
+            except Exception as exc:
+                outcomes.append((type(exc), str(exc)))
+            else:
+                outcomes.append(None)
+        assert outcomes[0] == outcomes[1]
+        assert bulk._data == reference._data
 
     def test_write_global_length_checked(self):
         module = Module("m")

@@ -135,3 +135,18 @@ class TestUseListIntegrity:
         a.uses.clear()
         with pytest.raises(VerificationError, match="use record"):
             verify_function(function)
+
+    def test_wide_use_list(self):
+        # one value with 2,000 uses verifies; dropping only the last use's
+        # record is still caught, with the full message
+        function, _, builder = _func_with_entry()
+        a = function.arguments[0]
+        users = [builder.add(a, Constant(I64, k)) for k in range(2000)]
+        builder.ret()
+        verify_function(function)
+        a.uses.remove(next(use for use in a.uses if use.user is users[-1]))
+        with pytest.raises(VerificationError) as excinfo:
+            verify_function(function)
+        assert str(excinfo.value) == (
+            "f/entry: operand 0 of add missing its use record"
+        )
