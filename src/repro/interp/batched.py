@@ -15,7 +15,15 @@ Semantics are bit-identical to the reference engine by construction:
 * otherwise the block falls back to a **slow path** that ticks per
   instruction in exactly the reference order (count, fault fire, budget
   check, hook, charge), so ``BudgetExceededError`` fires at the same step
-  and injected faults see every ``interp.step`` site hit.
+  and injected faults see every ``interp.step`` site hit;
+* on the fast path, entering the header of a counted loop the plan
+  recognised hands the whole loop to the **column pass**
+  (:mod:`repro.interp.loops`), which evaluates each body instruction over
+  all iterations when closed-form checks allow it and otherwise leaves
+  the loop to the block-at-a-time path from the same state.
+
+A block's step closures are bound on its first block-at-a-time visit, so
+a loop the column pass runs never binds its own.
 
 Cost accounting lives *in* the engine (``cycles`` / ``instructions`` /
 ``per_opcode`` attributes) instead of an external ``on_execute`` counter,
@@ -33,8 +41,9 @@ from ..ir.types import IntType, PointerType, VectorType
 from ..ir.values import Argument, GlobalBuffer
 from ..robust.faults import current_faults
 from .interpreter import BudgetExceededError, InterpreterError
+from .loops import run_loop
 from .memory import Memory
-from .plan import BlockPlan, FunctionPlan, plan_function
+from .plan import BlockPlan, FunctionPlan, bind_step, plan_function
 
 
 class BatchedInterpreter:
@@ -105,12 +114,9 @@ class BatchedInterpreter:
             raise InterpreterError(
                 f"entry block {plan.blocks[0].name} must not contain phis"
             )
-        steps_by_block = [
-            [emit(regs, memory) for emit in bp.emits] for bp in plan.blocks
-        ]
         visits = [0] * len(plan.blocks)
         try:
-            return self._run(plan, regs, steps_by_block, visits)
+            return self._run(plan, regs, visits)
         finally:
             self._finalize(plan, visits)
 
@@ -122,27 +128,23 @@ class BatchedInterpreter:
 
     # -- execution ----------------------------------------------------------------
 
-    def _run(
-        self,
-        plan: FunctionPlan,
-        regs: List[object],
-        steps_by_block: List[List[Callable]],
-        visits: List[int],
-    ):
+    def _run(self, plan: FunctionPlan, regs: List[object], visits: List[int]):
         blocks = plan.blocks
+        memory = self.memory
         budget = self.instruction_budget
         fast_ok = plan.exact and self.on_execute is None
         faults = current_faults()
+        steps_by_block: List[Optional[List[Callable]]] = [None] * len(blocks)
         # flattened per-block records: one tuple load per block visit
         # instead of six attribute lookups on the BlockPlan
         bound = [
             (
                 bp.phi_dsts if bp.phi_insts else None,
                 bp.phi_tables,
-                steps_by_block[bp.index],
                 bp.count,
                 bp.terminator,
                 bp.name,
+                bp.loop,
             )
             for bp in blocks
         ]
@@ -151,8 +153,23 @@ class BatchedInterpreter:
         prev: Optional[BlockPlan] = None
         try:
             while True:
-                dsts, tables, steps, count, term, name = bound[idx]
+                dsts, tables, count, term, name, loop = bound[idx]
                 if fast_ok and not faults.armed and executed + count <= budget:
+                    if loop is not None and prev.index != loop.body:
+                        table = tables.get(id(prev.block))
+                        if type(table) is list:
+                            done, exited = run_loop(
+                                loop, regs[table[0]], regs, memory, budget - executed
+                            )
+                            executed += (done + exited) * count + done * loop.body_count
+                            visits[idx] += done + exited
+                            visits[loop.body] += done
+                            if exited:
+                                prev = blocks[idx]
+                                idx = loop.exit
+                                continue
+                            if done:  # resume sequentially after the last iteration
+                                prev = blocks[loop.body]
                     if dsts is not None:
                         table = tables.get(id(prev.block))
                         if table is None:
@@ -165,6 +182,9 @@ class BatchedInterpreter:
                         staged = [regs[src] for src in table]
                         for dst, value in zip(dsts, staged):
                             regs[dst] = value
+                    steps = steps_by_block[idx]
+                    if steps is None:
+                        steps = steps_by_block[idx] = self._bind(blocks[idx], regs)
                     for step in steps:
                         step()
                     executed += count
@@ -199,12 +219,16 @@ class BatchedInterpreter:
         finally:
             self.executed_instructions = executed
 
+    def _bind(self, bp: BlockPlan, regs: List[object]) -> List[Callable]:
+        memory = self.memory
+        return [bind_step(op, regs, memory) for op in bp.ops]
+
     def _run_block_slow(
         self,
         bp: BlockPlan,
         prev: Optional[BlockPlan],
         regs: List[object],
-        steps_by_block: List[List[Callable]],
+        steps_by_block: List[Optional[List[Callable]]],
     ):
         """Per-step execution of one block, reference tick order."""
         if bp.phi_insts:
@@ -219,9 +243,10 @@ class BatchedInterpreter:
             ):
                 regs[dst] = value
                 self._tick_slow(phi, cost)
-        for step, inst, cost in zip(
-            steps_by_block[bp.index], bp.step_insts, bp.step_costs
-        ):
+        steps = steps_by_block[bp.index]
+        if steps is None:
+            steps = steps_by_block[bp.index] = self._bind(bp, regs)
+        for step, inst, cost in zip(steps, bp.step_insts, bp.step_costs):
             step()
             self._tick_slow(inst, cost)
         term = bp.terminator

@@ -36,6 +36,19 @@ def _scalar_size(type_: Type) -> int:
     return max(type_.byte_width, 1)
 
 
+def _element_lanes(type_: Type):
+    if isinstance(type_, VectorType):
+        return type_.element, type_.count
+    return type_, 1
+
+
+def access_size(type_: Type) -> int:
+    """Bytes one load or store of ``type_`` touches."""
+    element, lanes = _element_lanes(type_)
+    _scalar_code(element)  # raises TypeError for types memory cannot hold
+    return _scalar_size(element) * lanes
+
+
 class Memory:
     """Flat memory with bump allocation and typed accessors."""
 
@@ -252,6 +265,85 @@ class Memory:
                 store_value(addr, vec_type, values)
 
         return step
+
+    # -- column streams (see repro.interp.loops) -----------------------------------
+    #
+    # A loop's load or store site touches ``addr + k * delta`` at iteration
+    # k.  The column pass moves all of a site's iterations in one ``struct``
+    # call; scalar sites give one sequence of values, vector sites a tuple
+    # holding one such sequence per lane.
+
+    @property
+    def size(self) -> int:
+        return len(self._data)
+
+    def read_bytes(self, lo: int, hi: int) -> bytes:
+        return bytes(self._data[lo:hi])
+
+    def write_bytes(self, lo: int, raw: bytes) -> None:
+        self._data[lo:lo + len(raw)] = raw
+
+    def read_stream(self, type_: Type, addr: int, delta: int, count: int):
+        """What ``count`` loads of ``type_`` at ``addr``, ``addr + delta``,
+        ... return, column-wise."""
+        element, lanes = _element_lanes(type_)
+        size = _scalar_size(element)
+        code = _scalar_code(element)
+        span = (count - 1) * delta
+        lo = addr + min(span, 0)
+        self._check(lo, abs(span) + size * lanes)
+        stride, rem = divmod(abs(delta), size)
+        if rem:  # misaligned: one small unpack per iteration
+            unpack_from = struct.Struct(f"{lanes}{code}").unpack_from
+            addresses = range(addr, addr + count * delta, delta)
+            rows = [unpack_from(self._data, a) for a in addresses]
+            columns = list(zip(*rows))
+        else:  # one unpack of the whole span, sliced per lane
+            total = (count - 1) * stride + lanes
+            flat = struct.unpack_from(f"{total}{code}", self._data, lo)
+            if stride == 0:
+                columns = [[flat[j]] * count for j in range(lanes)]
+            else:
+                columns = [flat[j:j + total - lanes + 1:stride] for j in range(lanes)]
+                if delta < 0:
+                    columns = [column[::-1] for column in columns]
+        if isinstance(element, IntType) and element.bits < 8:
+            wrap = element.wrap
+            columns = [[wrap(raw) for raw in column] for column in columns]
+        return tuple(columns) if isinstance(type_, VectorType) else columns[0]
+
+    def write_stream(self, type_: Type, addr: int, delta: int, count: int, column) -> None:
+        """Store ``column`` (shaped as :meth:`read_stream` returns it) as
+        ``count`` stores of ``type_`` at ``addr``, ``addr + delta``, ...
+        would.  The stores must not overlap one another; nothing is written
+        when a value does not pack."""
+        element, lanes = _element_lanes(type_)
+        size = _scalar_size(element)
+        total = size * lanes
+        stride = abs(delta)
+        if isinstance(type_, VectorType):
+            if len(column) != lanes:
+                raise ValueError(f"{len(column)} lane columns for {type_}")
+            flat = [None] * (count * lanes)
+            for j, lane in enumerate(column):
+                flat[j::lanes] = lane[::-1] if delta < 0 else lane
+        else:
+            flat = list(column[::-1] if delta < 0 else column)
+        if isinstance(element, IntType):
+            wrap = element.wrap
+            flat = [wrap(int(value)) for value in flat]
+        packed = struct.pack(f"{count * lanes}{_scalar_code(element)}", *flat)
+        lo = addr + min((count - 1) * delta, 0)
+        self._check(lo, (count - 1) * stride + total)
+        data = self._data
+        if count == 1 or stride == total:
+            data[lo:lo + count * total] = packed
+        elif stride > total:
+            end = lo + (count - 1) * stride + 1
+            for b in range(total):
+                data[lo + b:end + b:stride] = packed[b::total]
+        else:
+            raise MemoryError_(f"stores {stride} bytes apart overlap {total}-byte values")
 
     # -- array helpers (test/workload convenience) ----------------------------------
 

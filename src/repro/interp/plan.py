@@ -69,6 +69,7 @@ from .interpreter import (
     TrapError,
     UnsupportedOpcodeError,
 )
+from .memory import access_size
 
 _PLAN_HITS = STAT("interp.plan_cache.hits", "planned-function cache hits")
 _PLAN_MISSES = STAT("interp.plan_cache.misses", "planned-function cache misses")
@@ -132,43 +133,33 @@ def _lane_fn(opcode: Opcode, elem) -> Callable:
             return lambda a, b: wrap(a << (b % bits))
         if opcode is Opcode.ASHR:
             return lambda a, b: wrap(a >> (b % bits))
-    if isinstance(elem, FloatType):
-        if elem.bits == 64:
-            if opcode is Opcode.FADD:
-                return lambda a, b: a + b
-            if opcode is Opcode.FSUB:
-                return lambda a, b: a - b
-            if opcode is Opcode.FMUL:
-                return lambda a, b: a * b
-            if opcode is Opcode.FDIV:
-
-                def fdiv(a, b):
-                    if b == 0.0:
-                        return math.copysign(math.inf, a) if a != 0 else math.nan
-                    return a / b
-
-                return fdiv
-        if elem.bits == 32:
+    if isinstance(elem, FloatType) and elem.bits in (32, 64):
+        # the ``operator`` builtins, as in ``fold_binary`` (see there)
+        op = _FLOAT_OPS.get(opcode)
+        if op is not None:
+            if elem.bits == 64:
+                return op  # the builtins add no Python frame per call
             # binary32 rounding through the same struct round-trip as
             # folding._round, so overflow raises the identical error.
             pack = struct.pack
             unpack = struct.unpack
-            if opcode is Opcode.FADD:
-                return lambda a, b: unpack("f", pack("f", a + b))[0]
-            if opcode is Opcode.FSUB:
-                return lambda a, b: unpack("f", pack("f", a - b))[0]
-            if opcode is Opcode.FMUL:
-                return lambda a, b: unpack("f", pack("f", a * b))[0]
-            if opcode is Opcode.FDIV:
-
-                def fdiv32(a, b):
-                    if b == 0.0:
-                        return math.copysign(math.inf, a) if a != 0 else math.nan
-                    return unpack("f", pack("f", a / b))[0]
-
-                return fdiv32
+            return lambda a, b: unpack("f", pack("f", op(a, b)))[0]
     # Unfoldable (opcode, type) pairs trap exactly like the reference path.
     return lambda a, b: fold_binary(opcode, elem, a, b)
+
+
+def _fdiv(a, b):
+    if b == 0.0:
+        return math.copysign(math.inf, a) if a != 0 else math.nan
+    return operator.truediv(a, b)
+
+
+_FLOAT_OPS: Dict[Opcode, Callable] = {
+    Opcode.FADD: operator.add,
+    Opcode.FSUB: operator.sub,
+    Opcode.FMUL: operator.mul,
+    Opcode.FDIV: _fdiv,
+}
 
 
 _CMP_FNS: Dict[CmpPredicate, Callable] = {
@@ -213,7 +204,7 @@ class BlockPlan:
         "phi_dsts",
         "phi_costs",
         "phi_tables",
-        "emits",
+        "ops",
         "step_insts",
         "step_costs",
         "terminator",
@@ -222,6 +213,38 @@ class BlockPlan:
         "count",
         "cost_total",
         "per_opcode",
+        "loop",
+    )
+
+
+class LoopPlan:
+    """A counted loop headed by one block, decoded for the column pass of
+    :mod:`repro.interp.loops`: slots and shared lane functions only.
+
+    ``affine`` holds ``(kind, dst, a, b, extra)`` for the body's index
+    arithmetic and GEPs; ``program`` holds the decoded tuples of every
+    other body instruction in order, and ``dead`` per program entry the
+    column slots last read there; ``accesses`` holds ``(is_store,
+    pointer slot, bytes)`` per load and store in order; ``invariants``
+    holds ``(slot, is_vector)`` for loop-invariant values read as data.
+    """
+
+    __slots__ = (
+        "body",
+        "exit",
+        "iv",
+        "iv_min",
+        "iv_max",
+        "step",
+        "cmp",
+        "bound",
+        "header_count",
+        "body_count",
+        "affine",
+        "program",
+        "dead",
+        "accesses",
+        "invariants",
     )
 
 
@@ -252,241 +275,67 @@ def _cost_is_exact(cost: float) -> bool:
     return 0.0 <= cost <= 4096.0 and (cost * 16.0).is_integer()
 
 
-# -- per-instruction emit factories ------------------------------------------------
+# -- decode: one slot tuple per instruction ------------------------------------------
+#
+# Every non-phi, non-terminator instruction decodes once, at plan time, to
+# ``(kind, dst, a, b, c, extra)``: its result and operand register slots
+# and what its kind needs besides (a shared lane function, a struct type,
+# a GEP stride, a shuffle mask).  The batched engine binds a tuple to a
+# zero-argument step closure on its block's first sequential visit
+# (:func:`bind_step`); the column pass of :mod:`repro.interp.loops` reads
+# the same tuples.
 
 
-def _emit_for(inst: Instruction, slot_of: Callable) -> Callable:
-    """Compile one non-phi, non-terminator instruction to an emit factory.
-
-    The factory runs at bind time (``emit(regs, memory)``) and returns the
-    zero-argument ``step`` closure executed on the hot path.
-    """
+def _decode(inst: Instruction, slot_of: Callable) -> tuple:
     if isinstance(inst, BinaryInst):
-        d = slot_of(inst)
-        a = slot_of(inst.lhs)
-        b = slot_of(inst.rhs)
         if isinstance(inst.type, VectorType):
-            fn = _lane_fn(inst.opcode, inst.type.element)
-
-            def emit(regs, memory, d=d, a=a, b=b, fn=fn):
-                def step():
-                    try:
-                        regs[d] = tuple(map(fn, regs[a], regs[b]))
-                    except Exception as exc:  # FoldError -> runtime trap
-                        raise TrapError(str(exc)) from exc
-
-                return step
-
-            return emit
-        fn = _lane_fn(inst.opcode, inst.type)
-
-        def emit(regs, memory, d=d, a=a, b=b, fn=fn):
-            def step():
-                try:
-                    regs[d] = fn(regs[a], regs[b])
-                except Exception as exc:  # FoldError -> runtime trap
-                    raise TrapError(str(exc)) from exc
-
-            return step
-
-        return emit
-
-    if isinstance(inst, AltBinaryInst):
-        d = slot_of(inst)
-        a = slot_of(inst.lhs)
-        b = slot_of(inst.rhs)
-        fns = tuple(
-            _lane_fn(op, inst.type.element) for op in inst.lane_opcodes
-        )
-
-        def emit(regs, memory, d=d, a=a, b=b, fns=fns):
-            def step():
-                try:
-                    regs[d] = tuple(
-                        f(x, y) for f, x, y in zip(fns, regs[a], regs[b])
-                    )
-                except Exception as exc:  # FoldError -> runtime trap
-                    raise TrapError(str(exc)) from exc
-
-            return step
-
-        return emit
-
-    if isinstance(inst, LoadInst):
-        d = slot_of(inst)
-        p = slot_of(inst.pointer)
-        type_ = inst.type
-        if isinstance(type_, VectorType):
-
-            def emit(regs, memory, d=d, p=p, type_=type_):
-                return memory.vector_load_step(type_, regs, d, p)
-
-            return emit
-
-        def emit(regs, memory, d=d, p=p, type_=type_):
-            return memory.scalar_load_step(type_, regs, d, p)
-
-        return emit
-
-    if isinstance(inst, StoreInst):
-        v = slot_of(inst.value)
-        p = slot_of(inst.pointer)
-        type_ = inst.value.type
-        if isinstance(type_, VectorType):
-
-            def emit(regs, memory, v=v, p=p, type_=type_):
-                return memory.vector_store_step(type_, regs, v, p)
-
-            return emit
-
-        def emit(regs, memory, v=v, p=p, type_=type_):
-            return memory.scalar_store_step(type_, regs, v, p)
-
-        return emit
-
+            kind, fn = "vbinary", _lane_fn(inst.opcode, inst.type.element)
+        else:
+            kind, fn = "binary", _lane_fn(inst.opcode, inst.type)
+        return (kind, slot_of(inst), slot_of(inst.lhs), slot_of(inst.rhs), None, fn)
     if isinstance(inst, GepInst):
-        d = slot_of(inst)
-        base = slot_of(inst.base)
-        index = slot_of(inst.index)
         stride = max(inst.type.pointee.byte_width, 1)
-
-        def emit(regs, memory, d=d, base=base, index=index, stride=stride):
-            def step():
-                regs[d] = regs[base] + regs[index] * stride
-
-            return step
-
-        return emit
-
+        return ("gep", slot_of(inst), slot_of(inst.base), slot_of(inst.index), None, stride)
+    if isinstance(inst, LoadInst):
+        kind = "vload" if isinstance(inst.type, VectorType) else "load"
+        return (kind, slot_of(inst), slot_of(inst.pointer), None, None, inst.type)
+    if isinstance(inst, StoreInst):
+        type_ = inst.value.type
+        kind = "vstore" if isinstance(type_, VectorType) else "store"
+        return (kind, None, slot_of(inst.value), slot_of(inst.pointer), None, type_)
+    if isinstance(inst, AltBinaryInst):
+        fns = tuple(_lane_fn(op, inst.type.element) for op in inst.lane_opcodes)
+        return ("alt", slot_of(inst), slot_of(inst.lhs), slot_of(inst.rhs), None, fns)
     if isinstance(inst, InsertElementInst):
-        d = slot_of(inst)
-        v = slot_of(inst.vector)
-        s = slot_of(inst.scalar)
-        l = slot_of(inst.lane)
-
-        def emit(regs, memory, d=d, v=v, s=s, l=l):
-            def step():
-                vec = list(regs[v])
-                lane = regs[l]
-                if not 0 <= lane < len(vec):
-                    raise TrapError(f"insertelement lane {lane} out of range")
-                vec[lane] = regs[s]
-                regs[d] = tuple(vec)
-
-            return step
-
-        return emit
-
+        return (
+            "insert", slot_of(inst), slot_of(inst.vector), slot_of(inst.scalar),
+            slot_of(inst.lane), None,
+        )
     if isinstance(inst, ExtractElementInst):
-        d = slot_of(inst)
-        v = slot_of(inst.vector)
-        l = slot_of(inst.lane)
-
-        def emit(regs, memory, d=d, v=v, l=l):
-            def step():
-                vec = regs[v]
-                lane = regs[l]
-                if not 0 <= lane < len(vec):
-                    raise TrapError(f"extractelement lane {lane} out of range")
-                regs[d] = vec[lane]
-
-            return step
-
-        return emit
-
+        return ("extract", slot_of(inst), slot_of(inst.vector), slot_of(inst.lane), None, None)
     if isinstance(inst, ShuffleVectorInst):
-        d = slot_of(inst)
-        a = slot_of(inst.a)
-        b = slot_of(inst.b)
-        mask = inst.mask
-
-        def emit(regs, memory, d=d, a=a, b=b, mask=mask):
-            def step():
-                joined = tuple(regs[a]) + tuple(regs[b])
-                if any(not 0 <= m < len(joined) for m in mask):
-                    raise InterpreterError(
-                        f"shufflevector mask {mask} out of range for "
-                        f"{len(joined)} source lanes"
-                    )
-                regs[d] = tuple(joined[m] for m in mask)
-
-            return step
-
-        return emit
-
+        return ("shuffle", slot_of(inst), slot_of(inst.a), slot_of(inst.b), None, inst.mask)
     if isinstance(inst, CmpInst):
-        d = slot_of(inst)
-        a = slot_of(inst.lhs)
-        b = slot_of(inst.rhs)
-        fn = _CMP_FNS[inst.predicate]
-        if isinstance(inst.lhs.type, VectorType):
-
-            def emit(regs, memory, d=d, a=a, b=b, fn=fn):
-                def step():
-                    regs[d] = tuple(map(fn, regs[a], regs[b]))
-
-                return step
-
-            return emit
-
-        def emit(regs, memory, d=d, a=a, b=b, fn=fn):
-            def step():
-                regs[d] = fn(regs[a], regs[b])
-
-            return step
-
-        return emit
-
+        kind = "lanes2" if isinstance(inst.lhs.type, VectorType) else "map2"
+        return (
+            kind, slot_of(inst), slot_of(inst.lhs), slot_of(inst.rhs), None,
+            _CMP_FNS[inst.predicate],
+        )
     if isinstance(inst, SelectInst):
-        d = slot_of(inst)
-        c = slot_of(inst.cond)
-        x = slot_of(inst.operand(1))
-        y = slot_of(inst.operand(2))
         if isinstance(inst.cond.type, VectorType):
-
-            def emit(regs, memory, d=d, c=c, x=x, y=y):
-                def step():
-                    # vector select: per-lane mask pick
-                    regs[d] = tuple(
-                        xx if cc else yy
-                        for cc, xx, yy in zip(regs[c], regs[x], regs[y])
-                    )
-
-                return step
-
-            return emit
-
-        def emit(regs, memory, d=d, c=c, x=x, y=y):
-            def step():
-                regs[d] = regs[x] if regs[c] else regs[y]
-
-            return step
-
-        return emit
-
+            kind = "vselect"  # per-lane mask pick
+        else:  # the condition picks a whole value
+            kind = "bselect" if isinstance(inst.type, VectorType) else "select"
+        return (
+            kind, slot_of(inst), slot_of(inst.cond), slot_of(inst.operand(1)),
+            slot_of(inst.operand(2)), None,
+        )
     if isinstance(inst, CastInst):
-        d = slot_of(inst)
-        v = slot_of(inst.value)
         if isinstance(inst.value.type, VectorType):
-            fn = _cast_fn(inst.opcode, inst.type.scalar_type())
-
-            def emit(regs, memory, d=d, v=v, fn=fn):
-                def step():
-                    regs[d] = tuple(map(fn, regs[v]))
-
-                return step
-
-            return emit
-        fn = _cast_fn(inst.opcode, inst.type)
-
-        def emit(regs, memory, d=d, v=v, fn=fn):
-            def step():
-                regs[d] = fn(regs[v])
-
-            return step
-
-        return emit
-
+            kind, fn = "lanes1", _cast_fn(inst.opcode, inst.type.scalar_type())
+        else:
+            kind, fn = "map1", _cast_fn(inst.opcode, inst.type)
+        return (kind, slot_of(inst), slot_of(inst.value), None, None, fn)
     if isinstance(inst, CallInst):
         impl = _INTRINSIC_IMPL.get(inst.callee)
         if impl is None:
@@ -494,66 +343,370 @@ def _emit_for(inst: Instruction, slot_of: Callable) -> Callable:
                 f"interpreter has no implementation for intrinsic "
                 f"@{inst.callee}"
             )
-
-            def emit(regs, memory, message=message):
-                def step():
-                    raise UnsupportedOpcodeError(message)
-
-                return step
-
-            return emit
-        d = slot_of(inst)
+            return ("unsupported", None, None, None, None, message)
         arg_slots = tuple(slot_of(op) for op in inst.operands)
-        vector = isinstance(inst.type, VectorType)
+        lanes = "lanes" if isinstance(inst.type, VectorType) else "map"
         if len(arg_slots) == 1:
-            (a,) = arg_slots
-            if vector:
-
-                def emit(regs, memory, d=d, a=a, impl=impl):
-                    def step():
-                        regs[d] = tuple(map(impl, regs[a]))
-
-                    return step
-
-                return emit
-
-            def emit(regs, memory, d=d, a=a, impl=impl):
-                def step():
-                    regs[d] = impl(regs[a])
-
-                return step
-
-            return emit
+            return (lanes + "1", slot_of(inst), arg_slots[0], None, None, impl)
         a, b = arg_slots
-        if vector:
-
-            def emit(regs, memory, d=d, a=a, b=b, impl=impl):
-                def step():
-                    regs[d] = tuple(map(impl, regs[a], regs[b]))
-
-                return step
-
-            return emit
-
-        def emit(regs, memory, d=d, a=a, b=b, impl=impl):
-            def step():
-                regs[d] = impl(regs[a], regs[b])
-
-            return step
-
-        return emit
-
+        return (lanes + "2", slot_of(inst), a, b, None, impl)
     # Unknown instruction class: same interpreter-gap error, at execution
     # time (never at plan time — unreached code must not fail the plan).
-    message = f"unhandled instruction {inst.opcode}"
+    return ("unsupported", None, None, None, None, f"unhandled instruction {inst.opcode}")
 
-    def emit(regs, memory, message=message):
-        def step():
-            raise UnsupportedOpcodeError(message)
 
-        return step
+def _binary_step(regs, memory, d, a, b, c, fn):
+    def step():
+        try:
+            regs[d] = fn(regs[a], regs[b])
+        except Exception as exc:  # FoldError -> runtime trap
+            raise TrapError(str(exc)) from exc
 
-    return emit
+    return step
+
+
+def _vbinary_step(regs, memory, d, a, b, c, fn):
+    def step():
+        try:
+            regs[d] = tuple(map(fn, regs[a], regs[b]))
+        except Exception as exc:  # FoldError -> runtime trap
+            raise TrapError(str(exc)) from exc
+
+    return step
+
+
+def _alt_step(regs, memory, d, a, b, c, fns):
+    def step():
+        try:
+            regs[d] = tuple(f(x, y) for f, x, y in zip(fns, regs[a], regs[b]))
+        except Exception as exc:  # FoldError -> runtime trap
+            raise TrapError(str(exc)) from exc
+
+    return step
+
+
+def _load_step(regs, memory, d, p, b, c, type_):
+    return memory.scalar_load_step(type_, regs, d, p)
+
+
+def _vload_step(regs, memory, d, p, b, c, type_):
+    return memory.vector_load_step(type_, regs, d, p)
+
+
+def _store_step(regs, memory, d, v, p, c, type_):
+    return memory.scalar_store_step(type_, regs, v, p)
+
+
+def _vstore_step(regs, memory, d, v, p, c, type_):
+    return memory.vector_store_step(type_, regs, v, p)
+
+
+def _gep_step(regs, memory, d, base, index, c, stride):
+    def step():
+        regs[d] = regs[base] + regs[index] * stride
+
+    return step
+
+
+def _insert_step(regs, memory, d, v, s, l, extra):
+    def step():
+        vec = list(regs[v])
+        lane = regs[l]
+        if not 0 <= lane < len(vec):
+            raise TrapError(f"insertelement lane {lane} out of range")
+        vec[lane] = regs[s]
+        regs[d] = tuple(vec)
+
+    return step
+
+
+def _extract_step(regs, memory, d, v, l, c, extra):
+    def step():
+        vec = regs[v]
+        lane = regs[l]
+        if not 0 <= lane < len(vec):
+            raise TrapError(f"extractelement lane {lane} out of range")
+        regs[d] = vec[lane]
+
+    return step
+
+
+def _shuffle_step(regs, memory, d, a, b, c, mask):
+    def step():
+        joined = tuple(regs[a]) + tuple(regs[b])
+        if any(not 0 <= m < len(joined) for m in mask):
+            raise InterpreterError(
+                f"shufflevector mask {mask} out of range for "
+                f"{len(joined)} source lanes"
+            )
+        regs[d] = tuple(joined[m] for m in mask)
+
+    return step
+
+
+def _map1_step(regs, memory, d, a, b, c, fn):
+    def step():
+        regs[d] = fn(regs[a])
+
+    return step
+
+
+def _lanes1_step(regs, memory, d, a, b, c, fn):
+    def step():
+        regs[d] = tuple(map(fn, regs[a]))
+
+    return step
+
+
+def _map2_step(regs, memory, d, a, b, c, fn):
+    def step():
+        regs[d] = fn(regs[a], regs[b])
+
+    return step
+
+
+def _lanes2_step(regs, memory, d, a, b, c, fn):
+    def step():
+        regs[d] = tuple(map(fn, regs[a], regs[b]))
+
+    return step
+
+
+def _select_step(regs, memory, d, c, x, y, extra):
+    def step():
+        regs[d] = regs[x] if regs[c] else regs[y]
+
+    return step
+
+
+def _vselect_step(regs, memory, d, c, x, y, extra):
+    def step():
+        # vector select: per-lane mask pick
+        regs[d] = tuple(
+            xx if cc else yy for cc, xx, yy in zip(regs[c], regs[x], regs[y])
+        )
+
+    return step
+
+
+def _unsupported_step(regs, memory, d, a, b, c, message):
+    def step():
+        raise UnsupportedOpcodeError(message)
+
+    return step
+
+
+_STEP_FACTORIES: Dict[str, Callable] = {
+    "binary": _binary_step,
+    "vbinary": _vbinary_step,
+    "alt": _alt_step,
+    "load": _load_step,
+    "vload": _vload_step,
+    "store": _store_step,
+    "vstore": _vstore_step,
+    "gep": _gep_step,
+    "insert": _insert_step,
+    "extract": _extract_step,
+    "shuffle": _shuffle_step,
+    "map1": _map1_step,
+    "lanes1": _lanes1_step,
+    "map2": _map2_step,
+    "lanes2": _lanes2_step,
+    "select": _select_step,
+    "bselect": _select_step,
+    "vselect": _vselect_step,
+    "unsupported": _unsupported_step,
+}
+
+
+def bind_step(op: tuple, regs: List, memory) -> Callable:
+    """The zero-argument step closure executing the decoded ``op``."""
+    kind, d, a, b, c, extra = op
+    return _STEP_FACTORIES[kind](regs, memory, d, a, b, c, extra)
+
+
+# -- loop recognition ----------------------------------------------------------------
+
+#: per column kind: whether operands a, b, c are vectors (None: unused,
+#: "lane": a loop-invariant lane index read from its register)
+_COLUMN_OPERANDS: Dict[str, tuple] = {
+    "binary": (False, False, None),
+    "map2": (False, False, None),
+    "map1": (False, None, None),
+    "select": (False, False, False),
+    "store": (False, None, None),
+    "vbinary": (True, True, None),
+    "lanes2": (True, True, None),
+    "lanes1": (True, None, None),
+    "alt": (True, True, None),
+    "vselect": (True, True, True),
+    "bselect": (False, True, True),
+    "shuffle": (True, True, None),
+    "vstore": (True, None, None),
+    "extract": (True, "lane", None),
+    "insert": (True, False, "lane"),
+    "load": (None, None, None),
+    "vload": (None, None, None),
+}
+#: column kinds whose result is a vector: a tuple of lane columns
+VECTOR_KINDS = frozenset(
+    ("vbinary", "lanes1", "lanes2", "alt", "vselect", "bselect", "shuffle", "insert", "vload")
+)
+
+
+def _plan_loop(header: BlockPlan, blocks: List[BlockPlan], slot_of) -> Optional[LoopPlan]:
+    """The :class:`LoopPlan` of the loop ``header`` heads, or None when the
+    loop is not ``for (iv = start; iv < bound; iv += step)`` with ``step >
+    0``, the body on the compare's true edge, in the shape the column pass
+    evaluates.  The kernels, the mini-C frontend and the unroller emit no
+    other loop compare."""
+    term = header.terminator
+    if term[0] != "condbr" or len(header.phi_insts) != 1 or len(header.ops) != 1:
+        return None
+    phi, cmp = header.phi_insts[0], header.step_insts[0]
+    if not (
+        isinstance(cmp, CmpInst)
+        and cmp.predicate is CmpPredicate.LT
+        and isinstance(phi.type, IntType)
+    ):
+        return None
+    iv, cmp_slot = slot_of(phi), slot_of(cmp)
+    body_index, exit_index = term[2], term[3]
+    body = blocks[body_index]
+    if (
+        term[1] != cmp_slot
+        or body.terminator != ("br", header.index)
+        or body.phi_insts
+        or exit_index in (header.index, body_index)
+    ):
+        return None
+    in_loop = {iv, cmp_slot}
+    in_loop.update(op[1] for op in body.ops)
+    bound = slot_of(cmp.rhs)
+    if slot_of(cmp.lhs) != iv or bound in in_loop:
+        return None
+    incoming = [(slot_of(value), block) for value, block in phi.incoming()]
+    update = [slot for slot, block in incoming if block is body.block]
+    step = _iv_step(body, iv, update[0]) if update else None
+    if step is None or step <= 0:
+        return None
+    if any(slot in in_loop for slot, block in incoming if block is not body.block):
+        return None
+    program = _column_program(body, iv, in_loop)
+    if program is None:
+        return None
+    loop = LoopPlan()
+    loop.body, loop.exit = body_index, exit_index
+    loop.iv, loop.step = iv, step
+    loop.iv_min, loop.iv_max = phi.type.min_value(), phi.type.max_value()
+    loop.cmp, loop.bound = cmp_slot, bound
+    loop.header_count, loop.body_count = header.count, body.count
+    loop.affine, loop.program, loop.dead, loop.accesses, loop.invariants = program
+    return loop
+
+
+def _iv_step(body: BlockPlan, iv: int, update: int) -> Optional[int]:
+    """``c`` when the body computes ``update`` as ``add iv, c``, else None."""
+    for inst, op in zip(body.step_insts, body.ops):
+        if op[1] == update:
+            if op[0] != "binary" or inst.opcode is not Opcode.ADD:
+                return None
+            other = inst.rhs if op[2] == iv else inst.lhs if op[3] == iv else None
+            if isinstance(other, Constant) and type(other.value) is int and other.value:
+                return other.value
+            return None
+    return None
+
+
+def _column_program(body: BlockPlan, iv: int, in_loop) -> Optional[tuple]:
+    """The body's ``(affine, program, dead, accesses, invariants)`` for
+    :class:`LoopPlan`, or None when an instruction or operand is not one
+    the column pass models."""
+    shape: Dict[int, bool] = {iv: False}  # defined loop slot -> is a vector
+    affine_slots = {iv}
+    invariants: Dict[int, bool] = {}
+    affine: List[tuple] = []
+    program: List[tuple] = []
+    accesses: List[tuple] = []
+
+    def is_address(slot) -> bool:
+        return slot in affine_slots or slot not in in_loop
+
+    for inst, op in zip(body.step_insts, body.ops):
+        kind, d, a, b, c, extra = op
+        name = None
+        if kind == "binary" and is_address(a) and is_address(b):
+            name = _affine_name(inst, a in in_loop and b in in_loop)
+        if kind == "gep":
+            if not (is_address(a) and is_address(b)):
+                return None  # an address computed from a loaded value
+            affine.append(("gep", d, a, b, extra))
+        elif name is not None:
+            bounds = (inst.type.min_value(), inst.type.max_value())
+            affine.append((name, d, a, b, bounds))
+        else:
+            expected = _COLUMN_OPERANDS.get(kind)
+            if expected is None:
+                return None  # an instruction the interpreter lacks
+            for slot, vector in zip((a, b, c), expected):
+                if vector is None:
+                    continue
+                if slot not in in_loop:
+                    if vector != "lane" and invariants.setdefault(slot, vector) != vector:
+                        return None  # read as a scalar and as a vector
+                elif vector == "lane" or shape.get(slot) is not vector:
+                    # the compare, a use before its definition, a lane index
+                    # computed in the loop, or a shape mismatch
+                    return None
+            if kind in ("load", "vload", "store", "vstore"):
+                pointer = a if kind.endswith("load") else b
+                if not is_address(pointer):
+                    return None
+                try:
+                    size = access_size(extra)
+                except TypeError:
+                    return None
+                accesses.append((kind.endswith("store"), pointer, size))
+            elif kind in ("lanes1", "shuffle") and not isinstance(inst.type, VectorType):
+                # a vector cast to a scalar type, or a one-lane shuffle,
+                # whose scalar-typed value is a 1-tuple
+                return None
+            if d is not None:
+                shape[d] = kind in VECTOR_KINDS
+            program.append(op)
+            continue
+        affine_slots.add(d)
+        shape[d] = False
+
+    # free each column after the instruction that reads it last
+    last: Dict[int, int] = {}
+    for index, op in enumerate(program):
+        for slot in op[1:5]:
+            if slot in shape:
+                last[slot] = index
+    dead: List[List[int]] = [[] for _ in program]
+    for slot, index in last.items():
+        if slot not in affine_slots:
+            dead[index].append(slot)
+    return (
+        tuple(affine), tuple(program), tuple(tuple(slots) for slots in dead),
+        tuple(accesses), tuple(invariants.items()),
+    )
+
+
+def _affine_name(inst: Instruction, both_in_loop: bool) -> Optional[str]:
+    """The column pass's name for an integer ``add``/``sub``/``mul`` of
+    affine operands (a ``mul`` needs one loop-invariant side), else None."""
+    if not isinstance(inst.type, IntType):
+        return None
+    opcode = inst.opcode
+    if opcode is Opcode.ADD:
+        return "add"
+    if opcode is Opcode.SUB:
+        return "sub"
+    if opcode is Opcode.MUL and not both_in_loop:
+        return "mul"
+    return None
 
 
 # -- plan construction -------------------------------------------------------------
@@ -617,7 +770,7 @@ def _build_plan(function: Function, cost_model) -> FunctionPlan:
             tables[id(pred)] = entry
         bp.phi_tables = tables
 
-        emits: List[Callable] = []
+        ops: List[tuple] = []
         step_insts: List[Instruction] = []
         step_costs: List[float] = []
         term_inst: Optional[Instruction] = None
@@ -625,10 +778,10 @@ def _build_plan(function: Function, cost_model) -> FunctionPlan:
             if inst.is_terminator:
                 term_inst = inst
                 break
-            emits.append(_emit_for(inst, slot_of))
+            ops.append(_decode(inst, slot_of))
             step_insts.append(inst)
             step_costs.append(cost_of(inst))
-        bp.emits = emits
+        bp.ops = ops
         bp.step_insts = step_insts
         bp.step_costs = step_costs
 
@@ -654,7 +807,7 @@ def _build_plan(function: Function, cost_model) -> FunctionPlan:
             bp.terminator = ("br", block_index[id(term_inst.target)])
             bp.term_cost = cost_of(term_inst)
 
-        bp.count = len(phis) + len(emits) + (1 if term_inst is not None else 0)
+        bp.count = len(phis) + len(ops) + (1 if term_inst is not None else 0)
         all_costs = bp.phi_costs + step_costs + (
             [bp.term_cost] if term_inst is not None else []
         )
@@ -670,6 +823,9 @@ def _build_plan(function: Function, cost_model) -> FunctionPlan:
         if exact and not all(_cost_is_exact(c) for c in all_costs):
             exact = False
         blocks.append(bp)
+
+    for bp in blocks:
+        bp.loop = _plan_loop(bp, blocks, slot_of)
 
     plan = FunctionPlan()
     plan.function = function

@@ -9,6 +9,7 @@ or overflow behaviour (integer ops wrap like the interpreter does).
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from typing import Optional
 
@@ -53,16 +54,20 @@ def fold_binary(opcode: Opcode, type_, a, b):
         if opcode is Opcode.ASHR:
             return type_.wrap(a >> (b % type_.bits))
     if isinstance(type_, FloatType):
+        # the ``operator`` builtins, not ``a + b``: CPython's specialized
+        # bytecode for float ``+`` and ``*`` keeps the other NaN than the
+        # builtins when both operands are NaN, and the interpreters'
+        # results must not depend on which of the two ran
         if opcode is Opcode.FADD:
-            return _round(type_, a + b)
+            return _round(type_, operator.add(a, b))
         if opcode is Opcode.FSUB:
-            return _round(type_, a - b)
+            return _round(type_, operator.sub(a, b))
         if opcode is Opcode.FMUL:
-            return _round(type_, a * b)
+            return _round(type_, operator.mul(a, b))
         if opcode is Opcode.FDIV:
             if b == 0.0:
                 return math.copysign(math.inf, a) if a != 0 else math.nan
-            return _round(type_, a / b)
+            return _round(type_, operator.truediv(a, b))
     raise FoldError(f"cannot fold {opcode} at {type_}")
 
 

@@ -327,7 +327,8 @@ class SharedJsonStore:
     def _write_index(self, entries: Dict[str, float]) -> None:
         tmp = f"{self._index_path}.tmp.{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump({"entries": entries}, handle)
+            # dumps runs the C encoder; dump streams through the Python one
+            handle.write(json.dumps({"entries": entries}))
         os.replace(tmp, self._index_path)
 
     def _touch(self, key: str) -> None:
@@ -381,7 +382,7 @@ class SharedJsonStore:
         path = self._path(key)
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump({"pid": os.getpid(), "doc": doc}, handle)
+            handle.write(json.dumps({"pid": os.getpid(), "doc": doc}))
         os.replace(tmp, path)
         with self._locked():
             self._fire_index_fault()

@@ -190,7 +190,8 @@ class TestEdgeSemantics:
     @pytest.mark.parametrize(
         "args",
         [(float("nan"), 1.0), (1.0, float("nan")),
-         (float("nan"), float("nan")), (0.0, -0.0)],
+         (float("nan"), float("nan")), (0.0, -0.0),
+         (float("inf"), float("-inf"))],
     )
     def test_nan_through_minmax(self, callee, args):
         module = self._binary_intrinsic(callee)
@@ -199,6 +200,35 @@ class TestEdgeSemantics:
             for engine in ("scalar", "batched")
         ]
         assert struct.pack("<d", results[0]) == struct.pack("<d", results[1])
+
+    @pytest.mark.parametrize("lanes", [1, 4])
+    @pytest.mark.parametrize("opcode", ["fadd", "fsub", "fmul"])
+    def test_f64_special_operands_parity(self, opcode, lanes):
+        # the f64 lane functions are the operator builtins: NaN, infinities
+        # and signed zeros must come out bit-identical to the reference
+        specials = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 1.5]
+        pairs = [(x, y) for x in specials for y in specials]
+        type_ = F64 if lanes == 1 else vector_of(F64, lanes)
+        module = Module("m")
+        function = Function("f", [("a", type_), ("b", type_)], type_)
+        module.add_function(function)
+        builder = IRBuilder(function.add_block("entry"))
+        builder.ret(getattr(builder, opcode)(*function.arguments))
+        if lanes > 1:  # pairs packed ``lanes`` at a time
+            pairs = [
+                tuple(zip(*pairs[i:i + lanes]))
+                for i in range(0, len(pairs) - lanes + 1, lanes)
+            ]
+        for a, b in pairs:
+            results = [
+                make_interpreter(module, engine).run("f", [a, b])
+                for engine in ("scalar", "batched")
+            ]
+            bits = [
+                struct.pack(f"<{lanes}d", *(r if lanes > 1 else (r,)))
+                for r in results
+            ]
+            assert bits[0] == bits[1], (a, b)
 
     def test_nan_through_sqrt(self):
         module = self._unary_intrinsic("sqrt")

@@ -263,6 +263,27 @@ class TestSharedStore:
             assert store.last_get == "miss"
         assert session.stats.value("cache.corrupt_entries") == 1
 
+    def test_stored_bytes_equal_json_dump_output(self, tmp_path):
+        # the store writes through json.dumps; the files must read exactly
+        # as json.dump would have written them
+        doc = {
+            "floats": [index / 7.0 - 3.3 for index in range(64)],
+            "nested": {"b": [1, -2, None, True], "a": "text é \"quoted\""},
+            "specials": [float("inf"), float("-inf"), -0.0, 1e-310],
+        }
+        with use_session(service_session()):
+            store = SharedJsonStore(str(tmp_path), namespace="t")
+            store.put("doc", doc)
+        expected = io.StringIO()
+        json.dump({"pid": os.getpid(), "doc": doc}, expected)
+        with open(store._path("doc"), encoding="utf-8") as handle:
+            assert handle.read() == expected.getvalue()
+        with open(store._index_path, encoding="utf-8") as handle:
+            index = handle.read()
+        expected = io.StringIO()
+        json.dump(json.loads(index), expected)
+        assert index == expected.getvalue()
+
     def test_cross_worker_hits_are_counted(self, tmp_path):
         session = service_session()
         with use_session(session):
