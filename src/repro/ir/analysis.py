@@ -10,7 +10,7 @@ pass uses to recognise loads/stores of *adjacent* memory locations —
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .instructions import (
     BinaryInst,
@@ -96,6 +96,24 @@ def address_of(inst: Instruction) -> Optional[AddressInfo]:
     if isinstance(inst, StoreInst):
         return decompose_pointer(inst.pointer)
     return None
+
+
+class AddressMemo:
+    """:func:`address_of` that decomposes each instruction's pointer once,
+    remembered by identity.  Valid only while no pointer operand changes:
+    make one per analysis and drop it afterwards."""
+
+    __slots__ = ("_infos",)
+
+    def __init__(self) -> None:
+        self._infos: Dict[int, Optional[AddressInfo]] = {}
+
+    def __call__(self, inst: Instruction) -> Optional[AddressInfo]:
+        key = id(inst)
+        if key in self._infos:
+            return self._infos[key]
+        info = self._infos[key] = address_of(inst)
+        return info
 
 
 def may_alias(a: AddressInfo, b: AddressInfo) -> bool:

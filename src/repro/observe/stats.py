@@ -138,9 +138,7 @@ class StatProxy:
         """The concrete :class:`Statistic` in ``registry`` (default: the
         current session's)."""
         if registry is None:
-            from .session import current_stats
-
-            registry = current_stats()
+            registry = _session.current_stats()
         return registry.stat(self.name, self.description)
 
     def add(self, amount: float = 1) -> None:
@@ -148,9 +146,7 @@ class StatProxy:
 
     @property
     def value(self) -> float:
-        from .session import current_stats
-
-        return current_stats().value(self.name)
+        return _session.current_stats().value(self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"StatProxy({self.name})"
@@ -160,3 +156,8 @@ def STAT(name: str, description: str = "") -> StatProxy:
     """Register a counter name and return its lazy per-session handle
     (mirrors LLVM's ``STATISTIC`` macro)."""
     return StatProxy(name, description)
+
+
+# ``session`` imports this module for ``StatsRegistry``, so it is bound
+# here, after every definition it needs, and read at call time.
+from . import session as _session  # noqa: E402

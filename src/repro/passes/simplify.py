@@ -28,6 +28,7 @@ from ..ir.folding import try_fold
 from ..ir.module import Module
 from ..ir.types import FloatType
 from ..ir.values import Constant, Value
+from ..robust.faults import current_faults
 
 
 def _is_const(value: Value, payload) -> bool:
@@ -132,7 +133,5 @@ def simplify_function(function: Function) -> int:
 
 
 def simplify_module(module: Module) -> int:
-    from ..robust.faults import current_faults
-
     current_faults().fire("simplify.module")
     return sum(simplify_function(f) for f in module.functions.values())

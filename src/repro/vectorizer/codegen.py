@@ -22,7 +22,7 @@ from ..ir.instructions import (
     SelectInst,
     StoreInst,
 )
-from ..ir.types import VectorType
+from ..ir.types import VectorType, vector_of as vector_type_of
 from ..ir.values import Constant, Value
 from ..robust.faults import current_faults
 from .graph import NodeKind, SLPGraph, SLPNode
@@ -138,9 +138,7 @@ def _emit_node(node: SLPNode, builder: IRBuilder, vector_of) -> Value:
             return builder.select(cond, a, b)
         if isinstance(first, CastInst):
             value = vector_of(node.operands[0])
-            from ..ir.types import vector_of as vec
-
-            target = vec(first.type, node.num_lanes)
+            target = vector_type_of(first.type, node.num_lanes)
             return builder.cast(first.opcode, value, target)
         raise CodegenError(f"unhandled VECTOR lane kind: {type(first).__name__}")
 

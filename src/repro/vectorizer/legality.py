@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Set
 
-from ..ir.analysis import AddressInfo, address_of, may_alias
+from ..ir.analysis import AddressInfo, AddressMemo, address_of, may_alias
 from ..ir.block import BasicBlock
 from ..ir.instructions import Instruction, LoadInst, StoreInst
 from ..ir.values import Value
@@ -41,19 +41,22 @@ def bundle_is_schedulable_stores(
     block = anchor.parent
     if block is None:
         return False
-    anchor_pos = block.index_of(anchor)
+    # One scan for every position and one decomposition per address.
+    positions = {id(inst): pos for pos, inst in enumerate(block.instructions)}
+    address = AddressMemo()
+    anchor_pos = positions[id(anchor)]
     bundle_ids = {id(s) for s in stores}
     for store in stores:
         if store.parent is not block:
             return False
-        info = address_of(store)
-        pos = block.index_of(store)
+        info = address(store)
+        pos = positions[id(store)]
         if pos > anchor_pos:
             return False
         for other in block.instructions[pos + 1 : anchor_pos + 1]:
             if not other.is_memory or id(other) in bundle_ids:
                 continue
-            if _alias(info, address_of(other)):
+            if _alias(info, address(other)):
                 return False
     return True
 
@@ -73,28 +76,31 @@ def bundle_is_schedulable_loads(
     block = anchor.parent
     if block is None:
         return False
-    anchor_pos = block.index_of(anchor)
+    # One scan for every position and one decomposition per address.
+    positions = {id(inst): pos for pos, inst in enumerate(block.instructions)}
+    address = AddressMemo()
+    anchor_pos = positions[id(anchor)]
     seed_ids = {id(s) for s in seed_stores}
+    seed_positions = [(positions[id(s)], s) for s in seed_stores]
     for load in loads:
         if load.parent is not block:
             return False
-        info = address_of(load)
-        pos = block.index_of(load)
+        info = address(load)
+        pos = positions[id(load)]
         if pos > anchor_pos:
             return False
         # Hazard (1): stores the load would move past.
         for other in block.instructions[pos + 1 : anchor_pos + 1]:
             if not isinstance(other, StoreInst) or id(other) in seed_ids:
                 continue
-            if _alias(info, address_of(other)):
+            if _alias(info, address(other)):
                 return False
         # Hazard (2): in-bundle stores the load originally read from,
         # plus non-seed aliasing stores located before the load but whose
         # delayed bundle-write the load depends on are covered by the seed
         # store check (the store side refuses to move past aliasing reads).
-        for store in seed_stores:
-            store_pos = block.index_of(store)
-            if store_pos < pos and _alias(info, address_of(store)):
+        for store_pos, store in seed_positions:
+            if store_pos < pos and _alias(info, address(store)):
                 return False
     return True
 

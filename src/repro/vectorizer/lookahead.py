@@ -7,13 +7,19 @@ and ``b`` in adjacent lanes of the same vector.  The recursion looks
 distinguishes look-ahead reordering from plain single-level operand
 matching: two adds whose operands are consecutive loads score much higher
 than two adds over unrelated values.
+
+A search that scores many pairs over IR it does not change (one Super-Node
+reorder, one reduction-group ordering) asks :meth:`LookAheadScorer.memo`
+for a :class:`MemoScorer`, which computes each pair's score and each
+load's address once for as long as the search holds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, Tuple
 
-from ..ir.analysis import address_of
+from ..ir.analysis import AddressMemo, address_of
 from ..ir.instructions import (
     BinaryInst,
     CallInst,
@@ -26,7 +32,8 @@ from ..ir.values import Constant, Value
 from ..observe import STAT
 
 _STAT_PAIR_SCORES = STAT(
-    "lookahead.score-evaluations", "Pairwise look-ahead score evaluations"
+    "lookahead.score-evaluations",
+    "Pairwise look-ahead scores computed (memo hits not counted)",
 )
 _STAT_GROUP_SCORES = STAT(
     "lookahead.group-scores", "Whole-group look-ahead score evaluations"
@@ -55,6 +62,12 @@ class LookAheadScorer:
     def __init__(self, depth: int = 2, table: ScoreTable = DEFAULT_SCORES) -> None:
         self.depth = depth
         self.table = table
+        self._address = address_of
+
+    def memo(self) -> "MemoScorer":
+        """A scorer with this one's depth and table that remembers what it
+        computes; valid only while the IR it scores does not change."""
+        return MemoScorer(self.depth, self.table)
 
     # -- public API ----------------------------------------------------------
 
@@ -89,8 +102,8 @@ class LookAheadScorer:
     def _score_loads(self, a: LoadInst, b: LoadInst) -> int:
         if a.type is not b.type:
             return self.table.fail
-        addr_a = address_of(a)
-        addr_b = address_of(b)
+        addr_a = self._address(a)
+        addr_b = self._address(b)
         if addr_a is None or addr_b is None:
             return self.table.fail
         distance = addr_a.distance_to(addr_b)
@@ -124,3 +137,28 @@ class LookAheadScorer:
             crossed = self._score(a.lhs, b.rhs, depth) + self._score(a.rhs, b.lhs, depth)
             return max(straight, crossed)
         return straight
+
+
+class MemoScorer(LookAheadScorer):
+    """A :class:`LookAheadScorer` for one search: each ordered (a, b) pair
+    is scored once and each load's address decomposed once.
+
+    Keys are object identities, never ``Value.__eq__``: constants compare
+    by value, yet a constant scored with itself is a splat while two
+    distinct equal constants score as constants.  Identities stay unique
+    because every keyed value is part of the IR the search reads.  The
+    memo is therefore valid only while that IR does not change: make one
+    per search and drop it when the search returns.
+    """
+
+    def __init__(self, depth: int = 2, table: ScoreTable = DEFAULT_SCORES) -> None:
+        super().__init__(depth, table)
+        self._pairs: Dict[Tuple[int, int], int] = {}
+        self._address = AddressMemo()
+
+    def score_pair(self, a: Value, b: Value) -> int:
+        key = (id(a), id(b))
+        score = self._pairs.get(key)
+        if score is None:
+            score = self._pairs[key] = super().score_pair(a, b)
+        return score

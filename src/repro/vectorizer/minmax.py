@@ -19,13 +19,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.builder import IRBuilder
-from ..ir.instructions import CallInst, Instruction
+from ..ir.instructions import CallInst, Instruction, Opcode
 from ..ir.types import vector_of
 from ..ir.values import Value
 from ..machine.costmodel import CostModel
 from ..machine.isa import VectorISA
 from ..observe import STAT
 from .codegen import emit_node_tree
+from .cost import _gather_cost, _scalar_sum, _vector_cost
 from .graph import NodeKind, SLPNode
 from .reduction import MIN_REDUCTION_LEAVES, _order_group, _subtree_nodes
 from .reorder import SuperNodeRecord
@@ -55,8 +56,6 @@ class MinMaxCandidate:
         return len(self.leaves)
 
     def record(self) -> SuperNodeRecord:
-        from ..ir.instructions import Opcode
-
         return SuperNodeRecord(
             kind="minmax",
             lanes=1,
@@ -142,8 +141,6 @@ def plan_minmax(
         return None
     leaves = _order_group(candidate.leaves, builder.scorer)
     scalar_call = model.intrinsic_cost(candidate.callee, element)
-
-    from .cost import _gather_cost, _scalar_sum, _vector_cost  # local reuse
 
     chunks: List[SLPNode] = []
     kept_nodes: List[SLPNode] = []

@@ -33,6 +33,7 @@ from ..observe.session import (
     current_tracer,
     use_session,
 )
+from ..passes import simplify_module, unroll_module
 from .report import VectorizationReport
 from .slp import SLPConfig, SLPVectorizer
 
@@ -103,7 +104,6 @@ def pipeline_phases(
     (:mod:`repro.robust.guard`), which wraps each phase in a
     checkpoint/rollback envelope.
     """
-    from ..passes import simplify_module, unroll_module
 
     def _simplify(m: Module) -> None:
         simplify_module(m)

@@ -42,6 +42,7 @@ from ..machine.costmodel import CostModel
 from ..machine.isa import VectorISA
 from ..observe import STAT
 from .codegen import emit_node_tree
+from .cost import _gather_cost, _scalar_sum, _vector_cost
 from .graph import NodeKind, SLPNode
 from .reorder import SuperNodeRecord
 from .supernode import APO_MINUS, APO_PLUS, LaneChain, build_lane_chain
@@ -148,11 +149,13 @@ def _order_group(leaves: Sequence[Value], scorer) -> List[Value]:
 
     Tries every leaf as the sequence start and extends by the
     highest-scoring next leaf (the same greedy shape as Listing 3's
-    ``buildGroup``); returns the best-scoring full sequence.
+    ``buildGroup``); returns the best-scoring full sequence.  Scores go
+    through a per-call memo: the IR does not change while ordering.
     """
     leaves = list(leaves)
     if len(leaves) <= 2:
         return leaves
+    scorer = scorer.memo()
     best_sequence = leaves
     best_score = -1
     for start_index, start in enumerate(leaves):
@@ -221,8 +224,6 @@ def plan_reduction(
     # scalar form (chunk subtree delta + one combining vector op vs
     # ``width`` scalar fold ops).  Unprofitable chunks — e.g. a group whose
     # loads are not adjacent and would all gather — demote to leftovers.
-    from .cost import _gather_cost, _scalar_sum, _vector_cost  # local reuse
-
     base = base_opcode(candidate.root.opcode)
     scalar_op = model.scalar_op_cost(base, element)
     assigned: set = set()

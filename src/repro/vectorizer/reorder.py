@@ -174,15 +174,20 @@ class SuperNode:
         """Greedily reorder leaves (and trunks, when enabled) for maximal
         isomorphism.  Returns the number of operand indexes for which a
         group was applied.  ``visit_root_first=False`` reverses the operand
-        visit order (used by the ablation benchmark)."""
+        visit order (used by the ablation benchmark).
+
+        The search moves only model leaves and trunks; the IR stays as it
+        is until :meth:`generate_code`, so one look-ahead memo serves the
+        whole search and is dropped when it returns."""
         current_faults().fire("reorder.reorder")
         journal = current_journal()
+        scorer = scorer.memo()
         applied = 0
         # Applied-move statistics are measured as deltas over the chains'
-        # own counters: failed placements restore them (place_leaf is
-        # transactional) and legality probes always roll back, so the deltas
-        # count exactly the moves that survive — the same numbers
-        # :meth:`record` later reports per node.
+        # own counters: only applied placements change them (failed ones
+        # and legality probes never touch a chain), so the deltas count
+        # exactly the moves made — the same numbers :meth:`record` later
+        # reports per node.
         leaf_moves_before = sum(c.leaf_swaps_applied for c in self.chains)
         trunk_moves_before = sum(c.trunk_swaps_applied for c in self.chains)
         locked: List[Dict[Slot, Value]] = [dict() for _ in self.chains]
@@ -194,24 +199,24 @@ class SuperNode:
         if not visit_root_first:
             order.reverse()
         for op_index in order:
-            # Placement legality per (lane, candidate) is invariant while
-            # this operand index is being decided, so probe it once here
-            # instead of inside every group-building combination.
+            # Each lane's candidates and their placement legality are
+            # invariant while this operand index is being decided, so
+            # probe them once here instead of inside every group-building
+            # combination.
             placeable = [
-                {
-                    id(candidate): self._can_place(
+                [
+                    candidate
+                    for candidate in self._candidates(lane, used)
+                    if self._can_place(
                         lane, candidate, self.chains[lane].slots()[op_index], locked
                     )
-                    for candidate in self._candidates(lane, used)
-                }
+                ]
                 for lane in range(self.num_lanes)
             ]
             scored: Optional[List[Tuple[List[Value], int]]] = (
                 [] if journal.enabled else None
             )
-            group = self._find_best_group(
-                op_index, scorer, locked, used, placeable, scored
-            )
+            group = self._find_best_group(scorer, placeable, scored)
             if journal.enabled and scored:
                 # The look-ahead score matrix for this operand index: one
                 # row per Lane-0 candidate, ranked best-first.
@@ -307,24 +312,21 @@ class SuperNode:
 
     def _find_best_group(
         self,
-        op_index: int,
         scorer: LookAheadScorer,
-        locked: List[Dict[Slot, Value]],
-        used: List[Set[int]],
-        placeable: List[Dict[int, bool]],
+        placeable: List[List[Value]],
         scored: Optional[List[Tuple[List[Value], int]]] = None,
     ) -> Optional[List[Value]]:
         """Try every legal Lane-0 candidate; keep the best-scoring group.
 
-        ``scored`` (journal support) collects every candidate group with
-        its look-ahead score — the score matrix behind the decision.
+        ``placeable`` lists, per lane, the candidates that can legally move
+        to the operand index being decided.  ``scored`` (journal support)
+        collects every candidate group with its look-ahead score — the
+        score matrix behind the decision.
         """
         best_group: Optional[List[Value]] = None
         best_score = -1
-        for candidate in self._candidates(0, used):
-            if not placeable[0].get(id(candidate), False):
-                continue
-            group = self._build_group(candidate, scorer, used, placeable)
+        for candidate in placeable[0]:
+            group = self._build_group(candidate, scorer, placeable)
             if group is None:
                 continue
             score = scorer.score_group(group)
@@ -341,8 +343,7 @@ class SuperNode:
         self,
         left_op: Value,
         scorer: LookAheadScorer,
-        used: List[Set[int]],
-        placeable: List[Dict[int, bool]],
+        placeable: List[List[Value]],
     ) -> Optional[List[Value]]:
         """Extend ``left_op`` (Lane 0) into a full cross-lane group."""
         group = [left_op]
@@ -350,9 +351,7 @@ class SuperNode:
         for lane in range(1, self.num_lanes):
             best_right: Optional[Value] = None
             best_score = -1
-            for right in self._candidates(lane, used):
-                if not placeable[lane].get(id(right), False):
-                    continue
+            for right in placeable[lane]:
                 score = scorer.score_pair(left, right)
                 if score > best_score:
                     best_score = score
@@ -382,9 +381,10 @@ class SuperNode:
     ) -> bool:
         chain = self.chains[lane]
         _STAT_MOVES_PROBED.add()
-        current = chain.slot_of_value(value)
+        # Without trunk swaps only a direct leaf swap (or no move) can work.
         ok = (
-            chain.can_swap_leaves(current, target) or self.allow_trunk_swaps
+            self.allow_trunk_swaps
+            or chain.can_swap_leaves(chain.slot_of_value(value), target)
         ) and chain.can_place_leaf(value, target, locked[lane])
         if not ok:
             _STAT_MOVES_REJECTED.add()

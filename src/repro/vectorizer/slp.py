@@ -45,8 +45,11 @@ from .legality import (
     bundle_is_schedulable_stores,
     lanes_form_valid_bundle,
     loads_are_consecutive,
+    loads_are_reversed,
 )
 from .lookahead import LookAheadScorer
+from .minmax import emit_minmax, find_minmax_candidates, plan_minmax
+from .reduction import emit_reduction, find_reduction_candidates, plan_reduction
 from .reorder import SuperNode, SuperNodeRecord
 from .seeds import collect_store_seeds
 from .supernode import apo_str
@@ -264,8 +267,6 @@ class _GraphBuilder:
         if isinstance(first, LoadInst):
             if not all(isinstance(i, LoadInst) for i in instrs):
                 return self._gather(instrs, "mixed opcodes")
-            from .legality import loads_are_reversed
-
             reversed_run = False
             if not loads_are_consecutive(instrs):  # type: ignore[arg-type]
                 if loads_are_reversed(instrs):  # type: ignore[arg-type]
@@ -705,13 +706,6 @@ class SLPVectorizer:
     def _vectorize_reductions(
         self, function: Function, block: BasicBlock, report: FunctionReport
     ) -> None:
-        from .graph import NodeKind
-        from .reduction import (
-            emit_reduction,
-            find_reduction_candidates,
-            plan_reduction,
-        )
-
         candidates = find_reduction_candidates(
             block,
             allow_inverse=self.config.enable_supernode,
@@ -836,9 +830,6 @@ class SLPVectorizer:
     def _vectorize_minmax(
         self, function: Function, block: BasicBlock, report: FunctionReport
     ) -> None:
-        from .graph import NodeKind
-        from .minmax import emit_minmax, find_minmax_candidates, plan_minmax
-
         candidates = find_minmax_candidates(
             block, fast_math=function.fast_math, consumed_ids=self.consumed_ids
         )

@@ -37,13 +37,21 @@ opcodes have equal inverse-ness or neither position has a trunk child at
 operand index 1 (the only edge an inverse opcode negates); the swap is
 then legal iff the pooled leaves can be laid out so that each lands in a
 slot of the APO it carries now.
+
+Placement plans before it moves anything.  A move is computed on the
+unchanged chain — a direct leaf swap, or a legal trunk swap followed by
+an optional leaf swap — and checked against the locked slots as a layout
+of slot indexes; only a move that passes is applied.  A legal trunk swap
+keeps every leaf's APO, so whether the leaf swap after it is legal is a
+lookup too.  The legal trunk swaps of one chain state are built once and
+shared by every placement probe until the chain next changes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..ir.instructions import (
     BinaryInst,
@@ -134,9 +142,47 @@ class Slot:
     depth: int
 
 
-#: what :meth:`LaneChain.place_leaf` rolls back to: every unit's opcode and
-#: children, then the leaf-swap and trunk-swap counters
-_Snapshot = Tuple[List[Tuple[TrunkUnit, Opcode, List[Union[TrunkUnit, Leaf]]]], int, int]
+class _TrunkPlan(NamedTuple):
+    """One legal trunk swap, computed on an unchanged chain.
+
+    Slots are named by their index in :meth:`LaneChain.slots`.  ``leaves``
+    maps each pooled slot to the leaf the swap puts there, ``dest`` each
+    pooled slot to the slot its current leaf moves to, and ``apos`` each
+    pooled slot to its APO after the swap (the APO of the leaf it then
+    holds: a legal swap changes no leaf's APO).
+    """
+
+    unit_a: TrunkUnit
+    unit_b: TrunkUnit
+    leaves: Dict[int, Leaf]
+    dest: Dict[int, int]
+    apos: Dict[int, APO]
+
+
+#: a placement move: an optional trunk swap, then an optional leaf swap
+#: between two slot indexes
+_Move = Tuple[Optional[_TrunkPlan], Optional[Tuple[int, int]]]
+_NO_MOVE: _Move = (None, None)
+
+
+class _State:
+    """What placement planning reads of one chain state, per slot index
+    (leaf, APO), per leaf value (the slot indexes holding it, by identity)
+    and per trunk position (inverse-ness), plus the state's legal trunk
+    swaps once asked for.  Built on demand; any applied move drops it."""
+
+    __slots__ = ("leaves", "apos", "holders", "inverse", "plans")
+
+    def __init__(self, chain: "LaneChain") -> None:
+        self.leaves: List[Leaf] = [
+            unit.children[slot.child_index] for slot, unit in chain._slot_units
+        ]
+        self.apos: List[APO] = [chain.slot_apo(slot) for slot in chain._slots]
+        self.holders: Dict[int, List[int]] = {}
+        for index, leaf in enumerate(self.leaves):
+            self.holders.setdefault(id(leaf.value), []).append(index)
+        self.inverse = {path: unit.is_inverse for path, unit in chain._trunks}
+        self.plans: Optional[List[_TrunkPlan]] = None
 
 
 class LaneChain:
@@ -145,8 +191,9 @@ class LaneChain:
     The tree shape and the trunk APOs are fixed for the life of the chain
     (see the module docstring), so both are computed once here: the
     pre-order trunk list, a path -> unit map, the slot list with each
-    slot's owning unit, and the APO of every trunk position.  Moves change
-    only unit opcodes and leaf children, never which units exist.
+    slot's owning unit, the APO of every trunk position, and the slot
+    indexes placement planning works in.  Moves change only unit opcodes
+    and leaf children, never which units exist.
     """
 
     def __init__(self, root: TrunkUnit, family: Opcode) -> None:
@@ -173,6 +220,22 @@ class LaneChain:
             key=lambda pair: (pair[0].depth, pair[0].trunk_path, pair[0].child_index),
         )
         self._slots: List[Slot] = [slot for slot, _ in self._slot_units]
+        self._slot_index: Dict[Slot, int] = {
+            slot: index for index, slot in enumerate(self._slots)
+        }
+        #: per trunk position: whether operand index 1 is a chain edge, and
+        #: (slot index, is operand index 1) of each leaf child in operand
+        #: order (slots sort by child index within a position) — all fixed
+        #: with the tree shape
+        self._index1_trunk = {
+            path: isinstance(unit.children[1], TrunkUnit) for path, unit in self._trunks
+        }
+        self._free: Dict[Tuple[int, ...], List[Tuple[int, bool]]] = {
+            path: [] for path, _ in self._trunks
+        }
+        for index, slot in enumerate(self._slots):
+            self._free[slot.trunk_path].append((index, slot.child_index == 1))
+        self._cached: Optional[_State] = None
         #: applied-move counters (observability for reports/ablations)
         self.leaf_swaps_applied = 0
         self.trunk_swaps_applied = 0
@@ -286,6 +349,7 @@ class LaneChain:
             unit_a.children[a.child_index],
         )
         self.leaf_swaps_applied += 1
+        self._changed()
 
     def can_swap_leaves(self, a: Slot, b: Slot) -> bool:
         """Leaf-swap legality: equal slot APOs (Section IV-C2)."""
@@ -304,50 +368,62 @@ class LaneChain:
         stays behind (Fig. 3d — the ``add`` moves up with ``D`` while ``B``
         stays at the bottom).
 
-        A placement is applied only when afterwards *every* node's APO is
-        unchanged — the paper's legality rule (Section IV-C3), checked in
-        closed form (module docstring): no tree walk, and the chain is
-        touched only once a legal placement is known.  Of the layouts of
-        the pooled leaves, the first in ``itertools.permutations`` order
-        whose per-slot APOs match is applied.  Returns False (state
+        The swap is applied only when afterwards *every* node's APO is
+        unchanged — the paper's legality rule (Section IV-C3), planned in
+        closed form by :meth:`_trunk_plan`.  Returns False (state
         untouched) when no legal placement exists.
         """
         if path_a == path_b:
             return False
-        # One path being a prefix of the other is fine (parent/child swap):
-        # only opcodes and leaves move, so the tree shape is preserved.
-        unit_a = self._unit_at[path_a]
-        unit_b = self._unit_at[path_b]
-        inverse_a, inverse_b = unit_a.is_inverse, unit_b.is_inverse
-        if inverse_a != inverse_b and (
-            isinstance(unit_a.children[1], TrunkUnit)
-            or isinstance(unit_b.children[1], TrunkUnit)
-        ):
-            return False  # a trunk below an index-1 edge would change APO
-        free_a = unit_a.leaf_indexes()
-        free_b = unit_b.leaf_indexes()
-        pool = [unit_a.children[i] for i in free_a] + [unit_b.children[i] for i in free_b]
-        apo_a = self._trunk_apos[path_a]
-        apo_b = self._trunk_apos[path_b]
-        carried = [apo_a ^ (inverse_a and i == 1) for i in free_a] + [
-            apo_b ^ (inverse_b and i == 1) for i in free_b
-        ]
-        wanted = [apo_a ^ (inverse_b and i == 1) for i in free_a] + [
-            apo_b ^ (inverse_a and i == 1) for i in free_b
-        ]
-        for perm in itertools.permutations(range(len(pool))):
-            if [carried[i] for i in perm] == wanted:
-                break
-        else:
+        plan = self._trunk_plan(path_a, path_b)
+        if plan is None:
             return False
-        unit_a.opcode, unit_b.opcode = unit_b.opcode, unit_a.opcode
-        placed = iter([pool[i] for i in perm])
-        for index in free_a:
-            unit_a.children[index] = next(placed)
-        for index in free_b:
-            unit_b.children[index] = next(placed)
-        self.trunk_swaps_applied += 1
+        self._apply((plan, None))
         return True
+
+    def _trunk_plan(
+        self, path_a: Tuple[int, ...], path_b: Tuple[int, ...]
+    ) -> Optional[_TrunkPlan]:
+        """The legal trunk swap of two distinct positions, or None.
+
+        Exchanging the opcodes keeps every trunk APO iff the opcodes have
+        equal inverse-ness or neither position has a trunk at operand
+        index 1 (module docstring).  The pooled leaves are then laid out
+        in the first ``itertools.permutations`` order that puts each in a
+        slot of the APO it carries now: slot by slot, the first unplaced
+        leaf of the wanted APO.  One path being a prefix of the other is
+        fine (parent/child swap): only opcodes and leaves move.
+        """
+        state = self._state()
+        inverse_a, inverse_b = state.inverse[path_a], state.inverse[path_b]
+        if inverse_a != inverse_b and (
+            self._index1_trunk[path_a] or self._index1_trunk[path_b]
+        ):
+            return None  # a trunk below an index-1 edge would change APO
+        # each pooled slot and the APO it gets once the opcodes exchange
+        pooled: List[int] = []
+        wanted: List[APO] = []
+        for path, inverse in ((path_a, inverse_b), (path_b, inverse_a)):
+            apo = self._trunk_apos[path]
+            for index, second in self._free[path]:
+                pooled.append(index)
+                wanted.append(apo ^ (inverse and second))
+        unplaced = list(pooled)
+        placed: Dict[int, Leaf] = {}
+        dest: Dict[int, int] = {}
+        for slot, apo in zip(pooled, wanted):
+            for source in unplaced:
+                if state.apos[source] == apo:
+                    break
+            else:
+                return None
+            unplaced.remove(source)
+            placed[slot] = state.leaves[source]
+            dest[source] = slot
+        return _TrunkPlan(
+            self._unit_at[path_a], self._unit_at[path_b], placed, dest,
+            dict(zip(pooled, wanted)),
+        )
 
     # -- high-level placement (used by Listings 2/3) ---------------------------------------
 
@@ -359,14 +435,18 @@ class LaneChain:
     ) -> bool:
         """Move the leaf holding ``value`` into slot ``target``.
 
-        Tries, in order: no-op, direct leaf swap (equal APOs), then every
-        legal trunk swap followed by a leaf swap if still needed.  ``locked``
-        maps already-assigned slots to the value they must keep (Listing 2
-        processes operand indexes in order and must not disturb earlier
-        ones).  Returns True and mutates the chain on success; the chain is
-        left unchanged on failure.
+        Plans, in order: no-op, direct leaf swap (equal APOs), then each
+        legal trunk swap followed by a leaf swap if still needed, and
+        applies the first plan that leaves every ``locked`` slot holding
+        its value (Listing 2 processes operand indexes in order and must
+        not disturb earlier ones).  Returns True and mutates the chain on
+        success; the chain is untouched on failure.
         """
-        return self._place(value, target, locked or {}, keep=True)
+        move = self._plan_move(value, target, locked or {})
+        if move is None:
+            return False
+        self._apply(move)
+        return True
 
     def can_place_leaf(
         self,
@@ -374,62 +454,72 @@ class LaneChain:
         target: Slot,
         locked: Optional[Dict[Slot, Value]] = None,
     ) -> bool:
-        """Non-mutating legality probe for :meth:`place_leaf`: the same
-        search, always rolled back (units, leaves and counters)."""
-        return self._place(value, target, locked or {}, keep=False)
+        """Legality probe for :meth:`place_leaf`: whether it would find a
+        move.  Never touches the chain."""
+        return self._plan_move(value, target, locked or {}) is not None
 
-    def _place(
-        self, value: Value, target: Slot, locked: Dict[Slot, Value], keep: bool
-    ) -> bool:
-        current = self.slot_of_value(value)
-        if current == target:
-            return True
-        # Every failed attempt below rolls back to this one state.
-        snapshot = self._snapshot()
-        if self.can_swap_leaves(current, target):
-            self.swap_leaves(current, target)
-            placed = self._locked_ok(locked)
-        else:
-            placed = self._place_via_trunks(value, target, locked, snapshot)
-        if not (placed and keep):
-            self._restore(snapshot)
-        return placed
+    def _state(self) -> _State:
+        if self._cached is None:
+            self._cached = _State(self)
+        return self._cached
 
-    def _place_via_trunks(
-        self,
-        value: Value,
-        target: Slot,
-        locked: Dict[Slot, Value],
-        snapshot: _Snapshot,
-    ) -> bool:
-        """Trunk-assisted movement: try each legal trunk swap, then see if
-        the leaf landed (it rides with its unit) or can now swap directly."""
-        paths = [path for path, _ in self._trunks]
-        for path_a, path_b in itertools.combinations(paths, 2):
-            if not self.try_swap_trunks(path_a, path_b):
-                continue
-            where = self.slot_of_value(value)
-            if where == target and self._locked_ok(locked):
-                return True
-            if self.can_swap_leaves(where, target):
-                self.swap_leaves(where, target)
-                if self._locked_ok(locked):
-                    return True
-            self._restore(snapshot)
-        return False
+    def _trunk_plans(self) -> List[_TrunkPlan]:
+        """Every legal trunk swap of the current state, in
+        ``itertools.combinations`` order of the pre-order positions."""
+        state = self._state()
+        if state.plans is None:
+            paths = [path for path, _ in self._trunks]
+            plans = (self._trunk_plan(a, b) for a, b in itertools.combinations(paths, 2))
+            state.plans = [plan for plan in plans if plan is not None]
+        return state.plans
 
-    def _locked_ok(self, locked: Dict[Slot, Value]) -> bool:
-        return all(self.leaf_at(slot).value is want for slot, want in locked.items())
+    def _plan_move(
+        self, value: Value, target: Slot, locked: Dict[Slot, Value]
+    ) -> Optional[_Move]:
+        """The move :meth:`place_leaf` makes, planned on the unchanged
+        chain, or None when no move keeps every locked slot."""
+        state = self._state()
+        leaves, apos = state.leaves, state.apos
+        holders = state.holders.get(id(value))
+        if holders is None:
+            raise KeyError(f"value {value.ref()} is not a leaf of this chain")
+        current = holders[0]
+        goal = self._slot_index[target]
+        if current == goal:
+            return _NO_MOVE
+        locks = [(self._slot_index[slot], want) for slot, want in locked.items()]
+        if apos[current] == apos[goal]:
+            if _locks_hold(locks, leaves, {}, current, goal):
+                return None, (current, goal)
+            return None
+        for plan in self._trunk_plans():
+            dest = plan.dest
+            if len(holders) == 1:
+                where = dest.get(current, current)
+            else:  # the value sits in several slots: the first one counts
+                where = min(dest.get(i, i) for i in holders)
+            if where == goal:
+                if _locks_hold(locks, leaves, plan.leaves, goal, goal):
+                    return plan, None
+            elif plan.apos.get(where, apos[where]) == plan.apos.get(goal, apos[goal]):
+                if _locks_hold(locks, leaves, plan.leaves, where, goal):
+                    return plan, (where, goal)
+        return None
 
-    def _snapshot(self) -> _Snapshot:
-        units = [(unit, unit.opcode, list(unit.children)) for _, unit in self._trunks]
-        return units, self.leaf_swaps_applied, self.trunk_swaps_applied
+    def _apply(self, move: _Move) -> None:
+        plan, swap = move
+        if plan is not None:
+            plan.unit_a.opcode, plan.unit_b.opcode = plan.unit_b.opcode, plan.unit_a.opcode
+            for index, leaf in plan.leaves.items():
+                slot, unit = self._slot_units[index]
+                unit.children[slot.child_index] = leaf
+            self.trunk_swaps_applied += 1
+            self._changed()
+        if swap is not None:
+            self.swap_leaves(self._slots[swap[0]], self._slots[swap[1]])
 
-    def _restore(self, snapshot: _Snapshot) -> None:
-        units, self.leaf_swaps_applied, self.trunk_swaps_applied = snapshot
-        for unit, opcode, children in units:
-            unit.opcode = opcode
-            unit.children[:] = children
+    def _changed(self) -> None:
+        self._cached = None
 
     # -- evaluation (test oracle) ----------------------------------------------------------
 
@@ -461,6 +551,26 @@ class LaneChain:
             return f"({fmt(node.children[0])} {sym} {fmt(node.children[1])})"
 
         return f"LaneChain{fmt(self.root)}"
+
+
+def _locks_hold(
+    locks: List[Tuple[int, Value]],
+    leaves: List[Leaf],
+    moved: Dict[int, Leaf],
+    a: int,
+    b: int,
+) -> bool:
+    """Whether every locked slot keeps its value in the layout ``leaves``
+    after a trunk swap that puts ``moved`` in place and a leaf swap of
+    slots ``a`` and ``b`` (equal indexes: no leaf swap)."""
+    for index, want in locks:
+        if index == a:
+            index = b
+        elif index == b:
+            index = a
+        if moved.get(index, leaves[index]).value is not want:
+            return False
+    return True
 
 
 #: operator families eligible for Multi-/Super-Nodes: base opcode -> needs fast-math

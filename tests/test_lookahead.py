@@ -1,5 +1,8 @@
 """Look-ahead scoring tests (LSLP heuristics)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.ir import (
@@ -11,7 +14,9 @@ from repro.ir import (
     IRBuilder,
     Module,
 )
-from repro.vectorizer import LookAheadScorer, ScoreTable
+from repro.observe import CompilerSession, use_session
+from repro.vectorizer import LookAheadScorer, ScoreTable, SuperNode
+from repro.vectorizer.lookahead import MemoScorer
 
 
 def _env():
@@ -126,3 +131,134 @@ class TestGroupScore:
         _, load = _env()
         scorer = LookAheadScorer(table=table)
         assert scorer.score_pair(load("A", 0), load("A", 1)) == 100
+
+
+# -- the per-search memo (MemoScorer) -------------------------------------------------
+
+
+class _RecordingMemo(MemoScorer):
+    """A memo that logs every score a search asks it for."""
+
+    def __init__(self, depth, table, log):
+        super().__init__(depth, table)
+        self.log = log
+
+    def score_pair(self, a, b):
+        score = super().score_pair(a, b)
+        self.log.append((a, b, score))
+        return score
+
+
+class _SpyScorer(LookAheadScorer):
+    """Hands each search a fresh recording memo and keeps a weak handle on
+    it, so a test can see what a search asked and whether its memo died."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+        self.memos = []
+
+    def memo(self):
+        memo = _RecordingMemo(self.depth, self.table, self.asked)
+        self.memos.append(weakref.ref(memo))
+        return memo
+
+
+def _signed_sum_lanes(orders, minus):
+    """One store lane per entry of ``orders``: ``A[i+lane]`` = the signed
+    sum of arrays B0.. at offset ``lane``, terms in that lane's order."""
+    module = Module("m")
+    terms = len(minus)
+    for name in ["A"] + [f"B{j}" for j in range(terms)]:
+        module.add_global(name, F64, 64)
+    function = Function("f", [("i", I64)], VOID, fast_math=True)
+    module.add_function(function)
+    builder = IRBuilder(function.add_block("entry"))
+    i = function.arguments[0]
+    roots = []
+    for lane, order in enumerate(orders):
+        idx = builder.add(i, builder.const_i64(lane)) if lane else i
+
+        def load(j):
+            return builder.load(
+                builder.gep(module.global_named(f"B{j}"), idx), name=f"B{j}_{lane}"
+            )
+
+        acc = load(order[0])
+        for j in order[1:]:
+            acc = (builder.fsub if minus[j] else builder.fadd)(acc, load(j))
+        builder.store(acc, builder.gep(module.global_named("A"), idx))
+        roots.append(acc)
+    builder.ret()
+    return roots
+
+
+def _supernode(roots):
+    node = SuperNode.build(
+        roots, allow_inverse=True, allow_trunk_swaps=True, fast_math=True
+    )
+    assert node is not None
+    return node
+
+
+class TestMemoScorer:
+    def test_every_memoised_score_equals_a_fresh_one(self):
+        roots = _signed_sum_lanes(
+            [(0, 1, 2, 3, 4), (2, 0, 4, 1, 3), (4, 3, 0, 2, 1), (1, 4, 3, 0, 2)],
+            minus=(False, True, False, True, True),
+        )
+        spy = _SpyScorer()
+        _supernode(roots).reorder_leaves_and_trunks(spy)
+        fresh = LookAheadScorer()
+        assert len(spy.asked) > len({(id(a), id(b)) for a, b, _ in spy.asked})
+        for a, b, score in spy.asked:
+            assert score == fresh.score_pair(a, b)
+
+    def test_keys_are_identities_not_equal_values(self):
+        c1, c2 = Constant(F64, 1.0), Constant(F64, 1.0)
+        assert c1 == c2 and c1 is not c2
+        memo = LookAheadScorer().memo()
+        assert memo.score_pair(c1, c1) == memo.table.splat
+        assert memo.score_pair(c1, c2) == memo.table.constants
+        other = LookAheadScorer().memo()
+        assert other.score_pair(c1, c2) == other.table.constants
+        assert other.score_pair(c2, c2) == other.table.splat
+
+    def test_memo_counts_each_pair_once(self):
+        _, load = _env()
+        a0, a1 = load("A", 0), load("A", 1)
+        with use_session(CompilerSession()) as session:
+            memo = LookAheadScorer().memo()
+            for _ in range(3):
+                assert memo.score_pair(a0, a1) == memo.table.consecutive_loads
+                assert memo.score_pair(a1, a0) == memo.table.reversed_loads
+            assert session.stats.value("lookahead.score-evaluations") == 2
+
+    def test_no_entry_outlives_its_search(self):
+        """A second search after ``generate_code`` scores the rewritten IR:
+        the first search's memo is gone, so a load whose address changed in
+        between is scored at its new address."""
+        roots = _signed_sum_lanes([(0, 1, 2), (0, 1, 2)], minus=(False, False, True))
+        spy = _SpyScorer()
+        first = _supernode(roots)
+        first.reorder_leaves_and_trunks(spy)
+        new_roots = first.generate_code()
+        gc.collect()
+        assert spy.memos[0]() is None
+        earlier = {(id(a), id(b)): score for a, b, score in spy.asked}
+        # Rewrite lane 1's B0 and B1 loads to read each other's arrays.
+        chain = _supernode(new_roots).chains[1]
+        by_name = {value.name: value for value in chain.leaf_values()}
+        b0, b1 = by_name["B0_1"], by_name["B1_1"]
+        p0, p1 = b0.pointer, b1.pointer
+        b0.set_operand(0, p1)
+        b1.set_operand(0, p0)
+        spy.asked.clear()
+        _supernode(new_roots).reorder_leaves_and_trunks(spy)
+        assert len(spy.memos) == 2
+        fresh = LookAheadScorer()
+        changed = 0
+        for a, b, score in spy.asked:
+            assert score == fresh.score_pair(a, b)
+            changed += earlier.get((id(a), id(b)), score) != score
+        assert changed

@@ -26,20 +26,25 @@ from repro.vectorizer import build_lane_chain
 from repro.vectorizer.supernode import LaneChain, Leaf
 
 
-def _random_chain(seed: int, family: str, max_depth: int):
-    """Build a random expression tree rooted at a binary op of `family`."""
+def _random_chain(seed: int, family: str, max_depth: int, reuse: float = 0.0):
+    """Build a random expression tree rooted at a binary op of `family`;
+    with probability ``reuse`` a leaf repeats an earlier leaf's value."""
     rng = random.Random(seed)
     module = Module("m")
     function = Function("f", [("i", I64)], VOID, fast_math=True)
     module.add_function(function)
     builder = IRBuilder(function.add_block("entry"))
     counter = [0]
+    made = []
 
     def fresh_leaf():
+        if reuse and made and rng.random() < reuse:
+            return rng.choice(made)
         counter[0] += 1
         name = f"L{counter[0]}"
         module.add_global(name, F64 if family == "fmul" else I64, 8)
-        return builder.load(builder.gep(module.global_named(name), 0), name=name)
+        made.append(builder.load(builder.gep(module.global_named(name), 0), name=name))
+        return made[-1]
 
     ops = ("add", "sub") if family == "add" else ("fmul", "fdiv")
 
@@ -255,6 +260,115 @@ def test_can_place_leaf_is_a_pure_probe(seed, family, depth):
             assert repr(chain) == text
             assert (chain.leaf_swaps_applied, chain.trunk_swaps_applied) == counters
             assert [id(chain.leaf_at(slot)) for slot in slots] == leaf_objects
+
+
+def _try_then_restore_place(chain: LaneChain, value, target, locked) -> bool:
+    """The placement search as a try-then-restore loop: try the direct
+    leaf swap, else every trunk swap in ``itertools.combinations`` order
+    (each checked literally by :func:`_brute_force_swap`) followed by a
+    leaf swap if still needed, checking the locked slots on the mutated
+    chain and rolling every failed attempt back to one snapshot.
+    Mutates ``chain`` on success, leaves it as it was on failure.
+    Reference oracle for the planned :meth:`LaneChain.place_leaf`."""
+
+    def locked_ok():
+        return all(chain.leaf_at(slot).value is want for slot, want in locked.items())
+
+    def restore():
+        for unit, opcode, children in units:
+            unit.opcode = opcode
+            unit.children[:] = children
+        chain.leaf_swaps_applied, chain.trunk_swaps_applied = counters
+
+    current = chain.slot_of_value(value)
+    if current == target:
+        return True
+    units = [(unit, unit.opcode, list(unit.children)) for _, unit in chain.trunks()]
+    counters = (chain.leaf_swaps_applied, chain.trunk_swaps_applied)
+    if chain.can_swap_leaves(current, target):
+        chain.swap_leaves(current, target)
+        if locked_ok():
+            return True
+        restore()
+        return False
+    paths = [path for path, _ in chain.trunks()]
+    for path_a, path_b in itertools.combinations(paths, 2):
+        if not _brute_force_swap(chain, path_a, path_b):
+            continue
+        chain.trunk_swaps_applied += 1
+        where = chain.slot_of_value(value)
+        if where == target and locked_ok():
+            return True
+        if chain.can_swap_leaves(where, target):
+            chain.swap_leaves(where, target)
+            if locked_ok():
+                return True
+        restore()
+    return False
+
+
+def _random_locks(chain: LaneChain, rng: random.Random):
+    """A random lock set: mostly slots pinned to what they hold now (as
+    the reorder search locks them), sometimes to another leaf's value."""
+    slots = chain.slots()
+    values = chain.leaf_values()
+    locked = {}
+    for slot in rng.sample(slots, rng.randint(0, len(slots) // 2 + 1)):
+        held = chain.leaf_at(slot).value
+        locked[slot] = held if rng.random() < 0.85 else rng.choice(values)
+    return locked
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    family=st.sampled_from(["add", "fmul"]),
+    depth=st.integers(2, 4),
+)
+def test_planned_placement_matches_try_then_restore_oracle(seed, family, depth):
+    """Over random chains, states and lock sets: ``place_leaf`` gives the
+    oracle's verdict, layout and leaf/trunk swap counters, and
+    ``can_place_leaf`` gives the same verdict without touching the chain,
+    its counters or its ``Leaf`` objects — also when many probes of one
+    chain state share its trunk-swap plans, and when a value sits in more
+    than one slot."""
+    root = _random_chain(seed, family, max_depth=depth, reuse=0.2)
+    chain = build_lane_chain(root, allow_inverse=True, fast_math=True)
+    if chain is None:
+        return
+    rng = random.Random(seed + 5)
+    slots = chain.slots()
+    leaves = list(dict.fromkeys(chain.leaf_values()))
+    for _ in range(2):
+        for value in leaves:
+            for target in slots:
+                locked = _random_locks(chain, rng)
+                oracle = chain.clone()
+                expected = _try_then_restore_place(oracle, value, target, locked)
+                text = repr(chain)
+                counters = (chain.leaf_swaps_applied, chain.trunk_swaps_applied)
+                leaf_objects = [id(chain.leaf_at(slot)) for slot in slots]
+                assert chain.can_place_leaf(value, target, locked) == expected
+                assert repr(chain) == text
+                assert (chain.leaf_swaps_applied, chain.trunk_swaps_applied) == counters
+                assert [id(chain.leaf_at(slot)) for slot in slots] == leaf_objects
+                planned = chain.clone()
+                assert planned.place_leaf(value, target, locked) == expected
+                assert _layout(planned) == _layout(oracle)
+                assert (planned.leaf_swaps_applied, planned.trunk_swaps_applied) == (
+                    oracle.leaf_swaps_applied,
+                    oracle.trunk_swaps_applied,
+                )
+        # move to a new state through the planned path itself, checked too
+        value, target = rng.choice(leaves), rng.choice(slots)
+        oracle = chain.clone()
+        expected = _try_then_restore_place(oracle, value, target, {})
+        assert chain.place_leaf(value, target) == expected
+        assert _layout(chain) == _layout(oracle)
+        assert (chain.leaf_swaps_applied, chain.trunk_swaps_applied) == (
+            oracle.leaf_swaps_applied,
+            oracle.trunk_swaps_applied,
+        )
 
 
 @settings(max_examples=40, deadline=None)
