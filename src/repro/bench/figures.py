@@ -24,7 +24,8 @@ from ..machine.targets import DEFAULT_TARGET, TargetMachine
 from ..sim.executor import simulate
 from ..vectorizer.pipeline import compile_module
 from ..vectorizer.slp import LSLP_CONFIG, O3_CONFIG, SLPConfig, SNSLP_CONFIG, config_named
-from .runner import DEFAULT_SEED, run_kernel_matrix, speedup_over
+from .parallel import run_suite_parallel
+from .runner import DEFAULT_SEED, speedup_over
 from .timing import compile_time_and_phase_stats
 
 Row = Dict[str, object]
@@ -43,22 +44,16 @@ def _suite_runs(
     jobs: Optional[int],
     journal: bool = False,
 ) -> Dict[str, Dict[str, object]]:
-    """One matrix per kernel under the paper configs; ``jobs != 1``
-    shards the (kernel, config) pairs over worker processes.  Simulated
-    cycles are deterministic, so both paths return identical data.
-    ``journal=True`` attaches per-run decision-journal summaries; the
-    default leaves the journal disabled, keeping figure data bit-identical
-    to pre-journal builds."""
-    if jobs is not None and jobs != 1:
-        from .parallel import run_suite_parallel
-
-        return run_suite_parallel(
-            kernels, PAPER_CONFIGS, target, jobs=jobs, journal=journal
-        )
-    return {
-        kernel.name: run_kernel_matrix(kernel, PAPER_CONFIGS, target, journal=journal)
-        for kernel in kernels
-    }
+    """One matrix per kernel under the paper configs; ``jobs`` above 1
+    shards the (kernel, config) pairs over worker processes, while 1 or
+    ``None`` runs serially.  Simulated cycles are deterministic, so both
+    paths return identical data.  ``journal=True`` attaches per-run
+    decision-journal summaries; the default leaves the journal disabled,
+    keeping figure data bit-identical to pre-journal builds."""
+    return run_suite_parallel(
+        kernels, PAPER_CONFIGS, target, jobs=1 if jobs is None else jobs,
+        journal=journal,
+    )
 
 
 # -- Figure 5 -----------------------------------------------------------------------

@@ -11,15 +11,16 @@ counters, vectorization statistics and correctness — only the wall-clock
 ``compile_seconds``/``phase_seconds`` fields differ, as they do between
 any two serial runs.
 
-Since PR 7 the fan-out goes through
-:class:`~repro.serve.service.CompileService` — a persistent pool of
-warm-session workers (see :mod:`repro.serve`) — instead of a throwaway
-``ProcessPoolExecutor`` per call.  Callers can pass their own running
-``service=`` (the ``repro bench --service`` path: one pool for the whole
-invocation, shared result cache across runs); otherwise an ephemeral
-service is spun up for the call, which is the old semantics with the new
-transport.  Tasks are sharded by *kernel name* so repeat compiles of one
-kernel hit the worker that already holds its warm state.
+The fan-out goes through :func:`repro.serve.resilience.run_batch`, the
+one batch call over :class:`~repro.serve.service.CompileService` — a
+pool of warm-session workers (see :mod:`repro.serve`).  Callers can pass
+their own running ``service=`` (the ``repro bench --service`` path: one
+pool for the whole invocation, shared result cache across runs);
+otherwise ``run_batch`` spins up an ephemeral service for the call.
+Tasks are sharded by *kernel name* so repeat compiles of one kernel hit
+the worker that already holds its warm state.  ``jobs=1`` without a
+service never leaves the process: it is
+:func:`~repro.bench.runner.run_kernel_matrix` per kernel.
 
 Workers receive *names*, not objects: kernels, programs, configs and
 targets are all resolvable from registries
@@ -43,7 +44,13 @@ from ..machine.targets import DEFAULT_TARGET, TargetMachine, target_named
 from ..observe import STAT
 from ..observe.session import CompilerSession, current_session, use_session
 from ..vectorizer.slp import ALL_CONFIGS, O3_CONFIG, SLPConfig, config_named
-from .runner import DEFAULT_SEED, KernelRun, outputs_match, run_kernel_config
+from .runner import (
+    DEFAULT_SEED,
+    KernelRun,
+    outputs_match,
+    run_kernel_config,
+    run_kernel_matrix,
+)
 
 #: (kernel_name, config_name, target_name, seed, capture_trace,
 #: capture_remarks, journal, capture_metrics) — everything a worker
@@ -233,8 +240,13 @@ def run_suite_parallel(
     """Run every (kernel, config) pair of the suite, sharded over
     processes; returns ``{kernel_name: {config_name: KernelRun}}``.
 
-    Results are reassembled in payload order, so the outcome is
-    deterministic regardless of ``jobs`` or completion order.  If the
+    ``jobs <= 1`` without a ``service`` runs in this process through
+    :func:`~repro.bench.runner.run_kernel_matrix`, which builds each
+    kernel and draws its inputs once for all its configurations; spans
+    and remarks land in the calling session as the parent's own.
+    Otherwise the pairs go through :func:`repro.serve.resilience.
+    run_batch` and are reassembled in payload order, so the outcome is
+    identical regardless of ``jobs`` or completion order.  If the
     *calling* session's tracer, remark collector or metrics registry is
     enabled, workers arm the same collectors and their streams are
     merged back into the caller's session keyed by worker pid (payload
@@ -250,11 +262,10 @@ def run_suite_parallel(
     ``resilience=`` is a
     :class:`~repro.serve.resilience.ResiliencePolicy`: service traffic
     then goes through a :class:`~repro.serve.resilience.ResilientExecutor`
-    (retry/backoff, optional hedging, circuit-breaker degradation down to
-    an ephemeral local pool or serial in-process execution), so the suite
-    completes with identical results even when the service fails mid-run.
-    Only honoured on the service path; the plain serial path needs no
-    resilience.
+    (retry/backoff, circuit-breaker degradation to serial in-process
+    execution), so the suite completes with identical results even when
+    the service fails mid-run.  Only honoured on the service path; the
+    plain serial path needs no resilience.
 
     Overhead attribution: the parallel path records, into the *parent*
     session only, how much task wall clock was spent outside workers —
@@ -263,24 +274,25 @@ def run_suite_parallel(
     metrics are armed — so a slower-than-serial parallel run explains
     itself from the report.
     """
-    parent = current_session()
-    trace = parent.tracer.enabled
-    remarks = parent.remarks.enabled
-    metrics = parent.metrics.enabled
     kernels = list(kernels) if kernels is not None else all_kernels()
     configs = _with_oracle(configs)
-    payloads = _pair_payloads(
-        kernels, configs, target, seed, trace, remarks, journal, metrics
-    )
     jobs = _resolve_jobs(jobs)
-    if service is None and (jobs <= 1 or len(payloads) <= 1):
-        outcomes = [_run_pair(payload) for payload in payloads]
-        for _, capture in outcomes:
-            _merge_capture(parent, capture)
-    else:
-        outcomes = _dispatch(
-            parent, payloads, jobs, service=service, resilience=resilience
-        )
+    if service is None and (jobs <= 1 or len(kernels) * len(configs) <= 1):
+        return {
+            kernel.name: run_kernel_matrix(
+                kernel, configs, target, seed, journal=journal
+            )
+            for kernel in kernels
+        }
+    parent = current_session()
+    payloads = _pair_payloads(
+        kernels, configs, target, seed,
+        parent.tracer.enabled, parent.remarks.enabled, journal,
+        parent.metrics.enabled,
+    )
+    outcomes = _dispatch(
+        parent, payloads, jobs, service=service, resilience=resilience
+    )
     return _assemble(kernels, configs, [run for run, _ in outcomes])
 
 
@@ -291,7 +303,7 @@ def _dispatch(
     service=None,
     resilience=None,
 ) -> List[Tuple[KernelRun, WorkerCapture]]:
-    """Fan payloads over the compile service, measuring dispatch overhead.
+    """Run payloads through the batch call, measuring dispatch overhead.
 
     Payload pickling cost is timed by the service submit path (the
     ``parallel.marshal_seconds`` counter / ``parallel.task.marshal_seconds``
@@ -302,78 +314,43 @@ def _dispatch(
     exactly the gap between the observed jobs=N time and the ideal N-way
     split, so a slower-than-serial run is attributable to spawn +
     marshal + IPC + imbalance rather than "the kernels got slower".
-    Per-task turnaround (submit to done-callback, queueing included)
-    lands in a histogram.  All derived counters and histograms go to the
-    *parent* session, never into the per-run counter snapshots.
+    Per-task turnaround (submit to done, queueing included) lands in a
+    histogram.  All derived counters and histograms go to the *parent*
+    session, never into the per-run counter snapshots.
     """
-    from ..serve.service import CompileService
+    from ..serve.resilience import run_batch
 
     stats = parent.stats
     session_metrics = parent.metrics
     done_at: Dict[int, float] = {}
-    submit_at: List[float] = []
-    owns_service = service is None
-    pool_start = time.perf_counter()
-    if owns_service:
-        service = CompileService(
-            workers=min(jobs, len(payloads)),
-            session=parent,
-            name="bench-pool",
-        )
-        service.start()
-    use_cache = service.result_cache_enabled
-    try:
-        if resilience is not None:
-            from ..serve.resilience import ResilientExecutor
+    turnarounds: Dict[int, float] = {}
 
-            # The executor owns submission and waiting: tasks that hit a
-            # failing service retry/degrade, but land back here in
-            # payload order, so the assembled suite is unchanged.
-            tasks = [
-                ("bench-pair", (payload, use_cache), payload[0], 1.0)
-                for payload in payloads
-            ]
-            for _ in payloads:
-                _TASKS.resolve(stats).add()
-            with parent.tracer.span("parallel:submit", tasks=len(payloads)):
-                with ResilientExecutor(
-                    service, policy=resilience, session=parent
-                ) as executor:
-                    outcomes = executor.run_batch(tasks)
-        else:
-            with parent.tracer.span("parallel:submit", tasks=len(payloads)):
-                futures = []
-                for index, payload in enumerate(payloads):
-                    _TASKS.resolve(stats).add()
-                    submit_at.append(time.perf_counter())
-                    future = service.submit(
-                        "bench-pair", (payload, use_cache),
-                        shard_key=payload[0],
-                    )
-                    future.add_done_callback(
-                        lambda _, i=index: done_at.__setitem__(
-                            i, time.perf_counter()
-                        )
-                    )
-                    futures.append(future)
-            outcomes = [future.result() for future in futures]
-    finally:
-        if owns_service:
-            service.close()
+    def on_done(index: int, seconds: float) -> None:
+        done_at[index] = time.perf_counter()
+        turnarounds[index] = seconds
+
+    use_cache = service is not None and service.result_cache_enabled
+    tasks = [
+        ("bench-pair", (payload, use_cache), payload[0], 1.0)
+        for payload in payloads
+    ]
+    _TASKS.resolve(stats).add(len(tasks))
+    pool_start = time.perf_counter()
+    with parent.tracer.span("parallel:submit", tasks=len(payloads)):
+        outcomes = run_batch(
+            tasks, jobs, parent, service=service, policy=resilience,
+            on_done=on_done,
+        )
     pool_wall = time.perf_counter() - pool_start
-    workers = min(service.workers, len(payloads))
+    workers = min(service.workers if service is not None else jobs, len(payloads))
     worker_total = 0.0
     with parent.tracer.span("parallel:merge", tasks=len(payloads)):
         for index, (_, capture) in enumerate(outcomes):
             worker_seconds = float(capture["worker_seconds"])
             worker_total += worker_seconds
-            if index < len(submit_at):  # resilient path times elsewhere
-                turnaround = (
-                    done_at.get(index, pool_start + pool_wall)
-                    - submit_at[index]
-                )
+            if index in turnarounds:  # the resilient path reports none
                 session_metrics.observe(
-                    "parallel.task.turnaround_seconds", max(0.0, turnaround),
+                    "parallel.task.turnaround_seconds", turnarounds[index],
                     description="submit-to-done wall seconds per task "
                     "(queueing included)",
                 )
@@ -406,23 +383,6 @@ def _dispatch(
 
 
 # -- figure-level workers -----------------------------------------------------------
-
-
-def _service_map(kind: str, payloads: Sequence[object], jobs: int) -> List[object]:
-    """Run ``payloads`` through an ephemeral compile service, in order."""
-    from ..serve.service import CompileService
-
-    service = CompileService(
-        workers=min(jobs, len(payloads)),
-        session=current_session(),
-        name=f"{kind}-pool",
-    )
-    service.start()
-    try:
-        futures = [service.submit(kind, payload) for payload in payloads]
-        return [future.result() for future in futures]
-    finally:
-        service.close()
 
 
 #: (program_name, config_name, target_name, seed, bulk_trip)
@@ -465,7 +425,12 @@ def run_program_grid_parallel(
     if jobs <= 1 or len(payloads) <= 1:
         results = [_run_program_config(payload) for payload in payloads]
     else:
-        results = _service_map("program-grid", payloads, jobs)
+        from ..serve.resilience import run_batch
+
+        results = run_batch(
+            [("program-grid", payload, None, 1.0) for payload in payloads],
+            jobs, current_session(),
+        )
     grid: Dict[str, Dict[str, Dict[str, float]]] = {}
     cursor = 0
     for program in program_names:
@@ -518,4 +483,9 @@ def time_kernels_parallel(
     jobs = _resolve_jobs(jobs)
     if jobs <= 1 or len(payloads) <= 1:
         return [_time_kernel(payload) for payload in payloads]
-    return _service_map("fig11-timing", payloads, jobs)
+    from ..serve.resilience import run_batch
+
+    return run_batch(
+        [("fig11-timing", payload, None, 1.0) for payload in payloads],
+        jobs, current_session(),
+    )

@@ -664,12 +664,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _default_jobs() -> int:
-    from .bench.parallel import default_jobs
-
-    return default_jobs()
-
-
 def cmd_fuzz(args: argparse.Namespace) -> int:
     from .fuzz import run_campaign, run_injection_campaign, replay_file
 
@@ -729,6 +723,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             args._stats_printed = True
         return EXIT_OK if report.ok else EXIT_MISMATCH
 
+    from .bench.parallel import default_jobs
+
+    jobs = args.jobs if args.jobs is not None else default_jobs()
     service = None
     resilience = None
     if args.resilient:
@@ -741,7 +738,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         from .serve.service import CompileService
 
         service = CompileService(
-            workers=args.jobs if args.jobs is not None else _default_jobs(),
+            workers=jobs,
             session=current_session(),
             name="fuzz-service",
         )
@@ -756,7 +753,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             max_ulps=args.max_ulps,
             reduce_failures=not args.no_reduce,
             progress=lambda line: print(f"; {line}", file=sys.stderr),
-            jobs=args.jobs if args.jobs is not None else _default_jobs(),
+            jobs=jobs,
             session=current_session(),
             service=service,
             resilience=resilience,
@@ -1060,8 +1057,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .serve.service import CompileService
     from .serve.wire import SocketServer, serve_stream
 
+    jobs = args.jobs
+    if jobs is None:
+        from .bench.parallel import default_jobs
+
+        jobs = default_jobs()
     service = CompileService(
-        workers=args.jobs if args.jobs is not None else _default_jobs(),
+        workers=jobs,
         cache_dir=args.cache_dir,
         cache_entries=args.cache_entries,
         max_pending=args.max_pending,
@@ -1626,8 +1628,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--resilient",
         action="store_true",
         help="with --service: retry failed chunks with backoff and, when "
-        "the service circuit-breaker opens, degrade to local compile "
-        "(results stay bit-identical)",
+        "the service circuit-breaker opens, run them serially "
+        "in-process (results stay bit-identical)",
     )
     engine_flag(p_fuzz)
     metrics_flags(p_fuzz)
@@ -1704,8 +1706,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--resilient",
         action="store_true",
         help="with --service: retry failed pairs with backoff and, when "
-        "the service circuit-breaker opens, degrade to local compile "
-        "(results stay bit-identical)",
+        "the service circuit-breaker opens, run them serially "
+        "in-process (results stay bit-identical)",
     )
     engine_flag(p_bench)
     metrics_flags(p_bench)

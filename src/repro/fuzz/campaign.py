@@ -14,10 +14,11 @@ the campaign's ``fuzz.*`` buckets, and ``CampaignResult.stats`` is the
 campaign session's snapshot.
 
 ``jobs > 1`` shards a *count* budget across worker processes in chunks
-of consecutive indices; summaries merge in index order, so the result —
-programs visited, bucket statistics, failure set — is bit-identical to
-the serial run.  Time budgets stay serial (their stopping point is
-wall-clock dependent either way).
+of consecutive indices, through the same batch call the bench driver
+uses (:func:`repro.serve.resilience.run_batch`); summaries merge in
+index order, so the result — programs visited, bucket statistics,
+failure set — is bit-identical to the serial run.  Time budgets stay
+serial (their stopping point is wall-clock dependent either way).
 
 Failures become artifact directories::
 
@@ -382,7 +383,7 @@ def run_campaign(
     routes service traffic through a
     :class:`~repro.serve.resilience.ResilientExecutor`, so the campaign
     completes with identical results even when the service fails mid-run
-    (chunks retry, then degrade to local execution).
+    (chunks retry, then run serially in-process).
 
     ``engine`` picks the execution engine for every oracle check
     (``scalar`` | ``batched``; ``None`` = process default).  Verdicts,
@@ -502,18 +503,17 @@ def _run_campaign_parallel(
 ) -> CampaignResult:
     """Sharded count-budget campaign, merged to match the serial run.
 
-    Chunks of :data:`CHUNK_SIZE` consecutive indices are submitted to
-    the compile service (an ephemeral warm pool unless the caller passed
-    a running ``service=``); per-index summaries are then replayed *in
-    index order* through the same stop conditions the serial loop uses,
-    so the visited-program count, bucket statistics and failure set are
-    bit-identical regardless of ``jobs`` (indices computed beyond the
-    serial stopping point are simply discarded).  Once ``max_failures``
-    is reached, not-yet-dispatched chunks are *cancelled* through the
-    service instead of computed and thrown away.  Failing indices are
-    re-run serially in the parent to build reduction artifacts.
+    Chunks of :data:`CHUNK_SIZE` consecutive indices go through
+    :func:`repro.serve.resilience.run_batch` (an ephemeral warm pool
+    unless the caller passed a running ``service=``); per-index
+    summaries are then replayed *in index order* through the same stop
+    conditions the serial loop uses, so the visited-program count,
+    bucket statistics and failure set are bit-identical regardless of
+    ``jobs`` (indices computed beyond the serial stopping point are
+    simply discarded).  Failing indices are re-run serially in the
+    parent to build reduction artifacts.
     """
-    from ..serve.service import CompileService
+    from ..serve.resilience import run_batch
 
     started = time.perf_counter()
     config_names = tuple(config.name for config in configs)
@@ -523,75 +523,28 @@ def _run_campaign_parallel(
         tuple(range(base, min(base + CHUNK_SIZE, count)))
         for base in range(0, count, CHUNK_SIZE)
     ]
-    owns_service = service is None
-    if owns_service:
-        service = CompileService(
-            workers=jobs, session=campaign, name="fuzz-pool"
-        )
-        service.start()
     campaign.log.emit(
         "info", "fuzz-dispatch", "sharded fuzz campaign dispatched",
         chunks=len(chunks), programs=count, jobs=jobs,
-        resilient=resilience is not None, owns_service=owns_service,
+        resilient=resilience is not None, owns_service=service is None,
     )
+    tasks = [
+        (
+            "fuzz-chunk",
+            (
+                chunk, seed, config_names,
+                target.name, input_seed, max_ulps, engine_name,
+            ),
+            None,
+            float(len(chunk) * len(config_names)),
+        )
+        for chunk in chunks
+    ]
     summaries: List[Tuple[int, Dict[str, float], bool]] = []
-    try:
-        if resilience is not None:
-            from ..serve.resilience import ResilientExecutor
-
-            # Resilient path: every chunk completes (possibly retried or
-            # degraded to local execution); the accounting pass below
-            # replays the stop conditions, so computing past the serial
-            # stopping point costs time but never changes the result.
-            tasks = [
-                (
-                    "fuzz-chunk",
-                    (
-                        chunk, seed, config_names,
-                        target.name, input_seed, max_ulps, engine_name,
-                    ),
-                    None,
-                    float(len(chunk) * len(config_names)),
-                )
-                for chunk in chunks
-            ]
-            with ResilientExecutor(
-                service, policy=resilience, session=campaign
-            ) as executor:
-                for chunk_summaries in executor.run_batch(tasks):
-                    summaries.extend(chunk_summaries)
-        else:
-            futures = [
-                service.submit(
-                    "fuzz-chunk",
-                    (
-                        chunk, seed, config_names,
-                        target.name, input_seed, max_ulps, engine_name,
-                    ),
-                    weight=float(len(chunk) * len(config_names)),
-                )
-                for chunk in chunks
-            ]
-            failure_count = 0
-            for future in futures:
-                if failure_count >= max_failures:
-                    if service.cancel(future):
-                        campaign.log.emit(
-                            "info", "fuzz-cancel",
-                            "chunk cancelled after failure budget",
-                            failures=failure_count,
-                        )
-                    continue
-                summaries.extend(future.result())
-                # Replay the serial stop condition over what we have so
-                # far: once max_failures is reached, later chunks are
-                # dead weight.
-                failure_count = sum(
-                    1 for _, _, failed in summaries if failed
-                )
-    finally:
-        if owns_service:
-            service.close()
+    for chunk_summaries in run_batch(
+        tasks, jobs, campaign, service=service, policy=resilience
+    ):
+        summaries.extend(chunk_summaries)
 
     # Serial-equivalent accounting pass, strictly in index order.
     failures: List[FailureArtifact] = []

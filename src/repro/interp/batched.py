@@ -32,7 +32,6 @@ which is what makes whole-block accounting possible.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..ir.instructions import Instruction, Opcode
@@ -62,16 +61,7 @@ class BatchedInterpreter:
         max_steps: Optional[int] = None,
         on_execute: Optional[Callable[[Instruction], None]] = None,
         cost_model=None,
-        instruction_budget: Optional[int] = None,
     ) -> None:
-        if instruction_budget is not None:
-            warnings.warn(
-                "instruction_budget is deprecated; use max_steps",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if max_steps is None:
-                max_steps = instruction_budget
         self.module = module
         self.memory = memory if memory is not None else Memory()
         self.instruction_budget = max_steps if max_steps is not None else 50_000_000

@@ -14,7 +14,6 @@ duplicating the execution logic.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..ir.block import BasicBlock
@@ -100,16 +99,7 @@ class Interpreter:
         memory: Optional[Memory] = None,
         max_steps: Optional[int] = None,
         on_execute: Optional[Callable[[Instruction], None]] = None,
-        instruction_budget: Optional[int] = None,
     ) -> None:
-        if instruction_budget is not None:
-            warnings.warn(
-                "instruction_budget is deprecated; use max_steps",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if max_steps is None:
-                max_steps = instruction_budget
         self.module = module
         self.memory = memory if memory is not None else Memory()
         #: ``max_steps`` is the single watchdog knob; the attribute keeps

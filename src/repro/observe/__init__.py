@@ -41,10 +41,6 @@ narratives) and :mod:`repro.observe.report_html` (single-file bench
 reports) — are deliberately not re-exported here: they reach into
 ``repro.vectorizer``, and importing them at package init would create a
 cycle (the vectorizer imports ``repro.observe`` for ``STAT``).
-
-``STATS`` / ``TRACER`` / ``REMARKS`` remain importable as deprecated
-aliases of the *default* session's components (see
-:mod:`repro.observe.session`).
 """
 
 from .context import (
@@ -69,9 +65,6 @@ from .journal import (
 from .log import LOG_LEVELS, EventLog, LogEvent, load_event_log
 from .session import (
     DEFAULT_SESSION,
-    REMARKS,
-    STATS,
-    TRACER,
     CompilerSession,
     current_journal,
     current_log,
@@ -84,7 +77,6 @@ from .session import (
 )
 
 __all__ = [
-    "TRACER",
     "Tracer",
     "TraceEvent",
     "TraceContext",
@@ -96,14 +88,12 @@ __all__ = [
     "load_chrome_trace",
     "STAT",
     "STAT_CATALOG",
-    "STATS",
     "StatProxy",
     "Statistic",
     "StatsRegistry",
     "Histogram",
     "MetricsRegistry",
     "exact_percentile",
-    "REMARKS",
     "REMARK_KINDS",
     "Remark",
     "RemarkCollector",

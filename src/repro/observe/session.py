@@ -1,8 +1,8 @@
 """Compiler sessions: explicit, reentrant observability scopes.
 
-Historically the repro kept one process-wide :data:`STATS` registry, one
-:data:`TRACER` and one :data:`REMARKS` collector, and ``compile_module``
-called ``STATS.reset()`` on entry — so exactly one compilation could be
+Historically the repro kept one process-wide statistics registry, one
+tracer and one remark collector, and ``compile_module`` reset the
+registry on entry — so exactly one compilation could be
 in flight per process, and any two interleaved compiles corrupted each
 other's counters.  A :class:`CompilerSession` bundles the three (plus
 the fault-injection registry and the benchmark seed) into an explicit
@@ -38,15 +38,9 @@ with true isolation: a crashing compile can no longer poison the next
 compilation's counter snapshot, and concurrent compiles never observe
 each other's counters.
 
-Deprecated singleton aliases
-----------------------------
-
-``observe.STATS`` / ``observe.TRACER`` / ``observe.REMARKS`` remain
-importable as aliases for the *default* session's components so existing
-call sites and tests keep working.  They are deprecated: new code should
-accept a :class:`CompilerSession` (or call :func:`current_session`)
-instead.  This module is the only place in ``src/repro`` allowed to bind
-them.
+Code that wants the process default's components reaches them as
+``DEFAULT_SESSION.stats`` / ``.tracer`` / ``.remarks``; everything else
+accepts a :class:`CompilerSession` or calls :func:`current_session`.
 """
 
 from __future__ import annotations
@@ -139,8 +133,7 @@ class CompilerSession:
 
 
 #: the process default: what ``current_session()`` returns when no
-#: session was installed, and what the deprecated singleton aliases
-#: (``observe.STATS`` et al.) are bound to
+#: session was installed
 DEFAULT_SESSION = CompilerSession(name="default")
 
 _CURRENT: contextvars.ContextVar[Optional[CompilerSession]] = contextvars.ContextVar(
@@ -186,15 +179,3 @@ def current_metrics() -> MetricsRegistry:
 
 def current_log() -> EventLog:
     return current_session().log
-
-
-# -- deprecated singleton aliases (the shim) ---------------------------------
-#
-# These bind the *default* session's concrete components under their
-# historical names.  ``from repro.observe import STATS`` keeps working,
-# but records only what runs in the default session; code that compiles
-# concurrently or wants isolated counters must use sessions.
-
-STATS = DEFAULT_SESSION.stats
-TRACER = DEFAULT_SESSION.tracer
-REMARKS = DEFAULT_SESSION.remarks

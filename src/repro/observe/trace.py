@@ -141,7 +141,7 @@ class Tracer:
     # -- recording ---------------------------------------------------------
 
     def span(self, name: str, **args: object):
-        """Open a span: ``with TRACER.span("vectorize", config="SN-SLP")``.
+        """Open a span: ``with tracer.span("vectorize", config="SN-SLP")``.
 
         Returns a shared no-op context manager when tracing is disabled.
         """
@@ -301,7 +301,3 @@ def load_chrome_trace(path: str) -> List[TraceEvent]:
             )
         )
     return events
-
-
-# The deprecated process-wide ``TRACER`` alias (the default session's
-# tracer) is bound in repro.observe.session.

@@ -11,15 +11,17 @@ compile service (ROADMAP Open item 1):
   workers (bench pairs, raw compiles, fuzz chunks, figure grids) plus
   the shared bench-result cache.
 * :mod:`repro.serve.service` — :class:`~repro.serve.service.CompileService`,
-  the async submission front-end: request queue + futures, batch submit,
+  the async submission front-end: request queue + futures,
   bounded-queue backpressure, per-request timeout/cancel, sharding by
   kernel, requeue on worker death, and serve.* telemetry.
 * :mod:`repro.serve.wire` — the JSONL wire protocol behind ``repro
   serve`` (stdin/stdout or an AF_UNIX socket) and a small client.
-* :mod:`repro.serve.resilience` — the client's half of the failure
-  contract: bounded retries with deterministic backoff, request hedging,
-  and a circuit breaker degrading service traffic down a ladder
-  (service → ephemeral local pool → serial in-process).
+* :mod:`repro.serve.resilience` — the client side: ``run_batch``, the
+  one batch call bench and fuzz dispatch through (an ephemeral service
+  unless the caller owns one, results in task order), and the client's
+  half of the failure contract: bounded retries with deterministic
+  backoff and a circuit breaker degrading service traffic to serial
+  in-process execution (service → serial).
 * :mod:`repro.serve.chaos` — the ``repro chaos`` campaign arming seeded
   service faults against real bench/fuzz traffic and classifying each
   run recovered/degraded/escaped/fatal.
@@ -44,9 +46,12 @@ __all__ = [
     "ResiliencePolicy",
     "ResilientExecutor",
     "CircuitBreaker",
+    "run_batch",
 ]
 
-_RESILIENCE_NAMES = ("ResiliencePolicy", "ResilientExecutor", "CircuitBreaker")
+_RESILIENCE_NAMES = (
+    "ResiliencePolicy", "ResilientExecutor", "CircuitBreaker", "run_batch",
+)
 
 
 def __getattr__(name: str):

@@ -329,7 +329,6 @@ def _chaos_policy(seed: int) -> ResiliencePolicy:
         backoff_max_seconds=0.05,
         breaker_failures=2,
         breaker_cooldown_seconds=0.2,
-        local_pool_workers=1,
     )
 
 

@@ -1,4 +1,4 @@
-"""Client-side resilience for compile-service traffic.
+"""The client side of compile-service traffic: one batch call, resilience.
 
 The compile service (:mod:`repro.serve.service`) already recovers from
 *worker* failures — crashes respawn, wedged workers are killed, in-flight
@@ -6,20 +6,22 @@ tasks requeue.  This module is the **client's** half of the contract: a
 bench/fuzz driver that talks to a service must finish with bit-identical
 results even when the service itself misbehaves or disappears.
 
-Three cooperating pieces:
+:func:`run_batch` is the one way bench and fuzz dispatch work: it starts
+and closes an ephemeral service when the caller has none, submits plainly
+or through a :class:`ResilientExecutor`, and returns results in task
+order.  The resilience pieces behind it:
 
 * :class:`ResiliencePolicy` — the knobs: bounded retries with exponential
   backoff and *deterministic* jitter (seeded hash, never ``random``, so a
-  chaos run replays exactly), optional hedging for straggler tasks, and
-  circuit-breaker thresholds.
+  chaos run replays exactly), and circuit-breaker thresholds.
 * :class:`CircuitBreaker` — classic closed/open/half-open gate.  Enough
   consecutive failures trip it open; while open, tasks skip the service
-  entirely and descend the degradation ladder; after a cooldown one
-  probe request (half-open) decides whether to close it again.
+  entirely and run serially in-process; after a cooldown one probe
+  request (half-open) decides whether to close it again.
 * :class:`ResilientExecutor` — wraps a :class:`CompileService` and runs
-  task batches through the ladder::
+  task batches through the two-rung ladder::
 
-      service  →  ephemeral local pool  →  serial in-process
+      service  →  serial in-process
 
   Every descent is counted (``serve.degraded``) and narrated with a
   ``recovery`` remark, so a chaos campaign can tell *recovered* (service
@@ -35,13 +37,12 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future
-from concurrent.futures import wait as _wait_futures
+from concurrent.futures import Future, as_completed
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..observe import STAT
-from ..observe.context import TraceContext, mint_context, new_span_id
+from ..observe.context import TraceContext, mint_context
 from ..observe.session import CompilerSession, current_session, use_session
 from ..observe.trace import TraceEvent
 from .service import (
@@ -56,8 +57,6 @@ from .service import (
 )
 
 _RETRIES = STAT("serve.retries", "task resubmissions by the resilience policy")
-_HEDGES = STAT("serve.hedges", "duplicate requests hedged for stragglers")
-_HEDGE_WINS = STAT("serve.hedge_wins", "hedged duplicates that finished first")
 _DEGRADED = STAT(
     "serve.degraded", "tasks that fell down the degradation ladder"
 )
@@ -70,7 +69,7 @@ _BREAKER_TRIPS = STAT(
 _RETRYABLE = (WorkerCrashed, TaskTimeout, RemoteTaskError)
 
 #: failures where the service as a whole is gone or refused the task —
-#: retrying is pointless, descend the ladder immediately.
+#: retrying is pointless, run the task serially right away.
 _FATAL_FOR_SERVICE = (ServiceUnavailable, ServiceClosed, TaskCancelled)
 
 #: one executor-managed task: (kind, payload, shard_key, weight)
@@ -79,7 +78,7 @@ TaskSpec = Tuple[str, object, Optional[str], float]
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """Retry/backoff/hedging/breaker knobs for :class:`ResilientExecutor`."""
+    """Retry/backoff/breaker knobs for :class:`ResilientExecutor`."""
 
     #: resubmissions per task after the first attempt fails
     max_retries: int = 2
@@ -91,16 +90,10 @@ class ResiliencePolicy:
     jitter_ratio: float = 0.25
     #: seed folded into the jitter hash so campaigns replay exactly
     seed: int = 0
-    #: hedge a duplicate request after this many seconds without a
-    #: result (None = hedging off)
-    hedge_after_seconds: Optional[float] = None
     #: consecutive failures that trip the breaker open
     breaker_failures: int = 3
     #: seconds the breaker stays open before allowing a half-open probe
     breaker_cooldown_seconds: float = 5.0
-    #: workers in the ephemeral local pool (ladder rung 2; 0 skips the
-    #: rung and degrades straight to serial in-process)
-    local_pool_workers: int = 2
 
 
 def backoff_delay(policy: ResiliencePolicy, attempt: int, token: str = "") -> float:
@@ -193,11 +186,11 @@ class CircuitBreaker:
 
 
 class ResilientExecutor:
-    """Run task batches through retry → hedge → degradation ladder.
+    """Run task batches through retry → circuit breaker → serial fallback.
 
     ``service`` may be None (or die mid-batch): every task still
-    completes, just further down the ladder.  Results are position-stable
-    — ``run_batch(tasks)[i]`` is always the result for ``tasks[i]``.
+    completes, just in-process.  Results are position-stable —
+    ``run_batch(tasks)[i]`` is always the result for ``tasks[i]``.
     """
 
     def __init__(
@@ -213,27 +206,7 @@ class ResilientExecutor:
             failures_to_trip=self.policy.breaker_failures,
             cooldown_seconds=self.policy.breaker_cooldown_seconds,
         )
-        self._lock = threading.Lock()
-        self._local_service: Optional[CompileService] = None
-        self._local_failed = False
         self._serial_state = None
-
-    # -- lifecycle ------------------------------------------------------
-
-    def __enter__(self) -> "ResilientExecutor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def close(self) -> None:
-        with self._lock:
-            local, self._local_service = self._local_service, None
-        if local is not None:
-            try:
-                local.close(drain=False)
-            except Exception:
-                pass
 
     # -- the batch API --------------------------------------------------
 
@@ -241,10 +214,10 @@ class ResilientExecutor:
         """Execute every task; results in submission order, no escapes.
 
         While the session tracer is enabled each task gets one minted
-        :class:`TraceContext` for its entire ladder journey: the first
-        service attempt, every retry (same trace id, bumped attempt),
-        any hedged duplicate, and the degradation rungs all share it, so
-        the whole story lands in one ``client:request``-rooted span tree.
+        :class:`TraceContext` for its entire journey: the first service
+        attempt, every retry (same trace id, bumped attempt) and the
+        serial fallback all share it, so the whole story lands in one
+        ``client:request``-rooted span tree.
         """
         traced = self.session.tracer.enabled
         contexts: List[Optional[TraceContext]] = [
@@ -265,19 +238,15 @@ class ResilientExecutor:
     # -- service attempts ----------------------------------------------
 
     def _try_submit(
-        self,
-        task: TaskSpec,
-        shard_key: object = "use-task",
-        trace: Optional[TraceContext] = None,
+        self, task: TaskSpec, trace: Optional[TraceContext] = None
     ) -> Optional[Future]:
         """Submit to the service, or None when it can't take the task."""
         if self.service is None or not self.breaker.allow():
             return None
-        kind, payload, task_shard, weight = task
-        shard = task_shard if shard_key == "use-task" else shard_key
+        kind, payload, shard_key, weight = task
         try:
             return self.service.submit(
-                kind, payload, shard_key=shard, weight=weight, trace=trace
+                kind, payload, shard_key=shard_key, weight=weight, trace=trace
             )
         except ServiceError:
             self._count_failure()
@@ -296,7 +265,7 @@ class ResilientExecutor:
         last_exc: Optional[BaseException] = None
         while future is not None:
             try:
-                result = self._await(task, future, context)
+                result = future.result()
             except ServiceError as exc:
                 last_exc = exc
                 self._count_failure()
@@ -342,7 +311,7 @@ class ResilientExecutor:
         status: str,
     ) -> None:
         """Close the per-task root: the client-side ``client:request``
-        span every service/worker/ladder span ultimately parents into."""
+        span every service/worker/serial span ultimately parents into."""
         if context is None or not self.session.tracer.enabled:
             return
         self.session.tracer.events.append(
@@ -359,96 +328,6 @@ class ResilientExecutor:
                 trace_id=context.trace_id,
                 span_id=context.span_id,
                 parent_id="",
-            )
-        )
-
-    def _await(
-        self,
-        task: TaskSpec,
-        future: Future,
-        context: Optional[TraceContext] = None,
-    ) -> object:
-        """Wait for ``future``, hedging a duplicate if it straggles."""
-        hedge_after = self.policy.hedge_after_seconds
-        if hedge_after is None:
-            return future.result()
-        done, _ = _wait_futures([future], timeout=hedge_after)
-        if done:
-            return future.result()
-        # Straggler: race a duplicate on a *different* worker (no shard
-        # pin), since the pinned worker is the likely culprit.  The hedge
-        # shares the original request's trace context, so both attempts
-        # land in the same span tree.
-        hedge = self._try_submit(task, shard_key=None, trace=context)
-        if hedge is None:
-            return future.result()
-        _HEDGES.resolve(self.session.stats).add()
-        self.session.log.emit(
-            "info", "hedge",
-            f"hedged a duplicate {task[0]} request after "
-            f"{hedge_after:g}s without a result",
-            trace_id=context.trace_id if context else "",
-            kind=task[0],
-        )
-        pair = [future, hedge]
-        pending = set(pair)
-        winner: Optional[Future] = None
-        first_exc: Optional[BaseException] = None
-        while pending:
-            done, pending = _wait_futures(
-                pending, return_when=FIRST_COMPLETED
-            )
-            for f in done:
-                if f.exception() is None:
-                    winner = f
-                    break
-                if first_exc is None:
-                    first_exc = f.exception()
-            if winner is not None:
-                break
-        if winner is None:
-            assert first_exc is not None
-            raise first_exc
-        for f in pair:
-            if f is not winner and not f.done() and self.service is not None:
-                cancelled = self.service.cancel(f)
-                if cancelled:
-                    self._record_hedge_loser(task, context, f is hedge)
-        if winner is hedge:
-            _HEDGE_WINS.resolve(self.session.stats).add()
-        return winner.result()
-
-    def _record_hedge_loser(
-        self,
-        task: TaskSpec,
-        context: Optional[TraceContext],
-        loser_was_hedge: bool,
-    ) -> None:
-        """Note the cancelled side of a hedge race in the request's tree."""
-        self.session.log.emit(
-            "info", "hedge-loser-cancelled",
-            f"cancelled the losing "
-            f"{'hedge' if loser_was_hedge else 'original'} of a hedged "
-            f"{task[0]} request",
-            trace_id=context.trace_id if context else "",
-            kind=task[0],
-            loser="hedge" if loser_was_hedge else "original",
-        )
-        if context is None or not self.session.tracer.enabled:
-            return
-        self.session.tracer.events.append(
-            TraceEvent(
-                name="serve:hedge-loser-cancelled",
-                start_ns=time.perf_counter_ns(),
-                duration_ns=0,
-                depth=1,
-                args={
-                    "kind": task[0],
-                    "loser": "hedge" if loser_was_hedge else "original",
-                },
-                trace_id=context.trace_id,
-                span_id=new_span_id(),
-                parent_id=context.span_id,
             )
         )
 
@@ -477,7 +356,7 @@ class ResilientExecutor:
                 trips=self.breaker.trips,
             )
 
-    # -- the degradation ladder ----------------------------------------
+    # -- the serial fallback -------------------------------------------
 
     def _run_degraded(
         self,
@@ -485,51 +364,19 @@ class ResilientExecutor:
         cause: Optional[BaseException] = None,
         context: Optional[TraceContext] = None,
     ) -> object:
-        """Rungs below the service: local pool, then serial in-process.
+        """The rung below the service: serial in-process execution.
 
         ``context`` (when tracing) follows the task down the ladder, so
-        the rung that finally runs it — local-pool worker or the serial
-        fallback right here — still parents its spans into the same
+        the serial run still parents its spans into the same
         ``client:request`` tree as the failed service attempts.
         """
-        kind, payload, shard_key, weight = task
+        kind, payload, _, _ = task
         _DEGRADED.resolve(self.session.stats).add()
         detail = (
             f"{type(cause).__name__}: {cause}"
             if cause is not None
             else "service unavailable or circuit open"
         )
-        if self.policy.local_pool_workers > 0 and not self._local_failed:
-            try:
-                local = self._ensure_local_service()
-                result = local.submit(
-                    kind, payload, shard_key=shard_key, weight=weight,
-                    trace=context,
-                ).result()
-            except ServiceError as exc:
-                self._local_failed = True
-                detail = (
-                    f"{detail}; local pool failed with "
-                    f"{type(exc).__name__}"
-                )
-            else:
-                self._adopt_local_spans()
-                self.session.remarks.recovery(
-                    "resilience",
-                    f"degraded {kind} task to the ephemeral local pool "
-                    f"({detail})",
-                    task_kind=kind,
-                    rung="local-pool",
-                )
-                self.session.log.emit(
-                    "warn", "degrade",
-                    f"degraded {kind} task to the ephemeral local pool",
-                    trace_id=context.trace_id if context else "",
-                    kind=kind,
-                    rung="local-pool",
-                    cause=detail,
-                )
-                return result
         self.session.remarks.recovery(
             "resilience",
             f"degraded {kind} task to serial in-process execution "
@@ -547,60 +394,25 @@ class ResilientExecutor:
         )
         return self._run_serial(kind, payload, context)
 
-    def _ensure_local_service(self) -> CompileService:
-        with self._lock:
-            if self._local_service is None:
-                # A *fresh* session so armed faults in the caller's
-                # session can't follow the work down the ladder — the
-                # local pool models a healthy replacement, like a
-                # respawned worker.
-                local_session = CompilerSession(name="resilience-local")
-                # Mirror the caller's tracing switch so the local rung's
-                # request/worker spans exist to be adopted; everything
-                # else in the session stays fresh (fault isolation).
-                local_session.tracer.enabled = self.session.tracer.enabled
-                self._local_service = CompileService(
-                    workers=self.policy.local_pool_workers,
-                    session=local_session,
-                    name="resilience-local",
-                ).start()
-            return self._local_service
-
-    def _adopt_local_spans(self) -> None:
-        """Move the local pool's captured spans into the caller's tracer.
-
-        The local service records into its own fresh session; after each
-        degraded result its span forest (request spans plus the worker
-        spans shipped back over its pipes) is drained into the caller's
-        tracer so the trace file shows the full ladder story.
-        """
-        if not self.session.tracer.enabled:
-            return
-        with self._lock:
-            local = self._local_service
-        if local is None or local.session is self.session:
-            return
-        events = local.session.tracer.events
-        if events:
-            self.session.tracer.events.extend(events)
-            del events[: len(events)]
-
     def _run_serial(
         self,
         kind: str,
         payload: object,
         context: Optional[TraceContext] = None,
     ) -> object:
-        """Last rung: run the task right here, no processes involved."""
+        """Run the task right here, no processes involved.
+
+        A *fresh* session, so armed faults in the caller's session can't
+        follow the work down the ladder — the serial rung models a
+        healthy replacement, like a respawned worker.
+        """
         from .tasks import WorkerState, run_task
 
-        with self._lock:
-            if self._serial_state is None:
-                self._serial_state = WorkerState(
-                    index=-1,
-                    session=CompilerSession(name="resilience-serial"),
-                )
-            state = self._serial_state
+        if self._serial_state is None:
+            self._serial_state = WorkerState(
+                index=-1, session=CompilerSession(name="resilience-serial")
+            )
+        state = self._serial_state
         if context is None or not self.session.tracer.enabled:
             with use_session(state.session):
                 return run_task(kind, payload, state)
@@ -624,3 +436,54 @@ class ResilientExecutor:
             del tracer.events[mark:]
             tracer.enabled = was_enabled
             self.session.tracer.events.extend(captured)
+
+
+def run_batch(
+    tasks: Sequence[TaskSpec],
+    jobs: int,
+    session: CompilerSession,
+    service: Optional[CompileService] = None,
+    policy: Optional[ResiliencePolicy] = None,
+    on_done: Optional[Callable[[int, float], None]] = None,
+) -> List[object]:
+    """Run ``tasks`` on the compile service; results in task order.
+
+    Without a caller-owned ``service`` an ephemeral one with
+    ``min(jobs, len(tasks))`` workers, named after the first task's
+    kind, is started on ``session`` and closed before returning, so no
+    worker process outlives the call.  With a ``policy`` the tasks go
+    through a :class:`ResilientExecutor` (retries, circuit breaker,
+    serial fallback); otherwise each is submitted once and a failure
+    propagates.  On that plain path ``on_done(index, seconds)`` reports,
+    in this thread and before the call returns, each task's
+    submit-to-done wall time as it finishes (queueing included).
+    """
+    if not tasks:
+        return []
+    owned = service is None
+    if owned:
+        service = CompileService(
+            workers=min(jobs, len(tasks)),
+            session=session,
+            name=f"{tasks[0][0]}-pool",
+        ).start()
+    try:
+        if policy is not None:
+            return ResilientExecutor(
+                service, policy=policy, session=session
+            ).run_batch(tasks)
+        submitted: Dict[Future, Tuple[int, float]] = {}
+        for index, (kind, payload, shard_key, weight) in enumerate(tasks):
+            start = time.perf_counter()
+            future = service.submit(
+                kind, payload, shard_key=shard_key, weight=weight
+            )
+            submitted[future] = (index, start)
+        if on_done is not None:
+            for future in as_completed(submitted):
+                index, start = submitted[future]
+                on_done(index, time.perf_counter() - start)
+        return [future.result() for future in submitted]
+    finally:
+        if owned:
+            service.close()

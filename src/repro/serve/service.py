@@ -52,7 +52,7 @@ import zlib
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from concurrent.futures import Future
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..observe import STAT
 from ..observe.context import TraceContext, mint_context, new_span_id
@@ -442,12 +442,6 @@ class CompileService:
         )
         self._wake()
         return record.future
-
-    def submit_batch(
-        self, tasks: Iterable[Tuple[str, object]], **opts
-    ) -> List[Future]:
-        """Submit ``(kind, payload)`` pairs; futures in submission order."""
-        return [self.submit(kind, payload, **opts) for kind, payload in tasks]
 
     def cancel(self, future: Future) -> bool:
         """Cancel the task behind ``future``; True if it was still live."""

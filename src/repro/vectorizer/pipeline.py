@@ -2,9 +2,7 @@
 
 The benchmark harness compiles *the same kernel* under each configuration;
 since the vectorizer mutates IR in place, the pipeline deep-clones the
-module first (structurally, via :meth:`repro.ir.module.Module.clone`; the
-printer/parser round-trip survives behind ``via_text=True`` as an
-integrity check on both components).
+module first (structurally, via :meth:`repro.ir.module.Module.clone`).
 
 Observability: every phase runs inside a tracer span (`repro.observe`),
 its wall time lands in ``CompilationResult.phase_seconds``, and counters
@@ -22,8 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..ir.module import Module
-from ..ir.parser import parse_module
-from ..ir.printer import print_module
 from ..ir.verifier import verify_module
 from ..machine.targets import DEFAULT_TARGET, TargetMachine
 from ..observe.session import (
@@ -41,17 +37,10 @@ from .slp import SLPConfig, SLPVectorizer
 PIPELINE_PHASES = ("clone", "simplify", "unroll", "vectorize", "verify")
 
 
-def clone_module(module: Module, via_text: bool = False) -> Module:
-    """Structural deep copy of ``module``.
-
-    The default path is :meth:`Module.clone` — a direct object-graph copy
-    with no printing or reparsing on the compile hot path.  ``via_text=
-    True`` selects the legacy printer→parser round-trip, kept because it
-    doubles as an integrity check of the printer and parser against each
-    other (the pipeline test suite exercises it).
-    """
-    if via_text:
-        return parse_module(print_module(module))
+def clone_module(module: Module) -> Module:
+    """Structural deep copy of ``module`` (:meth:`Module.clone`): a direct
+    object-graph copy with no printing or reparsing on the compile hot
+    path."""
     return module.clone()
 
 

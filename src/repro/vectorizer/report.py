@@ -127,7 +127,7 @@ class VectorizationReport:
     def to_remarks(self):
         """Re-derive structured remarks from the recorded graphs.
 
-        Unlike the live :data:`repro.observe.REMARKS` stream (which must be
+        Unlike a session's live remark stream (which must be
         enabled before compilation), this works after the fact from the
         report alone: one passed/missed remark per graph plus one analysis
         remark per gather reason.

@@ -348,6 +348,25 @@ class TestWorkerObservabilityMerge:
             "worker_pid" in remark.args for remark in session.remarks.remarks
         )
 
+    def test_serial_bench_labels_spans_and_remarks_as_the_parent(
+        self, tmp_path
+    ):
+        """``bench --jobs 1`` has no workers: every span sits on the
+        parent's track (pid 0) and no remark names a worker pid."""
+        from repro.observe import load_chrome_trace, load_remarks
+
+        trace = tmp_path / "trace.json"
+        remarks = tmp_path / "remarks.jsonl"
+        assert main([
+            "bench", "--kernel", "motiv-leaf-reorder", "--jobs", "1",
+            "--trace-out", str(trace), "--remarks", str(remarks),
+        ]) == 0
+        events = load_chrome_trace(str(trace))
+        assert events and {event.pid for event in events} == {0}
+        loaded = load_remarks(str(remarks))
+        assert loaded
+        assert not any("worker_pid" in remark.args for remark in loaded)
+
     def test_parallel_bench_without_observability_merges_nothing(self):
         from repro.bench import run_suite_parallel
 

@@ -8,10 +8,8 @@ import pytest
 from repro.kernels import all_kernels, kernel_named
 from repro.machine import DEFAULT_TARGET
 from repro.observe import (
-    REMARKS,
+    DEFAULT_SESSION,
     STAT,
-    STATS,
-    TRACER,
     Remark,
     RemarkCollector,
     StatsRegistry,
@@ -215,9 +213,9 @@ class TestStats:
         before = handle.value  # lazy proxy: reads the ambient registry
         handle.add()
         # materialized in the ambient (default) registry on first use
-        assert "test.observe.scratch" in STATS
-        assert STATS.value("test.observe.scratch") == before + 1
-        STATS.reset()
+        assert "test.observe.scratch" in DEFAULT_SESSION.stats
+        assert DEFAULT_SESSION.stats.value("test.observe.scratch") == before + 1
+        DEFAULT_SESSION.stats.reset()
 
     def test_counters_reset_between_compilations(self):
         kernel = kernel_named("motiv-trunk-reorder")
@@ -264,21 +262,21 @@ class TestRemarks:
         assert len(collector.of_kind("passed")) == 1
 
     def test_compile_emits_passed_and_missed_on_motivating_kernels(self):
-        REMARKS.clear()
-        REMARKS.enable()
+        DEFAULT_SESSION.remarks.clear()
+        DEFAULT_SESSION.remarks.enable()
         try:
             kernel = kernel_named("motiv-leaf-reorder")
             compile_module(kernel.build(), SNSLP_CONFIG, DEFAULT_TARGET)
             compile_module(kernel.build(), LSLP_CONFIG, DEFAULT_TARGET)
         finally:
-            REMARKS.disable()
-        kinds = {r.kind for r in REMARKS.remarks}
+            DEFAULT_SESSION.remarks.disable()
+        kinds = {r.kind for r in DEFAULT_SESSION.remarks.remarks}
         assert "passed" in kinds  # SN-SLP vectorizes Figure 2
         assert "missed" in kinds  # LSLP rejects it on cost
-        missed = REMARKS.of_kind("missed")[0]
+        missed = DEFAULT_SESSION.remarks.of_kind("missed")[0]
         assert missed.pass_name == "slp"
         assert missed.function
-        REMARKS.clear()
+        DEFAULT_SESSION.remarks.clear()
 
 
 class TestPipelinePhases:
@@ -302,26 +300,26 @@ class TestPipelinePhases:
         assert "unroll" in unrolled.phase_seconds
 
     def test_tracing_disabled_by_default_during_compile(self):
-        TRACER.clear()
+        DEFAULT_SESSION.tracer.clear()
         kernel = kernel_named("motiv-trunk-reorder")
         compile_module(kernel.build(), SNSLP_CONFIG, DEFAULT_TARGET)
-        assert TRACER.events == []
+        assert DEFAULT_SESSION.tracer.events == []
 
     def test_trace_covers_phases_when_enabled(self):
-        TRACER.clear()
-        TRACER.enable()
+        DEFAULT_SESSION.tracer.clear()
+        DEFAULT_SESSION.tracer.enable()
         try:
             kernel = kernel_named("motiv-trunk-reorder")
             compile_module(kernel.build(), SNSLP_CONFIG, DEFAULT_TARGET)
         finally:
-            TRACER.disable()
-        names = {e.name for e in TRACER.events}
+            DEFAULT_SESSION.tracer.disable()
+        names = {e.name for e in DEFAULT_SESSION.tracer.events}
         assert {"compile", "phase:clone", "phase:vectorize", "slp.graph"} <= names
-        compile_span = TRACER.named("compile")[0]
-        for phase in TRACER.events:
+        compile_span = DEFAULT_SESSION.tracer.named("compile")[0]
+        for phase in DEFAULT_SESSION.tracer.events:
             if phase.name.startswith("phase:"):
                 assert compile_span.contains(phase)
-        TRACER.clear()
+        DEFAULT_SESSION.tracer.clear()
 
 
 #: every (kernel, config) pair the paper's figures run
@@ -453,10 +451,10 @@ class TestCliObservability:
         loaded = load_remarks(str(remarks))
         assert any(r.kind == "passed" for r in loaded)
         # the CLI disarmed nothing globally for later tests
-        TRACER.disable()
-        TRACER.clear()
-        REMARKS.disable()
-        REMARKS.clear()
+        DEFAULT_SESSION.tracer.disable()
+        DEFAULT_SESSION.tracer.clear()
+        DEFAULT_SESSION.remarks.disable()
+        DEFAULT_SESSION.remarks.clear()
 
     def test_compare_json(self, fig3_file, capsys):
         from repro.cli import main

@@ -22,7 +22,7 @@ from repro.interp import (
 )
 from repro.ir import FloatType
 from repro.machine import DEFAULT_TARGET
-from repro.observe import REMARKS, STATS
+from repro.observe import DEFAULT_SESSION
 from repro.robust import (
     BISECT,
     COMPILE_SITES,
@@ -65,8 +65,8 @@ def _clean_robust_state():
     yield
     FAULTS.disarm_all()
     BISECT.disable()
-    REMARKS.clear()
-    REMARKS.disable()
+    DEFAULT_SESSION.remarks.clear()
+    DEFAULT_SESSION.remarks.disable()
 
 
 def fig3_module():
@@ -165,13 +165,13 @@ class TestStatsResetOnException:
 
     def test_counters_reset_when_compile_raises(self):
         module = fig3_module()
-        before = STATS.snapshot()
+        before = DEFAULT_SESSION.stats.snapshot()
         FAULTS.arm("codegen.emit", "raise")
         with pytest.raises(FaultError):
             compile_module(module, SNSLP, DEFAULT_TARGET)
         # the crashing compile's ephemeral session is discarded with its
         # partial counters; the ambient registry is untouched
-        assert STATS.snapshot() == before, "stale counters survived the crash"
+        assert DEFAULT_SESSION.stats.snapshot() == before, "stale counters survived the crash"
 
     def test_clean_compile_after_crash_reports_fresh_counters(self):
         module = fig3_module()
@@ -191,8 +191,8 @@ class TestGuardedRecovery:
         module = fig3_module()
         inputs, reference = scalar_reference(module)
         plan = FAULTS.arm(site, mode)
-        REMARKS.clear()
-        REMARKS.enable()
+        DEFAULT_SESSION.remarks.clear()
+        DEFAULT_SESSION.remarks.enable()
         outcome = guarded_compile(
             module, SNSLP, DEFAULT_TARGET, phase_budget_seconds=0.1
         )
@@ -202,7 +202,7 @@ class TestGuardedRecovery:
         assert plan.fired > 0, f"{site}:{mode} never reached"
         assert outcome.recoveries, "fault fired but no recovery was recorded"
         # each rollback emitted a structured recovery remark ...
-        recovery_remarks = REMARKS.of_kind("recovery")
+        recovery_remarks = DEFAULT_SESSION.remarks.of_kind("recovery")
         assert len(recovery_remarks) == len(outcome.recoveries)
         assert all(r.pass_name == "guard" for r in recovery_remarks)
         # ... and bumped the guarded compile's own counters

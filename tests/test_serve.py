@@ -15,6 +15,7 @@ no-escape contract: every service fault scenario must classify as
 
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from repro.bench.parallel import _run_pair
 from repro.bench.runner import DEFAULT_SEED
 from repro.fuzz import run_campaign
 from repro.kernels import kernel_named
+from repro.observe.remarks import RemarkCollector
 from repro.observe.session import CompilerSession, use_session
 from repro.serve.service import (
     CompileService,
@@ -50,6 +52,7 @@ from repro.serve.resilience import (
     ResiliencePolicy,
     ResilientExecutor,
     backoff_delay,
+    run_batch,
 )
 from repro.serve.wire import (
     MAX_FRAME_BYTES,
@@ -451,10 +454,9 @@ class TestResilience:
             workers=1, session=session, name="t-retry",
             fault_plans=[("serve.task.error", "raise", 0, True)],
         ) as svc:
-            with ResilientExecutor(svc, policy=policy, session=session) as ex:
-                results = ex.run_batch(
-                    [("bench-pair", (PAIR, False), PAIR[0], 1.0)]
-                )
+            results = ResilientExecutor(
+                svc, policy=policy, session=session
+            ).run_batch([("bench-pair", (PAIR, False), PAIR[0], 1.0)])
         run, _capture = results[0]
         assert run.cycles == expected.cycles
         assert run.counters == expected.counters
@@ -468,11 +470,9 @@ class TestResilience:
         expected, _ = _run_pair(PAIR)
         session = service_session()
         session.remarks.enable()
-        policy = ResiliencePolicy(local_pool_workers=0)
-        with ResilientExecutor(None, policy=policy, session=session) as ex:
-            results = ex.run_batch(
-                [("bench-pair", (PAIR, False), None, 1.0)]
-            )
+        results = ResilientExecutor(None, session=session).run_batch(
+            [("bench-pair", (PAIR, False), None, 1.0)]
+        )
         run, _capture = results[0]
         assert run.cycles == expected.cycles
         assert run.counters == expected.counters
@@ -483,6 +483,59 @@ class TestResilience:
             for remark in session.remarks.of_kind("recovery")
         ]
         assert rungs == ["serial"]
+
+
+class TestRunBatch:
+    """``run_batch``: the one dispatch call bench and fuzz share."""
+
+    #: later tasks finish first on two workers, so completion order is
+    #: not task order
+    TASKS = [("sleep", seconds, None, 1.0) for seconds in (0.15, 0.1, 0.05)]
+    EXPECTED = [0.15, 0.1, 0.05]
+
+    def test_ephemeral_service_keeps_task_order_and_leaves_no_workers(self):
+        before = set(multiprocessing.active_children())
+        done = {}
+        results = run_batch(
+            self.TASKS, 2, service_session(),
+            on_done=lambda index, seconds: done.__setitem__(index, seconds),
+        )
+        assert results == self.EXPECTED
+        assert sorted(done) == [0, 1, 2]
+        assert all(seconds > 0 for seconds in done.values())
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_caller_owned_service_keeps_task_order_and_stays_open(self):
+        session = service_session()
+        with CompileService(workers=2, session=session, name="t-batch") as svc:
+            assert run_batch(self.TASKS, 2, session, service=svc) == self.EXPECTED
+            assert svc.submit("ping").result(timeout=30)["pid"] > 0
+
+    def test_resilient_path_keeps_task_order(self):
+        session = service_session()
+        policy = ResiliencePolicy(
+            backoff_base_seconds=0.001, backoff_max_seconds=0.01
+        )
+        with CompileService(
+            workers=2, session=session, name="t-batch-resilient",
+            fault_plans=[("serve.task.error", "raise", 0, True)],
+        ) as svc:
+            results = run_batch(
+                self.TASKS, 2, session, service=svc, policy=policy
+            )
+        assert results == self.EXPECTED
+        assert session.stats.value("serve.retries") >= 1
+
+    def test_resilient_path_without_service_starts_an_ephemeral_one(self):
+        before = set(multiprocessing.active_children())
+        session = service_session()
+        results = run_batch(
+            self.TASKS, 2, session, policy=ResiliencePolicy()
+        )
+        assert results == self.EXPECTED
+        assert session.stats.value("serve.completed") == len(self.TASKS)
+        assert session.stats.value("serve.degraded") == 0
+        assert set(multiprocessing.active_children()) <= before
 
 
 @pytest.fixture(scope="module")
@@ -519,6 +572,38 @@ class TestChaosNoEscape:
         )
         assert status in ("recovered", "degraded"), (scenario.name, detail)
         assert "did not fire" not in detail, (scenario.name, detail)
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [s for s in chaos_scenarios() if s.name.startswith("respawn-fail-")],
+        ids=lambda scenario: scenario.name,
+    )
+    def test_respawn_failure_degrades_only_to_serial(
+        self, scenario, chaos_baselines, monkeypatch
+    ):
+        """With its only worker gone for good the service cannot run a
+        task; every descent lands on the one rung below it, serial
+        in-process execution."""
+        rungs = []
+        recovery = RemarkCollector.recovery
+
+        def spy(collector, pass_name, message, **args):
+            if pass_name == "resilience" and "rung" in args:
+                rungs.append(args["rung"])
+            return recovery(collector, pass_name, message, **args)
+
+        monkeypatch.setattr(RemarkCollector, "recovery", spy)
+        status, detail, counters = _execute_scenario(
+            scenario,
+            repetition=0,
+            seed=0,
+            baselines=chaos_baselines,
+            kernel_names=(MOTIVATING[0],),
+            fuzz_programs=8,
+        )
+        assert status == "degraded", (scenario.name, detail)
+        assert rungs and set(rungs) == {"serial"}
+        assert len(rungs) == counters["serve.degraded"]
 
 
 class TestWireHardening:

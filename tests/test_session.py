@@ -6,12 +6,13 @@ bit-identical to the serial one, and a compile-cache hit reproduces a
 cold compile on every deterministic field.
 """
 
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.bench import run_kernel_matrix, run_kernel_matrix_parallel, run_suite_parallel
-from repro.ir import print_module
+from repro.ir import parse_module, print_module
 from repro.kernels import kernel_named
-from repro.observe import STAT, STATS
+from repro.observe import DEFAULT_SESSION, STAT
 from repro.observe.session import (
     CompilerSession,
     current_session,
@@ -56,7 +57,7 @@ class TestSessionBasics:
             assert handle.value == 5
         assert a.stats.value("test.session.scratch") == 2
         assert b.stats.value("test.session.scratch") == 5
-        assert "test.session.scratch" not in STATS.snapshot()
+        assert "test.session.scratch" not in DEFAULT_SESSION.stats.snapshot()
 
 
 class TestReentrantCompilation:
@@ -71,7 +72,7 @@ class TestReentrantCompilation:
         expect_b = compile_module(module_b, SNSLP_CONFIG).counters
         assert expect_a != expect_b  # distinct kernels -> distinct profiles
 
-        global_before = STATS.snapshot()
+        global_before = DEFAULT_SESSION.stats.snapshot()
         with ThreadPoolExecutor(max_workers=2) as pool:
             for _ in range(4):  # repeat to actually interleave phases
                 fut_a = pool.submit(compile_module, module_a, SNSLP_CONFIG)
@@ -79,7 +80,7 @@ class TestReentrantCompilation:
                 assert fut_a.result().counters == expect_a
                 assert fut_b.result().counters == expect_b
         # nothing leaked into the process-default registry either
-        assert STATS.snapshot() == global_before
+        assert DEFAULT_SESSION.stats.snapshot() == global_before
 
     def test_explicit_session_accumulates_across_compiles(self):
         module = kernel_named("motiv-leaf-reorder").build()
@@ -142,6 +143,30 @@ class TestParallelEquivalence:
             == run_kernel_matrix(kernel)[SNSLP_CONFIG.name].cycles
         )
 
+    def test_jobs_one_builds_each_kernel_once(self, monkeypatch):
+        """``jobs=1`` runs the build-once matrix runner: one build per
+        kernel for all four configurations, not one per pair."""
+        from repro.kernels import suite as registry
+
+        builds = {}
+        for name in MOTIVATING:
+            kernel = kernel_named(name)
+
+            def counting_build(build=kernel.build, name=name):
+                builds[name] = builds.get(name, 0) + 1
+                return build()
+
+            monkeypatch.setitem(
+                registry._REGISTRY, name,
+                dataclasses.replace(kernel, build=counting_build),
+            )
+        kernels = [kernel_named(name) for name in MOTIVATING]
+        suite = run_suite_parallel(kernels, jobs=1)
+        assert builds == {name: 1 for name in MOTIVATING}
+        assert all(
+            run.correct for runs in suite.values() for run in runs.values()
+        )
+
 
 class TestCompileCache:
     def test_hit_equals_cold_compile(self, tmp_path):
@@ -194,5 +219,5 @@ class TestStructuralClone:
         for name in MOTIVATING + ("sphinx-dot-product", "milc-su3-cmul"):
             module = kernel_named(name).build()
             assert print_module(clone_module(module)) == print_module(
-                clone_module(module, via_text=True)
+                parse_module(print_module(module))
             ), name

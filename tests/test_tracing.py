@@ -4,9 +4,8 @@ Covers the request-scoped :class:`~repro.observe.context.TraceContext`
 plumbing: spans minted client-side, carried over the pool pipe into
 workers, and reassembled into one causally-linked tree per request —
 correct across crash → respawn + requeue (same trace id, incremented
-attempt), hedged duplicates (shared trace, loser-cancel recorded), and
-the degradation ladder (serial rung parents into the originating
-request).  Plus the structured event log, the ``(pid, generation)``
+attempt), client retries, and the degradation ladder (serial rung
+parents into the originating request).  Plus the structured event log, the ``(pid, generation)``
 Chrome-trace tracks, the ``stats``/slow-log introspection surface, the
 ``repro_build_info`` exposition gauge, and the tracing-off bit-identity
 contract.
@@ -246,39 +245,12 @@ class TestServiceTracing:
 
 
 class TestResilienceTracing:
-    def test_hedge_shares_trace_and_records_loser(self):
-        session = traced_session()
-        policy = ResiliencePolicy(
-            max_retries=0, hedge_after_seconds=0.05, local_pool_workers=0
-        )
-        with CompileService(workers=2, session=session, name="t-hedge") as svc:
-            # occupy the shard-pinned worker so the original request
-            # queues behind it and the hedge (unpinned) wins the race
-            blocker = svc.submit("sleep", 1.0, shard_key="pin")
-            with ResilientExecutor(svc, policy=policy, session=session) as ex:
-                results = ex.run_batch([("sleep", 0.01, "pin", 1.0)])
-            blocker.result(timeout=30)
-        assert results == [0.01]
-        assert session.stats.value("serve.hedges") >= 1
-        (client,) = spans_named(session, "client:request")
-        requests = [
-            span for span in spans_named(session, "serve:request")
-            if span.trace_id == client.trace_id  # the blocker has its own
-        ]
-        assert len(requests) == 2  # original + hedge, one shared trace
-        assert all(span.parent_id == client.span_id for span in requests)
-        (loser,) = spans_named(session, "serve:hedge-loser-cancelled")
-        assert loser.trace_id == client.trace_id
-        assert loser.parent_id == client.span_id
-        assert loser.duration_ns == 0
-        assert validate_span_tree(session.tracer.events) == []
-
     def test_degrade_to_serial_parents_into_request(self):
         expected, _ = _run_pair(PAIR)
         session = traced_session()
-        policy = ResiliencePolicy(local_pool_workers=0)
-        with ResilientExecutor(None, policy=policy, session=session) as ex:
-            results = ex.run_batch([("bench-pair", (PAIR, False), None, 1.0)])
+        results = ResilientExecutor(None, session=session).run_batch(
+            [("bench-pair", (PAIR, False), None, 1.0)]
+        )
         run, _capture = results[0]
         assert run.cycles == expected.cycles
         assert run.outputs == expected.outputs
@@ -295,14 +267,14 @@ class TestResilienceTracing:
         session = traced_session()
         policy = ResiliencePolicy(
             backoff_base_seconds=0.001, backoff_max_seconds=0.01,
-            local_pool_workers=0,
         )
         with CompileService(
             workers=1, session=session, name="t-retrytrace",
             fault_plans=[("serve.task.error", "raise", 0, True)],
         ) as svc:
-            with ResilientExecutor(svc, policy=policy, session=session) as ex:
-                results = ex.run_batch([("ping", None, None, 1.0)])
+            results = ResilientExecutor(
+                svc, policy=policy, session=session
+            ).run_batch([("ping", None, None, 1.0)])
         assert results[0]["pid"] > 0
         assert session.stats.value("serve.retries") >= 1
         (client,) = spans_named(session, "client:request")
