@@ -26,11 +26,11 @@ Workers receive *names*, not objects: kernels, programs, configs and
 targets are all resolvable from registries
 (:func:`~repro.kernels.suite.kernel_named` & co.), which keeps the
 pickled payloads tiny and sidesteps the fact that kernel builders are
-closures.  Every worker builds a fresh root session; when the parent's
-tracer or remark collector is armed, workers arm their own and the
-collected spans/remarks are merged back into the parent session in
-payload order, tagged with the worker's OS pid (one process track per
-worker in the Chrome trace).
+closures.  Every worker builds a fresh root session armed with the
+parent's streams (:attr:`~repro.observe.session.CompilerSession.mask`)
+and ships back its :class:`~repro.observe.session.Capture`; the parent
+absorbs the captures in payload order, tagged with the worker's OS pid
+(one process track per worker in the Chrome trace).
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..kernels.suite import Kernel, all_kernels, kernel_named
 from ..machine.targets import DEFAULT_TARGET, TargetMachine, target_named
 from ..observe import STAT
+from ..observe.context import current_trace_context
 from ..observe.session import CompilerSession, current_session, use_session
 from ..vectorizer.slp import ALL_CONFIGS, O3_CONFIG, SLPConfig, config_named
 from .runner import (
@@ -52,18 +53,18 @@ from .runner import (
     run_kernel_matrix,
 )
 
-#: (kernel_name, config_name, target_name, seed, capture_trace,
-#: capture_remarks, journal, capture_metrics) — everything a worker
-#: needs.  The four booleans mirror the parent session's observability
-#: configuration so workers collect the same streams the caller armed.
-PairPayload = Tuple[str, str, str, int, bool, bool, bool, bool]
+#: (kernel_name, config_name, target_name, seed, mask, journal) —
+#: everything a worker needs.  ``mask`` is the parent session's armed
+#: streams (:attr:`~repro.observe.session.CompilerSession.mask`), which
+#: the worker arms for itself; ``journal`` attaches a decision summary
+#: to the run.
+PairPayload = Tuple[str, str, str, int, int, bool]
 
-#: what a worker sends back alongside its KernelRun: always
-#: {"pid", "worker_seconds"} (the in-worker wall clock that overhead
-#: attribution subtracts from the parent-observed task wall clock), plus
-#: "events" / "remarks" / "metrics" when the parent armed those streams —
-#: TraceEvent, Remark and MetricsRegistry all pickle as-is
-WorkerCapture = Dict[str, object]
+#: what a worker sends back with its KernelRun: ``pid``, ``capture``
+#: and ``worker_seconds`` (the in-worker wall clock that overhead
+#: attribution subtracts from the parent-observed task wall clock); the
+#: service task adds ``generation`` and, for a stored run, ``cached``
+PairInfo = Dict[str, object]
 
 # Parallel-driver overhead counters.  These record into the *parent*
 # session only (workers never see them), so serial/parallel KernelRun
@@ -88,35 +89,18 @@ def _resolve_jobs(jobs: Optional[int]) -> int:
     return default_jobs() if jobs is None else max(1, jobs)
 
 
-def _run_pair(payload: PairPayload) -> Tuple[KernelRun, WorkerCapture]:
-    """Worker: run one (kernel, config) pair in its own root session.
-
-    When the parent armed its tracer, remark collector or metrics
-    registry, the worker arms its own and ships the collected streams
-    back for merging (:func:`_merge_capture`).  The capture always
-    carries ``worker_seconds`` — the wall clock spent *inside* the
-    worker — so the parent can attribute spawn/marshal/queue overhead
-    as (observed task wall) - (in-worker wall).
-    """
-    (
-        kernel_name, config_name, target_name, seed,
-        trace, remarks, journal, metrics,
-    ) = payload
+def _run_pair(payload: PairPayload) -> Tuple[KernelRun, PairInfo]:
+    """Worker: run one (kernel, config) pair in its own root session,
+    armed with the parent's streams, and capture what it recorded."""
+    kernel_name, config_name, target_name, seed, mask, journal = payload
     kernel = kernel_named(kernel_name)
     session = CompilerSession(name=f"bench-worker:{kernel_name}/{config_name}")
-    if trace:
-        session.tracer.enable()
-    if remarks:
-        session.remarks.enable()
-    if metrics:
-        session.metrics.enable()
+    session.arm(mask)
     start = time.perf_counter()
     # Inside a traced service task, the worker loop installed the
     # request's ambient context; binding this fresh session's tracer to
     # it parents the pair's compile/phase spans under the request's
     # ``worker:task`` span instead of leaving them unlinked.
-    from ..observe.context import current_trace_context
-
     with use_session(session):
         with session.tracer.bind(current_trace_context()):
             run = run_kernel_config(
@@ -127,40 +111,11 @@ def _run_pair(payload: PairPayload) -> Tuple[KernelRun, WorkerCapture]:
                 session=session.derive(),
                 journal=journal,
             )
-    capture: WorkerCapture = {
+    return run, {
         "pid": os.getpid(),
         "worker_seconds": time.perf_counter() - start,
+        "capture": session.capture(),
     }
-    if trace:
-        capture["events"] = list(session.tracer.events)
-    if remarks:
-        capture["remarks"] = list(session.remarks.remarks)
-    if metrics:
-        capture["metrics"] = session.metrics
-    return run, capture
-
-
-def _merge_capture(parent: CompilerSession, capture: WorkerCapture) -> None:
-    """Fold one worker's spans/remarks/metrics into the parent session.
-
-    Spans keep their originating worker ``pid`` so the Chrome trace
-    renders one process track per worker; remarks are tagged with
-    ``worker_pid``; worker histograms merge bucket-wise.  Captures are
-    merged in payload order, so the merged streams are deterministic
-    regardless of completion order.
-    """
-    pid = int(capture["pid"])
-    generation = int(capture.get("generation", 0))
-    for event in capture.get("events", ()):
-        event.pid = pid
-        event.generation = generation
-        parent.tracer.events.append(event)
-    for remark in capture.get("remarks", ()):
-        remark.args.setdefault("worker_pid", pid)
-        parent.remarks.remarks.append(remark)
-    worker_metrics = capture.get("metrics")
-    if worker_metrics is not None and parent.metrics.enabled:
-        parent.metrics.merge(worker_metrics)
 
 
 def _with_oracle(configs: Sequence[SLPConfig]) -> List[SLPConfig]:
@@ -175,16 +130,11 @@ def _pair_payloads(
     configs: Sequence[SLPConfig],
     target: TargetMachine,
     seed: int,
-    trace: bool,
-    remarks: bool,
+    mask: int,
     journal: bool,
-    metrics: bool,
 ) -> List[PairPayload]:
     return [
-        (
-            kernel.name, config.name, target.name, seed,
-            trace, remarks, journal, metrics,
-        )
+        (kernel.name, config.name, target.name, seed, mask, journal)
         for kernel in kernels
         for config in configs
     ]
@@ -242,17 +192,15 @@ def run_suite_parallel(
 
     ``jobs <= 1`` without a ``service`` runs in this process through
     :func:`~repro.bench.runner.run_kernel_matrix`, which builds each
-    kernel and draws its inputs once for all its configurations; spans
-    and remarks land in the calling session as the parent's own.
-    Otherwise the pairs go through :func:`repro.serve.resilience.
-    run_batch` and are reassembled in payload order, so the outcome is
-    identical regardless of ``jobs`` or completion order.  If the
-    *calling* session's tracer, remark collector or metrics registry is
-    enabled, workers arm the same collectors and their streams are
-    merged back into the caller's session keyed by worker pid (payload
-    order again, so the merged streams are deterministic).
-    ``journal=True`` attaches a per-run decision-journal summary to each
-    :class:`KernelRun`.
+    kernel and draws its inputs once for all its configurations; its
+    records land in the calling session as the parent's own.  Otherwise
+    the pairs go through :func:`repro.serve.resilience.run_batch` and are
+    reassembled in payload order, so the outcome is identical regardless
+    of ``jobs`` or completion order.  Workers arm the streams the
+    *calling* session armed, and their captures are absorbed into it
+    keyed by worker pid (payload order again, so the merged stream is
+    deterministic).  ``journal=True`` attaches a per-run decision
+    summary to each :class:`KernelRun`.
 
     ``service=`` reuses a running
     :class:`~repro.serve.service.CompileService` (warm workers + shared
@@ -286,9 +234,7 @@ def run_suite_parallel(
         }
     parent = current_session()
     payloads = _pair_payloads(
-        kernels, configs, target, seed,
-        parent.tracer.enabled, parent.remarks.enabled, journal,
-        parent.metrics.enabled,
+        kernels, configs, target, seed, parent.mask, journal
     )
     outcomes = _dispatch(
         parent, payloads, jobs, service=service, resilience=resilience
@@ -302,7 +248,7 @@ def _dispatch(
     jobs: int,
     service=None,
     resilience=None,
-) -> List[Tuple[KernelRun, WorkerCapture]]:
+) -> List[Tuple[KernelRun, PairInfo]]:
     """Run payloads through the batch call, measuring dispatch overhead.
 
     Payload pickling cost is timed by the service submit path (the
@@ -345,8 +291,8 @@ def _dispatch(
     workers = min(service.workers if service is not None else jobs, len(payloads))
     worker_total = 0.0
     with parent.tracer.span("parallel:merge", tasks=len(payloads)):
-        for index, (_, capture) in enumerate(outcomes):
-            worker_seconds = float(capture["worker_seconds"])
+        for index, (_, info) in enumerate(outcomes):
+            worker_seconds = float(info["worker_seconds"])
             worker_total += worker_seconds
             if index in turnarounds:  # the resilient path reports none
                 session_metrics.observe(
@@ -358,7 +304,11 @@ def _dispatch(
                 "parallel.task.worker_seconds", worker_seconds,
                 description="in-worker wall seconds per task",
             )
-            _merge_capture(parent, capture)
+            parent.absorb(
+                info["capture"],
+                pid=int(info["pid"]),
+                generation=int(info.get("generation", 0)),
+            )
     overhead = max(0.0, pool_wall - worker_total / max(1, workers))
     _OVERHEAD_SECONDS.resolve(stats).add(overhead)
     session_metrics.observe(

@@ -12,13 +12,17 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..ir.module import Module
 from ..kernels.suite import Kernel
 from ..machine.targets import DEFAULT_TARGET, TargetMachine
+from ..observe.explain import summarize_journal
+from ..observe.metrics import MetricsRegistry
 from ..observe.session import CompilerSession, current_session
+from ..observe.trace import DECISION
 from ..sim.executor import simulate
 from ..vectorizer.pipeline import compile_module
 from ..vectorizer.slp import ALL_CONFIGS, O3_CONFIG, SLPConfig
@@ -46,9 +50,9 @@ class KernelRun:
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: statistic counters for this (kernel, config): compile + simulation
     counters: Dict[str, float] = field(default_factory=dict)
-    #: decision-journal summary (see ``summarize_journal``) when the run
-    #: was made with ``journal=True``; None otherwise — the default path
-    #: never touches the journal, keeping bench results bit-identical
+    #: decision summary (see ``summarize_journal``) when the run was made
+    #: with ``journal=True``; None otherwise — the default path records
+    #: no decisions, keeping bench results bit-identical
     journal: Optional[Dict[str, object]] = None
 
 
@@ -84,8 +88,8 @@ def run_kernel_config(
     One derived session spans the compile and the simulation, so
     ``KernelRun.counters`` holds this pair's compile counters plus the
     simulation cycle histogram — and nothing else.  ``journal=True``
-    records the compile's decision journal into the run's ``journal``
-    summary (a private journal: the caller's is never touched).
+    collects the compile's decisions privately into the run's
+    ``journal`` summary (the caller's stream is never touched).
     ``engine`` selects the execution engine for the simulation (``None``
     = process default); cycle totals are engine-independent.
     """
@@ -114,11 +118,8 @@ def _run_built(
     own = session if session is not None else current_session().derive(
         name=f"bench:{kernel.name}/{config.name}"
     )
-    if journal:
-        from ..observe.journal import DecisionJournal
-
-        own.journal = DecisionJournal(enabled=True)
-    compiled = compile_module(module, config, target, session=own)
+    with own.tracer.collect(DECISION) if journal else nullcontext() as decisions:
+        compiled = compile_module(module, config, target, session=own)
     result = simulate(
         compiled.module,
         kernel.function,
@@ -128,23 +129,8 @@ def _run_built(
         session=own,
         engine=engine,
     )
-    counters = own.stats.snapshot()
-    metrics = own.metrics
-    if metrics.enabled:
-        metrics.observe(
-            "bench.compile.seconds", compiled.compile_seconds,
-            description="wall compile seconds per (kernel, config) pair",
-        )
-        metrics.observe(
-            "bench.kernel.cycles", result.cycles,
-            description="simulated cycles per (kernel, config) pair",
-        )
-        metrics.observe(
-            "bench.kernel.instructions", float(result.instructions),
-            description="interpreted instructions per (kernel, config) pair",
-        )
     report = compiled.report
-    return KernelRun(
+    run = KernelRun(
         kernel=kernel.name,
         config=config.name,
         cycles=result.cycles,
@@ -157,15 +143,31 @@ def _run_built(
         compile_seconds=compiled.compile_seconds,
         outputs={name: result.globals_after[name] for name in kernel.output_globals},
         phase_seconds=compiled.phase_seconds,
-        counters=counters,
-        journal=_journal_summary(own) if journal else None,
+        counters=own.stats.snapshot(),
+        journal=summarize_journal(decisions) if journal else None,
     )
+    observe_run(own.metrics, run)
+    return run
 
 
-def _journal_summary(session: CompilerSession) -> Dict[str, object]:
-    from ..observe.journal import summarize_journal
-
-    return summarize_journal(session.journal.events)
+def observe_run(metrics: MetricsRegistry, run: KernelRun) -> None:
+    """Record one run's per-pair histograms (no-op while disarmed); a
+    pair replayed from the service's result store records through here
+    too, so warm and cold pairs observe the same values."""
+    if not metrics.enabled:
+        return
+    metrics.observe(
+        "bench.compile.seconds", run.compile_seconds,
+        description="wall compile seconds per (kernel, config) pair",
+    )
+    metrics.observe(
+        "bench.kernel.cycles", run.cycles,
+        description="simulated cycles per (kernel, config) pair",
+    )
+    metrics.observe(
+        "bench.kernel.instructions", float(run.instructions),
+        description="interpreted instructions per (kernel, config) pair",
+    )
 
 
 def run_kernel_matrix(

@@ -65,6 +65,7 @@ from .ir.parser import ParseError
 from .ir.verifier import VerificationError
 from .machine import DEFAULT_TARGET, target_named
 from .observe.session import CompilerSession, current_session, use_session
+from .observe.trace import CATEGORIES, write_records
 from .serve.service import ServiceError
 from .serve.service import TaskTimeout as ServeTaskTimeout
 from .sim import simulate
@@ -98,51 +99,46 @@ def _resolve_target(name: str):
         _usage(str(exc.args[0]) if exc.args else str(exc))
 
 
+#: (flag, category, noun): each flag arms one category and names the
+#: file its records are written to (``--trace-out`` as a Chrome trace,
+#: the others as JSONL); the noun counts them on stderr
+_CATEGORY_FLAGS = (
+    ("trace_out", "span", "trace event(s)"),
+    ("remarks", "remark", "remark(s)"),
+    ("journal", "decision", "journal event(s)"),
+    ("log", "log", "log event(s)"),
+)
+
+
 def _configure_observability(args: argparse.Namespace, session: CompilerSession) -> None:
-    """Arm the session's tracer / remark collector / decision journal /
-    metrics registry before the command runs."""
-    if getattr(args, "trace_out", None):
-        session.tracer.enable()
-    if getattr(args, "remarks", None):
-        session.remarks.enable()
-    if getattr(args, "journal", None):
-        session.journal.enable()
+    """Arm the session's event categories and metrics registry before
+    the command runs."""
+    for flag, category, _ in _CATEGORY_FLAGS:
+        if getattr(args, flag, None):
+            session.tracer.enable(CATEGORIES[category])
+    session.tracer.level = getattr(args, "log_level", None) or "info"
     if getattr(args, "metrics_out", None) or getattr(args, "history_db", None):
         session.metrics.enable()
-    if getattr(args, "log", None):
-        session.log.enable(level=getattr(args, "log_level", None) or "info")
 
 
 def _flush_observability(args: argparse.Namespace, session: CompilerSession) -> None:
-    """Write trace/remark files and print the stats table after a command.
+    """Write the category files and print the stats table after a command.
 
     Everything comes out of the per-invocation ``session`` — the process
     default session is never consulted, so two CLI invocations embedded
     in one process cannot bleed observability state into each other.
     """
-    if getattr(args, "trace_out", None):
-        session.tracer.write_chrome_trace(args.trace_out)
+    for flag, category, noun in _CATEGORY_FLAGS:
+        path = getattr(args, flag, None)
+        if not path:
+            continue
+        records = session.tracer.of(category)
+        if category == "span":
+            session.tracer.write_chrome_trace(path)
+        else:
+            write_records(path, records)
         print(
-            f"; wrote {len(session.tracer.events)} trace event(s) to {args.trace_out}",
-            file=sys.stderr,
-        )
-    if getattr(args, "remarks", None):
-        session.remarks.write_jsonl(args.remarks)
-        print(
-            f"; wrote {len(session.remarks.remarks)} remark(s) to {args.remarks}",
-            file=sys.stderr,
-        )
-    if getattr(args, "journal", None):
-        session.journal.write_jsonl(args.journal)
-        print(
-            f"; wrote {len(session.journal.events)} journal event(s) to "
-            f"{args.journal}",
-            file=sys.stderr,
-        )
-    if getattr(args, "log", None):
-        session.log.write_jsonl(args.log)
-        print(
-            f"; wrote {len(session.log.events)} log event(s) to {args.log}",
+            f"; wrote {len(records)} {noun} to {path}",
             file=sys.stderr,
         )
     if getattr(args, "metrics_out", None):
@@ -513,8 +509,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
         module, config, target,
         unroll_factor=args.unroll, session=current_session(),
     )
-    # surface the explain run's private journal through --journal FILE
-    current_session().journal.events.extend(result.session.journal.events)
+    # surface the explain run's decisions through --journal FILE
+    current_session().absorb(result.capture)
     stories = result.stories
     if args.function:
         stories = [s for s in stories if s.function == args.function]
@@ -942,11 +938,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
             inputs=inputs,
             session=session.derive(name="profile-sim"),
         )
-    stats = self_time_stats(session.tracer.events)
+    spans = session.tracer.of("span")
+    stats = self_time_stats(spans)
     # artifacts before the table: a closed stdout pipe (| head, | grep -q)
     # must not lose the folded output
     if args.folded:
-        write_folded(args.folded, session.tracer.events)
+        write_folded(args.folded, spans)
         print(
             f"; wrote folded stacks to {args.folded} "
             "(feed to flamegraph.pl or drop into speedscope.app)",
@@ -954,7 +951,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         )
     print(
         f"; profiled {args.source} ({config.name}, {target.name}): "
-        f"{len(session.tracer.events)} span(s) over "
+        f"{len(spans)} span(s) over "
         f"{max(1, args.repeat)} repeat(s)",
         file=sys.stderr,
     )

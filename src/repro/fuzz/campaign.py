@@ -56,7 +56,13 @@ from ..ir.verifier import verify_module
 from ..kernels.seeding import derive_seed
 from ..machine.targets import DEFAULT_TARGET, TargetMachine
 from ..observe import STAT
-from ..observe.session import CompilerSession, current_session, use_session
+from ..observe.session import (
+    Capture,
+    CompilerSession,
+    current_session,
+    use_session,
+    write_remarks,
+)
 from ..robust.faults import COMPILE_SITES, FAULT_SITES, current_faults
 from ..sim import simulate
 from ..vectorizer import ALL_CONFIGS, SLPConfig, compile_module
@@ -219,18 +225,11 @@ def _write_failure_remarks(
     target: TargetMachine,
     path: str,
 ) -> None:
-    """Compile the reproducer under its failing config with the remark
-    collector armed, dumping PR 1's observability JSONL next to it."""
+    """Compile the reproducer under its failing config, dumping its
+    remarks as JSONL next to it."""
     config = next((c for c in configs if c.name == config_name), None)
-    if config is None:
-        return
-    session = current_session().derive(name="failure-remarks", fresh_remarks=True)
-    session.remarks.enable()
-    try:
-        compile_module(module, config, target, session=session.derive())
-    except Exception:  # noqa: BLE001 - remarks of a crash are still useful
-        pass
-    session.remarks.write_jsonl(path)
+    if config is not None:
+        write_remarks(path, lambda: compile_module(module, config, target))
 
 
 def _save_failure(
@@ -288,46 +287,7 @@ def _save_failure(
 CHUNK_SIZE = 8
 
 
-def _campaign_chunk_worker(
-    payload: Tuple[Tuple[int, ...], int, Tuple[str, ...], str, int, int, str],
-) -> List[Tuple[int, Dict[str, float], bool]]:
-    """Run one chunk of campaign indices in a worker process.
-
-    Returns compact per-index summaries ``(index, bucket_counters,
-    failed)``; the parent merges counters in index order and re-runs
-    failing indices serially to build artifacts, so workers never touch
-    the filesystem and everything crossing the process boundary is plain
-    data.
-    """
-    from ..machine.targets import target_named
-    from ..vectorizer.slp import config_named
-
-    (
-        indices, seed, config_names, target_name, input_seed, max_ulps, engine,
-    ) = payload
-    configs = [config_named(name) for name in config_names]
-    target = target_named(target_name)
-    summaries: List[Tuple[int, Dict[str, float], bool]] = []
-    for index in indices:
-        session = CompilerSession(name=f"fuzz-worker/{index}")
-        with use_session(session):
-            spec = random_spec(derive_seed(seed, f"campaign-program/{index}"))
-            program = generate_program(spec)
-            report = run_oracle(
-                program,
-                input_seed=input_seed,
-                configs=configs,
-                target=target,
-                max_ulps=max_ulps,
-                engine=engine,
-            )
-            _bucket(report)
-        failed = not report.ok and not report.reference_trapped
-        summaries.append((index, session.stats.snapshot(), failed))
-    return summaries
-
-
-def _rerun_index(
+def _run_index(
     index: int,
     seed: int,
     configs: Sequence[SLPConfig],
@@ -336,9 +296,9 @@ def _rerun_index(
     max_ulps: int,
     engine: Optional[str] = None,
 ) -> Tuple[OracleReport, object]:
-    """Regenerate program ``index`` and re-run the oracle (deterministic:
-    identical to what the worker saw).  Does NOT bucket — the worker
-    already counted this program."""
+    """Generate program ``index`` and run the oracle on it.  Deterministic:
+    the serial loop, a chunk worker and a failure re-run all see the same
+    program and verdicts.  Does NOT bucket."""
     spec = random_spec(derive_seed(seed, f"campaign-program/{index}"))
     program = generate_program(spec)
     report = run_oracle(
@@ -350,6 +310,51 @@ def _rerun_index(
         engine=engine,
     )
     return report, spec
+
+
+def _program_timer(session: CompilerSession):
+    """Times one generated program into ``fuzz.program.seconds``."""
+    return session.metrics.timer(
+        "fuzz.program.seconds",
+        "generate + oracle wall seconds per fuzzed program",
+    )
+
+
+def _campaign_chunk_worker(
+    payload: Tuple[Tuple[int, ...], int, Tuple[str, ...], str, int, int, str, int],
+) -> List[Tuple[int, int, Capture, bool]]:
+    """Run one chunk of campaign indices in a worker process.
+
+    Returns ``(index, worker pid, capture, failed)`` per index.  Each
+    index runs in a fresh session armed with the parent's ``mask``
+    (:attr:`~repro.observe.session.CompilerSession.mask`) and timed
+    like the serial loop times it; its :class:`~repro.observe.session.
+    Capture` goes back for the parent to absorb in index order.  The
+    parent re-runs failing indices serially to build artifacts, so
+    workers never touch the filesystem.
+    """
+    from ..machine.targets import target_named
+    from ..vectorizer.slp import config_named
+
+    (
+        indices, seed, config_names, target_name, input_seed, max_ulps,
+        engine, mask,
+    ) = payload
+    configs = [config_named(name) for name in config_names]
+    target = target_named(target_name)
+    summaries = []
+    for index in indices:
+        session = CompilerSession(name=f"fuzz-worker/{index}")
+        session.arm(mask)
+        with use_session(session):
+            with _program_timer(session):
+                report, _ = _run_index(
+                    index, seed, configs, target, input_seed, max_ulps, engine
+                )
+            _bucket(report)
+        failed = not report.ok and not report.reference_trapped
+        summaries.append((index, os.getpid(), session.capture(), failed))
+    return summaries
 
 
 def run_campaign(
@@ -423,21 +428,9 @@ def run_campaign(
                 break
             if len(failures) >= max_failures:
                 break
-            with campaign.metrics.timer(
-                "fuzz.program.seconds",
-                "generate + oracle wall seconds per fuzzed program",
-            ):
-                spec = random_spec(
-                    derive_seed(seed, f"campaign-program/{index}")
-                )
-                program = generate_program(spec)
-                report = run_oracle(
-                    program,
-                    input_seed=input_seed,
-                    configs=configs,
-                    target=target,
-                    max_ulps=max_ulps,
-                    engine=engine,
+            with _program_timer(campaign):
+                report, spec = _run_index(
+                    index, seed, configs, target, input_seed, max_ulps, engine
                 )
             _bucket(report)
             if not report.ok and not report.reference_trapped:
@@ -523,7 +516,7 @@ def _run_campaign_parallel(
         tuple(range(base, min(base + CHUNK_SIZE, count)))
         for base in range(0, count, CHUNK_SIZE)
     ]
-    campaign.log.emit(
+    campaign.tracer.log(
         "info", "fuzz-dispatch", "sharded fuzz campaign dispatched",
         chunks=len(chunks), programs=count, jobs=jobs,
         resilient=resilience is not None, owns_service=service is None,
@@ -534,13 +527,14 @@ def _run_campaign_parallel(
             (
                 chunk, seed, config_names,
                 target.name, input_seed, max_ulps, engine_name,
+                campaign.mask,
             ),
             None,
             float(len(chunk) * len(config_names)),
         )
         for chunk in chunks
     ]
-    summaries: List[Tuple[int, Dict[str, float], bool]] = []
+    summaries = []
     for chunk_summaries in run_batch(
         tasks, jobs, campaign, service=service, policy=resilience
     ):
@@ -549,22 +543,24 @@ def _run_campaign_parallel(
     # Serial-equivalent accounting pass, strictly in index order.
     failures: List[FailureArtifact] = []
     programs = 0
-    for index, counters, failed in summaries:
+    for index, pid, capture, failed in summaries:
         if len(failures) >= max_failures:
             break
-        for name, value in counters.items():
-            campaign.stats.stat(name).add(value)
+        campaign.absorb(capture, pid=pid)
         programs = index + 1
         if not failed:
             continue
-        with use_session(campaign):
-            report, spec = _rerun_index(
+        # the capture already holds this index's telemetry: rebuild the
+        # report in a throwaway session so nothing is observed twice
+        with use_session(CompilerSession("fuzz-rerun", faults=campaign.faults)):
+            report, spec = _run_index(
                 index, seed, configs, target, input_seed, max_ulps,
                 engine_name,
             )
-            artifact = FailureArtifact(index=index, report=report)
-            failures.append(artifact)
-            if out_dir is not None:
+        artifact = FailureArtifact(index=index, report=report)
+        failures.append(artifact)
+        if out_dir is not None:
+            with use_session(campaign):
                 _save_failure(
                     artifact,
                     out_dir,

@@ -139,13 +139,14 @@ def validate_span_tree(events: Sequence[object]) -> List[str]:
     additionally belong to a trace that has a client-side root — a
     worker span whose trace never reached a request span is an orphan.
     The bench/CI no-orphan gates and the failure-propagation tests all
-    call this.
+    call this.  Only spans count: a log record's trace id correlates,
+    it does not link.
     """
     by_trace: Dict[str, List[object]] = {}
     span_ids: Dict[str, set] = {}
     for event in events:
         trace_id = getattr(event, "trace_id", "")
-        if not trace_id:
+        if not trace_id or getattr(event, "category", "span") != "span":
             continue
         by_trace.setdefault(trace_id, []).append(event)
         span_id = getattr(event, "span_id", "")

@@ -1,13 +1,12 @@
 """``repro explain``: per-graph narratives of the vectorizer's decisions.
 
-Compiles a module with the decision journal (and remark collector) armed,
-then joins three data sources into one :class:`GraphStory` per attempted
-graph:
+Compiles a module with the decision and remark categories of the event
+stream (:mod:`repro.observe.trace`) armed, then joins three data
+sources into one :class:`GraphStory` per attempted graph:
 
-* the **journal** (:mod:`repro.observe.journal`) supplies the ordered
-  decision events — seed, Super-Node formation, look-ahead picks, APO
-  reorders, cost verdict;
-* the **remarks** stream supplies the pass-level passed/missed messages
+* the **decision** records supply the ordered decision events — seed,
+  Super-Node formation, look-ahead picks, APO reorders, cost verdict;
+* the **remark** records supply the pass-level passed/missed messages
   for the same (function, block);
 * the **GraphReport** supplies the aggregate view (node/gather counts,
   recorded Multi-/Super-Nodes) the bench figures are built from.
@@ -27,11 +26,10 @@ imports inside the function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
-from .journal import DecisionJournal, JournalEvent
-from .remarks import Remark
-from .session import CompilerSession, use_session
+from .session import Capture, CompilerSession, use_session
+from .trace import DECISION, REMARK, TraceEvent
 
 #: event kinds whose messages become narrative steps, in emission order
 _NARRATIVE_KINDS = (
@@ -54,8 +52,8 @@ class GraphStory:
     function: str
     block: str
     seed: str  # "store" | "reduction" | "minmax"
-    events: List[JournalEvent] = field(default_factory=list)
-    remarks: List[Remark] = field(default_factory=list)
+    events: List[TraceEvent] = field(default_factory=list)
+    remarks: List[TraceEvent] = field(default_factory=list)
     report: Optional[object] = None  # the matching GraphReport, if any
 
     @property
@@ -109,7 +107,9 @@ class ExplainResult:
     config_name: str
     stories: List[GraphStory]
     result: object  # the CompilationResult
-    session: CompilerSession
+    #: the explain compile's decision and remark records, for a caller
+    #: to absorb into its own session
+    capture: Capture
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -131,12 +131,11 @@ class ExplainResult:
 
 
 def build_stories(
-    events: List[JournalEvent],
-    remarks: Optional[List[Remark]] = None,
+    records: Sequence[TraceEvent],
     report: Optional[object] = None,
 ) -> List[GraphStory]:
-    """Group journal events into per-graph stories and join the other
-    streams.
+    """Group decision records into per-graph stories and join the remark
+    records and the report.
 
     Remarks attach by (function, block, seed kind); GraphReports attach
     positionally within that same key — both streams record attempts in
@@ -145,8 +144,9 @@ def build_stories(
     """
     stories: Dict[int, GraphStory] = {}
     order: List[int] = []
-    for event in events:
-        if event.graph_id < 0:
+    remarks = [r for r in records if r.category == "remark"]
+    for event in records:
+        if event.category != "decision" or event.graph_id < 0:
             continue
         story = stories.get(event.graph_id)
         if story is None:
@@ -208,38 +208,60 @@ def explain_module(
     verify: bool = True,
     session: Optional[CompilerSession] = None,
 ) -> ExplainResult:
-    """Compile ``module`` with the journal armed and build the stories.
+    """Compile ``module`` with decisions and remarks armed and build the
+    stories.
 
-    Runs in a child of ``session`` (or of a fresh root session) whose
-    journal and remark collector are enabled for the duration, so the
-    caller's observability configuration is not disturbed.
+    Runs in a child of ``session`` (or of a fresh root session) that
+    collects its decision and remark records privately, so the caller's
+    stream is not disturbed; the records come back in the result's
+    ``capture``.
     """
     from ..machine.targets import DEFAULT_TARGET
     from ..vectorizer.pipeline import compile_module
 
     if target is None:
         target = DEFAULT_TARGET
-    # Journal events quote values by ref(); programmatically-built
+    # Decisions quote values by ref(); programmatically-built
     # kernels carry unnamed instructions until printed, so name them up
     # front (idempotent, respects existing names).
     for function in module.functions.values():
         function.assign_names()
     base = session if session is not None else CompilerSession(name="explain")
-    own = base.derive(name="explain", fresh_stats=True, fresh_remarks=True)
-    own.journal = DecisionJournal()  # private journal for this explain
-    own.journal.enable()
-    own.remarks.enable()
-    with use_session(own):
-        result = compile_module(
-            module, config, target,
-            verify=verify, unroll_factor=unroll_factor,
-        )
-    stories = build_stories(
-        own.journal.events, own.remarks.remarks, result.report
-    )
+    own = base.derive(name="explain")
+    with own.tracer.collect(DECISION | REMARK) as records:
+        with use_session(own):
+            result = compile_module(
+                module, config, target,
+                verify=verify, unroll_factor=unroll_factor,
+            )
     return ExplainResult(
-        config_name=config.name, stories=stories, result=result, session=own
+        config_name=config.name,
+        stories=build_stories(records, result.report),
+        result=result,
+        capture=Capture(events=records),
     )
+
+
+def summarize_journal(events: Sequence[TraceEvent]) -> Dict[str, object]:
+    """A compact aggregate of decision records, suitable for attaching to
+    bench-result JSON rows: per-kind counts plus the accept/reject
+    tallies of the cost-model verdicts."""
+    kinds: Dict[str, int] = {}
+    accepted = rejected = 0
+    for event in events:
+        kinds[event.kind] = kinds.get(event.kind, 0) + 1
+        if event.kind == "cost":
+            if event.args.get("verdict") == "profitable":
+                accepted += 1
+            else:
+                rejected += 1
+    return {
+        "events": len(events),
+        "kinds": dict(sorted(kinds.items())),
+        "graphs": len({e.graph_id for e in events if e.graph_id >= 0}),
+        "cost_accepted": accepted,
+        "cost_rejected": rejected,
+    }
 
 
 def render_stories(stories: List[GraphStory], verbose: bool = False) -> str:

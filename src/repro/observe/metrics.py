@@ -209,7 +209,7 @@ class MetricsRegistry:
 
     Disabled by default; every recording entry point tests
     :attr:`enabled` first and returns immediately, keeping metrics-off
-    runs bit-identical (the journal/tracer contract).
+    runs bit-identical (the event stream's contract).
     """
 
     def __init__(self, enabled: bool = False) -> None:

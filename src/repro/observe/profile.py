@@ -56,14 +56,16 @@ def _encloses(parent: TraceEvent, child: TraceEvent) -> bool:
 def build_trees(events: Sequence[TraceEvent]) -> List[ProfileNode]:
     """Reconstruct span forests from a flat completed-event list.
 
-    Events are grouped by worker ``(pid, generation)`` (spans merged
-    from different processes share a timebase only within their process,
-    and the OS reuses pids across service worker generations), then
-    nested with a stack sweep in (start, depth) order.
+    Spans (other records are skipped) are grouped by worker ``(pid,
+    generation)`` (spans merged from different processes share a
+    timebase only within their process, and the OS reuses pids across
+    service worker generations), then nested with a stack sweep in
+    (start, depth) order.
     """
     by_track: Dict[tuple, List[TraceEvent]] = {}
     for event in events:
-        by_track.setdefault((event.pid, event.generation), []).append(event)
+        if event.category == "span":
+            by_track.setdefault((event.pid, event.generation), []).append(event)
     roots: List[ProfileNode] = []
     for track in sorted(by_track):
         ordered = sorted(

@@ -4,16 +4,20 @@ Historically the repro kept one process-wide statistics registry, one
 tracer and one remark collector, and ``compile_module`` reset the
 registry on entry — so exactly one compilation could be
 in flight per process, and any two interleaved compiles corrupted each
-other's counters.  A :class:`CompilerSession` bundles the three (plus
-the fault-injection registry and the benchmark seed) into an explicit
-object that every layer threads through, which is what makes the
-parallel benchmark/fuzz drivers (:mod:`repro.bench.parallel`) and the
-compile cache (:mod:`repro.vectorizer.cache`) possible.
+other's counters.  A :class:`CompilerSession` bundles the one event
+stream (:class:`~repro.observe.trace.Tracer`), the counter registry and
+the metrics registry (plus the fault-injection registry and the
+benchmark seed) into an explicit object that every layer threads
+through, which is what makes the parallel benchmark/fuzz drivers
+(:mod:`repro.bench.parallel`) and the compile cache
+(:mod:`repro.vectorizer.cache`) possible.  Counters and metrics stay
+registries because they aggregate: a record per counter bump would slow
+every workload.
 
 Ambient current session
 -----------------------
 
-The ~30 module-scope ``STAT("name", "desc")`` registrations across the
+The module-scope ``STAT("name", "desc")`` registrations across the
 vectorizer cannot receive a session at import time, so the *current*
 session is also available ambiently through a :mod:`contextvars`
 variable:
@@ -30,36 +34,52 @@ variable:
 Deriving sessions
 -----------------
 
-``session.derive(fresh_stats=True)`` creates a child session with a
-fresh counter registry but *shared* tracer, remark collector and fault
-registry.  ``compile_module`` runs each compilation in such a child (and
-discards it on failure), which replaces the old reset-on-entry semantics
-with true isolation: a crashing compile can no longer poison the next
+``session.derive()`` creates a child session with a fresh counter
+registry but the *shared* tracer, metrics and fault registry.
+``compile_module`` runs each compilation in such a child (and discards
+it on failure), which replaces the old reset-on-entry semantics with
+true isolation: a crashing compile can no longer poison the next
 compilation's counter snapshot, and concurrent compiles never observe
 each other's counters.
 
-Code that wants the process default's components reaches them as
-``DEFAULT_SESSION.stats`` / ``.tracer`` / ``.remarks``; everything else
-accepts a :class:`CompilerSession` or calls :func:`current_session`.
+Capture and absorb
+------------------
+
+Every cross-session merge — pool tasks, bench pairs, fuzz chunks, the
+serial fallback rung, compile-cache hits, ``repro explain`` — is one
+:meth:`CompilerSession.capture` and one :meth:`CompilerSession.absorb`.
+Workers arm what the parent's :attr:`CompilerSession.mask` names.
 """
 
 from __future__ import annotations
 
 import contextvars
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .journal import DecisionJournal
-from .log import EventLog
 from .metrics import MetricsRegistry
-from .remarks import RemarkCollector
 from .stats import StatsRegistry
-from .trace import Tracer
+from .trace import ALL, CATEGORIES, REMARK, TraceEvent, Tracer, write_records
+
+#: :attr:`CompilerSession.mask` bit for the metrics registry, next to the
+#: tracer's four category bits
+METRICS = 16
+
+
+@dataclass
+class Capture:
+    """What one session recorded, packed to travel to another."""
+
+    events: List[TraceEvent] = field(default_factory=list)
+    #: counter deltas (nonzero only)
+    counters: Dict[str, float] = field(default_factory=dict)
+    #: the whole metrics registry when it was armed, else None
+    metrics: Optional[MetricsRegistry] = None
 
 
 class CompilerSession:
-    """One observability scope: stats + remarks + tracer + journal +
-    metrics + event log (+ faults, seed).
+    """One observability scope: tracer + stats + metrics (+ faults, seed).
 
     ``faults`` is an opaque slot deliberately untyped here: the fault
     registry lives in :mod:`repro.robust.faults`, which imports this
@@ -67,66 +87,109 @@ class CompilerSession:
     lazily by ``robust.faults.current_faults()`` on first use.
     """
 
-    __slots__ = (
-        "name", "stats", "remarks", "tracer", "journal", "metrics",
-        "log", "faults", "seed",
-    )
+    __slots__ = ("name", "stats", "tracer", "metrics", "faults", "seed")
 
     def __init__(
         self,
         name: str = "session",
         stats: Optional[StatsRegistry] = None,
-        remarks: Optional[RemarkCollector] = None,
         tracer: Optional[Tracer] = None,
-        journal: Optional[DecisionJournal] = None,
         metrics: Optional[MetricsRegistry] = None,
-        log: Optional[EventLog] = None,
         faults: object = None,
         seed: Optional[int] = None,
     ) -> None:
         self.name = name
         self.stats = stats if stats is not None else StatsRegistry()
-        self.remarks = remarks if remarks is not None else RemarkCollector()
         self.tracer = tracer if tracer is not None else Tracer()
-        self.journal = journal if journal is not None else DecisionJournal()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.log = log if log is not None else EventLog()
         self.faults = faults
         self.seed = seed
 
     def derive(
-        self,
-        name: Optional[str] = None,
-        fresh_stats: bool = True,
-        fresh_remarks: bool = False,
+        self, name: Optional[str] = None, fresh_stats: bool = True
     ) -> "CompilerSession":
-        """A child session sharing this session's
-        tracer/remarks/journal/metrics/faults.
+        """A child session sharing this session's tracer/metrics/faults.
 
         ``fresh_stats=True`` (the default) gives the child its own
         counter registry — the isolation ``compile_module`` relies on.
-        ``fresh_remarks=True`` additionally gives it a private remark
-        collector (used by bundle/artifact writers that must not leak
-        remarks into the caller's stream).  The decision journal is
-        always shared: like remarks, journal events are a narrative the
-        *caller* reads after the fact.  The metrics registry is likewise
-        always shared, so histogram observations made in a derived
-        compile session accumulate directly into the parent's
-        distributions — "merging" child histograms is free.  The event
-        log is shared for the same reason: service/ops events are one
-        stream per invocation, whoever's child emitted them.
+        The tracer is shared, so a child's records land in the caller's
+        one stream; the metrics registry is shared, so histogram
+        observations made in a derived compile session accumulate
+        directly into the parent's distributions.
         """
         return CompilerSession(
             name=name or f"{self.name}.child",
             stats=StatsRegistry() if fresh_stats else self.stats,
-            remarks=RemarkCollector() if fresh_remarks else self.remarks,
             tracer=self.tracer,
-            journal=self.journal,
             metrics=self.metrics,
-            log=self.log,
             faults=self.faults,
             seed=self.seed,
         )
+
+    # -- the armed streams ---------------------------------------------------
+
+    @property
+    def mask(self) -> int:
+        """The armed streams: the tracer's category bits, plus
+        :data:`METRICS` when the metrics registry is armed."""
+        return self.tracer.mask | (METRICS if self.metrics.enabled else 0)
+
+    def arm(self, mask: int) -> None:
+        """Arm the streams a :attr:`mask` value names."""
+        self.tracer.enable(mask & ALL)
+        if mask & METRICS:
+            self.metrics.enable()
+
+    # -- capture / absorb ------------------------------------------------------
+
+    def mark(self) -> Tuple[int, Dict[str, float]]:
+        """A point to :meth:`capture` from: (record count, counters)."""
+        return len(self.tracer.events), self.stats.snapshot()
+
+    def capture(
+        self, mark: Optional[Tuple[int, Dict[str, float]]] = None
+    ) -> Capture:
+        """Pack what this session recorded since ``mark`` (default: ever).
+
+        The records move out of this session's list, so a long-lived
+        session (a warm pool worker) never accumulates them; counters
+        stay and ship as a delta.  Metrics ship whole, so a session that
+        captures repeatedly must keep them off (pool workers do).
+        """
+        start, before = mark if mark is not None else (0, {})
+        counters = {
+            name: value - before.get(name, 0)
+            for name, value in self.stats.snapshot().items()
+            if value != before.get(name, 0)
+        }
+        return Capture(
+            events=self.tracer.take(start),
+            counters=counters,
+            metrics=self.metrics if self.metrics.enabled else None,
+        )
+
+    def absorb(
+        self, capture: Capture, pid: int = 0, generation: int = 0
+    ) -> None:
+        """Fold another session's :class:`Capture` into this one.
+
+        Records of the categories armed here are kept, stamped with
+        their origin's ``pid``/``generation`` (0 = this process); a
+        worker's remark also names it in ``args.worker_pid``.  Counter
+        deltas add in; metrics merge bucket-wise when armed here.
+        """
+        mask = self.tracer.mask
+        for event in capture.events:
+            if mask & CATEGORIES[event.category]:
+                event.pid = pid
+                event.generation = generation
+                if pid and event.category == "remark":
+                    event.args.setdefault("worker_pid", pid)
+                self.tracer.events.append(event)
+        for name, value in sorted(capture.counters.items()):
+            self.stats.stat(name).add(value)
+        if capture.metrics is not None and self.metrics.enabled:
+            self.metrics.merge(capture.metrics)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<CompilerSession {self.name!r}>"
@@ -165,17 +228,18 @@ def current_tracer() -> Tracer:
     return current_session().tracer
 
 
-def current_remarks() -> RemarkCollector:
-    return current_session().remarks
-
-
-def current_journal() -> DecisionJournal:
-    return current_session().journal
-
-
 def current_metrics() -> MetricsRegistry:
     return current_session().metrics
 
 
-def current_log() -> EventLog:
-    return current_session().log
+def write_remarks(path: str, run: Callable[[], object]) -> None:
+    """Call ``run`` in a child of the current session with its remarks
+    collected privately, and write them to ``path`` as JSONL — also when
+    ``run`` raises (artifact writers want a failure's remarks too)."""
+    session = current_session().derive(name="remarks")
+    with session.tracer.collect(REMARK) as remarks, use_session(session):
+        try:
+            run()
+        except Exception:  # noqa: BLE001 - remarks of a failure are still useful
+            pass
+    write_records(path, remarks)

@@ -1,16 +1,27 @@
-"""Hierarchical span tracing — the repro's ``-time-passes``.
+"""The one telemetry event stream: spans, remarks, decisions and log records.
 
-A :class:`Tracer` records nested spans (context-manager API, monotonic
-clocks) and exports them as Chrome trace-event JSON, loadable directly by
-``chrome://tracing`` / Perfetto.  The compilation pipeline opens one span
-per phase, the vectorizer one per seed graph, and the simulator one per
-invocation, so a single trace file shows where a whole benchmark run
-spends its time.
+Each session's :class:`Tracer` records every :class:`TraceEvent` into one
+:attr:`Tracer.events` list, in emission order.  A record's category is
+one bit of :attr:`Tracer.mask`:
 
-Tracing is off by default.  When disabled, :meth:`Tracer.span` returns a
-shared no-op context manager after a single attribute test, so the cost of
-leaving instrumentation in hot paths is one branch — the same contract as
-LLVM's ``TimeTraceScope``.
+* ``span``     — a timed, nested region (``-time-passes`` /
+  ``-ftime-trace``), exported as Chrome trace-event JSON;
+* ``remark``   — a passed/missed/analysis/recovery optimization remark
+  (``-Rpass``), written by ``--remarks``;
+* ``decision`` — one vectorizer decision (seed, look-ahead scores, APO
+  reorder, cost verdict) in a graph attempt; ``--journal`` writes them
+  and ``repro explain`` narrates them;
+* ``log``      — a leveled service/ops event, written by ``--log``.
+
+Remarks, decisions and log records are zero-duration events on the spans'
+monotonic clock.  Every category is off by default, and while it is off
+an emit site costs one attribute test (:meth:`Tracer.span` returns a
+shared no-op context manager), so category-off runs are bit-identical —
+LLVM's ``TimeTraceScope`` contract.  ``Tracer(enabled=True)`` and
+:meth:`Tracer.enable` with no argument arm spans only.  The output files
+are views over the one list: :meth:`Tracer.to_chrome_trace` reads spans,
+:func:`write_records` writes one point category as JSONL, and
+:func:`load_records` reads any of those files back.
 """
 
 from __future__ import annotations
@@ -19,18 +30,92 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .context import TraceContext, new_span_id
+
+#: the category bits of :attr:`Tracer.mask`
+SPAN, REMARK, DECISION, LOG = 1, 2, 4, 8
+ALL = SPAN | REMARK | DECISION | LOG
+
+#: category name -> mask bit
+CATEGORIES: Dict[str, int] = {
+    "span": SPAN, "remark": REMARK, "decision": DECISION, "log": LOG,
+}
+
+#: remark kinds: clang's -Rpass / -Rpass-missed / -Rpass-analysis triple,
+#: plus "recovery" for the guarded driver's and the service's rollbacks
+REMARK_KINDS = ("passed", "missed", "analysis", "recovery")
+
+#: decision kinds, in rough pipeline order:
+#:
+#: * ``seed``          — a seed bundle entered the worklist (adjacent
+#:                       stores, a reduction chain, a min/max idiom)
+#: * ``seed-rejected`` — a candidate seed was discarded before building
+#:                       a graph, with the reason
+#: * ``supernode``     — chain massaging grouped commutative trunks into
+#:                       a Super-Node; args carry per-lane APO strings
+#:                       and a before-reorder DOT snapshot
+#: * ``lookahead``     — the look-ahead scorer ranked candidate operand
+#:                       groups at one operand index (the score matrix)
+#: * ``group``         — the winning group was locked in, with the APO
+#:                       leaf/trunk swaps that legalized each lane
+#: * ``reorder``       — reordering finished for a Super-Node; args
+#:                       carry totals and the after-reorder DOT snapshot
+#: * ``graph``         — an SLP graph was fully built (node/gather
+#:                       counts, dump, DOT)
+#: * ``cost``          — the cost model's verdict with the
+#:                       scalar/vector/extract breakdown
+#: * ``undo``          — emitted vector code was rolled back (cost
+#:                       rejection or codegen failure)
+DECISION_KINDS = (
+    "seed",
+    "seed-rejected",
+    "supernode",
+    "lookahead",
+    "group",
+    "reorder",
+    "graph",
+    "cost",
+    "undo",
+)
+
+#: log levels, least to most severe
+LOG_LEVELS = ("debug", "info", "warn", "error")
+
+_LEVEL_RANK = {name: rank for rank, name in enumerate(LOG_LEVELS)}
+
+#: records keep the spans' monotonic clock; log lines print it as epoch
+#: seconds through this offset
+_EPOCH_OFFSET_NS = time.time_ns() - time.perf_counter_ns()
+
+#: JSONL key -> record field, per point category; the first three keys
+#: are always written, the rest only when set
+_LINE_KEYS: Dict[str, Tuple[Tuple[str, str], ...]] = {
+    "remark": (
+        ("kind", "kind"), ("pass", "name"), ("message", "message"),
+        ("function", "function"), ("block", "block"), ("seed", "seed"),
+    ),
+    "decision": (
+        ("kind", "kind"), ("message", "message"), ("graph_id", "graph_id"),
+        ("function", "function"), ("block", "block"), ("seed", "seed"),
+    ),
+    "log": (
+        ("level", "kind"), ("event", "name"), ("message", "message"),
+        ("trace_id", "trace_id"),
+    ),
+}
 
 
 @dataclass
 class TraceEvent:
-    """One completed span.
+    """One record: a completed span, or a zero-duration point event.
 
-    ``depth`` is the nesting level at the time the span opened (0 = root);
-    events are appended in *completion* order, so children precede their
-    parent in :attr:`Tracer.events`.
+    ``depth`` is the span-nesting level when the record was opened (0 =
+    root); spans append in *completion* order, so children precede their
+    parent in :attr:`Tracer.events`.  ``kind`` is the remark kind, the
+    decision kind or the log level; ``name`` is the span name, the
+    remark's pass, the decision kind or the log event.
     """
 
     name: str
@@ -38,17 +123,26 @@ class TraceEvent:
     duration_ns: int
     depth: int
     args: Dict[str, object] = field(default_factory=dict)
-    #: originating OS process, for spans merged in from ProcessPool
-    #: workers (repro.bench.parallel); 0 means "this process"
+    #: originating OS process of an absorbed record (0 = this process)
     pid: int = 0
     #: worker-pool generation of the originating process (respawns bump
     #: it); tracks are keyed by (generation, pid) because the OS reuses
     #: pids across service generations
     generation: int = 0
-    #: distributed-trace linkage (empty outside a bound request context)
+    #: distributed-trace linkage (empty outside a bound request context;
+    #: a log record carries only the trace id)
     trace_id: str = ""
     span_id: str = ""
     parent_id: str = ""
+    category: str = "span"
+    kind: str = ""
+    message: str = ""
+    #: where a remark or decision happened; decisions also carry the
+    #: graph attempt (-1 outside any attempt)
+    function: str = ""
+    block: str = ""
+    seed: str = ""
+    graph_id: int = -1
 
     @property
     def end_ns(self) -> int:
@@ -58,9 +152,44 @@ class TraceEvent:
         """Whether ``other`` nests (time-wise) inside this span."""
         return self.start_ns <= other.start_ns and other.end_ns <= self.end_ns
 
+    # -- JSONL lines (remark, decision and log records) ---------------------
+
+    def to_dict(self) -> Dict[str, object]:
+        """The record as one line of its category's JSONL file."""
+        record: Dict[str, object] = {}
+        for index, (key, attr) in enumerate(_LINE_KEYS[self.category]):
+            value = getattr(self, attr)
+            if index < 3 or value:
+                record[key] = value
+        if self.category == "log":
+            record["ts"] = round((self.start_ns + _EPOCH_OFFSET_NS) / 1e9, 6)
+        if self.args:
+            record["args"] = self.args
+        return record
+
+    @classmethod
+    def from_dict(cls, record: Dict[str, object]) -> "TraceEvent":
+        """Parse one JSONL line; its keys tell the category (log lines
+        have ``level``, remark lines ``pass``, decision lines neither)."""
+        category = (
+            "log" if "level" in record
+            else "remark" if "pass" in record
+            else "decision"
+        )
+        args = dict(record.get("args", {}))  # type: ignore[call-overload]
+        event = cls("", 0, 0, 0, args, category=category)
+        for key, attr in _LINE_KEYS[category]:
+            if key in record:
+                setattr(event, attr, record[key])
+        if category == "decision":
+            event.name = event.kind
+        if "ts" in record:
+            event.start_ns = round(float(record["ts"]) * 1e9) - _EPOCH_OFFSET_NS  # type: ignore[arg-type]
+        return event
+
 
 class _NullSpan:
-    """Shared no-op context manager returned while tracing is disabled."""
+    """Shared no-op context manager returned while spans are off."""
 
     __slots__ = ()
 
@@ -75,7 +204,7 @@ _NULL_SPAN = _NullSpan()
 
 
 class _Span:
-    """A live span; created only when the tracer is enabled."""
+    """A live span; created only while spans are armed."""
 
     __slots__ = (
         "tracer", "name", "args", "start_ns", "depth",
@@ -130,22 +259,46 @@ class _Span:
 
 
 class Tracer:
-    """Collects hierarchical spans; exportable as Chrome trace JSON."""
+    """One session's recorder: every category into one event list."""
 
     def __init__(self, enabled: bool = False) -> None:
-        self.enabled = enabled
+        #: the armed categories (SPAN | REMARK | DECISION | LOG bits)
+        self.mask = SPAN if enabled else 0
+        #: log threshold: log records ranked below it are dropped
+        self.level = "info"
         self.events: List[TraceEvent] = []
         self._stack: List[_Span] = []
         self._binding: List[TraceContext] = []
+        self._next_graph_id = 0
+        self._graph: Dict[str, object] = {}
 
-    # -- recording ---------------------------------------------------------
+    @property
+    def enabled(self) -> bool:
+        """Whether spans are armed."""
+        return bool(self.mask & SPAN)
+
+    def enable(self, mask: int = SPAN) -> None:
+        """Arm the ``mask`` categories (spans by default)."""
+        self.mask |= mask
+
+    def disable(self, mask: int = SPAN) -> None:
+        self.mask &= ~mask
+
+    def clear(self) -> None:
+        self.events.clear()
+        self._stack.clear()
+        self._binding.clear()
+        self._next_graph_id = 0
+        self._graph = {}
+
+    # -- spans -------------------------------------------------------------
 
     def span(self, name: str, **args: object):
         """Open a span: ``with tracer.span("vectorize", config="SN-SLP")``.
 
-        Returns a shared no-op context manager when tracing is disabled.
+        Returns a shared no-op context manager while spans are off.
         """
-        if not self.enabled:
+        if not self.mask & SPAN:
             return _NULL_SPAN
         return _Span(self, name, args)
 
@@ -155,15 +308,15 @@ class Tracer:
     ) -> Iterator[Optional[TraceContext]]:
         """Attribute spans opened in this scope to a request context.
 
-        While bound (and enabled), every completed span carries the
-        context's ``trace_id``, a fresh ``span_id``, and a ``parent_id``
-        chaining it to the enclosing span (or to ``context.span_id`` at
-        the top of the stack) — the cross-process causal links the
-        distributed span tree is assembled from.  ``bind(None)`` and
-        binding a disabled tracer are no-ops, preserving the one-branch
-        disabled contract.
+        While bound (and spans are armed), every completed span carries
+        the context's ``trace_id``, a fresh ``span_id``, and a
+        ``parent_id`` chaining it to the enclosing span (or to
+        ``context.span_id`` at the top of the stack) — the cross-process
+        causal links the distributed span tree is assembled from.
+        ``bind(None)`` and binding while spans are off are no-ops,
+        preserving the one-branch disabled contract.
         """
-        if context is None or not self.enabled:
+        if context is None or not self.mask & SPAN:
             yield None
             return
         self._binding.append(context)
@@ -172,29 +325,119 @@ class Tracer:
         finally:
             self._binding.pop()
 
-    def enable(self) -> None:
-        self.enabled = True
+    def record_span(
+        self, name: str, start_ns: int, duration_ns: int, depth: int,
+        trace_id: str, span_id: str, parent_id: str, **args: object,
+    ) -> None:
+        """Record a span timed elsewhere (the synthesized client-side
+        request spans) while spans are armed."""
+        if self.mask & SPAN:
+            self.events.append(TraceEvent(
+                name, start_ns, max(0, duration_ns), depth, args,
+                trace_id=trace_id, span_id=span_id, parent_id=parent_id,
+            ))
 
-    def disable(self) -> None:
-        self.enabled = False
+    # -- point records -----------------------------------------------------
 
-    def clear(self) -> None:
-        self.events.clear()
-        self._stack.clear()
-        self._binding.clear()
+    def _point(
+        self, category: str, kind: str, name: str, message: str,
+        args: Dict[str, object], **where: object,
+    ) -> None:
+        self.events.append(TraceEvent(
+            name, time.perf_counter_ns(), 0, len(self._stack), args,
+            category=category, kind=kind, message=message,
+            **where,  # type: ignore[arg-type]
+        ))
 
-    # -- queries -----------------------------------------------------------
+    def remark(
+        self, kind: str, pass_name: str, message: str, /,
+        function: str = "", block: str = "", seed: str = "",
+        **args: object,
+    ) -> None:
+        """Record an optimization remark (one of :data:`REMARK_KINDS`)."""
+        if self.mask & REMARK:
+            assert kind in REMARK_KINDS, kind
+            self._point(
+                "remark", kind, pass_name, message, args,
+                function=function, block=block, seed=seed,
+            )
+
+    def decision(self, kind: str, message: str, /, **args: object) -> None:
+        """Record a vectorizer decision (one of :data:`DECISION_KINDS`)
+        in the open graph attempt."""
+        if self.mask & DECISION:
+            assert kind in DECISION_KINDS, kind
+            self._point("decision", kind, kind, message, args, **self._graph)
+
+    def log(
+        self, level: str, event: str, message: str, /,
+        trace_id: str = "", **args: object,
+    ) -> None:
+        """Record a log event (dropped below the :attr:`level` threshold)."""
+        if self.mask & LOG and _LEVEL_RANK[level] >= _LEVEL_RANK[self.level]:
+            self._point("log", level, event, message, args, trace_id=trace_id)
+
+    def begin_graph(self, function: str = "", block: str = "", seed: str = "") -> int:
+        """Open a graph attempt: later decisions carry its id and
+        function/block/seed kind.  Attempts never nest (the vectorizer
+        tries one seed at a time)."""
+        graph_id = self._next_graph_id
+        self._next_graph_id += 1
+        self._graph = dict(
+            graph_id=graph_id, function=function, block=block, seed=seed
+        )
+        return graph_id
+
+    def end_graph(self) -> None:
+        self._graph = {}
+
+    # -- moving records between recorders ----------------------------------
+
+    def take(self, mark: int = 0) -> List[TraceEvent]:
+        """Move the records from index ``mark`` on out of the list."""
+        taken = self.events[mark:]
+        del self.events[mark:]
+        return taken
+
+    @contextmanager
+    def collect(self, mask: int) -> Iterator[List[TraceEvent]]:
+        """Record the ``mask`` categories privately for a scope.
+
+        The categories are armed for the scope, with graph ids counted
+        from 0; on exit their records from the scope leave
+        :attr:`events` for the yielded list, and the mask and graph
+        count are restored.  Other categories record as usual.
+        """
+        saved = self.mask, self._next_graph_id
+        mark = len(self.events)
+        self.mask |= mask
+        self._next_graph_id = 0
+        collected: List[TraceEvent] = []
+        try:
+            yield collected
+        finally:
+            self.mask, self._next_graph_id = saved
+            for event in self.take(mark):
+                private = mask & CATEGORIES[event.category]
+                (collected if private else self.events).append(event)
+
+    # -- views -------------------------------------------------------------
+
+    def of(self, category: str, kind: Optional[str] = None) -> List[TraceEvent]:
+        """The records of one category (and kind), in emission order."""
+        return [
+            event for event in self.events
+            if event.category == category and (kind is None or event.kind == kind)
+        ]
 
     def named(self, name: str) -> List[TraceEvent]:
-        return [event for event in self.events if event.name == name]
+        return [event for event in self.of("span") if event.name == name]
 
     def total_ns(self, name: str) -> int:
         return sum(event.duration_ns for event in self.named(name))
 
-    # -- Chrome trace-event export ----------------------------------------
-
     def to_chrome_trace(self) -> Dict[str, object]:
-        """The trace as a Chrome trace-event JSON object.
+        """The spans as a Chrome trace-event JSON object.
 
         Complete ("X") events with microsecond timestamps.  Spans merged
         in from service workers render one process track per **(pid,
@@ -210,6 +453,8 @@ class Tracer:
         tracks: Dict[tuple, int] = {(0, 0): 1}
         trace_events: List[Dict[str, object]] = []
         for event in self.events:
+            if event.category != "span":
+                continue
             key = (event.pid, event.generation)
             track = tracks.get(key)
             if track is None:
@@ -265,8 +510,22 @@ class Tracer:
             handle.write("\n")
 
 
+def write_records(path: str, events: Sequence[TraceEvent]) -> None:
+    """Write point records as JSONL, one sorted-key object per line."""
+    with open(path, "w") as handle:
+        for event in events:
+            handle.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
+
+
+def load_records(path: str) -> List[TraceEvent]:
+    """Parse a ``--remarks``, ``--journal`` or ``--log`` JSONL file back
+    into :class:`TraceEvent` records."""
+    with open(path) as handle:
+        return [TraceEvent.from_dict(json.loads(line)) for line in handle if line.strip()]
+
+
 def load_chrome_trace(path: str) -> List[TraceEvent]:
-    """Parse a written Chrome trace back into :class:`TraceEvent` objects.
+    """Parse a written Chrome trace back into span :class:`TraceEvent`\\ s.
 
     The inverse of :meth:`Tracer.write_chrome_trace`, up to arg
     stringification: complete ("X") events become TraceEvents with their

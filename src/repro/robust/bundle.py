@@ -27,7 +27,7 @@ from ..ir.module import Module
 from ..ir.printer import print_module
 from ..ir.verifier import VerificationError
 from ..machine.targets import DEFAULT_TARGET, TargetMachine
-from ..observe.session import current_session, use_session
+from ..observe.session import write_remarks
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .guard import GuardedResult
@@ -76,6 +76,8 @@ def write_crash_bundle(
     (injected faults always are).  Returns the bundle directory.
     """
     from ..fuzz.reduce import reduce_module, write_reproducer
+    from ..vectorizer import config_named
+    from .guard import guarded_compile
 
     crash = outcome.crash
     assert crash is not None, "write_crash_bundle needs a captured crash"
@@ -123,45 +125,15 @@ def write_crash_bundle(
             "candidates_tried": reduction.candidates_tried,
         }
 
-    _write_recovery_remarks(
-        reproducer,
-        crash.config,
-        target,
-        unroll_factor,
+    # Re-run the *guarded* driver over the reproducer so the bundle
+    # carries its recovery remarks.
+    write_remarks(
         os.path.join(directory, "remarks.jsonl"),
+        lambda: guarded_compile(
+            reproducer, config_named(crash.config), target,
+            unroll_factor=unroll_factor,
+        ),
     )
     with open(os.path.join(directory, "report.json"), "w") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
     return directory
-
-
-def _write_recovery_remarks(
-    module: Module,
-    config_name: str,
-    target: TargetMachine,
-    unroll_factor: int,
-    path: str,
-) -> None:
-    """Re-run the *guarded* driver over the reproducer with the remark
-    collector armed, so the bundle carries the recovery remarks.
-
-    Uses a private derived session (fresh remark collector) so the
-    re-compile neither pollutes nor depends on whatever collector the
-    surrounding command is using.
-    """
-    from ..vectorizer import config_named
-    from .guard import guarded_compile
-
-    session = current_session().derive(name="bundle-remarks", fresh_remarks=True)
-    session.remarks.enable()
-    with use_session(session):
-        try:
-            guarded_compile(
-                module,
-                config_named(config_name),
-                target,
-                unroll_factor=unroll_factor,
-            )
-        except Exception:  # noqa: BLE001 - remarks of a failure are still useful
-            pass
-    session.remarks.write_jsonl(path)

@@ -35,9 +35,9 @@ from ..observe import STAT
 from ..observe.session import (
     CompilerSession,
     current_metrics,
-    current_remarks,
     current_session,
     current_stats,
+    current_tracer,
     use_session,
 )
 from ..vectorizer.pipeline import (
@@ -405,8 +405,8 @@ def _record_failure(
 def _record(outcome: GuardedResult, record: RecoveryRecord) -> None:
     _RECOVERIES.add()
     outcome.recoveries.append(record)
-    current_remarks().recovery(
-        "guard",
+    current_tracer().remark(
+        "recovery", "guard",
         f"{record.kind} in phase {record.phase} under {record.config}: "
         f"rolled back, {record.action}",
         phase=record.phase,

@@ -463,7 +463,7 @@ def run_chaos_campaign(
             progress(line)
 
     note("computing fault-free baselines (bench, fuzz, socket)")
-    parent.log.emit(
+    parent.tracer.log(
         "info", "chaos-start", "chaos campaign started",
         budget=budget, seed=seed, scenarios=len(scenarios),
     )
@@ -509,7 +509,7 @@ def run_chaos_campaign(
         )
         # Structured twin of the progress line: escaped/fatal runs are
         # contract violations, so they log above the default threshold.
-        parent.log.emit(
+        parent.tracer.log(
             "error" if status in ("escaped", "fatal") else "info",
             "chaos-run", detail,
             run=index, scenario=scenario.name, site=scenario.site,
@@ -526,7 +526,7 @@ def run_chaos_campaign(
         runs=runs,
         elapsed_seconds=time.perf_counter() - started,
     )
-    parent.log.emit(
+    parent.tracer.log(
         "info", "chaos-done", "chaos campaign finished",
         budget=budget, ok=result.ok,
         escaped=result.by_status["escaped"] + result.by_status["fatal"],

@@ -24,16 +24,17 @@ Protocol (all tuples, pickled):
   :meth:`~repro.observe.context.TraceContext.to_wire` triple
   ``(trace_id, span_id, attempt)``.
 * worker → parent: ``(task_id, status, data_bytes, worker_seconds,
-  stats_delta, spans)`` where ``status`` is ``"ok"`` or ``"error"``,
+  capture)`` where ``status`` is ``"ok"`` or ``"error"``,
   ``data_bytes`` pickles the result (or ``(exc_type_name, message)``)
-  and ``stats_delta`` is the warm session's counter delta for the task
-  (cache hits etc.), folded into the service session by the parent —
-  never into task results, so bit-identity with serial runs holds.
-  ``spans`` is the task's captured span forest (empty when the task
-  carried no trace): :class:`~repro.observe.trace.TraceEvent` objects
-  rooted at a ``worker:task`` span whose ``parent_id`` is the request
-  span shipped in ``trace``, which is what lets the parent assemble one
-  causally-linked tree per request across process boundaries.
+  and ``capture`` is the warm session's
+  :class:`~repro.observe.session.Capture` for the task, absorbed into
+  the service session by the parent — never into task results, so
+  bit-identity with serial runs holds.  It carries the task's counter
+  delta (cache hits etc.) and, when the task carried a trace, its span
+  forest: records rooted at a ``worker:task`` span whose ``parent_id``
+  is the request span shipped in ``trace``, which is what lets the
+  parent assemble one causally-linked tree per request across process
+  boundaries.
 
 Crash handling: the parent polls ``Process.is_alive()`` (pipe EOF is
 unreliable under ``fork`` because later workers inherit earlier workers'
@@ -50,11 +51,11 @@ import threading
 import time
 from dataclasses import dataclass, field
 from multiprocessing import Pipe, Process, connection
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 #: wire tuples (see module docstring)
 TaskEnvelope = Tuple[int, str, bytes, Optional[Tuple[str, str, int]]]
-ResultEnvelope = Tuple[int, str, bytes, float, Dict[str, float], List[object]]
+ResultEnvelope = Tuple[int, str, bytes, float, object]
 
 #: pseudo task id of periodic worker heartbeat envelopes
 HEARTBEAT_ID = -3
@@ -122,7 +123,7 @@ def _worker_main(
             while True:
                 time.sleep(heartbeat_interval)
                 try:
-                    _send((HEARTBEAT_ID, "hb", b"", 0.0, {}, []))
+                    _send((HEARTBEAT_ID, "hb", b"", 0.0, None))
                 except (OSError, BrokenPipeError, ValueError):
                     break
 
@@ -138,7 +139,7 @@ def _worker_main(
                 break
             if envelope is None:  # drain sentinel
                 try:
-                    _send((-1, "bye", b"", 0.0, {}, []))
+                    _send((-1, "bye", b"", 0.0, None))
                 except (OSError, BrokenPipeError):
                     pass
                 break
@@ -147,7 +148,7 @@ def _worker_main(
             # detector measures stall time from this marker, so a task
             # that never completes is caught before its deadline.
             try:
-                _send((task_id, "begin", b"", 0.0, {}, []))
+                _send((task_id, "begin", b"", 0.0, None))
             except (OSError, BrokenPipeError):
                 break
             if faults is not None:
@@ -157,8 +158,7 @@ def _worker_main(
                     os._exit(CRASH_EXIT_CODE)
                 faults.fire("serve.worker.stall")
             started = time.perf_counter()
-            before = session.stats.snapshot()
-            spans: List[object] = []
+            mark = session.mark()
             try:
                 payload = pickle.loads(payload_bytes)
                 if faults is not None:
@@ -166,10 +166,7 @@ def _worker_main(
                 if trace is None:
                     result = run_task(kind, payload, state)
                 else:
-                    result = _run_traced(
-                        state, generation, task_id, kind, payload,
-                        trace, spans,
-                    )
+                    result = _run_traced(state, task_id, kind, payload, trace)
                 status, data = "ok", pickle.dumps(result, protocol=-1)
             except BaseException as exc:  # noqa: BLE001 - ship, don't die
                 status = "error"
@@ -177,12 +174,7 @@ def _worker_main(
                     (type(exc).__name__, str(exc)), protocol=-1
                 )
             worker_seconds = time.perf_counter() - started
-            after = session.stats.snapshot()
-            delta = {
-                name: after[name] - before.get(name, 0.0)
-                for name in after
-                if after[name] != before.get(name, 0.0)
-            }
+            capture = session.capture(mark)
             state.tasks_done += 1
             garbled = False
             if faults is not None:
@@ -199,40 +191,34 @@ def _worker_main(
             if garbled:
                 continue
             try:
-                _send((task_id, status, data, worker_seconds, delta, spans))
+                _send((task_id, status, data, worker_seconds, capture))
             except (OSError, BrokenPipeError):
                 break
 
 
 def _run_traced(
     state: object,
-    generation: int,
     task_id: int,
     kind: str,
     payload: object,
     raw_trace: Tuple[str, str, int],
-    spans_out: List[object],
 ) -> object:
     """Run one task under its request's bound trace context.
 
     Opens a ``worker:task`` root span parented to the request span the
-    parent shipped in the envelope, installs a derived ambient context so
-    compile-phase spans opened by the task nest under that root, and
-    captures the resulting span forest into ``spans_out`` — also when
-    the task raises (the root span closes during propagation), so error
-    replies still carry their spans.  The warm session's tracer is
-    force-enabled only for the scope of the task; spans are moved out of
-    the worker-local tracer so repeated tasks never accumulate state.
+    parent shipped in the envelope, and installs a derived ambient
+    context so compile-phase spans opened by the task nest under that
+    root.  The warm session's spans are armed only for the scope of the
+    task; the worker loop's capture moves the span forest out — also
+    when the task raises (the root span closes during propagation), so
+    error replies still carry their spans.
     """
     from ..observe.context import TraceContext, use_trace_context
     from .tasks import run_task
 
-    session = state.session  # type: ignore[attr-defined]
+    tracer = state.session.tracer  # type: ignore[attr-defined]
     context = TraceContext.from_wire(raw_trace)
-    tracer = session.tracer
-    mark = len(tracer.events)
-    was_enabled = tracer.enabled
-    tracer.enabled = True
+    tracer.enable()
     try:
         with tracer.bind(context):
             with tracer.span(
@@ -246,14 +232,7 @@ def _run_traced(
                 with use_trace_context(inner):
                     return run_task(kind, payload, state)
     finally:
-        pid = os.getpid()
-        captured = tracer.events[mark:]
-        del tracer.events[mark:]
-        tracer.enabled = was_enabled
-        for event in captured:
-            event.pid = pid
-            event.generation = generation
-        spans_out.extend(captured)
+        tracer.disable()
 
 
 @dataclass

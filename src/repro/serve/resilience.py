@@ -44,7 +44,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..observe import STAT
 from ..observe.context import TraceContext, mint_context
 from ..observe.session import CompilerSession, current_session, use_session
-from ..observe.trace import TraceEvent
 from .service import (
     CompileService,
     RemoteTaskError,
@@ -279,7 +278,7 @@ class ResilientExecutor:
                 _RETRIES.resolve(self.session.stats).add()
                 if context is not None:
                     context = context.retry()
-                self.session.log.emit(
+                self.session.tracer.log(
                     "info", "retry",
                     f"resubmitting {kind} task after "
                     f"{type(exc).__name__} (attempt {attempt})",
@@ -314,21 +313,11 @@ class ResilientExecutor:
         span every service/worker/serial span ultimately parents into."""
         if context is None or not self.session.tracer.enabled:
             return
-        self.session.tracer.events.append(
-            TraceEvent(
-                name="client:request",
-                start_ns=started_ns,
-                duration_ns=max(0, time.perf_counter_ns() - started_ns),
-                depth=0,
-                args={
-                    "kind": task[0],
-                    "status": status,
-                    "attempt": context.attempt,
-                },
-                trace_id=context.trace_id,
-                span_id=context.span_id,
-                parent_id="",
-            )
+        self.session.tracer.record_span(
+            "client:request", started_ns,
+            time.perf_counter_ns() - started_ns, 0,
+            context.trace_id, context.span_id, "",
+            kind=task[0], status=status, attempt=context.attempt,
         )
 
     def _sync_breaker(self) -> None:
@@ -341,15 +330,15 @@ class ResilientExecutor:
         self._sync_breaker()
         if tripped:
             _BREAKER_TRIPS.resolve(self.session.stats).add()
-            self.session.remarks.recovery(
-                "resilience",
+            self.session.tracer.remark(
+                "recovery", "resilience",
                 f"circuit breaker tripped open after "
                 f"{self.breaker.consecutive_failures} consecutive service "
                 f"failures; cooling down "
                 f"{self.breaker.cooldown_seconds:g}s",
                 breaker_trips=self.breaker.trips,
             )
-            self.session.log.emit(
+            self.session.tracer.log(
                 "error", "breaker-trip",
                 f"circuit breaker opened after "
                 f"{self.breaker.consecutive_failures} consecutive failures",
@@ -377,14 +366,14 @@ class ResilientExecutor:
             if cause is not None
             else "service unavailable or circuit open"
         )
-        self.session.remarks.recovery(
-            "resilience",
+        self.session.tracer.remark(
+            "recovery", "resilience",
             f"degraded {kind} task to serial in-process execution "
             f"({detail})",
             task_kind=kind,
             rung="serial",
         )
-        self.session.log.emit(
+        self.session.tracer.log(
             "warn", "degrade",
             f"degraded {kind} task to serial in-process execution",
             trace_id=context.trace_id if context else "",
@@ -413,29 +402,28 @@ class ResilientExecutor:
                 index=-1, session=CompilerSession(name="resilience-serial")
             )
         state = self._serial_state
-        if context is None or not self.session.tracer.enabled:
-            with use_session(state.session):
-                return run_task(kind, payload, state)
-        # Trace the serial rung like a worker would: a ``serial:task``
-        # root parented into the request context, compile-phase spans
-        # nested inside, the forest moved into the caller's tracer
-        # afterwards (pid stays 0 — this *is* the client process).
-        tracer = state.session.tracer
-        mark = len(tracer.events)
-        was_enabled = tracer.enabled
-        tracer.enabled = True
+        session = state.session
+        # Traced, the serial rung runs like a worker task: a
+        # ``serial:task`` root parented into the request context, with
+        # compile-phase spans nested inside.  Either way what the task
+        # recorded is absorbed into the caller's session (pid stays 0 —
+        # this *is* the client process).
+        traced = context is not None and self.session.tracer.enabled
+        mark = session.mark()
+        if traced:
+            session.tracer.enable()
         try:
-            with use_session(state.session):
-                with tracer.bind(context):
-                    with tracer.span(
+            with use_session(session):
+                if not traced:
+                    return run_task(kind, payload, state)
+                with session.tracer.bind(context):
+                    with session.tracer.span(
                         "serial:task", kind=kind, attempt=context.attempt
                     ):
                         return run_task(kind, payload, state)
         finally:
-            captured = tracer.events[mark:]
-            del tracer.events[mark:]
-            tracer.enabled = was_enabled
-            self.session.tracer.events.extend(captured)
+            session.tracer.disable()
+            self.session.absorb(session.capture(mark))
 
 
 def run_batch(

@@ -57,8 +57,8 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from ..observe import STAT
 from ..observe.context import TraceContext, mint_context, new_span_id
 from ..observe.metrics import exact_percentile
-from ..observe.session import CompilerSession, current_session
-from ..observe.trace import TraceEvent
+from ..observe.session import Capture, CompilerSession, current_session
+from ..observe.trace import LOG, TraceEvent
 from .pool import WorkerPool
 
 _MARSHAL_SECONDS = STAT(
@@ -248,10 +248,11 @@ class CompileService:
         record: Optional[TaskRecord] = None,
         **args: object,
     ) -> None:
-        """Emit to the session's structured event log (one-branch no-op
-        while disabled), trace-correlated when ``record`` carries one."""
-        log = self.session.log
-        if not log.enabled:
+        """Record a log event in the session's stream (one-branch no-op
+        while logging is off), trace-correlated when ``record`` carries
+        one."""
+        tracer = self.session.tracer
+        if not tracer.mask & LOG:
             return
         trace_id = (
             record.trace.trace_id
@@ -261,7 +262,7 @@ class CompileService:
         if record is not None:
             args.setdefault("task", record.id)
             args.setdefault("kind", record.kind)
-        log.emit(level, event, message, trace_id=trace_id, **args)
+        tracer.log(level, event, message, trace_id=trace_id, **args)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -640,7 +641,7 @@ class CompileService:
 
     def _handle_result(self, worker_index: int, envelope) -> None:
         try:
-            task_id, status, data, worker_seconds, delta, spans = envelope
+            task_id, status, data, worker_seconds, capture = envelope
             if not isinstance(task_id, int) or not isinstance(status, str):
                 raise TypeError("bogus envelope field types")
         except (TypeError, ValueError):
@@ -662,32 +663,30 @@ class CompileService:
             return
         if task_id < 0:  # drain acknowledgement
             return
+        pid = generation = 0
         with self._lock:
             if worker_index < len(self.pool.workers):
                 worker = self.pool.workers[worker_index]
                 worker.busy_seconds += float(worker_seconds)
                 worker.inflight = max(0, worker.inflight - 1)
+                pid, generation = worker.process.pid or 0, worker.generation
             record = self._inflight.get(worker_index, OrderedDict()).pop(
                 task_id, None
             )
             if record is None:
                 record = self._records.get(task_id)
-        # Warm-session counter deltas (cache hits, task-cache traffic)
-        # fold into the *service* session — never into task results.
+        # The worker's capture folds into the *service* session, never
+        # into task results: counter deltas (cache hits, task-cache
+        # traffic) always, and the span forest — which parents into
+        # record.trace.span_id, closing the cross-process causal chain —
+        # while the request is live.
         stats = self.session.stats
-        for name, value in sorted(delta.items()):
-            stats.stat(name).add(value)
         if record is None or record.done or record.state == "abandoned":
+            self.session.absorb(Capture(counters=capture.counters))
             if record is not None and not record.done:
                 self._finish_noop(record)
             return
-        # Adopt the worker's captured span forest into the service
-        # session's tracer: these spans carry the request's trace id and
-        # parent into record.trace.span_id, closing the cross-process
-        # causal chain.  (Error replies ship spans too — the worker:task
-        # root closes during exception propagation.)
-        if record.trace is not None and spans and self.session.tracer.enabled:
-            self.session.tracer.events.extend(spans)
+        self.session.absorb(capture, pid=pid, generation=generation)
         turnaround = time.perf_counter() - record.submitted_at
         self._recent_turnaround.append(turnaround)
         self.session.metrics.observe(
@@ -700,7 +699,8 @@ class CompileService:
             and turnaround > self.slow_log_seconds
         ):
             self._record_slow(
-                record, status, turnaround, float(worker_seconds), spans
+                record, status, turnaround, float(worker_seconds),
+                capture.events,
             )
         if status == "ok":
             try:
@@ -760,52 +760,30 @@ class CompileService:
     ) -> None:
         """Synthesize the client-side spans for one resolved request.
 
-        Two completed events are appended to the service session's
+        Two completed spans are recorded in the service session's
         tracer: a ``serve:queue`` child covering submit→dispatch, and
         the ``serve:request`` span itself, whose ``span_id`` is the one
-        the worker's ``worker:task`` root named as parent — that append
+        the worker's ``worker:task`` root named as parent — that record
         is what roots the cross-process tree.  Children precede their
         parent, matching the tracer's completion-order convention.
         """
         context = record.trace
-        events: List[TraceEvent] = []
+        tracer = self.session.tracer
         if record.sent_at is not None:
-            events.append(
-                TraceEvent(
-                    name="serve:queue",
-                    start_ns=record.submitted_ns,
-                    duration_ns=max(
-                        0,
-                        int((record.sent_at - record.submitted_at) * 1e9),
-                    ),
-                    depth=1,
-                    args={"task": record.id},
-                    trace_id=context.trace_id,
-                    span_id=new_span_id(),
-                    parent_id=context.span_id,
-                )
+            tracer.record_span(
+                "serve:queue", record.submitted_ns,
+                int((record.sent_at - record.submitted_at) * 1e9), 1,
+                context.trace_id, new_span_id(), context.span_id,
+                task=record.id,
             )
         status = "ok" if exception is None else type(exception).__name__
-        events.append(
-            TraceEvent(
-                name="serve:request",
-                start_ns=record.submitted_ns,
-                duration_ns=max(
-                    0, time.perf_counter_ns() - record.submitted_ns
-                ),
-                depth=0,
-                args={
-                    "kind": record.kind,
-                    "task": record.id,
-                    "status": status,
-                    "attempts": record.attempts,
-                },
-                trace_id=context.trace_id,
-                span_id=context.span_id,
-                parent_id=record.parent_span,
-            )
+        tracer.record_span(
+            "serve:request", record.submitted_ns,
+            time.perf_counter_ns() - record.submitted_ns, 0,
+            context.trace_id, context.span_id, record.parent_span,
+            kind=record.kind, task=record.id, status=status,
+            attempts=record.attempts,
         )
-        self.session.tracer.events.extend(events)
 
     def _record_slow(
         self,
@@ -866,8 +844,8 @@ class CompileService:
 
     def _handle_bad_frame(self, worker_index: int) -> None:
         _BAD_FRAMES.resolve(self.session.stats).add()
-        self.session.remarks.recovery(
-            "serve",
+        self.session.tracer.remark(
+            "recovery", "serve",
             f"bad frame from worker {worker_index}: killing it and "
             f"requeueing its in-flight tasks",
             worker=worker_index,
@@ -905,8 +883,8 @@ class CompileService:
                 except Exception as exc:
                     _RESPAWN_FAILURES.resolve(stats).add()
                     self.pool.mark_defunct(index)
-                    self.session.remarks.recovery(
-                        "serve",
+                    self.session.tracer.remark(
+                        "recovery", "serve",
                         f"respawn of worker {index} failed "
                         f"({type(exc).__name__}: {exc}); slot defunct, "
                         f"{len(self.pool.live_indices())} live worker(s) "
@@ -1064,8 +1042,8 @@ class CompileService:
                 f"wedged worker {index}: {reason}",
                 worker=index,
             )
-            self.session.remarks.recovery(
-                "serve",
+            self.session.tracer.remark(
+                "recovery", "serve",
                 f"wedged worker {index}: {reason}; killing and "
                 f"respawning before the request deadline",
                 worker=index,

@@ -25,9 +25,10 @@ compile cache is: given (kernel module text, config, target, seed) the
 simulator is deterministic, and the stored run replays the *cold* run's
 counters verbatim, so the parallel==serial bit-identity contract holds
 on every deterministic field (``correct`` is stored as None and
-recomputed by the parent's O3 cross-check, exactly as for a cold run).
-Runs that armed per-task tracing or remarks bypass the store — replaying
-span streams would be a lie.
+recomputed by the parent's O3 cross-check, exactly as for a cold run),
+and a stored run feeds the same per-pair histograms a cold run does.
+Runs that armed spans, remarks or decisions bypass the store — replaying
+those records would be a lie.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from ..observe import STAT
-from ..observe.session import CompilerSession
+from ..observe import DECISION, REMARK, SPAN, STAT
+from ..observe.metrics import MetricsRegistry
+from ..observe.session import METRICS, Capture, CompilerSession
 
 TASK_KINDS: Dict[str, Callable] = {}
 
@@ -78,8 +80,8 @@ class WorkerState:
     cache_dir: Optional[str] = None
     cache_entries: Optional[int] = None
     tasks_done: int = 0
-    #: pool generation of the hosting process (respawns bump it);
-    #: stamped onto captured spans so traces key tracks by (pid, gen)
+    #: pool generation of the hosting process (respawns bump it); bench
+    #: pairs report it so their records absorb under (pid, generation)
     generation: int = 0
     #: kernel name -> printed module text, memoized for cache keying
     _module_texts: Dict[str, str] = field(default_factory=dict)
@@ -177,7 +179,7 @@ def _bench_task_key(state: WorkerState, pair) -> str:
     from ..interp.engine import default_engine
     from ..vectorizer.cache import repro_source_fingerprint
 
-    kernel_name, config_name, target_name, seed, _, _, journal, _ = pair
+    kernel_name, config_name, target_name, seed, _, journal = pair
     hasher = hashlib.sha256()
     hasher.update(state.module_text(kernel_name).encode("utf-8"))
     hasher.update(
@@ -195,39 +197,45 @@ def _bench_task_key(state: WorkerState, pair) -> str:
 def _bench_pair_task(payload, state: WorkerState):
     """One (kernel, config) bench pair, memoized through the result store.
 
-    ``payload`` is ``(PairPayload, use_cache)``.  Pairs that armed
-    tracing or remarks always run cold (their value *is* the streams);
+    ``payload`` is ``(PairPayload, use_cache)``.  Pairs armed for spans,
+    remarks or decisions always run cold (their value *is* the records);
     otherwise a store hit rebuilds the KernelRun from the cold run's
-    stored document and reports the actual lookup wall time as
+    stored document, replays its per-pair histograms when metrics are
+    armed, and reports the actual lookup wall time as
     ``worker_seconds``.
     """
     from ..bench.parallel import _run_pair
+    from ..bench.runner import observe_run
 
     pair, use_cache = payload
-    trace, remarks = pair[4], pair[5]
+    mask = pair[4]
     store = state.result_store if use_cache else None
-    if store is None or trace or remarks:
-        run, capture = _run_pair(pair)
-        capture["generation"] = state.generation
-        return run, capture
+    if store is None or mask & (SPAN | REMARK | DECISION):
+        run, info = _run_pair(pair)
+        info["generation"] = state.generation
+        return run, info
     started = time.perf_counter()
     key = _bench_task_key(state, pair)
     entry = store.get(key)
     if entry is not None and entry.get("format") == BENCH_TASK_FORMAT:
         _TASK_HITS.add()
         run = run_from_json(entry["run"])
-        capture = {
+        capture = Capture()
+        if mask & METRICS:
+            capture.metrics = MetricsRegistry(enabled=True)
+            observe_run(capture.metrics, run)
+        return run, {
             "pid": os.getpid(),
             "generation": state.generation,
             "worker_seconds": time.perf_counter() - started,
             "cached": True,
+            "capture": capture,
         }
-        return run, capture
     _TASK_MISSES.add()
-    run, capture = _run_pair(pair)
-    capture["generation"] = state.generation
+    run, info = _run_pair(pair)
+    info["generation"] = state.generation
     store.put(key, {"format": BENCH_TASK_FORMAT, "run": run_to_json(run)})
-    return run, capture
+    return run, info
 
 
 @task_kind("compile")

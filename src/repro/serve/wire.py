@@ -98,10 +98,8 @@ def _task_for_request(doc: Dict[str, object]) -> Tuple[str, object, Optional[str
             doc.get("config", "SN-SLP"),
             doc.get("target", "skylake-like"),
             int(doc.get("seed", DEFAULT_SEED)),
-            False,  # trace
-            False,  # remarks
+            0,  # mask: a wire request arms no streams
             bool(doc.get("journal", False)),
-            False,  # metrics
         )
         return "bench-pair", (pair, True), kernel
     raise ValueError(f"unknown request kind {kind!r}")
@@ -110,12 +108,12 @@ def _task_for_request(doc: Dict[str, object]) -> Tuple[str, object, Optional[str
 def _result_for_wire(kind: str, result: object) -> object:
     """Make a task result JSON-serializable for the response line."""
     if kind == "bench-pair":
-        run, capture = result
+        run, info = result
         return {
             "run": run_to_json(run),
-            "worker_pid": capture.get("pid"),
-            "worker_seconds": capture.get("worker_seconds"),
-            "cached": bool(capture.get("cached", False)),
+            "worker_pid": info.get("pid"),
+            "worker_seconds": info.get("worker_seconds"),
+            "cached": bool(info.get("cached", False)),
         }
     return result
 
@@ -189,7 +187,7 @@ def serve_stream(
     shutdown = False
     for line in in_stream:
         if len(line) > MAX_FRAME_BYTES:
-            service.session.log.emit(
+            service.session.tracer.log(
                 "warn", "frame-too-large",
                 f"dropped a {len(line)}-byte request frame "
                 f"(limit {MAX_FRAME_BYTES})",
@@ -252,7 +250,7 @@ def serve_stream(
         try:
             task_kind, payload, shard = _task_for_request(doc)
         except (KeyError, TypeError, ValueError) as exc:
-            service.session.log.emit(
+            service.session.tracer.log(
                 "warn", "bad-request",
                 f"rejected request {request_id!r}: {exc}",
                 request=str(request_id),

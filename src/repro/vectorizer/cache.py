@@ -51,8 +51,8 @@ from ..ir.module import Module
 from ..ir.parser import parse_module
 from ..ir.printer import print_module
 from ..machine.targets import DEFAULT_TARGET, TargetMachine
-from ..observe import STAT
-from ..observe.session import CompilerSession, current_session, use_session
+from ..observe import DECISION, STAT
+from ..observe.session import Capture, CompilerSession, current_session, use_session
 from .pipeline import CompilationResult, compile_module
 from .report import FunctionReport, GraphReport, VectorizationReport
 from .reorder import SuperNodeRecord
@@ -305,8 +305,8 @@ class SharedJsonStore:
         if corrupt:
             session = current_session()
             STAT_INDEX_REBUILDS.resolve(session.stats).add()
-            session.remarks.recovery(
-                "cache",
+            session.tracer.remark(
+                "recovery", "cache",
                 f"recency index for {self.namespace!r} store was corrupt; "
                 f"rebuilt from entry mtimes (no documents lost)",
                 namespace=self.namespace,
@@ -503,24 +503,26 @@ def cached_compile_module(
 ) -> CompilationResult:
     """:func:`compile_module`, memoized through ``cache``.
 
-    ``cache=None`` degrades to a plain compile.  On a hit the stored
-    result is rehydrated, ``cache.hits`` is bumped, the stored counter
-    snapshot is replayed into the target session (so a hit accumulates
-    the same counters a compile into that session would have), and a
-    ``cache_hit`` analysis remark records the key and snapshot — cached
-    compiles are distinguishable from cold ones instead of silently
-    skipping the pipeline.  On a miss the module is compiled normally
+    ``cache=None`` degrades to a plain compile, and so does a session
+    with decisions armed: a stored result cannot replay the decision
+    records a compile makes.  On a hit the stored result is rehydrated,
+    ``cache.hits`` is bumped, the stored counter snapshot is absorbed
+    into the target session (so a hit accumulates the same counters a
+    compile into that session would have), and a ``cache_hit`` analysis
+    remark records the key and snapshot — cached compiles are
+    distinguishable from cold ones instead of silently skipping the
+    pipeline.  On a miss the module is compiled normally
     (into ``session`` or an ephemeral child, exactly as
     ``compile_module`` would) and the result is stored before being
     returned.  A corrupt on-disk entry is a miss with a ``cache_corrupt``
     analysis remark, never an exception.
     """
-    if cache is None:
+    target_session = session if session is not None else current_session()
+    if cache is None or target_session.tracer.mask & DECISION:
         return compile_module(
             module, config, target,
             verify=verify, unroll_factor=unroll_factor, session=session,
         )
-    target_session = session if session is not None else current_session()
     key = cache_key(module, config, target, unroll_factor)
     with target_session.metrics.timer(
         "cache.lookup.seconds", "wall seconds per compile-cache lookup"
@@ -531,8 +533,8 @@ def cached_compile_module(
         with use_session(target_session):
             cached = cache.lookup(key)
     if cache.last_lookup == "corrupt":
-        target_session.remarks.analysis(
-            "cache",
+        target_session.tracer.remark(
+            "analysis", "cache",
             f"cache_corrupt: discarded garbage entry {key[:12]} for "
             f"{config.name}/{target.name}; compiling cold",
             key=key,
@@ -542,10 +544,9 @@ def cached_compile_module(
     if cached is not None:
         STAT_HITS.resolve(target_session.stats).add()
         _gauge_hit_rate(target_session)
-        for name, value in sorted(cached.counters.items()):
-            target_session.stats.stat(name).add(value)
-        target_session.remarks.analysis(
-            "cache",
+        target_session.absorb(Capture(counters=dict(cached.counters)))
+        target_session.tracer.remark(
+            "analysis", "cache",
             f"cache_hit: replayed {config.name}/{target.name} compile of "
             f"module {module.name} from key {key[:12]}",
             key=key,

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..ir.builder import IRBuilder
 from ..ir.instructions import BinaryInst, Instruction, Opcode
 from ..ir.values import Value
-from ..observe import STAT, current_journal
+from ..observe import DECISION, STAT, current_tracer
 from ..robust.faults import current_faults
 from .lookahead import LookAheadScorer
 from .supernode import LaneChain, Leaf, Slot, TrunkUnit, build_lane_chain
@@ -180,7 +180,7 @@ class SuperNode:
         is until :meth:`generate_code`, so one look-ahead memo serves the
         whole search and is dropped when it returns."""
         current_faults().fire("reorder.reorder")
-        journal = current_journal()
+        tracer = current_tracer()
         scorer = scorer.memo()
         applied = 0
         # Applied-move statistics are measured as deltas over the chains'
@@ -214,10 +214,10 @@ class SuperNode:
                 for lane in range(self.num_lanes)
             ]
             scored: Optional[List[Tuple[List[Value], int]]] = (
-                [] if journal.enabled else None
+                [] if tracer.mask & DECISION else None
             )
             group = self._find_best_group(scorer, placeable, scored)
-            if journal.enabled and scored:
+            if tracer.mask & DECISION and scored:
                 # The look-ahead score matrix for this operand index: one
                 # row per Lane-0 candidate, ranked best-first.
                 ranked = sorted(
@@ -227,7 +227,7 @@ class SuperNode:
                 best_score = ranked[0][1][1]
                 runner_up = ranked[1][1][1] if len(ranked) > 1 else None
                 versus = f" vs {runner_up}" if runner_up is not None else ""
-                journal.emit(
+                tracer.decision(
                     "lookahead",
                     f"look-ahead picked {{{', '.join(best_refs)}}} at operand "
                     f"{op_index} (score {best_score}{versus})",
@@ -241,8 +241,8 @@ class SuperNode:
                 )
             if group is None:
                 _STAT_GROUPS_FAILED.add()
-                if journal.enabled:
-                    journal.emit(
+                if tracer.mask & DECISION:
+                    tracer.decision(
                         "group",
                         f"no legal group at operand {op_index}; lanes left "
                         f"as-is",
@@ -263,7 +263,7 @@ class SuperNode:
                     (c.leaf_swaps_applied, c.trunk_swaps_applied)
                     for c in self.chains
                 ]
-                if journal.enabled
+                if tracer.mask & DECISION
                 else None
             )
             for lane, leaf in enumerate(group):
@@ -276,7 +276,7 @@ class SuperNode:
                 used[lane].add(id(leaf))
             applied += 1
             _STAT_GROUPS_APPLIED.add()
-            if journal.enabled and moves_before is not None:
+            if tracer.mask & DECISION and moves_before is not None:
                 legalized: List[str] = []
                 lane_moves: List[Dict[str, int]] = []
                 for lane, chain in enumerate(self.chains):
@@ -293,7 +293,7 @@ class SuperNode:
                     elif leaf_delta:
                         legalized.append(f"leaf swap legalized lane {lane}")
                 detail = f"; {', '.join(legalized)}" if legalized else ""
-                journal.emit(
+                tracer.decision(
                     "group",
                     f"locked group {{{', '.join(v.ref() for v in group)}}} at "
                     f"operand {op_index}{detail}",
@@ -319,7 +319,7 @@ class SuperNode:
         """Try every legal Lane-0 candidate; keep the best-scoring group.
 
         ``placeable`` lists, per lane, the candidates that can legally move
-        to the operand index being decided.  ``scored`` (journal support)
+        to the operand index being decided.  ``scored`` (decision records)
         collects every candidate group with its look-ahead score — the
         score matrix behind the decision.
         """

@@ -124,45 +124,6 @@ class VectorizationReport:
             sorted(histogram.items(), key=lambda pair: (-pair[1], pair[0]))
         )
 
-    def to_remarks(self):
-        """Re-derive structured remarks from the recorded graphs.
-
-        Unlike a session's live remark stream (which must be
-        enabled before compilation), this works after the fact from the
-        report alone: one passed/missed remark per graph plus one analysis
-        remark per gather reason.
-        """
-        from ..observe import Remark
-
-        remarks: List = []
-        for graph in self.all_graphs():
-            kind = "passed" if graph.vectorized else "missed"
-            verb = "vectorized" if graph.vectorized else "not profitable"
-            remarks.append(
-                Remark(
-                    kind=kind,
-                    pass_name="slp",
-                    message=f"{graph.lanes}-lane {graph.kind} graph {verb}",
-                    function=graph.function,
-                    block=graph.block,
-                    seed=graph.kind,
-                    args={"cost": graph.cost, "lanes": graph.lanes},
-                )
-            )
-            for reason in graph.gather_reasons:
-                remarks.append(
-                    Remark(
-                        kind="analysis",
-                        pass_name="slp",
-                        message=f"gather: {reason}",
-                        function=graph.function,
-                        block=graph.block,
-                        seed=graph.kind,
-                        args={"in_vectorized_graph": graph.vectorized},
-                    )
-                )
-        return remarks
-
     def summary(self) -> str:
         graphs = self.all_graphs()
         vectorized = self.vectorized_graphs()

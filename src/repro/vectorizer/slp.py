@@ -34,7 +34,7 @@ from ..ir.module import Module
 from ..ir.types import VectorType, vector_of
 from ..ir.values import Value
 from ..machine.targets import TargetMachine
-from ..observe import STAT, current_journal, current_remarks, current_tracer
+from ..observe import DECISION, REMARK, STAT, current_tracer
 from ..observe.dot import chains_to_dot, graph_to_dot
 from ..robust.bisect import BISECT
 from .codegen import emit_vector_code
@@ -430,9 +430,9 @@ class _GraphBuilder:
                     or id(unit.inst) in self.vectorizer.consumed_ids
                 ):
                     return None
-        journal = current_journal()
-        if journal.enabled:
-            journal.emit(
+        tracer = current_tracer()
+        if tracer.mask & DECISION:
+            tracer.decision(
                 "supernode",
                 f"formed {node.kind}-node: {node.num_lanes} lanes x "
                 f"{node.size()} trunks in the {node.chains[0].family.name} "
@@ -458,10 +458,10 @@ class _GraphBuilder:
         applied = node.reorder_leaves_and_trunks(
             self.scorer, visit_root_first=self.config.visit_root_first
         )
-        if journal.enabled:
+        if tracer.mask & DECISION:
             leaf_swaps = sum(c.leaf_swaps_applied for c in node.chains)
             trunk_swaps = sum(c.trunk_swaps_applied for c in node.chains)
-            journal.emit(
+            tracer.decision(
                 "reorder",
                 f"reorder applied groups at {applied}/{node.num_slots} "
                 f"operand index(es): {leaf_swaps} leaf swap(s), "
@@ -535,14 +535,14 @@ class SLPVectorizer:
                 f"lanes={len(seed)}"
             ):
                 continue  # vetoed by -opt-bisect-limit style gating
-            journal = current_journal()
-            with current_tracer().span(
+            tracer = current_tracer()
+            with tracer.span(
                 "slp.graph", function=function.name, block=block.name,
                 lanes=len(seed),
             ):
-                if journal.enabled:
-                    journal.begin_graph(function.name, block.name, "store")
-                    journal.emit(
+                if tracer.mask & DECISION:
+                    tracer.begin_graph(function.name, block.name, "store")
+                    tracer.decision(
                         "seed",
                         f"seeded from {len(seed)} adjacent stores",
                         lanes=len(seed),
@@ -551,21 +551,21 @@ class SLPVectorizer:
                 graph = builder.build()  # step 3
                 if graph is None:
                     _STAT_SEEDS_UNSCHEDULABLE.add()
-                    current_remarks().missed(
-                        "slp",
+                    tracer.remark(
+                        "missed", "slp",
                         "seed store bundle is not schedulable",
                         function=function.name,
                         block=block.name,
                         seed="store",
                         lanes=len(seed),
                     )
-                    if journal.enabled:
-                        journal.emit(
+                    if tracer.mask & DECISION:
+                        tracer.decision(
                             "seed-rejected",
                             "seed store bundle is not schedulable",
                             lanes=len(seed),
                         )
-                        journal.end_graph()
+                        tracer.end_graph()
                     continue
                 _STAT_GRAPHS_BUILT.add()
                 _STAT_GATHER_NODES.add(len(graph.gather_nodes()))
@@ -573,8 +573,8 @@ class SLPVectorizer:
                 profitable = is_profitable(
                     graph, self.config.profitability_threshold
                 )  # step 5
-                if journal.enabled:
-                    journal.emit(
+                if tracer.mask & DECISION:
+                    tracer.decision(
                         "graph",
                         f"built graph: {len(graph.nodes)} node(s), "
                         f"{len(graph.gather_nodes())} gather(s)",
@@ -586,7 +586,7 @@ class SLPVectorizer:
                         dump=graph.dump(),
                         dot=graph_to_dot(graph),
                     )
-                    journal.emit(
+                    tracer.decision(
                         "cost",
                         f"cost {graph.total_cost:+.1f} (vector "
                         f"{graph.vector_cost:.1f} - scalar "
@@ -617,8 +617,8 @@ class SLPVectorizer:
                     for node in reversed(builder.formed_chains):
                         restored = node.undo_code(leaf_remap)
                         _STAT_CHAIN_UNDOS.add()
-                        if journal.enabled:
-                            journal.emit(
+                        if tracer.mask & DECISION:
+                            tracer.decision(
                                 "undo",
                                 f"reverted {node.kind}-node massage "
                                 f"({node.num_lanes} lanes x {node.size()} "
@@ -634,8 +634,8 @@ class SLPVectorizer:
                 self._remark_graph_outcome(
                     function, block, graph, profitable, seed_kind="store"
                 )
-                if journal.enabled:
-                    journal.end_graph()
+                if tracer.mask & DECISION:
+                    tracer.end_graph()
             report.graphs.append(
                 GraphReport(
                     function=function.name,
@@ -664,15 +664,16 @@ class SLPVectorizer:
         seed_kind: str,
     ) -> None:
         """Emit passed/missed (+ gather analysis) remarks for one graph."""
-        if not current_remarks().enabled:
+        tracer = current_tracer()
+        if not tracer.mask & REMARK:
             return
         where = dict(function=function.name, block=block.name, seed=seed_kind)
         reasons: Dict[str, int] = {}
         for node in graph.gather_nodes():
             reasons[node.reason] = reasons.get(node.reason, 0) + 1
         if profitable:
-            current_remarks().passed(
-                "slp",
+            tracer.remark(
+                "passed", "slp",
                 f"vectorized {graph.root.num_lanes}-lane {seed_kind} graph "
                 f"(cost {graph.total_cost:+.1f})",
                 cost=graph.total_cost,
@@ -684,15 +685,15 @@ class SLPVectorizer:
             # them as analysis remarks (see VectorizationReport.
             # partial_gather_reasons for the histogram view).
             for reason, count in sorted(reasons.items()):
-                current_remarks().analysis(
-                    "slp",
+                tracer.remark(
+                    "analysis", "slp",
                     f"partial gather in vectorized graph: {reason}",
                     count=count,
                     **where,
                 )
         else:
-            current_remarks().missed(
-                "slp",
+            tracer.remark(
+                "missed", "slp",
                 f"graph not profitable (cost {graph.total_cost:+.1f} >= "
                 f"{self.config.profitability_threshold:g})",
                 cost=graph.total_cost,
@@ -721,14 +722,14 @@ class SLPVectorizer:
                 f"leaves={candidate.leaf_count}"
             ):
                 continue
-            journal = current_journal()
-            with current_tracer().span(
+            tracer = current_tracer()
+            with tracer.span(
                 "slp.reduction", function=function.name, block=block.name,
                 leaves=candidate.leaf_count,
             ):
-                if journal.enabled:
-                    journal.begin_graph(function.name, block.name, "reduction")
-                    journal.emit(
+                if tracer.mask & DECISION:
+                    tracer.begin_graph(function.name, block.name, "reduction")
+                    tracer.decision(
                         "seed",
                         f"seeded from a {candidate.leaf_count}-leaf "
                         f"horizontal reduction chain",
@@ -740,26 +741,26 @@ class SLPVectorizer:
                 )
             if plan is None:
                 _STAT_REDUCTIONS_REJECTED.add()
-                current_remarks().missed(
-                    "reduction",
+                tracer.remark(
+                    "missed", "reduction",
                     f"no profitable chunking for {candidate.leaf_count} leaves",
                     function=function.name,
                     block=block.name,
                     seed="reduction",
                     leaves=candidate.leaf_count,
                 )
-                if journal.enabled:
-                    journal.emit(
+                if tracer.mask & DECISION:
+                    tracer.decision(
                         "seed-rejected",
                         f"no profitable chunking for {candidate.leaf_count} "
                         f"leaves",
                         leaves=candidate.leaf_count,
                     )
-                    journal.end_graph()
+                    tracer.end_graph()
                 continue
             profitable = plan.total_cost < self.config.profitability_threshold
-            if journal.enabled:
-                journal.emit(
+            if tracer.mask & DECISION:
+                tracer.decision(
                     "cost",
                     f"cost {plan.total_cost:+.1f} at VF={plan.vector_width} "
                     f"-> {'vectorized' if profitable else 'rejected'}",
@@ -770,8 +771,8 @@ class SLPVectorizer:
                 )
             if profitable:
                 _STAT_REDUCTIONS_VECTORIZED.add()
-                current_remarks().passed(
-                    "reduction",
+                tracer.remark(
+                    "passed", "reduction",
                     f"vectorized {candidate.leaf_count}-leaf reduction at "
                     f"VF={plan.vector_width} (cost {plan.total_cost:+.1f})",
                     function=function.name,
@@ -789,8 +790,8 @@ class SLPVectorizer:
                             self.consumed_ids.add(id(inst))
             else:
                 _STAT_REDUCTIONS_REJECTED.add()
-                current_remarks().missed(
-                    "reduction",
+                tracer.remark(
+                    "missed", "reduction",
                     f"reduction not profitable (cost {plan.total_cost:+.1f} >= "
                     f"{self.config.profitability_threshold:g})",
                     function=function.name,
@@ -822,8 +823,8 @@ class SLPVectorizer:
                     kind="reduction",
                 )
             )
-            if journal.enabled:
-                journal.end_graph()
+            if tracer.mask & DECISION:
+                tracer.end_graph()
 
     # -- min/max reductions (the other half of -slp-vectorize-hor) ---------------------------------
 
@@ -841,14 +842,14 @@ class SLPVectorizer:
                 f"leaves={candidate.leaf_count}"
             ):
                 continue
-            journal = current_journal()
-            with current_tracer().span(
+            tracer = current_tracer()
+            with tracer.span(
                 "slp.minmax", function=function.name, block=block.name,
                 leaves=candidate.leaf_count,
             ):
-                if journal.enabled:
-                    journal.begin_graph(function.name, block.name, "minmax")
-                    journal.emit(
+                if tracer.mask & DECISION:
+                    tracer.begin_graph(function.name, block.name, "minmax")
+                    tracer.decision(
                         "seed",
                         f"seeded from a {candidate.leaf_count}-leaf "
                         f"{candidate.callee} reduction chain",
@@ -860,8 +861,8 @@ class SLPVectorizer:
                 )
             if plan is None:
                 _STAT_MINMAX_REJECTED.add()
-                current_remarks().missed(
-                    "minmax",
+                tracer.remark(
+                    "missed", "minmax",
                     f"no profitable chunking for {candidate.leaf_count}-leaf "
                     f"{candidate.callee} reduction",
                     function=function.name,
@@ -869,18 +870,18 @@ class SLPVectorizer:
                     seed="minmax",
                     leaves=candidate.leaf_count,
                 )
-                if journal.enabled:
-                    journal.emit(
+                if tracer.mask & DECISION:
+                    tracer.decision(
                         "seed-rejected",
                         f"no profitable chunking for {candidate.leaf_count}"
                         f"-leaf {candidate.callee} reduction",
                         leaves=candidate.leaf_count,
                     )
-                    journal.end_graph()
+                    tracer.end_graph()
                 continue
             profitable = plan.total_cost < self.config.profitability_threshold
-            if journal.enabled:
-                journal.emit(
+            if tracer.mask & DECISION:
+                tracer.decision(
                     "cost",
                     f"cost {plan.total_cost:+.1f} at VF={plan.vector_width} "
                     f"-> {'vectorized' if profitable else 'rejected'}",
@@ -891,8 +892,8 @@ class SLPVectorizer:
                 )
             if profitable:
                 _STAT_MINMAX_VECTORIZED.add()
-                current_remarks().passed(
-                    "minmax",
+                tracer.remark(
+                    "passed", "minmax",
                     f"vectorized {candidate.leaf_count}-leaf {candidate.callee} "
                     f"reduction at VF={plan.vector_width} "
                     f"(cost {plan.total_cost:+.1f})",
@@ -911,8 +912,8 @@ class SLPVectorizer:
                             self.consumed_ids.add(id(inst))
             else:
                 _STAT_MINMAX_REJECTED.add()
-                current_remarks().missed(
-                    "minmax",
+                tracer.remark(
+                    "missed", "minmax",
                     f"{candidate.callee} reduction not profitable "
                     f"(cost {plan.total_cost:+.1f} >= "
                     f"{self.config.profitability_threshold:g})",
@@ -944,5 +945,5 @@ class SLPVectorizer:
                     kind="minmax-reduction",
                 )
             )
-            if journal.enabled:
-                journal.end_graph()
+            if tracer.mask & DECISION:
+                tracer.end_graph()

@@ -8,12 +8,12 @@ import pytest
 
 from repro.cli import main
 from repro.kernels import kernel_named
-from repro.observe import (
-    DecisionJournal,
-    load_journal,
+from repro.observe import DECISION, REMARK, SPAN, load_records, write_records
+from repro.observe.explain import (
+    explain_module,
+    render_stories,
     summarize_journal,
 )
-from repro.observe.explain import explain_module, render_stories
 from repro.observe.report_html import (
     diff_results,
     load_results,
@@ -25,42 +25,47 @@ from repro.vectorizer import SNSLP_CONFIG, compile_module
 from repro.vectorizer.report import GraphReport
 
 
-def _journal_for(kernel_name: str, config=SNSLP_CONFIG) -> DecisionJournal:
-    """Compile one benchmark kernel with the journal armed."""
+def _journal_for(kernel_name: str, config=SNSLP_CONFIG):
+    """Compile one benchmark kernel with decisions armed; returns the
+    decision records."""
     session = CompilerSession(name="test-journal")
-    session.journal.enable()
+    session.tracer.enable(DECISION)
     module = kernel_named(kernel_name).build()
     for function in module.functions.values():
         function.assign_names()
     with use_session(session):
         compile_module(module, config)
-    return session.journal
+    return session.tracer.of("decision")
+
+
+def _of_kind(events, kind):
+    return [event for event in events if event.kind == kind]
 
 
 class TestDecisionJournal:
     def test_fig2_records_full_decision_sequence(self):
         journal = _journal_for("motiv-leaf-reorder")
-        kinds = [e.kind for e in journal.events]
+        kinds = [e.kind for e in journal]
         for kind in ("seed", "supernode", "lookahead", "group", "reorder", "cost"):
             assert kind in kinds, f"missing {kind!r} in {kinds}"
         # the leaf-reorder kernel (Figure 2) legalizes via a leaf swap
-        (reorder,) = journal.of_kind("reorder")
+        (reorder,) = _of_kind(journal, "reorder")
         assert reorder.args["leaf_swaps"] >= 1
         assert reorder.args["trunk_swaps"] == 0
-        (cost,) = journal.of_kind("cost")
+        (cost,) = _of_kind(journal, "cost")
         assert cost.args["verdict"] == "profitable"
         assert cost.args["total"] < 0
 
     def test_fig3_trunk_swap_named_in_group_event(self):
         journal = _journal_for("motiv-trunk-reorder")
-        groups = journal.of_kind("group")
+        groups = _of_kind(journal, "group")
         assert any("trunk swap legalized lane" in e.message for e in groups)
-        (reorder,) = journal.of_kind("reorder")
+        (reorder,) = _of_kind(journal, "reorder")
         assert reorder.args["trunk_swaps"] >= 1
 
     def test_lookahead_event_carries_score_matrix(self):
         journal = _journal_for("motiv-leaf-reorder")
-        lookaheads = journal.of_kind("lookahead")
+        lookaheads = _of_kind(journal, "lookahead")
         assert lookaheads
         event = lookaheads[0]
         assert event.args["matrix"]
@@ -71,40 +76,38 @@ class TestDecisionJournal:
 
     def test_graph_scoping_and_first_appearance_order(self):
         journal = _journal_for("motiv-leaf-reorder")
-        ids = journal.graph_ids()
+        ids = list(dict.fromkeys(e.graph_id for e in journal if e.graph_id >= 0))
         assert ids == sorted(ids)
         for graph_id in ids:
-            events = journal.for_graph(graph_id)
+            events = [e for e in journal if e.graph_id == graph_id]
             assert events[0].kind == "seed"
             assert all(e.function for e in events)
 
     def test_jsonl_round_trip_and_summary(self, tmp_path):
         journal = _journal_for("motiv-leaf-reorder")
         path = tmp_path / "journal.jsonl"
-        journal.write_jsonl(str(path))
-        loaded = load_journal(str(path))
-        assert [e.to_dict() for e in loaded] == [
-            e.to_dict() for e in journal.events
-        ]
-        summary = summarize_journal(journal.events)
-        assert summary["events"] == len(journal.events)
+        write_records(str(path), journal)
+        loaded = load_records(str(path))
+        assert [e.to_dict() for e in loaded] == [e.to_dict() for e in journal]
+        summary = summarize_journal(journal)
+        assert summary["events"] == len(journal)
         assert summary["cost_accepted"] >= 1
         assert summary["cost_rejected"] == 0
 
     def test_disabled_journal_records_nothing(self):
         session = CompilerSession(name="test-journal-off")
-        assert not session.journal.enabled
+        assert not session.tracer.mask & DECISION
         with use_session(session):
             compile_module(kernel_named("motiv-leaf-reorder").build(), SNSLP_CONFIG)
-        assert session.journal.events == []
-        # the events-recorded counter never fires when disabled
+        assert session.tracer.of("decision") == []
+        # the record count is the category's length: no counter at all
         assert session.stats.value("journal.events-recorded") == 0
 
 
 class TestJournalOffBitIdentical:
     def test_kernel_run_identical_with_and_without_journal_arg(self):
-        """A journal-enabled bench run must not perturb cycles or the
-        pre-existing counters (it may *add* journal.events-recorded)."""
+        """A journal-enabled bench run must not perturb cycles or
+        counters."""
         from repro.bench import run_kernel_config
 
         kernel = kernel_named("motiv-trunk-reorder")
@@ -112,8 +115,7 @@ class TestJournalOffBitIdentical:
         journaled = run_kernel_config(kernel, SNSLP_CONFIG, journal=True)
         assert journaled.cycles == plain.cycles
         assert journaled.outputs == plain.outputs
-        for name, value in plain.counters.items():
-            assert journaled.counters[name] == value
+        assert journaled.counters == plain.counters
         assert plain.journal is None
         assert journaled.journal is not None
         assert journaled.journal["cost_accepted"] >= 1
@@ -122,7 +124,7 @@ class TestJournalOffBitIdentical:
 class TestDot:
     def test_graph_dot_has_supernode_cluster_and_apo_edges(self):
         journal = _journal_for("motiv-trunk-reorder")
-        (graph_event,) = journal.of_kind("graph")
+        (graph_event,) = _of_kind(journal, "graph")
         dot = graph_event.args["dot"]
         assert dot.startswith("digraph slp {")
         assert "cluster_supernode" in dot
@@ -130,8 +132,8 @@ class TestDot:
 
     def test_chain_dot_before_and_after_reorder_differ(self):
         journal = _journal_for("motiv-leaf-reorder")
-        (supernode,) = journal.of_kind("supernode")
-        (reorder,) = journal.of_kind("reorder")
+        (supernode,) = _of_kind(journal, "supernode")
+        (reorder,) = _of_kind(journal, "reorder")
         before = supernode.args["dot_before"]
         after = reorder.args["dot_after"]
         assert before.startswith("digraph chains {")
@@ -146,7 +148,7 @@ class TestDot:
         from repro.vectorizer import LSLP_CONFIG
 
         journal = _journal_for("motiv-leaf-reorder", config=LSLP_CONFIG)
-        graph_events = journal.of_kind("graph")
+        graph_events = _of_kind(journal, "graph")
         if not graph_events:  # kernel may not seed under LSLP
             pytest.skip("no graphs attempted")
         dots = [e.args["dot"] for e in graph_events]
@@ -191,8 +193,7 @@ class TestExplain:
                 kernel_named("motiv-leaf-reorder").build(), SNSLP_CONFIG,
                 session=session,
             )
-        assert session.journal.events == []
-        assert session.remarks.remarks == []
+        assert session.tracer.events == []
 
 
 class TestExplainCli:
@@ -220,7 +221,7 @@ class TestExplainCli:
         ]
         doc = json.loads(capsys.readouterr().out)
         assert doc["graphs"][0]["verdict"] == "vectorized"
-        assert load_journal(str(tmp_path / "j.jsonl"))
+        assert load_records(str(tmp_path / "j.jsonl"))
 
     def test_explain_unknown_source_is_usage_error(self):
         assert main(["explain", "no-such-kernel-or-file"]) == 2
@@ -324,36 +325,33 @@ class TestWorkerObservabilityMerge:
         from repro.bench import run_suite_parallel
 
         session = CompilerSession(name="parent")
-        session.tracer.enable()
-        session.remarks.enable()
+        session.tracer.enable(SPAN | REMARK)
         kernels = [kernel_named("motiv-leaf-reorder")]
         with use_session(session):
             suite = run_suite_parallel(kernels, jobs=2)
         assert suite["motiv-leaf-reorder"]
-        assert session.tracer.events, "worker spans were not merged"
-        pids = {event.pid for event in session.tracer.events}
+        spans = session.tracer.of("span")
+        assert spans, "worker spans were not merged"
+        pids = {event.pid for event in spans}
         assert pids - {0}, "no worker-pid spans were merged"
         # the parent records only the dispatch driver's own spans (plus
         # the per-request service spans); all compile/simulate work
         # happened in (and is attributed to) workers
-        parent_names = {
-            event.name for event in session.tracer.events if event.pid == 0
-        }
+        parent_names = {event.name for event in spans if event.pid == 0}
         assert parent_names <= {
             "parallel:submit", "parallel:merge",
             "serve:request", "serve:queue",
         }
-        assert session.remarks.remarks, "worker remarks were not merged"
-        assert all(
-            "worker_pid" in remark.args for remark in session.remarks.remarks
-        )
+        remarks = session.tracer.of("remark")
+        assert remarks, "worker remarks were not merged"
+        assert all("worker_pid" in remark.args for remark in remarks)
 
     def test_serial_bench_labels_spans_and_remarks_as_the_parent(
         self, tmp_path
     ):
         """``bench --jobs 1`` has no workers: every span sits on the
         parent's track (pid 0) and no remark names a worker pid."""
-        from repro.observe import load_chrome_trace, load_remarks
+        from repro.observe import load_chrome_trace
 
         trace = tmp_path / "trace.json"
         remarks = tmp_path / "remarks.jsonl"
@@ -363,7 +361,7 @@ class TestWorkerObservabilityMerge:
         ]) == 0
         events = load_chrome_trace(str(trace))
         assert events and {event.pid for event in events} == {0}
-        loaded = load_remarks(str(remarks))
+        loaded = load_records(str(remarks))
         assert loaded
         assert not any("worker_pid" in remark.args for remark in loaded)
 
@@ -374,7 +372,6 @@ class TestWorkerObservabilityMerge:
         with use_session(session):
             run_suite_parallel([kernel_named("motiv-leaf-reorder")], jobs=2)
         assert session.tracer.events == []
-        assert session.remarks.remarks == []
 
 
 class TestCacheHitRemark:
@@ -391,20 +388,49 @@ class TestCacheHitRemark:
         assert warm.stats.value("cache.misses") == 1
 
         hit = CompilerSession(name="hit")
-        hit.remarks.enable()
+        hit.tracer.enable(REMARK)
         cached_compile_module(
             build_simple_store_module(4), SNSLP_CONFIG,
             session=hit, cache=cache,
         )
         assert hit.stats.value("cache.hits") == 1
         (remark,) = [
-            r for r in hit.remarks.remarks if r.message.startswith("cache_hit")
+            r for r in hit.tracer.of("remark")
+            if r.message.startswith("cache_hit")
         ]
         assert remark.kind == "analysis"
         assert remark.args["config"] == SNSLP_CONFIG.name
         # the stored compile counters were replayed into the hit session
         for name, value in remark.args["counters"].items():
             assert hit.stats.value(name) >= value
+
+
+class TestCachedCompileWithDecisions:
+    FIG3 = """
+long A[1024]; long B[1024]; long C[1024]; long D[1024];
+
+kernel fig3(n) {
+  for (i = 0; i < n; i += 2) {
+    A[i+0] = B[i+0] - C[i+0] + D[i+0];
+    A[i+1] = B[i+1] + D[i+1] - C[i+1];
+  }
+}
+"""
+
+    def test_armed_decisions_bypass_the_compile_cache(self, tmp_path):
+        """A stored compile cannot replay decisions: with the journal
+        armed, a second cached compile records the same 11 decisions as
+        the first: neither is served from the cache."""
+        source = tmp_path / "fig3.sn"
+        source.write_text(self.FIG3)
+        cache = tmp_path / "cache"
+        for attempt in range(2):
+            journal = tmp_path / f"journal{attempt}.jsonl"
+            assert main([
+                "compile", str(source), "--cache-dir", str(cache),
+                "--journal", str(journal),
+            ]) == 0
+            assert len(load_records(str(journal))) == 11
 
 
 class TestGatherReasonDedup:

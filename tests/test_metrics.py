@@ -265,3 +265,115 @@ class TestParallelOverheadMetrics:
         for matrix in results.values():
             for run in matrix.values():
                 assert "parallel.overhead_seconds" not in run.counters
+
+
+class TestFuzzParallelMetrics:
+    @staticmethod
+    def _campaign(jobs, budget):
+        from repro.fuzz import run_campaign
+
+        session = CompilerSession(name=f"fuzz-metrics-{jobs}")
+        session.metrics.enable()
+        with use_session(session):
+            result = run_campaign(
+                budget=budget, seed=0, jobs=jobs, reduce_failures=False
+            )
+        dispatch = ("serve.", "parallel.")
+        counts = {
+            name: histogram.count
+            for name, histogram in session.metrics.histograms.items()
+            if not name.startswith(dispatch)
+        }
+        gauges = {
+            name for name in session.metrics.gauges
+            if not name.startswith(dispatch)
+        }
+        fuzz = {
+            name: value for name, value in result.stats.items()
+            if name.startswith("fuzz.")
+        }
+        return counts, gauges, fuzz, len(result.failures)
+
+    def test_jobs2_observes_what_the_serial_loop_observes(self):
+        """Chunk workers arm the parent's metrics, time each program and
+        ship one capture per index: the parallel campaign reports the
+        serial one's histograms (plus the dispatch path's own
+        ``serve.*`` / ``parallel.*``)."""
+        serial = self._campaign(1, "40")
+        parallel = self._campaign(2, "40")
+        assert parallel == serial
+        counts = serial[0]
+        assert counts["fuzz.program.seconds"] == 40
+        assert counts["phase.vectorize.seconds"] == 160
+
+    def test_failing_programs_are_observed_once(self, monkeypatch):
+        """The parent re-runs a failing index to rebuild its report; that
+        re-run must not observe the program a second time on top of the
+        worker's capture."""
+        from repro.ir.instructions import Opcode
+        from repro.vectorizer.reorder import SuperNode
+
+        original = SuperNode.generate_code
+
+        def flipped(self):
+            # a deliberate APO miscompile (FADD <-> FSUB on every root);
+            # forked pool workers inherit the patch
+            roots = original(self)
+            for root in roots:
+                if root.opcode is Opcode.FADD:
+                    root.opcode = Opcode.FSUB
+                elif root.opcode is Opcode.FSUB:
+                    root.opcode = Opcode.FADD
+            return roots
+
+        monkeypatch.setattr(SuperNode, "generate_code", flipped)
+        serial = self._campaign(1, "16")
+        parallel = self._campaign(2, "16")
+        assert serial[3] > 0
+        assert parallel == serial
+        assert serial[0]["fuzz.program.seconds"] == 16
+        assert serial[0]["phase.vectorize.seconds"] == 64
+
+
+class TestWarmServiceBenchHistograms:
+    KERNELS = ("motiv-leaf-reorder", "motiv-trunk-reorder")
+
+    def _bench(self, tmp_path, name, *flags):
+        import contextlib
+        import io
+        import json
+
+        from repro.cli import main
+
+        prom = tmp_path / f"{name}.prom"
+        out = io.StringIO()
+        argv = ["bench", "--json", "--metrics-out", str(prom), *flags]
+        for kernel in self.KERNELS:
+            argv += ["--kernel", kernel]
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        samples = {}
+        for line in prom.read_text().splitlines():
+            if not line.startswith("#"):
+                metric, _, value = line.rpartition(" ")
+                samples[metric] = float(value)
+        return json.loads(out.getvalue())["runs"], samples
+
+    def test_stored_pairs_feed_the_same_histograms_as_cold_pairs(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        service = ("--jobs", "2", "--service", "--cache-dir", cache)
+        cold_rows, cold = self._bench(tmp_path, "cold", *service)
+        warm_rows, warm = self._bench(tmp_path, "warm", *service)
+        _, serial = self._bench(tmp_path, "serial", "--jobs", "1")
+        assert warm["repro_serve_task_cache_hits_total"] == 8
+        for samples in (cold, warm, serial):
+            for name in ("compile_seconds", "kernel_cycles", "kernel_instructions"):
+                assert samples[f"repro_bench_{name}_count"] == 8
+        # a stored pair observes the values its row carries
+        for rows, samples in ((cold_rows, cold), (warm_rows, warm)):
+            assert samples["repro_bench_kernel_cycles_sum"] == pytest.approx(
+                sum(row["cycles"] for row in rows)
+            )
+        assert warm["repro_bench_kernel_cycles_sum"] == cold[
+            "repro_bench_kernel_cycles_sum"
+        ]

@@ -9,12 +9,13 @@ from repro.kernels import all_kernels, kernel_named
 from repro.machine import DEFAULT_TARGET
 from repro.observe import (
     DEFAULT_SESSION,
+    REMARK,
+    SPAN,
     STAT,
-    Remark,
-    RemarkCollector,
     StatsRegistry,
     Tracer,
-    load_remarks,
+    load_records,
+    write_records,
 )
 from repro.observe.trace import _NULL_SPAN
 from repro.vectorizer import LSLP_CONFIG, SNSLP_CONFIG, compile_module
@@ -234,49 +235,51 @@ class TestStats:
 
 class TestRemarks:
     def test_disabled_collector_is_inert(self):
-        collector = RemarkCollector()
-        assert collector.emit("passed", "slp", "msg") is None
-        assert collector.remarks == []
+        tracer = Tracer()
+        assert tracer.remark("passed", "slp", "msg") is None
+        assert tracer.events == []
 
     def test_jsonl_roundtrip(self, tmp_path):
-        collector = RemarkCollector(enabled=True)
-        collector.passed("slp", "vectorized", function="f", block="b", seed="store", cost=-6.0)
-        collector.missed("slp", "not profitable", function="f", gather_reasons={"x": 2})
-        collector.analysis("supernode", "shape", lanes=2)
+        tracer = Tracer()
+        tracer.enable(REMARK)
+        tracer.remark("passed", "slp", "vectorized", function="f", block="b", seed="store", cost=-6.0)
+        tracer.remark("missed", "slp", "not profitable", function="f", gather_reasons={"x": 2})
+        tracer.remark("analysis", "supernode", "shape", lanes=2)
         path = tmp_path / "remarks.jsonl"
-        collector.write_jsonl(str(path))
-        loaded = load_remarks(str(path))
+        write_records(str(path), tracer.of("remark"))
+        loaded = load_records(str(path))
         assert [r.to_dict() for r in loaded] == [
-            r.to_dict() for r in collector.remarks
+            r.to_dict() for r in tracer.of("remark")
         ]
         assert loaded[0].kind == "passed"
         assert loaded[0].args["cost"] == -6.0
         assert loaded[1].args["gather_reasons"] == {"x": 2}
 
     def test_of_kind_filter(self):
-        collector = RemarkCollector(enabled=True)
-        collector.passed("slp", "a")
-        collector.missed("slp", "b")
-        collector.missed("slp", "c")
-        assert len(collector.of_kind("missed")) == 2
-        assert len(collector.of_kind("passed")) == 1
+        tracer = Tracer()
+        tracer.enable(REMARK)
+        tracer.remark("passed", "slp", "a")
+        tracer.remark("missed", "slp", "b")
+        tracer.remark("missed", "slp", "c")
+        assert len(tracer.of("remark", "missed")) == 2
+        assert len(tracer.of("remark", "passed")) == 1
 
     def test_compile_emits_passed_and_missed_on_motivating_kernels(self):
-        DEFAULT_SESSION.remarks.clear()
-        DEFAULT_SESSION.remarks.enable()
+        DEFAULT_SESSION.tracer.clear()
+        DEFAULT_SESSION.tracer.enable(REMARK)
         try:
             kernel = kernel_named("motiv-leaf-reorder")
             compile_module(kernel.build(), SNSLP_CONFIG, DEFAULT_TARGET)
             compile_module(kernel.build(), LSLP_CONFIG, DEFAULT_TARGET)
         finally:
-            DEFAULT_SESSION.remarks.disable()
-        kinds = {r.kind for r in DEFAULT_SESSION.remarks.remarks}
+            DEFAULT_SESSION.tracer.disable(REMARK)
+        kinds = {r.kind for r in DEFAULT_SESSION.tracer.of("remark")}
         assert "passed" in kinds  # SN-SLP vectorizes Figure 2
         assert "missed" in kinds  # LSLP rejects it on cost
-        missed = DEFAULT_SESSION.remarks.of_kind("missed")[0]
-        assert missed.pass_name == "slp"
+        missed = DEFAULT_SESSION.tracer.of("remark", "missed")[0]
+        assert missed.name == "slp"
         assert missed.function
-        DEFAULT_SESSION.remarks.clear()
+        DEFAULT_SESSION.tracer.clear()
 
 
 class TestPipelinePhases:
@@ -386,19 +389,6 @@ class TestMissedReasonHistograms:
         strict = result.report.missed_reasons()
         assert sum(full.values()) == sum(strict.values()) + sum(partial.values())
 
-    def test_report_to_remarks(self):
-        kernel = kernel_named("milc-su3-cmul")
-        result = compile_module(kernel.build(), LSLP_CONFIG, DEFAULT_TARGET)
-        remarks = result.report.to_remarks()
-        kinds = {r.kind for r in remarks}
-        assert "passed" in kinds
-        assert "analysis" in kinds  # the partial gathers, as remarks
-        analysis = [r for r in remarks if r.kind == "analysis"]
-        assert any(r.args.get("in_vectorized_graph") for r in analysis)
-        # remarks serialize cleanly
-        for remark in remarks:
-            assert Remark.from_dict(remark.to_dict()).to_dict() == remark.to_dict()
-
 
 FIG3 = """
 long A[1024]; long B[1024]; long C[1024]; long D[1024];
@@ -448,13 +438,11 @@ class TestCliObservability:
         doc = json.loads(trace.read_text())
         assert doc["traceEvents"]
         assert any(e["name"] == "simulate" for e in doc["traceEvents"])
-        loaded = load_remarks(str(remarks))
+        loaded = load_records(str(remarks))
         assert any(r.kind == "passed" for r in loaded)
         # the CLI disarmed nothing globally for later tests
-        DEFAULT_SESSION.tracer.disable()
+        DEFAULT_SESSION.tracer.disable(SPAN | REMARK)
         DEFAULT_SESSION.tracer.clear()
-        DEFAULT_SESSION.remarks.disable()
-        DEFAULT_SESSION.remarks.clear()
 
     def test_compare_json(self, fig3_file, capsys):
         from repro.cli import main

@@ -22,7 +22,7 @@ from repro.interp import (
 )
 from repro.ir import FloatType
 from repro.machine import DEFAULT_TARGET
-from repro.observe import DEFAULT_SESSION
+from repro.observe import DEFAULT_SESSION, REMARK
 from repro.robust import (
     BISECT,
     COMPILE_SITES,
@@ -65,8 +65,8 @@ def _clean_robust_state():
     yield
     FAULTS.disarm_all()
     BISECT.disable()
-    DEFAULT_SESSION.remarks.clear()
-    DEFAULT_SESSION.remarks.disable()
+    DEFAULT_SESSION.tracer.clear()
+    DEFAULT_SESSION.tracer.disable(REMARK)
 
 
 def fig3_module():
@@ -191,8 +191,8 @@ class TestGuardedRecovery:
         module = fig3_module()
         inputs, reference = scalar_reference(module)
         plan = FAULTS.arm(site, mode)
-        DEFAULT_SESSION.remarks.clear()
-        DEFAULT_SESSION.remarks.enable()
+        DEFAULT_SESSION.tracer.clear()
+        DEFAULT_SESSION.tracer.enable(REMARK)
         outcome = guarded_compile(
             module, SNSLP, DEFAULT_TARGET, phase_budget_seconds=0.1
         )
@@ -202,9 +202,9 @@ class TestGuardedRecovery:
         assert plan.fired > 0, f"{site}:{mode} never reached"
         assert outcome.recoveries, "fault fired but no recovery was recorded"
         # each rollback emitted a structured recovery remark ...
-        recovery_remarks = DEFAULT_SESSION.remarks.of_kind("recovery")
+        recovery_remarks = DEFAULT_SESSION.tracer.of("remark", "recovery")
         assert len(recovery_remarks) == len(outcome.recoveries)
-        assert all(r.pass_name == "guard" for r in recovery_remarks)
+        assert all(r.name == "guard" for r in recovery_remarks)
         # ... and bumped the guarded compile's own counters
         counters = outcome.result.counters
         assert counters.get("robust.recoveries", 0) == len(outcome.recoveries)

@@ -29,7 +29,7 @@ from repro.bench.parallel import _run_pair
 from repro.bench.runner import DEFAULT_SEED
 from repro.fuzz import run_campaign
 from repro.kernels import kernel_named
-from repro.observe.remarks import RemarkCollector
+from repro.observe import REMARK, Tracer
 from repro.observe.session import CompilerSession, use_session
 from repro.serve.service import (
     CompileService,
@@ -69,10 +69,9 @@ from repro.vectorizer.cache import (
 
 MOTIVATING = ("motiv-leaf-reorder", "motiv-trunk-reorder")
 
-#: a cold bench pair: (kernel, config, target, seed, trace, remarks,
-#: journal, metrics) — the same PairPayload the bench driver ships
-PAIR = ("motiv-leaf-reorder", "SN-SLP", "skylake-like", DEFAULT_SEED,
-        False, False, False, False)
+#: a cold bench pair: (kernel, config, target, seed, mask, journal) —
+#: the same PairPayload the bench driver ships
+PAIR = ("motiv-leaf-reorder", "SN-SLP", "skylake-like", DEFAULT_SEED, 0, False)
 
 
 def service_session() -> CompilerSession:
@@ -311,13 +310,13 @@ class TestSharedStore:
         with open(fresh.shared_store._path(key), "w") as handle:
             handle.write("not json at all")
         session = CompilerSession(name="corrupt")
-        session.remarks.enable()
+        session.tracer.enable(REMARK)
         with use_session(session):
             result = cached_compile_module(module, SNSLP_CONFIG, cache=fresh)
         assert result.counters == cold.counters
         assert result.report.config_name == cold.report.config_name
         corrupt = [
-            r for r in session.remarks.remarks
+            r for r in session.tracer.of("remark")
             if r.message.startswith("cache_corrupt")
         ]
         assert len(corrupt) == 1
@@ -469,7 +468,7 @@ class TestResilience:
         results identical to a direct serial run."""
         expected, _ = _run_pair(PAIR)
         session = service_session()
-        session.remarks.enable()
+        session.tracer.enable(REMARK)
         results = ResilientExecutor(None, session=session).run_batch(
             [("bench-pair", (PAIR, False), None, 1.0)]
         )
@@ -480,7 +479,7 @@ class TestResilience:
         assert session.stats.value("serve.degraded") == 1
         rungs = [
             remark.args["rung"]
-            for remark in session.remarks.of_kind("recovery")
+            for remark in session.tracer.of("remark", "recovery")
         ]
         assert rungs == ["serial"]
 
@@ -585,14 +584,14 @@ class TestChaosNoEscape:
         task; every descent lands on the one rung below it, serial
         in-process execution."""
         rungs = []
-        recovery = RemarkCollector.recovery
+        remark = Tracer.remark
 
-        def spy(collector, pass_name, message, **args):
+        def spy(tracer, kind, pass_name, message, /, **args):
             if pass_name == "resilience" and "rung" in args:
                 rungs.append(args["rung"])
-            return recovery(collector, pass_name, message, **args)
+            return remark(tracer, kind, pass_name, message, **args)
 
-        monkeypatch.setattr(RemarkCollector, "recovery", spy)
+        monkeypatch.setattr(Tracer, "remark", spy)
         status, detail, counters = _execute_scenario(
             scenario,
             repetition=0,

@@ -36,7 +36,6 @@ class TestSessionBasics:
         parent = CompilerSession(name="parent")
         child = parent.derive(name="child")
         assert child.tracer is parent.tracer
-        assert child.remarks is parent.remarks
         assert child.stats is not parent.stats
 
     def test_use_session_scopes_ambient_lookup(self):

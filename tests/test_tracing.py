@@ -19,14 +19,15 @@ from repro.bench.parallel import _run_pair, run_suite_parallel
 from repro.bench.runner import DEFAULT_SEED
 from repro.kernels import kernel_named
 from repro.observe import (
-    EventLog,
+    LOG,
     TraceContext,
     current_trace_context,
     load_chrome_trace,
-    load_event_log,
+    load_records,
     mint_context,
     use_trace_context,
     validate_span_tree,
+    write_records,
 )
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.session import CompilerSession, use_session
@@ -36,10 +37,9 @@ from repro.serve.service import CompileService
 
 MOTIVATING = ("motiv-leaf-reorder", "motiv-trunk-reorder")
 
-#: a cold bench pair: (kernel, config, target, seed, trace, remarks,
-#: journal, metrics) — the same PairPayload the bench driver ships
-PAIR = ("motiv-leaf-reorder", "SN-SLP", "skylake-like", DEFAULT_SEED,
-        False, False, False, False)
+#: a cold bench pair: (kernel, config, target, seed, mask, journal) —
+#: the same PairPayload the bench driver ships
+PAIR = ("motiv-leaf-reorder", "SN-SLP", "skylake-like", DEFAULT_SEED, 0, False)
 
 
 def traced_session(name: str = "t-tracing") -> CompilerSession:
@@ -90,27 +90,31 @@ class TestTraceContext:
 
 class TestEventLog:
     def test_disabled_log_records_nothing(self):
-        log = EventLog()
-        log.emit("error", "boom", "should be dropped")
+        log = Tracer()
+        log.log("error", "boom", "should be dropped")
         assert log.events == []
 
     def test_threshold_filters_below_level(self):
-        log = EventLog(enabled=True, level="warn")
-        log.emit("debug", "noise", "no")
-        log.emit("info", "noise", "no")
-        log.emit("warn", "kept", "yes")
-        log.emit("error", "kept", "yes")
-        assert [event.level for event in log.events] == ["warn", "error"]
+        log = Tracer()
+        log.enable(LOG)
+        log.level = "warn"
+        log.log("debug", "noise", "no")
+        log.log("info", "noise", "no")
+        log.log("warn", "kept", "yes")
+        log.log("error", "kept", "yes")
+        assert [event.kind for event in log.events] == ["warn", "error"]
 
     def test_jsonl_round_trip(self, tmp_path):
-        log = EventLog(enabled=True, level="debug")
+        log = Tracer()
+        log.enable(LOG)
+        log.level = "debug"
         context = mint_context()
-        log.emit("info", "greet", "hello", trace_id=context.trace_id, n=1)
-        log.emit("warn", "trouble", "uh oh", rung="serial")
+        log.log("info", "greet", "hello", trace_id=context.trace_id, n=1)
+        log.log("warn", "trouble", "uh oh", rung="serial")
         path = str(tmp_path / "events.jsonl")
-        log.write_jsonl(path)
-        loaded = load_event_log(path)
-        assert [event.event for event in loaded] == ["greet", "trouble"]
+        write_records(path, log.of("log"))
+        loaded = load_records(path)
+        assert [event.name for event in loaded] == ["greet", "trouble"]
         assert loaded[0].trace_id == context.trace_id
         assert loaded[0].args == {"n": 1}
         # every line is a self-contained JSON object
@@ -119,11 +123,14 @@ class TestEventLog:
                 assert json.loads(line)["event"] in ("greet", "trouble")
 
     def test_trace_correlation(self):
-        log = EventLog(enabled=True)
+        log = Tracer()
+        log.enable(LOG)
         a, b = mint_context(), mint_context()
-        log.emit("info", "one", "for a", trace_id=a.trace_id)
-        log.emit("info", "two", "for b", trace_id=b.trace_id)
-        assert [e.event for e in log.for_trace(a.trace_id)] == ["one"]
+        log.log("info", "one", "for a", trace_id=a.trace_id)
+        log.log("info", "two", "for b", trace_id=b.trace_id)
+        assert [
+            e.name for e in log.of("log") if e.trace_id == a.trace_id
+        ] == ["one"]
 
 
 class TestChromeTraceTracks:
