@@ -21,7 +21,6 @@ from .faults import (
     WORKER_SIDE_SITES,
     FAULT_MODES,
     FAULT_SITES,
-    FAULTS,
     FaultError,
     FaultInjector,
     FaultPlan,
@@ -53,7 +52,7 @@ def __getattr__(name: str):
 
 __all__ = [
     "BISECT", "OptBisect", "BisectResult", "run_bisect",
-    "FAULTS", "FaultInjector", "FaultPlan", "FaultSite", "FaultError",
+    "FaultInjector", "FaultPlan", "FaultSite", "FaultError",
     "FAULT_SITES", "FAULT_MODES", "COMPILE_SITES",
     "SERVICE_SITES", "WORKER_SIDE_SITES",
     "parse_injection", "site_named",

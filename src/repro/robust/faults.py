@@ -282,16 +282,13 @@ class FaultInjector:
         raise AssertionError(f"unknown fault mode {plan.mode!r}")
 
 
-#: the default session's injector; disarmed (and therefore free) by
-#: default.  Deprecated alias — new code should arm faults through
-#: :func:`current_faults` (or an explicit session's ``faults`` slot).
-FAULTS = FaultInjector()
-
-# Bind the injector into the default session.  CompilerSession keeps
-# ``faults`` as an opaque slot precisely so observe/ never has to import
-# this module; derived sessions share their parent's injector, so a
-# fault armed before a guarded/fuzzed compile stays armed inside it.
-DEFAULT_SESSION.faults = FAULTS
+# The default session's injector, disarmed (and therefore free) by
+# default; code arms faults through :func:`current_faults` or an explicit
+# session's ``faults`` slot.  CompilerSession keeps ``faults`` as an
+# opaque slot precisely so observe/ never has to import this module;
+# derived sessions share their parent's injector, so a fault armed
+# before a guarded/fuzzed compile stays armed inside it.
+DEFAULT_SESSION.faults = FaultInjector()
 
 
 def current_faults() -> FaultInjector:

@@ -27,6 +27,7 @@ from .reduction import (
     ReductionCandidate,
     ReductionPlan,
     emit_reduction,
+    find_minmax_candidates,
     find_reduction_candidates,
     plan_reduction,
 )
@@ -56,7 +57,7 @@ __all__ = [
     "compute_graph_cost", "is_profitable",
     "emit_vector_code", "emit_node_tree", "CodegenError",
     "ReductionCandidate", "ReductionPlan", "find_reduction_candidates",
-    "plan_reduction", "emit_reduction",
+    "find_minmax_candidates", "plan_reduction", "emit_reduction",
     "FunctionReport", "GraphReport", "VectorizationReport",
     "SLPConfig", "SLPVectorizer", "config_named",
     "O3_CONFIG", "SLP_CONFIG", "LSLP_CONFIG", "SNSLP_CONFIG", "ALL_CONFIGS",

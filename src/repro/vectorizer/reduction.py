@@ -1,24 +1,36 @@
 """Horizontal reduction vectorization (LLVM's ``-slp-vectorize-hor``).
 
 The paper enables horizontal-reduction support for both the LSLP baseline
-and SN-SLP (Section V).  A reduction is a chain of one commutative
-operator — and, under SN-SLP, its inverse — folding many leaves into one
-scalar, e.g. ``s = a0 + a1 - a2 + a3 ...``.  Vectorization:
+and SN-SLP (Section V).  A reduction is a chain of one associative
+operator folding many leaves into one scalar.  Two chain kinds share one
+candidate type, planner, cost function and emitter:
 
-1. grow the chain (the same :func:`build_lane_chain` machinery behind the
-   Multi-/Super-Node) from a root whose value is consumed by non-chain
-   code;
+* add chains, ``s = a0 + a1 - a2 + a3 ...``: one commutative operator
+  and, under SN-SLP, its inverse;
+* min/max chains, ``s = fmin(fmin(fmin(a, b), c), d)``, over the
+  ``fmin``/``fmax``/``smin``/``smax`` intrinsics, which have no inverse
+  element.
+
+Vectorization:
+
+1. grow the chain from a root whose value is consumed by non-chain code:
+   an add chain through the same :func:`build_lane_chain` machinery
+   behind the Multi-/Super-Node, a min/max chain through single-use calls
+   of one callee;
 2. partition the leaves by APO: the '+' leaves sum into one vector
    accumulator, the '-' leaves into another (this is what makes inverse
    operators legal inside reductions — exactly the Super-Node insight);
+   every min/max leaf is '+';
 3. bundle each APO group into vector-width chunks through the ordinary
    SLP tree builder (so dot-product-style ``sum(a[i]*b[i])`` chains get
    wide loads and wide multiplies for free);
 4. combine chunk vectors, subtract the '-' accumulator, and fold the final
-   vector to scalar with a log2 shuffle/add ladder;
+   vector to scalar with a log2 shuffle ladder;
 5. fold any leftover (non-chunked) leaves in scalar form.
 
-Cost follows the same convention as the SLP graph: negative = profitable.
+Only :meth:`ReductionCandidate.combine` and
+:meth:`ReductionCandidate.op_cost` depend on the chain kind.  Cost follows
+the same convention as the SLP graph: negative = profitable.
 """
 
 from __future__ import annotations
@@ -30,13 +42,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..ir.builder import IRBuilder
 from ..ir.instructions import (
     BinaryInst,
+    CallInst,
     Instruction,
     Opcode,
     base_opcode,
     inverse_opcode,
     same_operator_family,
 )
-from ..ir.types import vector_of
+from ..ir.types import Type, VectorType, vector_of
 from ..ir.values import Constant, Value
 from ..machine.costmodel import CostModel
 from ..machine.isa import VectorISA
@@ -45,10 +58,13 @@ from .codegen import emit_node_tree
 from .cost import _gather_cost, _scalar_sum, _vector_cost
 from .graph import NodeKind, SLPNode
 from .reorder import SuperNodeRecord
-from .supernode import APO_MINUS, APO_PLUS, LaneChain, build_lane_chain
+from .supernode import APO_MINUS, APO_PLUS, build_lane_chain
 
-#: chains eligible as reduction roots (min/max reductions are future work)
+#: add-chain roots (the inverse joins the chain under SN-SLP)
 REDUCTION_FAMILIES = (Opcode.ADD, Opcode.FADD)
+
+#: reducible intrinsics; float ones need fast-math (NaN propagation order)
+MINMAX_CALLEES = {"fmin": True, "fmax": True, "smin": False, "smax": False}
 
 #: LLVM requires a minimum number of reduced values before trying
 MIN_REDUCTION_LEAVES = 4
@@ -62,34 +78,68 @@ _STAT_PLUS_LEAVES = STAT(
 _STAT_MINUS_LEAVES = STAT(
     "reduction.minus-leaves", "Reduction leaves in the '-' APO partition"
 )
+_STAT_MINMAX_CHAINS_FOUND = STAT(
+    "minmax.chains-found", "Min/max reduction chains detected"
+)
+_STAT_MINMAX_LEAVES = STAT(
+    "minmax.chain-leaves", "Leaves across detected min/max chains"
+)
 
 
 @dataclass
 class ReductionCandidate:
-    """A detected horizontal reduction chain."""
+    """A detected horizontal reduction chain: an add chain
+    (``callee is None``) or a min/max call chain."""
 
-    root: BinaryInst
-    chain: LaneChain
+    root: Instruction
+    #: the scalar chain instructions the reduction replaces
+    ops: List[Instruction]
     plus_leaves: List[Value]
+    #: always empty for min/max, which has no inverse element
     minus_leaves: List[Value]
+    #: the min/max intrinsic; None for an add chain
+    callee: Optional[str] = None
 
     @property
     def leaf_count(self) -> int:
         return len(self.plus_leaves) + len(self.minus_leaves)
 
     @property
-    def contains_inverse(self) -> bool:
-        return bool(self.minus_leaves) or any(
-            unit.is_inverse for _, unit in self.chain.trunks()
-        )
+    def kind(self) -> str:
+        """The seed kind naming the chain's counters, span and remarks."""
+        return "reduction" if self.callee is None else "minmax"
 
-    def record(self, kind: str) -> SuperNodeRecord:
+    @property
+    def title(self) -> str:
+        """The chain in messages: ``reduction`` or e.g. ``fmax reduction``."""
+        return "reduction" if self.callee is None else f"{self.callee} reduction"
+
+    def combine(self, builder: IRBuilder, a: Value, b: Value, apo: bool) -> Value:
+        """Emit ``a`` combined with ``b``; an APO '-' subtracts ``b``."""
+        if self.callee is not None:
+            return builder.call(self.callee, [a, b])
+        base = base_opcode(self.root.opcode)
+        return builder.binop(inverse_opcode(base) if apo else base, a, b)
+
+    def op_cost(self, model: CostModel, type_: Type) -> float:
+        """The cost of one combine at ``type_``, scalar or vector."""
+        if self.callee is not None:
+            return model.intrinsic_cost(self.callee, type_)
+        base = base_opcode(self.root.opcode)
+        if isinstance(type_, VectorType):
+            return model.vector_op_cost(base, type_)
+        return model.scalar_op_cost(base, type_)
+
+    def record(self, chain_kind: str) -> SuperNodeRecord:
+        """The chain as a one-lane node record: kind ``chain_kind``
+        (``multi``/``super``) for an add chain, ``minmax`` otherwise."""
         return SuperNodeRecord(
-            kind=kind,
+            kind=chain_kind if self.callee is None else "minmax",
             lanes=1,
-            size=self.chain.size(),
-            family=self.chain.family,
-            contains_inverse=self.contains_inverse,
+            size=len(self.ops),
+            family=base_opcode(self.root.opcode),
+            # an inverse trunk always puts a leaf in the '-' partition
+            contains_inverse=bool(self.minus_leaves),
         )
 
 
@@ -118,7 +168,7 @@ def find_reduction_candidates(
     consumed_ids: set,
     max_trunks: int = 32,
 ) -> List[ReductionCandidate]:
-    """Scan a block for vectorizable reduction chains (seed kind 2)."""
+    """Scan a block for vectorizable add chains (seed kind 2)."""
     candidates: List[ReductionCandidate] = []
     for inst in block:
         if not _is_reduction_root(inst, consumed_ids):
@@ -129,7 +179,8 @@ def find_reduction_candidates(
         )
         if chain is None:
             continue
-        if any(id(unit.inst) in consumed_ids for _, unit in chain.trunks()):
+        ops = [unit.inst for _, unit in chain.trunks()]
+        if any(id(op) in consumed_ids for op in ops):
             continue
         plus: List[Value] = []
         minus: List[Value] = []
@@ -140,7 +191,61 @@ def find_reduction_candidates(
         _STAT_CHAINS_FOUND.add()
         _STAT_PLUS_LEAVES.add(len(plus))
         _STAT_MINUS_LEAVES.add(len(minus))
-        candidates.append(ReductionCandidate(inst, chain, plus, minus))
+        candidates.append(ReductionCandidate(inst, ops, plus, minus))
+    return candidates
+
+
+def _is_minmax_root(inst: Instruction, consumed_ids: set, fast_math: bool) -> bool:
+    if not isinstance(inst, CallInst) or inst.callee not in MINMAX_CALLEES:
+        return False
+    if MINMAX_CALLEES[inst.callee] and not fast_math:
+        return False
+    if not inst.type.is_scalar:
+        return False
+    if id(inst) in consumed_ids or inst.num_uses == 0:
+        return False
+    return not any(
+        isinstance(user, CallInst) and user.callee == inst.callee
+        for user in inst.users()
+    )
+
+
+def find_minmax_candidates(
+    block,
+    fast_math: bool,
+    consumed_ids: set,
+    max_calls: int = 32,
+) -> List[ReductionCandidate]:
+    """Scan a block for min/max call chains."""
+    candidates: List[ReductionCandidate] = []
+    for inst in block:
+        if not _is_minmax_root(inst, consumed_ids, fast_math):
+            continue
+        calls: List[Instruction] = []
+        leaves: List[Value] = []
+
+        def grow(call: CallInst) -> None:
+            calls.append(call)
+            for operand in call.operands:
+                if (
+                    isinstance(operand, CallInst)
+                    and operand.callee == call.callee
+                    and operand.num_uses == 1
+                    and operand.parent is call.parent
+                    and len(calls) < max_calls
+                ):
+                    grow(operand)
+                else:
+                    leaves.append(operand)
+
+        grow(inst)
+        if len(leaves) < MIN_REDUCTION_LEAVES:
+            continue
+        if any(id(call) in consumed_ids for call in calls):
+            continue
+        _STAT_MINMAX_CHAINS_FOUND.add()
+        _STAT_MINMAX_LEAVES.add(len(leaves))
+        candidates.append(ReductionCandidate(inst, calls, leaves, [], inst.callee))
     return candidates
 
 
@@ -224,10 +329,9 @@ def plan_reduction(
     # scalar form (chunk subtree delta + one combining vector op vs
     # ``width`` scalar fold ops).  Unprofitable chunks — e.g. a group whose
     # loads are not adjacent and would all gather — demote to leftovers.
-    base = base_opcode(candidate.root.opcode)
-    scalar_op = model.scalar_op_cost(base, element)
+    scalar_op = candidate.op_cost(model, element)
     assigned: set = set()
-    profitable_chunks: List[Tuple[bool, SLPNode, List[SLPNode], float]] = []
+    profitable_chunks: List[Tuple[bool, SLPNode, List[SLPNode]]] = []
     for apo, node in chunks:
         subtree = _subtree_nodes(node, assigned)
         delta = 0.0
@@ -238,9 +342,9 @@ def plan_reduction(
                 sub.cost = _vector_cost(sub, model) - _scalar_sum(sub, model)
             delta += sub.cost
         vec_type = vector_of(element, node.vec_type.count)
-        marginal = delta + model.vector_op_cost(base, vec_type)
+        marginal = delta + candidate.op_cost(model, vec_type)
         if marginal < node.vec_type.count * scalar_op:
-            profitable_chunks.append((apo, node, subtree, delta))
+            profitable_chunks.append((apo, node, subtree))
         else:
             leftovers.extend((apo, value) for value in node.lanes)
     if not profitable_chunks:
@@ -250,28 +354,19 @@ def plan_reduction(
     # is future work).  Keep the width covering the most leaves; demote
     # the rest to scalar leftovers.
     by_width: Dict[int, int] = {}
-    for _, node, _, _ in profitable_chunks:
+    for _, node, _ in profitable_chunks:
         width = node.vec_type.count
         by_width[width] = by_width.get(width, 0) + width
     main_width = max(by_width, key=lambda w: (by_width[w], w))
     kept: List[Tuple[bool, SLPNode]] = []
     kept_nodes: List[SLPNode] = []
-    for apo, node, subtree, _ in profitable_chunks:
+    for apo, node, subtree in profitable_chunks:
         if node.vec_type.count == main_width:
             kept.append((apo, node))
             kept_nodes.extend(subtree)
         else:
             leftovers.extend((apo, value) for value in node.lanes)
-    if not kept:
-        return None
-
-    plan = ReductionPlan(
-        candidate=candidate,
-        chunks=kept,
-        leftovers=leftovers,
-        vector_width=main_width,
-    )
-    plan.nodes = kept_nodes
+    plan = ReductionPlan(candidate, kept, leftovers, main_width, nodes=kept_nodes)
     plan.total_cost = _cost_plan(plan, model)
     return plan
 
@@ -295,13 +390,11 @@ def _subtree_nodes(root: SLPNode, assigned: set) -> List[SLPNode]:
 def _cost_plan(plan: ReductionPlan, model: CostModel) -> float:
     candidate = plan.candidate
     element = candidate.root.type
-    base = base_opcode(candidate.root.opcode)
-    vec_type = vector_of(element, plan.vector_width)
-    scalar_op = model.scalar_op_cost(base, element)
-    vector_op = model.vector_op_cost(base, vec_type)
+    scalar_op = candidate.op_cost(model, element)
+    vector_op = candidate.op_cost(model, vector_of(element, plan.vector_width))
 
-    # Savings: the whole scalar chain disappears (size() trunk ops)...
-    cost = -candidate.chain.size() * scalar_op
+    # Savings: the whole scalar chain disappears...
+    cost = -len(candidate.ops) * scalar_op
     # ...and the kept chunk subtrees contribute their (already computed)
     # per-node deltas.
     cost += sum(node.cost for node in plan.nodes)
@@ -329,9 +422,6 @@ def emit_reduction(plan: ReductionPlan) -> Value:
     rewire the root's users to the new scalar; returns the scalar."""
     candidate = plan.candidate
     root = candidate.root
-    base = base_opcode(root.opcode)
-    inverse = inverse_opcode(base)
-    assert inverse is not None
     builder = IRBuilder()
     builder.position_before(root)
     memo: Dict[int, Value] = {}
@@ -341,14 +431,15 @@ def emit_reduction(plan: ReductionPlan) -> Value:
         value = emit_node_tree(node, builder, memo)
         current = accumulators[apo]
         accumulators[apo] = (
-            value if current is None else builder.binop(base, current, value)
+            value if current is None
+            else candidate.combine(builder, current, value, APO_PLUS)
         )
 
     plus_vec = accumulators[APO_PLUS]
     minus_vec = accumulators[APO_MINUS]
     negate_result = False
     if plus_vec is not None and minus_vec is not None:
-        combined = builder.binop(inverse, plus_vec, minus_vec)
+        combined = candidate.combine(builder, plus_vec, minus_vec, APO_MINUS)
     elif plus_vec is not None:
         combined = plus_vec
     else:
@@ -362,17 +453,17 @@ def emit_reduction(plan: ReductionPlan) -> Value:
         half = width // 2
         low = builder.shufflevector(combined, combined, list(range(half)))
         high = builder.shufflevector(combined, combined, list(range(half, width)))
-        combined = builder.binop(base, low, high)
+        combined = candidate.combine(builder, low, high, APO_PLUS)
         width = half
     lane0 = builder.extractelement(combined, 0)
     lane1 = builder.extractelement(combined, 1)
-    scalar: Value = builder.binop(base, lane0, lane1)
+    scalar = candidate.combine(builder, lane0, lane1, APO_PLUS)
     if negate_result:
         zero = Constant(root.type, 0.0 if root.type.is_float else 0)
-        scalar = builder.binop(inverse, zero, scalar)
+        scalar = candidate.combine(builder, zero, scalar, APO_MINUS)
 
     for apo, leaf in plan.leftovers:
-        scalar = builder.binop(inverse if apo else base, scalar, leaf)
+        scalar = candidate.combine(builder, scalar, leaf, apo)
 
     root.replace_all_uses_with(scalar)
     return scalar

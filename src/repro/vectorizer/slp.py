@@ -7,6 +7,12 @@ Super-Node (SN-SLP) extensions hook into graph construction exactly where
 Listing 1 calls ``buildSuperNode``: when a bundle of same-family binary
 instructions is encountered, the chain is formed, reordered
 (Listings 2/3) and re-emitted before ordinary bundling resumes.
+
+After a block's store seeds, its horizontal reductions (``-slp-vectorize-hor``)
+run through one driver method, ``_vectorize_reduction``: add chains first,
+then min/max chains, so each scan sees what the earlier one consumed.  A
+rejected store graph or reduction reverts the Super-Node massage its
+bundles made (Listing 1, line 53) through ``_GraphBuilder.undo_chains``.
 """
 
 from __future__ import annotations
@@ -48,8 +54,13 @@ from .legality import (
     loads_are_reversed,
 )
 from .lookahead import LookAheadScorer
-from .minmax import emit_minmax, find_minmax_candidates, plan_minmax
-from .reduction import emit_reduction, find_reduction_candidates, plan_reduction
+from .reduction import (
+    ReductionCandidate,
+    emit_reduction,
+    find_minmax_candidates,
+    find_reduction_candidates,
+    plan_reduction,
+)
 from .reorder import SuperNode, SuperNodeRecord
 from .seeds import collect_store_seeds
 from .supernode import apo_str
@@ -70,18 +81,22 @@ _STAT_GATHER_NODES = STAT("slp.gather-nodes", "gather nodes in built graphs")
 _STAT_CHAIN_UNDOS = STAT(
     "supernode.undo-events", "chain massages reverted after an unprofitable graph"
 )
-_STAT_REDUCTIONS_VECTORIZED = STAT(
-    "reduction.vectorized", "horizontal reductions emitted as vector code"
-)
-_STAT_REDUCTIONS_REJECTED = STAT(
-    "reduction.rejected", "horizontal reduction candidates rejected (plan or cost)"
-)
-_STAT_MINMAX_VECTORIZED = STAT(
-    "minmax.vectorized", "min/max reductions emitted as vector code"
-)
-_STAT_MINMAX_REJECTED = STAT(
-    "minmax.rejected", "min/max reduction candidates rejected (plan or cost)"
-)
+#: per reduction kind (``ReductionCandidate.kind``)
+_STAT_REDUCTIONS_VECTORIZED = {
+    "reduction": STAT(
+        "reduction.vectorized", "horizontal reductions emitted as vector code"
+    ),
+    "minmax": STAT("minmax.vectorized", "min/max reductions emitted as vector code"),
+}
+_STAT_REDUCTIONS_REJECTED = {
+    "reduction": STAT(
+        "reduction.rejected",
+        "horizontal reduction candidates rejected (plan or cost)",
+    ),
+    "minmax": STAT(
+        "minmax.rejected", "min/max reduction candidates rejected (plan or cost)"
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -482,6 +497,30 @@ class _GraphBuilder:
         self.formed_chains.append(node)
         return tuple(new_roots)
 
+    def undo_chains(self) -> None:
+        """Listing 1 line 53: revert the Super-Node code massaging so the
+        function is left exactly as the vectorizer found it.  Nested
+        chains are undone innermost-last-formed first, remapping leaves
+        whose originals were erased by an inner chain's own
+        generate_code."""
+        tracer = current_tracer()
+        leaf_remap: Dict[int, Value] = {}
+        for node in reversed(self.formed_chains):
+            restored = node.undo_code(leaf_remap)
+            _STAT_CHAIN_UNDOS.add()
+            if tracer.mask & DECISION:
+                tracer.decision(
+                    "undo",
+                    f"reverted {node.kind}-node massage "
+                    f"({node.num_lanes} lanes x {node.size()} "
+                    f"trunks) after cost rejection",
+                    kind=node.kind,
+                    lanes=node.num_lanes,
+                    size=node.size(),
+                )
+            for original, replacement in zip(node.original_roots, restored):
+                leaf_remap[id(original)] = replacement
+
 
 class SLPVectorizer:
     """Runs one vectorizer configuration over functions/modules."""
@@ -517,9 +556,20 @@ class SLPVectorizer:
         self, function: Function, block: BasicBlock, report: FunctionReport
     ) -> None:
         self._vectorize_store_graphs(function, block, report)
-        if self.config.enable_reductions:
-            self._vectorize_reductions(function, block, report)
-            self._vectorize_minmax(function, block, report)
+        if not self.config.enable_reductions:
+            return
+        for candidate in find_reduction_candidates(
+            block,
+            allow_inverse=self.config.enable_supernode,
+            fast_math=function.fast_math,
+            consumed_ids=self.consumed_ids,
+            max_trunks=max(self.config.max_trunks, 32),
+        ):
+            self._vectorize_reduction(function, block, report, candidate)
+        for candidate in find_minmax_candidates(
+            block, fast_math=function.fast_math, consumed_ids=self.consumed_ids
+        ):
+            self._vectorize_reduction(function, block, report, candidate)
 
     def _vectorize_store_graphs(
         self, function: Function, block: BasicBlock, report: FunctionReport
@@ -608,29 +658,7 @@ class SLPVectorizer:
                     _STAT_GRAPHS_VECTORIZED.add()
                 else:
                     _STAT_COST_REJECTS.add()
-                    # Listing 1 line 53: revert the Super-Node code massaging
-                    # so the function is left exactly as the vectorizer found
-                    # it.  Nested chains are undone innermost-last-formed
-                    # first, remapping leaves whose originals were erased by
-                    # an inner chain's own generate_code.
-                    leaf_remap: Dict[int, Value] = {}
-                    for node in reversed(builder.formed_chains):
-                        restored = node.undo_code(leaf_remap)
-                        _STAT_CHAIN_UNDOS.add()
-                        if tracer.mask & DECISION:
-                            tracer.decision(
-                                "undo",
-                                f"reverted {node.kind}-node massage "
-                                f"({node.num_lanes} lanes x {node.size()} "
-                                f"trunks) after cost rejection",
-                                kind=node.kind,
-                                lanes=node.num_lanes,
-                                size=node.size(),
-                            )
-                        for original, replacement in zip(
-                            node.original_roots, restored
-                        ):
-                            leaf_remap[id(original)] = replacement
+                    builder.undo_chains()
                 self._remark_graph_outcome(
                     function, block, graph, profitable, seed_kind="store"
                 )
@@ -704,246 +732,104 @@ class SLPVectorizer:
 
     # -- horizontal reductions (-slp-vectorize-hor) -----------------------------------------------
 
-    def _vectorize_reductions(
-        self, function: Function, block: BasicBlock, report: FunctionReport
+    def _vectorize_reduction(
+        self,
+        function: Function,
+        block: BasicBlock,
+        report: FunctionReport,
+        candidate: ReductionCandidate,
     ) -> None:
-        candidates = find_reduction_candidates(
-            block,
-            allow_inverse=self.config.enable_supernode,
-            fast_math=function.fast_math,
-            consumed_ids=self.consumed_ids,
-            max_trunks=max(self.config.max_trunks, 32),
-        )
-        for candidate in candidates:
-            if candidate.root.parent is None:
-                continue  # erased by a previous transformation
-            if not BISECT.should_run(
-                f"reduction @{function.name}/{block.name} "
-                f"leaves={candidate.leaf_count}"
-            ):
-                continue
-            tracer = current_tracer()
-            with tracer.span(
-                "slp.reduction", function=function.name, block=block.name,
-                leaves=candidate.leaf_count,
-            ):
-                if tracer.mask & DECISION:
-                    tracer.begin_graph(function.name, block.name, "reduction")
-                    tracer.decision(
-                        "seed",
-                        f"seeded from a {candidate.leaf_count}-leaf "
-                        f"horizontal reduction chain",
-                        leaves=candidate.leaf_count,
-                    )
-                builder = _GraphBuilder(self, (), function, anchor=candidate.root)
-                plan = plan_reduction(
-                    candidate, builder, self.target.isa, self.target.cost_model
-                )
-            if plan is None:
-                _STAT_REDUCTIONS_REJECTED.add()
-                tracer.remark(
-                    "missed", "reduction",
-                    f"no profitable chunking for {candidate.leaf_count} leaves",
-                    function=function.name,
-                    block=block.name,
-                    seed="reduction",
-                    leaves=candidate.leaf_count,
-                )
-                if tracer.mask & DECISION:
-                    tracer.decision(
-                        "seed-rejected",
-                        f"no profitable chunking for {candidate.leaf_count} "
-                        f"leaves",
-                        leaves=candidate.leaf_count,
-                    )
-                    tracer.end_graph()
-                continue
-            profitable = plan.total_cost < self.config.profitability_threshold
+        """Plan and cost one reduction chain; emit it when profitable,
+        else undo its chunks' Super-Node massage."""
+        if candidate.root.parent is None:
+            return  # erased by a previous transformation
+        kind, leaves = candidate.kind, candidate.leaf_count
+        if not BISECT.should_run(
+            f"{kind} @{function.name}/{block.name} leaves={leaves}"
+        ):
+            return
+        tracer = current_tracer()
+        where = dict(function=function.name, block=block.name, seed=kind)
+        with tracer.span(
+            f"slp.{kind}", function=function.name, block=block.name,
+            leaves=leaves,
+        ):
             if tracer.mask & DECISION:
+                tracer.begin_graph(function.name, block.name, kind)
                 tracer.decision(
-                    "cost",
-                    f"cost {plan.total_cost:+.1f} at VF={plan.vector_width} "
-                    f"-> {'vectorized' if profitable else 'rejected'}",
-                    total=plan.total_cost,
-                    width=plan.vector_width,
-                    threshold=self.config.profitability_threshold,
-                    verdict="profitable" if profitable else "unprofitable",
+                    "seed",
+                    f"seeded from a {leaves}-leaf horizontal "
+                    f"{candidate.title} chain",
+                    leaves=leaves,
                 )
-            if profitable:
-                _STAT_REDUCTIONS_VECTORIZED.add()
-                tracer.remark(
-                    "passed", "reduction",
-                    f"vectorized {candidate.leaf_count}-leaf reduction at "
-                    f"VF={plan.vector_width} (cost {plan.total_cost:+.1f})",
-                    function=function.name,
-                    block=block.name,
-                    seed="reduction",
-                    cost=plan.total_cost,
-                    width=plan.vector_width,
-                )
-                emit_reduction(plan)
-                for _, unit in candidate.chain.trunks():
-                    self.consumed_ids.add(id(unit.inst))
-                for node in plan.nodes:
-                    if node.kind is not NodeKind.GATHER:
-                        for inst in node.instructions():
-                            self.consumed_ids.add(id(inst))
-            else:
-                _STAT_REDUCTIONS_REJECTED.add()
-                tracer.remark(
-                    "missed", "reduction",
-                    f"reduction not profitable (cost {plan.total_cost:+.1f} >= "
-                    f"{self.config.profitability_threshold:g})",
-                    function=function.name,
-                    block=block.name,
-                    seed="reduction",
-                    cost=plan.total_cost,
-                    width=plan.vector_width,
-                )
-            kind = "super" if self.config.enable_supernode else "multi"
-            record = candidate.record(kind)
-            record.vectorized = profitable
-            report.graphs.append(
-                GraphReport(
-                    function=function.name,
-                    block=block.name,
-                    lanes=plan.vector_width,
-                    cost=plan.total_cost,
-                    vectorized=profitable,
-                    node_count=len(plan.nodes),
-                    gather_count=sum(
-                        1 for n in plan.nodes if n.kind is NodeKind.GATHER
-                    ),
-                    supernodes=[record],
-                    dump=(
-                        f"reduction over {candidate.leaf_count} leaves "
-                        f"(+{len(candidate.plus_leaves)}/-{len(candidate.minus_leaves)}) "
-                        f"at VF={plan.vector_width}, cost {plan.total_cost:+.1f}"
-                    ),
-                    kind="reduction",
-                )
+            builder = _GraphBuilder(self, (), function, anchor=candidate.root)
+            plan = plan_reduction(
+                candidate, builder, self.target.isa, self.target.cost_model
             )
+        if plan is None:
+            _STAT_REDUCTIONS_REJECTED[kind].add()
+            builder.undo_chains()
+            message = f"no profitable chunking for {leaves} leaves"
+            tracer.remark("missed", kind, message, **where, leaves=leaves)
             if tracer.mask & DECISION:
+                tracer.decision("seed-rejected", message, leaves=leaves)
                 tracer.end_graph()
-
-    # -- min/max reductions (the other half of -slp-vectorize-hor) ---------------------------------
-
-    def _vectorize_minmax(
-        self, function: Function, block: BasicBlock, report: FunctionReport
-    ) -> None:
-        candidates = find_minmax_candidates(
-            block, fast_math=function.fast_math, consumed_ids=self.consumed_ids
+            return
+        threshold = self.config.profitability_threshold
+        profitable = plan.total_cost < threshold
+        if tracer.mask & DECISION:
+            tracer.decision(
+                "cost",
+                f"cost {plan.total_cost:+.1f} at VF={plan.vector_width} "
+                f"-> {'vectorized' if profitable else 'rejected'}",
+                total=plan.total_cost,
+                width=plan.vector_width,
+                threshold=threshold,
+                verdict="profitable" if profitable else "unprofitable",
+            )
+        if profitable:
+            _STAT_REDUCTIONS_VECTORIZED[kind].add()
+            tracer.remark(
+                "passed", kind,
+                f"vectorized {leaves}-leaf {candidate.title} at "
+                f"VF={plan.vector_width} (cost {plan.total_cost:+.1f})",
+                **where, cost=plan.total_cost, width=plan.vector_width,
+            )
+            emit_reduction(plan)
+            self.consumed_ids.update(id(op) for op in candidate.ops)
+            for node in plan.nodes:
+                if node.kind is not NodeKind.GATHER:
+                    self.consumed_ids.update(id(i) for i in node.instructions())
+        else:
+            _STAT_REDUCTIONS_REJECTED[kind].add()
+            builder.undo_chains()
+            tracer.remark(
+                "missed", kind,
+                f"{candidate.title} not profitable "
+                f"(cost {plan.total_cost:+.1f} >= {threshold:g})",
+                **where, cost=plan.total_cost, width=plan.vector_width,
+            )
+        record = candidate.record("super" if self.config.enable_supernode else "multi")
+        record.vectorized = profitable
+        report.graphs.append(
+            GraphReport(
+                function=function.name,
+                block=block.name,
+                lanes=plan.vector_width,
+                cost=plan.total_cost,
+                vectorized=profitable,
+                node_count=len(plan.nodes),
+                gather_count=sum(
+                    1 for n in plan.nodes if n.kind is NodeKind.GATHER
+                ),
+                supernodes=[record],
+                dump=(
+                    f"{candidate.title} over {leaves} leaves "
+                    f"(+{len(candidate.plus_leaves)}/-{len(candidate.minus_leaves)}) "
+                    f"at VF={plan.vector_width}, cost {plan.total_cost:+.1f}"
+                ),
+                kind="reduction" if candidate.callee is None else "minmax-reduction",
+            )
         )
-        for candidate in candidates:
-            if candidate.root.parent is None:
-                continue
-            if not BISECT.should_run(
-                f"minmax @{function.name}/{block.name} "
-                f"leaves={candidate.leaf_count}"
-            ):
-                continue
-            tracer = current_tracer()
-            with tracer.span(
-                "slp.minmax", function=function.name, block=block.name,
-                leaves=candidate.leaf_count,
-            ):
-                if tracer.mask & DECISION:
-                    tracer.begin_graph(function.name, block.name, "minmax")
-                    tracer.decision(
-                        "seed",
-                        f"seeded from a {candidate.leaf_count}-leaf "
-                        f"{candidate.callee} reduction chain",
-                        leaves=candidate.leaf_count,
-                    )
-                builder = _GraphBuilder(self, (), function, anchor=candidate.root)
-                plan = plan_minmax(
-                    candidate, builder, self.target.isa, self.target.cost_model
-                )
-            if plan is None:
-                _STAT_MINMAX_REJECTED.add()
-                tracer.remark(
-                    "missed", "minmax",
-                    f"no profitable chunking for {candidate.leaf_count}-leaf "
-                    f"{candidate.callee} reduction",
-                    function=function.name,
-                    block=block.name,
-                    seed="minmax",
-                    leaves=candidate.leaf_count,
-                )
-                if tracer.mask & DECISION:
-                    tracer.decision(
-                        "seed-rejected",
-                        f"no profitable chunking for {candidate.leaf_count}"
-                        f"-leaf {candidate.callee} reduction",
-                        leaves=candidate.leaf_count,
-                    )
-                    tracer.end_graph()
-                continue
-            profitable = plan.total_cost < self.config.profitability_threshold
-            if tracer.mask & DECISION:
-                tracer.decision(
-                    "cost",
-                    f"cost {plan.total_cost:+.1f} at VF={plan.vector_width} "
-                    f"-> {'vectorized' if profitable else 'rejected'}",
-                    total=plan.total_cost,
-                    width=plan.vector_width,
-                    threshold=self.config.profitability_threshold,
-                    verdict="profitable" if profitable else "unprofitable",
-                )
-            if profitable:
-                _STAT_MINMAX_VECTORIZED.add()
-                tracer.remark(
-                    "passed", "minmax",
-                    f"vectorized {candidate.leaf_count}-leaf {candidate.callee} "
-                    f"reduction at VF={plan.vector_width} "
-                    f"(cost {plan.total_cost:+.1f})",
-                    function=function.name,
-                    block=block.name,
-                    seed="minmax",
-                    cost=plan.total_cost,
-                    width=plan.vector_width,
-                )
-                emit_minmax(plan)
-                for call in candidate.chain_calls:
-                    self.consumed_ids.add(id(call))
-                for node in plan.nodes:
-                    if node.kind is not NodeKind.GATHER:
-                        for inst in node.instructions():
-                            self.consumed_ids.add(id(inst))
-            else:
-                _STAT_MINMAX_REJECTED.add()
-                tracer.remark(
-                    "missed", "minmax",
-                    f"{candidate.callee} reduction not profitable "
-                    f"(cost {plan.total_cost:+.1f} >= "
-                    f"{self.config.profitability_threshold:g})",
-                    function=function.name,
-                    block=block.name,
-                    seed="minmax",
-                    cost=plan.total_cost,
-                    width=plan.vector_width,
-                )
-            record = candidate.record()
-            record.vectorized = profitable
-            report.graphs.append(
-                GraphReport(
-                    function=function.name,
-                    block=block.name,
-                    lanes=plan.vector_width,
-                    cost=plan.total_cost,
-                    vectorized=profitable,
-                    node_count=len(plan.nodes),
-                    gather_count=sum(
-                        1 for n in plan.nodes if n.kind is NodeKind.GATHER
-                    ),
-                    supernodes=[record],
-                    dump=(
-                        f"{candidate.callee} reduction over "
-                        f"{candidate.leaf_count} leaves at "
-                        f"VF={plan.vector_width}, cost {plan.total_cost:+.1f}"
-                    ),
-                    kind="minmax-reduction",
-                )
-            )
-            if tracer.mask & DECISION:
-                tracer.end_graph()
+        if tracer.mask & DECISION:
+            tracer.end_graph()

@@ -16,11 +16,17 @@ from repro.ir import (
     verify_module,
 )
 from repro.machine import DEFAULT_TARGET
-from repro.vectorizer import O3_CONFIG, SLP_CONFIG, SNSLP_CONFIG, compile_module
-from repro.vectorizer.minmax import (
+from repro.vectorizer import (
+    APO_PLUS,
+    O3_CONFIG,
+    SLP_CONFIG,
+    SNSLP_CONFIG,
+    compile_module,
+)
+from repro.vectorizer.reduction import (
     MINMAX_CALLEES,
     find_minmax_candidates,
-    plan_minmax,
+    plan_reduction,
 )
 from repro.vectorizer.slp import SLPVectorizer, _GraphBuilder
 
@@ -56,7 +62,7 @@ class TestDetection:
         assert len(candidates) == 1
         assert candidates[0].callee == "fmax"
         assert candidates[0].leaf_count == 8
-        assert len(candidates[0].chain_calls) == 7
+        assert len(candidates[0].ops) == 7
 
     def test_short_chain_rejected(self):
         module, function = _chain_module(leaves=3)
@@ -85,6 +91,27 @@ class TestDetection:
         assert set(MINMAX_CALLEES) == {"fmin", "fmax", "smin", "smax"}
 
 
+class TestPlanning:
+    @pytest.mark.parametrize(
+        "leaves,chunks,leftovers", [(8, 2, 0), (11, 2, 3), (13, 3, 1)]
+    )
+    def test_leftover_leaves(self, leaves, chunks, leftovers):
+        module, function = _chain_module(leaves=leaves)
+        candidate = find_minmax_candidates(
+            function.entry, fast_math=True, consumed_ids=set()
+        )[0]
+        vectorizer = SLPVectorizer(DEFAULT_TARGET, SNSLP_CONFIG)
+        builder = _GraphBuilder(vectorizer, (), function, anchor=candidate.root)
+        plan = plan_reduction(
+            candidate, builder, DEFAULT_TARGET.isa, DEFAULT_TARGET.cost_model
+        )
+        assert plan is not None and plan.vector_width == 4
+        assert len(plan.chunks) == chunks
+        assert len(plan.leftovers) == leftovers
+        # min/max has no inverse: every leaf is in the '+' partition
+        assert all(apo == APO_PLUS for apo, _ in plan.chunks + plan.leftovers)
+
+
 class TestEndToEnd:
     def _run(self, module, inputs):
         interp = Interpreter(module)
@@ -97,20 +124,27 @@ class TestEndToEnd:
         ("fmax", F64), ("fmin", F64), ("smax", I64), ("smin", I64),
     ])
     def test_reduction_correct_and_vectorized(self, callee, element):
-        fast_math = element is F64
-        module, _ = _chain_module(callee=callee, element=element, fast_math=True)
-        rng = random.Random(13)
-        if element is F64:
-            inputs = {"B": [rng.uniform(-99, 99) for _ in range(64)]}
-        else:
-            inputs = {"B": [rng.randint(-99, 99) for _ in range(64)]}
-        oracle = self._run(
-            compile_module(module, O3_CONFIG, DEFAULT_TARGET).module, inputs
-        )
-        compiled = compile_module(module, SNSLP_CONFIG, DEFAULT_TARGET)
-        graphs = [g for g in compiled.report.all_graphs() if g.kind == "minmax-reduction"]
-        assert graphs and graphs[0].vectorized
-        assert self._run(compiled.module, inputs) == oracle
+        # 8 leaves: two 4-wide chunks; 11: two 4-wide chunks, a demoted
+        # 2-wide chunk and a tail leaf; 13: three 4-wide chunks and a tail
+        for leaves in (8, 11, 13):
+            module, _ = _chain_module(
+                callee=callee, leaves=leaves, element=element, fast_math=True
+            )
+            rng = random.Random(13)
+            if element is F64:
+                inputs = {"B": [rng.uniform(-99, 99) for _ in range(64)]}
+            else:
+                inputs = {"B": [rng.randint(-99, 99) for _ in range(64)]}
+            oracle = self._run(
+                compile_module(module, O3_CONFIG, DEFAULT_TARGET).module, inputs
+            )
+            compiled = compile_module(module, SNSLP_CONFIG, DEFAULT_TARGET)
+            graphs = [
+                g for g in compiled.report.all_graphs()
+                if g.kind == "minmax-reduction"
+            ]
+            assert graphs and graphs[0].vectorized, leaves
+            assert self._run(compiled.module, inputs) == oracle, leaves
 
     def test_vanilla_slp_also_reduces_minmax(self):
         # min/max has no inverse element: plain SLP handles it too

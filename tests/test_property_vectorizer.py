@@ -167,9 +167,12 @@ def test_vectorized_ir_always_verifies(seed):
     verify_module(compiled.module)
 
 
-def _random_reduction_kernel(seed: int, float_mode: bool) -> Module:
+def _random_reduction_kernel(
+    seed: int, float_mode: bool, minmax: bool = False
+) -> Module:
     """A straight-line kernel whose store value is one long reduction
-    chain with random signs and random (load or product) leaves."""
+    chain with random (load or product) leaves: an add chain with random
+    signs, or with ``minmax`` a chain of one min/max intrinsic."""
     rng = random.Random(seed)
     element = F64 if float_mode else I64
     module = Module(f"redfuzz{seed}")
@@ -185,31 +188,43 @@ def _random_reduction_kernel(seed: int, float_mode: bool) -> Module:
         idx = builder.add(i, builder.const_i64(off)) if off else i
         return builder.load(builder.gep(module.global_named(name), idx))
 
+    # a min/max chain reads one array, so its load leaves can chunk
+    arrays = rng.choice(ARRAYS) if minmax else ARRAYS
+
     def leaf(k):
         if rng.random() < 0.5:
-            return load(rng.choice(ARRAYS), k)
+            return load(rng.choice(arrays), k)
         mul = "fmul" if float_mode else "mul"
         return getattr(builder, mul)(
-            load(rng.choice(ARRAYS), k), load(rng.choice(ARRAYS), k)
+            load(rng.choice(arrays), k), load(rng.choice(arrays), k)
         )
 
     count = rng.randint(4, 12)
-    add = "fadd" if float_mode else "add"
-    sub = "fsub" if float_mode else "sub"
     acc = leaf(0)
-    for k in range(1, count):
-        op = sub if rng.random() < 0.3 else add
-        acc = getattr(builder, op)(acc, leaf(k))
+    if minmax:
+        callee = rng.choice(("fmin", "fmax") if float_mode else ("smin", "smax"))
+        for k in range(1, count):
+            acc = builder.call(callee, [acc, leaf(k)])
+    else:
+        add = "fadd" if float_mode else "add"
+        sub = "fsub" if float_mode else "sub"
+        for k in range(1, count):
+            op = sub if rng.random() < 0.3 else add
+            acc = getattr(builder, op)(acc, leaf(k))
     builder.store(acc, builder.gep(module.global_named("A"), i))
     builder.ret()
     verify_module(module)
     return module
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 100_000), float_mode=st.booleans())
-def test_random_reductions_correct_across_configs(seed, float_mode):
-    module = _random_reduction_kernel(seed, float_mode)
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 100_000),
+    float_mode=st.booleans(),
+    minmax=st.booleans(),
+)
+def test_random_reductions_correct_across_configs(seed, float_mode, minmax):
+    module = _random_reduction_kernel(seed, float_mode, minmax)
     inputs = _inputs(seed, float_mode)
     oracle = None
     for config in ALL_CONFIGS:
@@ -218,7 +233,10 @@ def test_random_reductions_correct_across_configs(seed, float_mode):
         if oracle is None:
             oracle = out
             continue
-        if float_mode:
+        if minmax:
+            # min/max is exact in any association order
+            assert out == oracle, f"seed={seed} config={config.name}"
+        elif float_mode:
             for x, y in zip(out, oracle):
                 both_nan = math.isnan(x) and math.isnan(y)
                 assert both_nan or math.isclose(x, y, rel_tol=1e-7, abs_tol=1e-9), (

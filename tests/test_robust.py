@@ -27,7 +27,6 @@ from repro.robust import (
     BISECT,
     COMPILE_SITES,
     FAULT_SITES,
-    FAULTS,
     FaultError,
     guarded_compile,
     parse_injection,
@@ -60,10 +59,10 @@ COMPILE_COMBOS = [
 
 @pytest.fixture(autouse=True)
 def _clean_robust_state():
-    FAULTS.disarm_all()
+    DEFAULT_SESSION.faults.disarm_all()
     BISECT.disable()
     yield
-    FAULTS.disarm_all()
+    DEFAULT_SESSION.faults.disarm_all()
     BISECT.disable()
     DEFAULT_SESSION.tracer.clear()
     DEFAULT_SESSION.tracer.disable(REMARK)
@@ -112,23 +111,23 @@ class TestFaultRegistry:
 
     def test_arm_rejects_unsupported_mode(self):
         with pytest.raises(ValueError):
-            FAULTS.arm("codegen.emit", "stall")
+            DEFAULT_SESSION.faults.arm("codegen.emit", "stall")
 
     def test_fire_is_noop_when_disarmed(self):
-        FAULTS.fire("codegen.emit")  # must not raise
+        DEFAULT_SESSION.faults.fire("codegen.emit")  # must not raise
 
     def test_skip_lets_early_hits_pass(self):
-        plan = FAULTS.arm("codegen.emit", "raise", skip=1)
-        FAULTS.fire("codegen.emit")  # hit 1: skipped
+        plan = DEFAULT_SESSION.faults.arm("codegen.emit", "raise", skip=1)
+        DEFAULT_SESSION.faults.fire("codegen.emit")  # hit 1: skipped
         with pytest.raises(FaultError):
-            FAULTS.fire("codegen.emit")  # hit 2: fires
+            DEFAULT_SESSION.faults.fire("codegen.emit")  # hit 2: fires
         assert (plan.hits, plan.fired) == (2, 1)
 
     def test_once_fires_exactly_once(self):
-        plan = FAULTS.arm("codegen.emit", "raise", once=True)
+        plan = DEFAULT_SESSION.faults.arm("codegen.emit", "raise", once=True)
         with pytest.raises(FaultError):
-            FAULTS.fire("codegen.emit")
-        FAULTS.fire("codegen.emit")  # second hit passes
+            DEFAULT_SESSION.faults.fire("codegen.emit")
+        DEFAULT_SESSION.faults.fire("codegen.emit")  # second hit passes
         assert (plan.hits, plan.fired) == (2, 1)
 
     def test_every_site_declares_supported_modes(self):
@@ -166,7 +165,7 @@ class TestStatsResetOnException:
     def test_counters_reset_when_compile_raises(self):
         module = fig3_module()
         before = DEFAULT_SESSION.stats.snapshot()
-        FAULTS.arm("codegen.emit", "raise")
+        DEFAULT_SESSION.faults.arm("codegen.emit", "raise")
         with pytest.raises(FaultError):
             compile_module(module, SNSLP, DEFAULT_TARGET)
         # the crashing compile's ephemeral session is discarded with its
@@ -175,10 +174,10 @@ class TestStatsResetOnException:
 
     def test_clean_compile_after_crash_reports_fresh_counters(self):
         module = fig3_module()
-        FAULTS.arm("codegen.emit", "raise")
+        DEFAULT_SESSION.faults.arm("codegen.emit", "raise")
         with pytest.raises(FaultError):
             compile_module(module, SNSLP, DEFAULT_TARGET)
-        FAULTS.disarm_all()
+        DEFAULT_SESSION.faults.disarm_all()
         result = compile_module(fig3_module(), SNSLP, DEFAULT_TARGET)
         assert result.counters  # the clean compile's own counters
 
@@ -190,13 +189,13 @@ class TestGuardedRecovery:
     def test_injected_fault_cannot_escape(self, site, mode):
         module = fig3_module()
         inputs, reference = scalar_reference(module)
-        plan = FAULTS.arm(site, mode)
+        plan = DEFAULT_SESSION.faults.arm(site, mode)
         DEFAULT_SESSION.tracer.clear()
         DEFAULT_SESSION.tracer.enable(REMARK)
         outcome = guarded_compile(
             module, SNSLP, DEFAULT_TARGET, phase_budget_seconds=0.1
         )
-        FAULTS.disarm_all()
+        DEFAULT_SESSION.faults.disarm_all()
 
         # fig3 exercises the full SN-SLP pipeline, so every site is hit
         assert plan.fired > 0, f"{site}:{mode} never reached"
@@ -240,9 +239,9 @@ class TestDegradationLadder:
     def test_vectorize_crash_descends_ladder(self):
         module = fig3_module()
         inputs, reference = scalar_reference(module)
-        FAULTS.arm("codegen.emit", "raise")
+        DEFAULT_SESSION.faults.arm("codegen.emit", "raise")
         outcome = guarded_compile(module, SNSLP, DEFAULT_TARGET)
-        FAULTS.disarm_all()
+        DEFAULT_SESSION.faults.disarm_all()
         assert outcome.degraded
         assert outcome.config_used != "SN-SLP"
         assert any(r.action == "descend-ladder" for r in outcome.recoveries)
@@ -253,9 +252,9 @@ class TestDegradationLadder:
     def test_corruption_is_caught_by_verify_gate(self):
         module = fig3_module()
         inputs, reference = scalar_reference(module)
-        FAULTS.arm("codegen.emit", "corrupt")
+        DEFAULT_SESSION.faults.arm("codegen.emit", "corrupt")
         outcome = guarded_compile(module, SNSLP, DEFAULT_TARGET)
-        FAULTS.disarm_all()
+        DEFAULT_SESSION.faults.disarm_all()
         assert any(r.kind == "verifier" for r in outcome.recoveries)
         assert outcome.crash is not None
         assert outcome.crash.kind == "verifier"
@@ -266,11 +265,11 @@ class TestDegradationLadder:
     def test_single_rung_ladder_falls_back_to_pristine(self):
         module = fig3_module()
         inputs, reference = scalar_reference(module)
-        FAULTS.arm("codegen.emit", "raise")
+        DEFAULT_SESSION.faults.arm("codegen.emit", "raise")
         outcome = guarded_compile(
             module, SNSLP, DEFAULT_TARGET, ladder=["SN-SLP"]
         )
-        FAULTS.disarm_all()
+        DEFAULT_SESSION.faults.disarm_all()
         assert outcome.config_used == "pristine"
         assert any(
             r.action == "pristine-fallback" for r in outcome.recoveries
@@ -285,11 +284,11 @@ class TestPhaseBudget:
     def test_stalled_phase_is_skipped_within_budget(self):
         module = fig3_module()
         inputs, reference = scalar_reference(module)
-        FAULTS.arm("simplify.module", "stall")  # sleeps 0.25s per fire
+        DEFAULT_SESSION.faults.arm("simplify.module", "stall")  # sleeps 0.25s per fire
         outcome = guarded_compile(
             module, SNSLP, DEFAULT_TARGET, phase_budget_seconds=0.05
         )
-        FAULTS.disarm_all()
+        DEFAULT_SESSION.faults.disarm_all()
         budget_recoveries = [r for r in outcome.recoveries if r.kind == "budget"]
         assert budget_recoveries
         assert all(r.phase == "simplify" for r in budget_recoveries)
@@ -302,18 +301,18 @@ class TestPhaseBudget:
 
     def test_budget_blowout_is_not_a_crash_capture(self):
         module = fig3_module()
-        FAULTS.arm("simplify.module", "stall")
+        DEFAULT_SESSION.faults.arm("simplify.module", "stall")
         outcome = guarded_compile(
             module, SNSLP, DEFAULT_TARGET, phase_budget_seconds=0.05
         )
-        FAULTS.disarm_all()
+        DEFAULT_SESSION.faults.disarm_all()
         assert outcome.crash is None  # timing failures are not bundled
 
 
 class TestCrashBundle:
     def test_injected_crash_produces_reduced_bundle(self, tmp_path):
         module = fig3_module()
-        FAULTS.arm("codegen.emit", "raise")
+        DEFAULT_SESSION.faults.arm("codegen.emit", "raise")
         outcome = guarded_compile(
             module, SNSLP, DEFAULT_TARGET, bundle_dir=str(tmp_path)
         )
@@ -339,7 +338,7 @@ class TestCrashBundle:
 
     def test_bundle_replays_through_repro_bisect(self, tmp_path, capsys):
         module = fig3_module()
-        FAULTS.arm("codegen.emit", "raise")
+        DEFAULT_SESSION.faults.arm("codegen.emit", "raise")
         outcome = guarded_compile(
             module, SNSLP, DEFAULT_TARGET, bundle_dir=str(tmp_path)
         )
@@ -355,7 +354,7 @@ class TestCrashBundle:
 class TestBisect:
     def test_localizes_crashing_decision(self):
         module = fig3_module()
-        FAULTS.arm("codegen.emit", "raise")
+        DEFAULT_SESSION.faults.arm("codegen.emit", "raise")
         result = run_bisect(module, SNSLP, DEFAULT_TARGET, args=(64,))
         assert result.status == "crash"
         assert result.first_bad == 1
@@ -364,7 +363,7 @@ class TestBisect:
 
     def test_pre_vectorizer_fault_reports_bad_at_zero(self):
         module = fig3_module()
-        FAULTS.arm("simplify.module", "raise")
+        DEFAULT_SESSION.faults.arm("simplify.module", "raise")
         result = run_bisect(module, SNSLP, DEFAULT_TARGET, args=(64,))
         assert result.bad_at_zero
         assert result.first_bad is None
@@ -382,9 +381,10 @@ class TestFuzzIntegration:
         from repro.fuzz import generate_program, random_spec, run_oracle
 
         program = generate_program(random_spec(3))
-        FAULTS.arm("interp.step", "stall")  # burns the reference's budget
+        # burns the reference's budget
+        DEFAULT_SESSION.faults.arm("interp.step", "stall")
         report = run_oracle(program)
-        FAULTS.disarm_all()
+        DEFAULT_SESSION.faults.disarm_all()
         assert report.reference_trapped
         assert report.outcomes[0].status == "budget"
 
