@@ -252,7 +252,6 @@ class FunctionPlan:
     """A fully decoded function: slot allocation plus per-block traces."""
 
     __slots__ = (
-        "function",
         "num_slots",
         "const_binds",
         "global_binds",
@@ -828,7 +827,6 @@ def _build_plan(function: Function, cost_model) -> FunctionPlan:
         bp.loop = _plan_loop(bp, blocks, slot_of)
 
     plan = FunctionPlan()
-    plan.function = function
     plan.num_slots = len(slots)
     plan.const_binds = const_binds
     plan.global_binds = global_binds

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterator, List, Optional
 
 from .instructions import Instruction, PhiInst
@@ -12,13 +13,24 @@ class BasicBlock:
 
     The block owns instruction ordering; all position queries the scheduler
     and the vectorizer's legality checks need (``index_of``, ``comes_before``)
-    are answered here.
+    are answered here.  ``parent`` does not own: the function owns its
+    blocks, and a block whose function was freed is detached (``parent``
+    is None, no instructions).
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.instructions: List[Instruction] = []
-        self.parent = None  # type: Optional["Function"]
+        self._parent: Optional[weakref.ref] = None
+
+    @property
+    def parent(self) -> Optional["Function"]:
+        ref = self._parent
+        return ref() if ref is not None else None
+
+    @parent.setter
+    def parent(self, function: Optional["Function"]) -> None:
+        self._parent = weakref.ref(function) if function is not None else None
 
     # -- insertion / removal -------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .block import BasicBlock
@@ -17,6 +18,11 @@ class Function:
     vectorizer to reassociate floating point expressions, which is a
     precondition for Multi-Node / Super-Node formation on fadd/fmul chains
     (the paper compiles everything with ``-O3 -ffast-math``).
+
+    A function owns its blocks and their instructions; nothing inside it
+    owns the function (``BasicBlock.parent``) or its module (``parent``),
+    so it dies by refcount once its module and every other holder drop
+    it, and then drops its IR's references (see :meth:`__del__`).
     """
 
     def __init__(
@@ -33,8 +39,34 @@ class Function:
             Argument(type_, arg_name, i) for i, (arg_name, type_) in enumerate(arg_types)
         ]
         self.blocks: List[BasicBlock] = []
-        self.parent = None  # type: Optional["Module"]
+        self._parent: Optional[weakref.ref] = None
         self._name_counts: Dict[str, int] = {}
+
+    @property
+    def parent(self) -> Optional["Module"]:
+        """The module holding this function (not owned: None once the
+        module is freed)."""
+        ref = self._parent
+        return ref() if ref is not None else None
+
+    @parent.setter
+    def parent(self, module: Optional["Module"]) -> None:
+        self._parent = weakref.ref(module) if module is not None else None
+
+    def __del__(self) -> None:
+        # LLVM's ``~Function`` calls ``dropAllReferences``: with every
+        # operand dropped and every block emptied, no cycle is left among
+        # the IR (value <-> use <-> user, instruction <-> block), so all
+        # of it frees by refcount now instead of at the next full
+        # collection.  Dropping operands one by one keeps the use lists
+        # of values this function does not own (globals) exact.  Only
+        # this function's objects are touched, so this is safe at
+        # interpreter shutdown.
+        for block in self.__dict__.get("blocks", ()):
+            for inst in block.instructions:
+                inst.drop_all_references()
+                inst.parent = None
+            block.instructions.clear()
 
     # -- block management -----------------------------------------------------
 

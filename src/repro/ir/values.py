@@ -25,13 +25,18 @@ from .types import FloatType, IntType, Type, VectorType, pointer_to
 
 
 class Use:
-    """A single (user, operand-index) edge in the def-use graph."""
+    """A single (user, operand-index) edge in the def-use graph.
 
-    __slots__ = ("user", "index")
+    One record per operand slot: the user's operand list holds it, and so
+    does the use list of the ``value`` it currently reads.
+    """
 
-    def __init__(self, user: "User", index: int) -> None:
+    __slots__ = ("user", "index", "value")
+
+    def __init__(self, user: "User", index: int, value: "Value") -> None:
         self.user = user
         self.index = index
+        self.value = value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Use({self.user!r}[{self.index}])"
@@ -94,15 +99,14 @@ class User(Value):
 
     def __init__(self, type_: Type, operands: Sequence[Value], name: str = "") -> None:
         super().__init__(type_, name)
-        self._operands: List[Value] = []
-        self._operand_uses: List[Use] = []
+        #: one :class:`Use` record per operand slot, in operand order
+        self._operands: List[Use] = []
         for op in operands:
             self._append_operand(op)
 
     def _append_operand(self, value: Value) -> None:
-        use = Use(self, len(self._operands))
-        self._operands.append(value)
-        self._operand_uses.append(use)
+        use = Use(self, len(self._operands), value)
+        self._operands.append(use)
         value.add_use(use)
 
     # -- operand access ------------------------------------------------------
@@ -110,44 +114,49 @@ class User(Value):
     @property
     def operands(self) -> Sequence[Value]:
         """Read-only view of the operand list."""
-        return tuple(self._operands)
+        return tuple([use.value for use in self._operands])
 
     @property
     def num_operands(self) -> int:
         return len(self._operands)
 
     def operand(self, index: int) -> Value:
-        return self._operands[index]
+        return self._operands[index].value
 
     def set_operand(self, index: int, value: Value) -> None:
         """Replace operand ``index``, keeping use lists consistent."""
-        old = self._operands[index]
+        use = self._operands[index]
+        old = use.value
         if old is value:
             return
-        use = self._operand_uses[index]
         old.remove_use(use)
-        self._operands[index] = value
+        use.value = value
         value.add_use(use)
 
     def swap_operands(self, i: int, j: int) -> None:
         """Exchange two operands of this user (commutation helper)."""
         if i == j:
             return
-        a, b = self._operands[i], self._operands[j]
+        a, b = self.operand(i), self.operand(j)
         self.set_operand(i, b)
         # ``set_operand(i, b)`` may have been a no-op if a is b; handle both.
         self.set_operand(j, a)
 
     def operand_index_of(self, value: Value) -> int:
         """First operand slot holding ``value`` (ValueError if absent)."""
-        return self._operands.index(value)
+        return [use.value for use in self._operands].index(value)
 
     def drop_all_references(self) -> None:
-        """Detach this user from every operand (used when erasing)."""
-        for use, op in zip(self._operand_uses, self._operands):
-            op.remove_use(use)
+        """Detach this user from every operand (used when erasing, and
+        when the owning function is freed).  A record its operand's use
+        list has lost (corrupted IR) is skipped, so freeing corrupted IR
+        never raises."""
+        for use in self._operands:
+            try:
+                use.value.uses.remove(use)
+            except ValueError:
+                pass
         self._operands.clear()
-        self._operand_uses.clear()
 
 
 class Constant(Value):

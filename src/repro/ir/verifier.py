@@ -14,7 +14,7 @@ verifier failure means a pass produced malformed IR.  Checks:
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Sequence, Set
 
 from .block import BasicBlock
 from .function import Function
@@ -37,18 +37,18 @@ class VerificationError(Exception):
 def _reverse_postorder(function: Function) -> Dict[int, int]:
     """Map ``id(block)`` -> RPO index for blocks reachable from entry."""
     order: List[BasicBlock] = []
-    visited: Set[int] = set()
-
-    def visit(block: BasicBlock) -> None:
-        visited.add(id(block))
-        for succ in block.successors():
-            if id(succ) not in visited:
-                visit(succ)
-        order.append(block)
-
-    visit(function.entry)
+    _postorder(function.entry, set(), order)
     order.reverse()
     return {id(block): index for index, block in enumerate(order)}
+
+
+def _postorder(block: BasicBlock, visited: Set[int], order: List[BasicBlock]) -> None:
+    # module-level, not a self-calling closure (DESIGN.md, IR ownership)
+    visited.add(id(block))
+    for succ in block.successors():
+        if id(succ) not in visited:
+            _postorder(succ, visited, order)
+    order.append(block)
 
 
 def _predecessors(function: Function) -> Dict[BasicBlock, List[BasicBlock]]:
@@ -76,6 +76,8 @@ def verify_function(function: Function) -> None:
     # ints, so the checks trigger no extra collections.  Operand indices
     # never reach 2**32, so the key is unique.
     use_records: Dict[int, Set[int]] = {}
+    # id(inst) -> its operands, read once for every pass below
+    operands_of: Dict[int, Sequence[Value]] = {}
 
     # Pass 1: structure, terminators, phi placement, use-list integrity.
     for block in function.blocks:
@@ -102,7 +104,8 @@ def verify_function(function: Function) -> None:
                     )
             else:
                 seen_non_phi = True
-            for index, op in enumerate(inst.operands):
+            operands = operands_of[id(inst)] = inst.operands
+            for index, op in enumerate(operands):
                 records = use_records.get(id(op))
                 if records is None:
                     records = {id(use.user) << 32 | use.index for use in op.uses}
@@ -118,7 +121,7 @@ def verify_function(function: Function) -> None:
     # in this function (or constant/global/argument).
     for block in function.blocks:
         for inst in block:
-            for op in inst.operands:
+            for op in operands_of[id(inst)]:
                 if isinstance(op, (Constant, GlobalBuffer)):
                     continue
                 if isinstance(op, Argument):
@@ -140,7 +143,7 @@ def verify_function(function: Function) -> None:
         for i, inst in enumerate(block):
             if isinstance(inst, PhiInst):
                 continue
-            for op in inst.operands:
+            for op in operands_of[id(inst)]:
                 j = position.get(id(op))
                 if j is not None and j >= i:
                     raise VerificationError(
@@ -166,7 +169,7 @@ def verify_function(function: Function) -> None:
         for inst in block:
             if isinstance(inst, PhiInst):
                 continue
-            for op in inst.operands:
+            for op in operands_of[id(inst)]:
                 home = def_block.get(id(op))
                 if home is None or home is block:
                     continue

@@ -210,35 +210,36 @@ def chains_to_dot(chains, title: str = "") -> str:
         apos = chain.value_apos()
         lines.append(f"  subgraph cluster_lane{lane} {{")
         lines.append(f'    label="lane {lane}"; color="#9ecae1";')
-        counter = [0]
-        names: Dict[int, str] = {}
-
-        def visit(node) -> str:
-            name = f"l{lane}n{counter[0]}"
-            counter[0] += 1
-            names[id(node)] = name
-            if hasattr(node, "children"):  # a TrunkUnit
-                sym = _OP_SYMBOLS.get(node.opcode.name, node.opcode.name)
-                apo = _family_sign(chain.family, apos[id(node)])
-                lines.append(
-                    f'    {name} [shape=circle, label="{_esc(sym)}", '
-                    f'xlabel="APO {_esc(apo)}"];'
-                )
-                for child in node.children:
-                    child_name = visit(child)
-                    sign = _family_sign(chain.family, apos[id(child)])
-                    lines.append(
-                        f'    {name} -> {child_name} [label="{_esc(sign)}", '
-                        "fontsize=9];"
-                    )
-            else:  # a Leaf
-                lines.append(
-                    f'    {name} [shape=box, style=rounded, '
-                    f'label="{_esc(node.value.ref())}"];'
-                )
-            return name
-
-        visit(chain.root)
+        _chain_node_dot(chain.root, chain.family, apos, f"l{lane}n", [0], lines)
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _chain_node_dot(
+    node, family, apos, prefix: str, counter: List[int], lines: List[str]
+) -> str:
+    """Append the DOT lines of one trunk unit or leaf and its subtree;
+    returns the node's DOT name (``prefix`` plus a running count)."""
+    name = f"{prefix}{counter[0]}"
+    counter[0] += 1
+    if hasattr(node, "children"):  # a TrunkUnit
+        sym = _OP_SYMBOLS.get(node.opcode.name, node.opcode.name)
+        apo = _family_sign(family, apos[id(node)])
+        lines.append(
+            f'    {name} [shape=circle, label="{_esc(sym)}", '
+            f'xlabel="APO {_esc(apo)}"];'
+        )
+        for child in node.children:
+            child_name = _chain_node_dot(child, family, apos, prefix, counter, lines)
+            sign = _family_sign(family, apos[id(child)])
+            lines.append(
+                f'    {name} -> {child_name} [label="{_esc(sign)}", '
+                "fontsize=9];"
+            )
+    else:  # a Leaf
+        lines.append(
+            f'    {name} [shape=box, style=rounded, '
+            f'label="{_esc(node.value.ref())}"];'
+        )
+    return name

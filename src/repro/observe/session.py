@@ -53,14 +53,16 @@ Workers arm what the parent's :attr:`CompilerSession.mask` names.
 
 from __future__ import annotations
 
+import atexit
 import contextvars
+import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .metrics import MetricsRegistry
 from .stats import StatsRegistry
-from .trace import ALL, CATEGORIES, REMARK, TraceEvent, Tracer, write_records
+from .trace import ALL, CATEGORIES, REMARK, SPAN, TraceEvent, Tracer, write_records
 
 #: :attr:`CompilerSession.mask` bit for the metrics registry, next to the
 #: tracer's four category bits
@@ -230,6 +232,20 @@ def current_tracer() -> Tracer:
 
 def current_metrics() -> MetricsRegistry:
     return current_session().metrics
+
+
+def _trace_collection(phase: str, info: Dict[str, int]) -> None:
+    """The :data:`gc.callbacks` hook: while the current session's spans
+    are armed, each garbage collection is a ``gc`` span in its stream
+    (:meth:`Tracer.collection`); otherwise it costs one mask test."""
+    tracer = current_tracer()
+    if tracer.mask & SPAN:
+        tracer.collection(phase, info)
+
+
+gc.callbacks.append(_trace_collection)
+# Collections still run while interpreter exit tears module globals down.
+atexit.register(gc.callbacks.remove, _trace_collection)
 
 
 def write_remarks(path: str, run: Callable[[], object]) -> None:

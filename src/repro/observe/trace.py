@@ -5,7 +5,8 @@ Each session's :class:`Tracer` records every :class:`TraceEvent` into one
 one bit of :attr:`Tracer.mask`:
 
 * ``span``     — a timed, nested region (``-time-passes`` /
-  ``-ftime-trace``), exported as Chrome trace-event JSON;
+  ``-ftime-trace``), exported as Chrome trace-event JSON; garbage
+  collections are recorded as ``gc`` spans (:meth:`Tracer.collection`);
 * ``remark``   — a passed/missed/analysis/recovery optimization remark
   (``-Rpass``), written by ``--remarks``;
 * ``decision`` — one vectorizer decision (seed, look-ahead scores, APO
@@ -222,19 +223,8 @@ class _Span:
     def __enter__(self) -> "_Span":
         stack = self.tracer._stack
         self.depth = len(stack)
-        binding = self.tracer._binding
-        if binding:
-            # A request context is bound: give this span an identity and
-            # parent it under the enclosing live span (if that span is
-            # itself bound) or the request's parent span.
-            context = binding[-1]
-            enclosing = stack[-1] if stack else None
-            self.trace_id = context.trace_id
-            self.span_id = new_span_id()
-            if enclosing is not None and enclosing.span_id:
-                self.parent_id = enclosing.span_id
-            else:
-                self.parent_id = context.span_id
+        if self.tracer._binding:
+            self.trace_id, self.span_id, self.parent_id = self.tracer._link()
         stack.append(self)
         self.start_ns = time.perf_counter_ns()
         return self
@@ -271,6 +261,8 @@ class Tracer:
         self._binding: List[TraceContext] = []
         self._next_graph_id = 0
         self._graph: Dict[str, object] = {}
+        #: (start_ns, depth, link) of the collection in progress
+        self._collecting: Optional[Tuple[int, int, Tuple[str, str, str]]] = None
 
     @property
     def enabled(self) -> bool:
@@ -302,6 +294,38 @@ class Tracer:
             return _NULL_SPAN
         return _Span(self, name, args)
 
+    def _link(self) -> Tuple[str, str, str]:
+        """(trace_id, span_id, parent_id) of a span opened now.  Inside a
+        bound request context the span gets an identity, parented under
+        the enclosing live span (if that span is itself bound) or the
+        request's parent span; outside one, all three are empty."""
+        if not self._binding:
+            return "", "", ""
+        context = self._binding[-1]
+        enclosing = self._stack[-1] if self._stack else None
+        if enclosing is not None and enclosing.span_id:
+            parent_id = enclosing.span_id
+        else:
+            parent_id = context.span_id
+        return context.trace_id, new_span_id(), parent_id
+
+    def collection(self, phase: str, info: Dict[str, int]) -> None:
+        """Record one garbage collection as a ``gc`` span nested under the
+        open span, with ``generation`` and ``collected`` args: a
+        :data:`gc.callbacks` hook, called while spans are armed (see
+        :mod:`repro.observe.session`)."""
+        if phase == "start":
+            self._collecting = (time.perf_counter_ns(), len(self._stack), self._link())
+            return
+        started, self._collecting = self._collecting, None
+        if started is None:  # spans were armed during the collection
+            return
+        start_ns, depth, link = started
+        self.record_span(
+            "gc", start_ns, time.perf_counter_ns() - start_ns, depth, *link,
+            generation=info["generation"], collected=info["collected"],
+        )
+
     @contextmanager
     def bind(
         self, context: Optional[TraceContext]
@@ -330,7 +354,7 @@ class Tracer:
         trace_id: str, span_id: str, parent_id: str, **args: object,
     ) -> None:
         """Record a span timed elsewhere (the synthesized client-side
-        request spans) while spans are armed."""
+        request spans, garbage collections) while spans are armed."""
         if self.mask & SPAN:
             self.events.append(TraceEvent(
                 name, start_ns, max(0, duration_ns), depth, args,

@@ -41,33 +41,25 @@ def emit_node_tree(
     vectors across multiple trees (nodes reached twice emit once)."""
     if memo is None:
         memo = {}
-
-    def vector_of(inner: SLPNode) -> Value:
-        cached = memo.get(id(inner))
-        if cached is not None:
-            return cached
-        value = _emit_node(inner, builder, vector_of)
-        memo[id(inner)] = value
-        inner.vector_value = value
-        return value
-
-    return vector_of(node)
+    cached = memo.get(id(node))
+    if cached is not None:
+        return cached
+    value = _emit_node(node, builder, memo)
+    memo[id(node)] = value
+    node.vector_value = value
+    return value
 
 
 def emit_vector_code(graph: SLPGraph) -> Value:
     """Emit vector code for ``graph``; returns the root vector store."""
     builder = IRBuilder()
     builder.position_before(graph.anchor)
-    internal = graph.internal_instruction_ids()
+    internal = graph.internal_instructions()
     memo: Dict[int, Value] = {}
-
-    def vector_of(node: SLPNode) -> Value:
-        return emit_node_tree(node, builder, memo)
-
     root = graph.root
     if root.kind is not NodeKind.STORE:
         raise CodegenError(f"graph root must be a store bundle, got {root.kind}")
-    stored = vector_of(root.operands[0])
+    stored = emit_node_tree(root.operands[0], builder, memo)
     first_store = root.lanes[0]
     assert isinstance(first_store, StoreInst)
     vec_store = builder.store(stored, first_store.pointer)
@@ -90,9 +82,12 @@ def emit_vector_code(graph: SLPGraph) -> Value:
     return vec_store
 
 
-def _emit_node(node: SLPNode, builder: IRBuilder, vector_of) -> Value:
+def _emit_node(node: SLPNode, builder: IRBuilder, memo: Dict[int, Value]) -> Value:
     first = node.lanes[0]
     vec_type = node.vec_type
+
+    def vector_of(operand: SLPNode) -> Value:
+        return emit_node_tree(operand, builder, memo)
 
     if node.kind is NodeKind.GATHER:
         return _emit_gather(node, builder)
@@ -176,7 +171,7 @@ def _emit_external_extracts(
     graph: SLPGraph,
     builder: IRBuilder,
     memo: Dict[int, Value],
-    internal: set,
+    internal: Dict[int, Instruction],
 ) -> None:
     """Rewire external users of vectorized scalars to extractelement.
 

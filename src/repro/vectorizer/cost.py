@@ -9,8 +9,6 @@ LLVM's ``getTreeCost``.
 
 from __future__ import annotations
 
-from typing import Set
-
 from ..ir.instructions import CallInst, Instruction, Opcode
 from ..ir.values import Constant, Value
 from ..machine.costmodel import CostModel
@@ -65,7 +63,7 @@ def compute_graph_cost(graph: SLPGraph, model: CostModel) -> float:
     the total itself is accumulated node by node exactly as before, so
     the profitability verdict is unchanged by the bookkeeping.
     """
-    internal: Set[int] = graph.internal_instruction_ids()
+    internal = graph.internal_instructions()
     total = 0.0
     scalar_total = 0.0
     vector_total = 0.0

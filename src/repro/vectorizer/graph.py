@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.block import BasicBlock
 from ..ir.instructions import Instruction, Opcode
@@ -93,14 +93,14 @@ class SLPGraph:
     def gather_nodes(self) -> List[SLPNode]:
         return [n for n in self.nodes if not n.is_vectorizable]
 
-    def internal_instruction_ids(self) -> set:
-        """ids of scalar instructions in vectorizable bundles (the values
-        that will be replaced by vector code)."""
-        ids = set()
-        for node in self.vectorizable_nodes():
-            for inst in node.instructions():
-                ids.add(id(inst))
-        return ids
+    def internal_instructions(self) -> Dict[int, Instruction]:
+        """The scalar instructions in vectorizable bundles (the values
+        that will be replaced by vector code), by id."""
+        return {
+            id(inst): inst
+            for node in self.vectorizable_nodes()
+            for inst in node.instructions()
+        }
 
     def dump(self) -> str:
         """Multi-line description of the graph (diagnostics and docs)."""
@@ -108,26 +108,29 @@ class SLPGraph:
             f"SLP graph in block {self.block.name} "
             f"(cost {self.total_cost:+.1f})"
         ]
-
-        def walk(node: SLPNode, depth: int, seen: set) -> None:
-            indent = "  " * depth
-            refs = ", ".join(v.ref() for v in node.lanes)
-            tag = node.kind.value
-            if node.lane_opcodes:
-                tag += "[" + "".join(
-                    "+" if op in (Opcode.ADD, Opcode.FADD, Opcode.MUL, Opcode.FMUL)
-                    else "-"
-                    for op in node.lane_opcodes
-                ) + "]"
-            note = f"  ({node.reason})" if node.reason else ""
-            lines.append(
-                f"{indent}{tag:>10} cost={node.cost:+5.1f} [{refs}]{note}"
-            )
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for operand in node.operands:
-                walk(operand, depth + 1, seen)
-
-        walk(self.root, 1, set())
+        _dump_node(self.root, 1, set(), lines)
         return "\n".join(lines)
+
+
+def _dump_node(node: SLPNode, depth: int, seen: set, lines: List[str]) -> None:
+    """Append ``node``'s line and, the first time it is reached, its
+    operands' to ``lines`` (module-level, not a self-calling closure:
+    DESIGN.md, IR ownership)."""
+    indent = "  " * depth
+    refs = ", ".join(v.ref() for v in node.lanes)
+    tag = node.kind.value
+    if node.lane_opcodes:
+        tag += "[" + "".join(
+            "+" if op in (Opcode.ADD, Opcode.FADD, Opcode.MUL, Opcode.FMUL)
+            else "-"
+            for op in node.lane_opcodes
+        ) + "]"
+    note = f"  ({node.reason})" if node.reason else ""
+    lines.append(
+        f"{indent}{tag:>10} cost={node.cost:+5.1f} [{refs}]{note}"
+    )
+    if id(node) in seen:
+        return
+    seen.add(id(node))
+    for operand in node.operands:
+        _dump_node(operand, depth + 1, seen, lines)

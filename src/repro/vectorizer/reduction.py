@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Container, Dict, List, Optional, Sequence, Tuple
 
 from ..ir.builder import IRBuilder
 from ..ir.instructions import (
@@ -143,7 +143,7 @@ class ReductionCandidate:
         )
 
 
-def _is_reduction_root(inst: Instruction, consumed_ids: set) -> bool:
+def _is_reduction_root(inst: Instruction, consumed_ids: Container[int]) -> bool:
     """The root's value must leave the chain: no same-family binary user."""
     if not isinstance(inst, BinaryInst):
         return False
@@ -165,10 +165,12 @@ def find_reduction_candidates(
     block,
     allow_inverse: bool,
     fast_math: bool,
-    consumed_ids: set,
+    consumed_ids: Container[int],
     max_trunks: int = 32,
 ) -> List[ReductionCandidate]:
-    """Scan a block for vectorizable add chains (seed kind 2)."""
+    """Scan a block for vectorizable add chains (seed kind 2), skipping
+    instructions whose id is in ``consumed_ids``: the caller keeps the
+    instructions it names alive, so an id there is never a reused one."""
     candidates: List[ReductionCandidate] = []
     for inst in block:
         if not _is_reduction_root(inst, consumed_ids):
@@ -195,7 +197,9 @@ def find_reduction_candidates(
     return candidates
 
 
-def _is_minmax_root(inst: Instruction, consumed_ids: set, fast_math: bool) -> bool:
+def _is_minmax_root(
+    inst: Instruction, consumed_ids: Container[int], fast_math: bool
+) -> bool:
     if not isinstance(inst, CallInst) or inst.callee not in MINMAX_CALLEES:
         return False
     if MINMAX_CALLEES[inst.callee] and not fast_math:
@@ -210,35 +214,40 @@ def _is_minmax_root(inst: Instruction, consumed_ids: set, fast_math: bool) -> bo
     )
 
 
+def _grow_minmax(
+    call: CallInst, calls: List[Instruction], leaves: List[Value], max_calls: int
+) -> None:
+    """Collect the same-callee single-use calls of ``call``'s chain into
+    ``calls`` (pre-order) and its other operands into ``leaves``."""
+    calls.append(call)
+    for operand in call.operands:
+        if (
+            isinstance(operand, CallInst)
+            and operand.callee == call.callee
+            and operand.num_uses == 1
+            and operand.parent is call.parent
+            and len(calls) < max_calls
+        ):
+            _grow_minmax(operand, calls, leaves, max_calls)
+        else:
+            leaves.append(operand)
+
+
 def find_minmax_candidates(
     block,
     fast_math: bool,
-    consumed_ids: set,
+    consumed_ids: Container[int],
     max_calls: int = 32,
 ) -> List[ReductionCandidate]:
-    """Scan a block for min/max call chains."""
+    """Scan a block for min/max call chains (``consumed_ids`` as in
+    :func:`find_reduction_candidates`)."""
     candidates: List[ReductionCandidate] = []
     for inst in block:
         if not _is_minmax_root(inst, consumed_ids, fast_math):
             continue
         calls: List[Instruction] = []
         leaves: List[Value] = []
-
-        def grow(call: CallInst) -> None:
-            calls.append(call)
-            for operand in call.operands:
-                if (
-                    isinstance(operand, CallInst)
-                    and operand.callee == call.callee
-                    and operand.num_uses == 1
-                    and operand.parent is call.parent
-                    and len(calls) < max_calls
-                ):
-                    grow(operand)
-                else:
-                    leaves.append(operand)
-
-        grow(inst)
+        _grow_minmax(inst, calls, leaves, max_calls)
         if len(leaves) < MIN_REDUCTION_LEAVES:
             continue
         if any(id(call) in consumed_ids for call in calls):
@@ -374,16 +383,14 @@ def plan_reduction(
 def _subtree_nodes(root: SLPNode, assigned: set) -> List[SLPNode]:
     """Nodes reachable from ``root`` not yet assigned to an earlier chunk."""
     found: List[SLPNode] = []
-
-    def walk(node: SLPNode) -> None:
+    stack = [root]
+    while stack:  # pre-order, operands left to right
+        node = stack.pop()
         if id(node) in assigned:
-            return
+            continue
         assigned.add(id(node))
         found.append(node)
-        for operand in node.operands:
-            walk(operand)
-
-    walk(root)
+        stack.extend(reversed(node.operands))
     return found
 
 

@@ -405,17 +405,7 @@ class SuperNode:
         for chain, old_root in zip(self.chains, self.roots):
             builder = IRBuilder()
             builder.position_before(old_root)
-
-            def emit(node) -> Value:
-                if isinstance(node, Leaf):
-                    return node.value
-                lhs = emit(node.children[0])
-                rhs = emit(node.children[1])
-                inst = builder.binop(node.opcode, lhs, rhs)
-                self.emitted_instructions.append(inst)
-                return inst
-
-            new_root = emit(chain.root)
+            new_root = _emit_tree(chain.root, builder, self.emitted_instructions)
             old_root.replace_all_uses_with(new_root)
             new_roots.append(new_root)  # type: ignore[arg-type]
             self._erase_superseded(chain)
@@ -451,15 +441,7 @@ class SuperNode:
         for saved, massaged_root in zip(self.saved_chains, current_roots):
             builder = IRBuilder()
             builder.position_before(massaged_root)
-
-            def emit(node) -> Value:
-                if isinstance(node, Leaf):
-                    return node.value
-                lhs = emit(node.children[0])
-                rhs = emit(node.children[1])
-                return builder.binop(node.opcode, lhs, rhs)
-
-            original_root = emit(saved.root)
+            original_root = _emit_tree(saved.root, builder, [])
             massaged_root.replace_all_uses_with(original_root)
             restored.append(original_root)  # type: ignore[arg-type]
             self._erase_superseded_roots([massaged_root])
@@ -500,3 +482,16 @@ class SuperNode:
             inst = unit.inst
             if inst is not None and inst.parent is not None and inst.num_uses == 0:
                 inst.erase_from_parent()
+
+
+def _emit_tree(node, builder: IRBuilder, emitted: List[Instruction]) -> Value:
+    """Emit the scalar code of a trunk subtree (children first) at the
+    builder, appending each new instruction to ``emitted`` (module-level,
+    not a self-calling closure: DESIGN.md, IR ownership)."""
+    if isinstance(node, Leaf):
+        return node.value
+    lhs = _emit_tree(node.children[0], builder, emitted)
+    rhs = _emit_tree(node.children[1], builder, emitted)
+    inst = builder.binop(node.opcode, lhs, rhs)
+    emitted.append(inst)
+    return inst

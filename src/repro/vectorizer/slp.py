@@ -168,6 +168,9 @@ class _GraphBuilder:
             assert self.block is not None
             self.anchor = max(self.seed_stores, key=self.block.index_of)
         assert self.block is not None
+        # The id-keyed state below names only objects this builder holds
+        # (the seed stores, its nodes' lanes, the formed Super-Nodes' old
+        # and emitted instructions), so no id is reused while it lives.
         self.nodes: List[SLPNode] = []
         self.claimed: Set[int] = set()
         self.supernodes: List[SuperNodeRecord] = []
@@ -529,8 +532,11 @@ class SLPVectorizer:
         self.target = target
         self.config = config
         self.scorer = LookAheadScorer(depth=config.lookahead_depth)
-        #: instructions consumed by emitted vector code (across graphs)
-        self.consumed_ids: Set[int] = set()
+        #: instructions consumed by emitted vector code (across graphs),
+        #: by id.  Codegen and DCE erase them; holding each one here keeps
+        #: a freed instruction's id from passing to a new instruction that
+        #: would then count as consumed.
+        self.consumed_ids: Dict[int, Instruction] = {}
 
     # -- function / module drivers ----------------------------------------------------------
 
@@ -652,7 +658,7 @@ class SLPVectorizer:
                     )
                 if profitable:
                     emit_vector_code(graph)  # step 6b
-                    self.consumed_ids |= graph.internal_instruction_ids()
+                    self.consumed_ids.update(graph.internal_instructions())
                     for record in graph.supernodes:
                         record.vectorized = True
                     _STAT_GRAPHS_VECTORIZED.add()
@@ -796,10 +802,10 @@ class SLPVectorizer:
                 **where, cost=plan.total_cost, width=plan.vector_width,
             )
             emit_reduction(plan)
-            self.consumed_ids.update(id(op) for op in candidate.ops)
+            self.consumed_ids.update((id(op), op) for op in candidate.ops)
             for node in plan.nodes:
                 if node.kind is not NodeKind.GATHER:
-                    self.consumed_ids.update(id(i) for i in node.instructions())
+                    self.consumed_ids.update((id(i), i) for i in node.instructions())
         else:
             _STAT_REDUCTIONS_REJECTED[kind].add()
             builder.undo_chains()

@@ -201,15 +201,7 @@ class LaneChain:
         self.family = family  # base (commutative) opcode of the family
         self._trunks: List[Tuple[Tuple[int, ...], TrunkUnit]] = []
         self._trunk_apos: Dict[Tuple[int, ...], APO] = {}
-
-        def walk(unit: TrunkUnit, path: Tuple[int, ...], apo: APO) -> None:
-            self._trunks.append((path, unit))
-            self._trunk_apos[path] = apo
-            for i, child in enumerate(unit.children):
-                if isinstance(child, TrunkUnit):
-                    walk(child, path + (i,), apo ^ (unit.is_inverse and i == 1))
-
-        walk(root, (), APO_PLUS)
+        _collect_trunks(root, (), APO_PLUS, self._trunks, self._trunk_apos)
         self._unit_at: Dict[Tuple[int, ...], TrunkUnit] = dict(self._trunks)
         self._slot_units: List[Tuple[Slot, TrunkUnit]] = sorted(
             (
@@ -243,16 +235,7 @@ class LaneChain:
     # -- construction -----------------------------------------------------------
 
     def clone(self) -> "LaneChain":
-        def copy(unit: TrunkUnit) -> TrunkUnit:
-            children: List[Union[TrunkUnit, Leaf]] = []
-            for child in unit.children:
-                if isinstance(child, TrunkUnit):
-                    children.append(copy(child))
-                else:
-                    children.append(Leaf(child.value))
-            return TrunkUnit(unit.opcode, unit.inst, children)
-
-        twin = LaneChain(copy(self.root), self.family)
+        twin = LaneChain(_copy_unit(self.root), self.family)
         twin.leaf_swaps_applied = self.leaf_swaps_applied
         twin.trunk_swaps_applied = self.trunk_swaps_applied
         return twin
@@ -316,18 +299,7 @@ class LaneChain:
         before and after a move).  Computed in one tree walk.
         """
         apos: Dict[int, APO] = {}
-
-        def walk(unit: TrunkUnit, apo: APO) -> None:
-            apos[id(unit)] = apo
-            inverse = unit.is_inverse
-            for index, child in enumerate(unit.children):
-                child_apo = apo ^ (inverse and index == 1)
-                if isinstance(child, TrunkUnit):
-                    walk(child, child_apo)
-                else:
-                    apos[id(child)] = child_apo
-
-        walk(self.root, APO_PLUS)
+        _collect_value_apos(self.root, APO_PLUS, apos)
         return apos
 
     def signed_terms(self) -> List[Tuple[APO, Value]]:
@@ -526,31 +498,80 @@ class LaneChain:
     def evaluate(self, env: Dict[int, float]) -> float:
         """Numerically evaluate the chain with leaf values from ``env``
         (keyed by ``id`` of the leaf's IR value).  Test-only helper."""
+        return _evaluate(self.root, env)
 
-        def walk(node: Union[TrunkUnit, Leaf]) -> float:
-            if isinstance(node, Leaf):
-                return env[id(node.value)]
-            a = walk(node.children[0])
-            b = walk(node.children[1])
-            base = base_opcode(node.opcode)
-            if base in (Opcode.ADD, Opcode.FADD):
-                return a - b if node.is_inverse else a + b
-            return a / b if node.is_inverse else a * b
+    def __repr__(self) -> str:
+        return f"LaneChain{_format(self.root)}"
 
-        return walk(self.root)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        def fmt(node: Union[TrunkUnit, Leaf]) -> str:
-            if isinstance(node, Leaf):
-                return node.value.ref()
-            sym = {
-                Opcode.ADD: "+", Opcode.SUB: "-", Opcode.FADD: "+",
-                Opcode.FSUB: "-", Opcode.MUL: "*", Opcode.FMUL: "*",
-                Opcode.FDIV: "/", Opcode.SDIV: "/",
-            }.get(node.opcode, str(node.opcode))
-            return f"({fmt(node.children[0])} {sym} {fmt(node.children[1])})"
+# Tree walks over trunk units are module-level recursive functions: a
+# nested closure that calls itself is a function <-> cell cycle that keeps
+# everything it closes over (units, leaves, the IR behind them) alive
+# until a cyclic collection (DESIGN.md, IR ownership).
 
-        return f"LaneChain{fmt(self.root)}"
+
+def _collect_trunks(
+    unit: TrunkUnit,
+    path: Tuple[int, ...],
+    apo: APO,
+    trunks: List[Tuple[Tuple[int, ...], TrunkUnit]],
+    apos: Dict[Tuple[int, ...], APO],
+) -> None:
+    """Append (path, unit) of ``unit``'s subtree to ``trunks`` in
+    pre-order, recording each position's APO in ``apos``."""
+    trunks.append((path, unit))
+    apos[path] = apo
+    for i, child in enumerate(unit.children):
+        if isinstance(child, TrunkUnit):
+            child_apo = apo ^ (unit.is_inverse and i == 1)
+            _collect_trunks(child, path + (i,), child_apo, trunks, apos)
+
+
+def _copy_unit(unit: TrunkUnit) -> TrunkUnit:
+    """Deep copy of a trunk subtree with fresh leaves."""
+    children: List[Union[TrunkUnit, Leaf]] = []
+    for child in unit.children:
+        if isinstance(child, TrunkUnit):
+            children.append(_copy_unit(child))
+        else:
+            children.append(Leaf(child.value))
+    return TrunkUnit(unit.opcode, unit.inst, children)
+
+
+def _collect_value_apos(unit: TrunkUnit, apo: APO, apos: Dict[int, APO]) -> None:
+    apos[id(unit)] = apo
+    inverse = unit.is_inverse
+    for index, child in enumerate(unit.children):
+        child_apo = apo ^ (inverse and index == 1)
+        if isinstance(child, TrunkUnit):
+            _collect_value_apos(child, child_apo, apos)
+        else:
+            apos[id(child)] = child_apo
+
+
+def _evaluate(node: Union[TrunkUnit, Leaf], env: Dict[int, float]) -> float:
+    if isinstance(node, Leaf):
+        return env[id(node.value)]
+    a = _evaluate(node.children[0], env)
+    b = _evaluate(node.children[1], env)
+    base = base_opcode(node.opcode)
+    if base in (Opcode.ADD, Opcode.FADD):
+        return a - b if node.is_inverse else a + b
+    return a / b if node.is_inverse else a * b
+
+
+_SYMBOLS = {
+    Opcode.ADD: "+", Opcode.SUB: "-", Opcode.FADD: "+",
+    Opcode.FSUB: "-", Opcode.MUL: "*", Opcode.FMUL: "*",
+    Opcode.FDIV: "/", Opcode.SDIV: "/",
+}
+
+
+def _format(node: Union[TrunkUnit, Leaf]) -> str:
+    if isinstance(node, Leaf):
+        return node.value.ref()
+    sym = _SYMBOLS.get(node.opcode, str(node.opcode))
+    return f"({_format(node.children[0])} {sym} {_format(node.children[1])})"
 
 
 def _locks_hold(
@@ -615,37 +636,38 @@ def build_lane_chain(
     if not root.type.is_scalar:
         return None
 
-    budget = [max_trunks]
-
-    def eligible(value: Value) -> bool:
-        if budget[0] <= 0:
-            return False
-        if not isinstance(value, BinaryInst):
-            return False
-        if value.type is not root.type:
-            return False
-        if chain_family_of(value.opcode) is not family:
-            return False
-        if value.opcode is not family and not allow_inverse:
-            return False
-        if value.parent is not root.parent:
-            return False
-        if value.num_uses != 1:
-            return False
-        return True
-
-    def grow(inst: BinaryInst) -> TrunkUnit:
-        budget[0] -= 1
-        children: List[Union[TrunkUnit, Leaf]] = []
-        for op in inst.operands:
-            if eligible(op):
-                children.append(grow(op))  # type: ignore[arg-type]
-            else:
-                children.append(Leaf(op))
-        return TrunkUnit(inst.opcode, inst, children)
-
-    chain = LaneChain(grow(root), family)
+    trunk = _grow_chain(root, root, family, allow_inverse, [max_trunks])
+    chain = LaneChain(trunk, family)
     if chain.size() < 2:
         return None
     _STAT_CHAINS_GROWN.add()
     return chain
+
+
+def _grow_chain(
+    inst: BinaryInst,
+    root: BinaryInst,
+    family: Opcode,
+    allow_inverse: bool,
+    budget: List[int],
+) -> TrunkUnit:
+    """The trunk unit of ``inst``: each operand joins the trunk while
+    ``budget`` (a one-element list, shared by the whole chain) lasts and
+    the operand is a single-use same-family binary instruction of
+    ``root``'s type and block; otherwise it becomes a leaf."""
+    budget[0] -= 1
+    children: List[Union[TrunkUnit, Leaf]] = []
+    for op in inst.operands:
+        if (
+            budget[0] > 0
+            and isinstance(op, BinaryInst)
+            and op.type is root.type
+            and chain_family_of(op.opcode) is family
+            and (op.opcode is family or allow_inverse)
+            and op.parent is root.parent
+            and op.num_uses == 1
+        ):
+            children.append(_grow_chain(op, root, family, allow_inverse, budget))
+        else:
+            children.append(Leaf(op))
+    return TrunkUnit(inst.opcode, inst, children)

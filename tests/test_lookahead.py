@@ -166,7 +166,9 @@ class _SpyScorer(LookAheadScorer):
 
 def _signed_sum_lanes(orders, minus):
     """One store lane per entry of ``orders``: ``A[i+lane]`` = the signed
-    sum of arrays B0.. at offset ``lane``, terms in that lane's order."""
+    sum of arrays B0.. at offset ``lane``, terms in that lane's order.
+    Returns the function with the roots: holding only instructions does
+    not keep its function's IR alive."""
     module = Module("m")
     terms = len(minus)
     for name in ["A"] + [f"B{j}" for j in range(terms)]:
@@ -190,7 +192,7 @@ def _signed_sum_lanes(orders, minus):
         builder.store(acc, builder.gep(module.global_named("A"), idx))
         roots.append(acc)
     builder.ret()
-    return roots
+    return function, roots
 
 
 def _supernode(roots):
@@ -203,7 +205,7 @@ def _supernode(roots):
 
 class TestMemoScorer:
     def test_every_memoised_score_equals_a_fresh_one(self):
-        roots = _signed_sum_lanes(
+        function, roots = _signed_sum_lanes(
             [(0, 1, 2, 3, 4), (2, 0, 4, 1, 3), (4, 3, 0, 2, 1), (1, 4, 3, 0, 2)],
             minus=(False, True, False, True, True),
         )
@@ -238,7 +240,9 @@ class TestMemoScorer:
         """A second search after ``generate_code`` scores the rewritten IR:
         the first search's memo is gone, so a load whose address changed in
         between is scored at its new address."""
-        roots = _signed_sum_lanes([(0, 1, 2), (0, 1, 2)], minus=(False, False, True))
+        function, roots = _signed_sum_lanes(
+            [(0, 1, 2), (0, 1, 2)], minus=(False, False, True)
+        )
         spy = _SpyScorer()
         first = _supernode(roots)
         first.reorder_leaves_and_trunks(spy)

@@ -28,7 +28,9 @@ from repro.vectorizer.supernode import LaneChain, Leaf
 
 def _random_chain(seed: int, family: str, max_depth: int, reuse: float = 0.0):
     """Build a random expression tree rooted at a binary op of `family`;
-    with probability ``reuse`` a leaf repeats an earlier leaf's value."""
+    with probability ``reuse`` a leaf repeats an earlier leaf's value.
+    Returns the function with the root: holding only an instruction
+    does not keep its function's IR alive."""
     rng = random.Random(seed)
     module = Module("m")
     function = Function("f", [("i", I64)], VOID, fast_math=True)
@@ -65,7 +67,7 @@ def _random_chain(seed: int, family: str, max_depth: int, reuse: float = 0.0):
         builder.gep(module.global_named(fresh_leaf().name), 1),
     )
     builder.ret()
-    return root
+    return function, root
 
 
 def _env_for(chain: LaneChain, rng: random.Random, multiplicative: bool):
@@ -91,7 +93,7 @@ def _values_close(a: float, b: float, multiplicative: bool) -> bool:
     leaf_index=st.integers(0, 20),
 )
 def test_place_leaf_preserves_semantics(seed, family, target_index, leaf_index):
-    root = _random_chain(seed, family, max_depth=4)
+    function, root = _random_chain(seed, family, max_depth=4)
     chain = build_lane_chain(root, allow_inverse=True, fast_math=True)
     if chain is None:
         return  # degenerate shape: nothing to test
@@ -116,7 +118,7 @@ def test_place_leaf_preserves_semantics(seed, family, target_index, leaf_index):
     pick=st.integers(0, 50),
 )
 def test_trunk_swap_preserves_semantics_and_apos(seed, family, pick):
-    root = _random_chain(seed, family, max_depth=4)
+    function, root = _random_chain(seed, family, max_depth=4)
     chain = build_lane_chain(root, allow_inverse=True, fast_math=True)
     if chain is None or chain.size() < 2:
         return
@@ -145,7 +147,7 @@ def test_trunk_swap_preserves_semantics_and_apos(seed, family, pick):
 def test_signed_terms_invariant_under_any_legal_move_sequence(seed, family):
     """The multiset of (APO, leaf) pairs fully determines the lane's value;
     legal moves may permute it but never change it."""
-    root = _random_chain(seed, family, max_depth=4)
+    function, root = _random_chain(seed, family, max_depth=4)
     chain = build_lane_chain(root, allow_inverse=True, fast_math=True)
     if chain is None:
         return
@@ -209,7 +211,7 @@ def test_trunk_swap_matches_brute_force_oracle(seed, family, depth):
     """Every ordered pair of positions, applied in turn: the closed-form
     check gives the oracle's verdict and the oracle's leaf placement, and
     the cached trunk APOs keep describing the tree."""
-    root = _random_chain(seed, family, max_depth=depth)
+    function, root = _random_chain(seed, family, max_depth=depth)
     chain = build_lane_chain(root, allow_inverse=True, fast_math=True)
     if chain is None:
         return
@@ -237,7 +239,7 @@ def test_can_place_leaf_is_a_pure_probe(seed, family, depth):
     """``can_place_leaf`` agrees with ``place_leaf`` on a clone and leaves
     the chain exactly as it found it: same tree, same counters, and the
     same ``Leaf`` objects in the same slots."""
-    root = _random_chain(seed, family, max_depth=depth)
+    function, root = _random_chain(seed, family, max_depth=depth)
     chain = build_lane_chain(root, allow_inverse=True, fast_math=True)
     if chain is None:
         return
@@ -332,7 +334,7 @@ def test_planned_placement_matches_try_then_restore_oracle(seed, family, depth):
     its counters or its ``Leaf`` objects — also when many probes of one
     chain state share its trunk-swap plans, and when a value sits in more
     than one slot."""
-    root = _random_chain(seed, family, max_depth=depth, reuse=0.2)
+    function, root = _random_chain(seed, family, max_depth=depth, reuse=0.2)
     chain = build_lane_chain(root, allow_inverse=True, fast_math=True)
     if chain is None:
         return
@@ -374,7 +376,7 @@ def test_planned_placement_matches_try_then_restore_oracle(seed, family, depth):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_clone_isolation(seed):
-    root = _random_chain(seed, "add", max_depth=3)
+    function, root = _random_chain(seed, "add", max_depth=3)
     chain = build_lane_chain(root, allow_inverse=True, fast_math=True)
     if chain is None:
         return
