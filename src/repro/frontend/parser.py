@@ -57,9 +57,11 @@ class KernelParser:
 
     # -- token plumbing --------------------------------------------------------------
 
-    def _peek(self, ahead: int = 0) -> Token:
-        index = min(self._pos + ahead, len(self._tokens) - 1)
-        return self._tokens[index]
+    # The token list always ends in one ``eof`` token, which ``_next``
+    # never steps past, so ``_pos`` always indexes a token.
+
+    def _peek(self) -> Token:
+        return self._tokens[self._pos]
 
     def _next(self) -> Token:
         token = self._tokens[self._pos]

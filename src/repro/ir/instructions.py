@@ -589,7 +589,7 @@ class PhiInst(Instruction):
     def add_incoming(self, value: Value, block: "BasicBlock") -> None:
         if value.type is not self.type:
             raise TypeError(f"phi incoming type mismatch: {value.type} vs {self.type}")
-        self._append_operand(value)
+        self._append_operands((value,))
         self.incoming_blocks.append(block)
 
     def incoming(self) -> List[Tuple[Value, "BasicBlock"]]:

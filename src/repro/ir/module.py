@@ -17,6 +17,7 @@ from .instructions import (
     ExtractElementInst,
     GepInst,
     InsertElementInst,
+    Instruction,
     LoadInst,
     PhiInst,
     RetInst,
@@ -90,10 +91,13 @@ class Module:
         verbatim), and ``_name_counts`` is copied so post-clone name
         uniquing behaves exactly as it would on the original.
 
-        Forward references (e.g. a phi reading the loop latch's value)
-        are cloned through placeholder values that are RAUW-patched once
-        the referenced instruction is cloned — the same two-phase scheme
-        the textual parser uses.
+        Each function is copied in two passes.  The first copies every
+        instruction without operands (``_COPIERS``, one entry per
+        instruction class), so the second finds every operand's copy,
+        forward references (a phi reading the loop latch's value)
+        included, and adds each instruction's operand records in one
+        call.  Each value's use list in the clone is in block order of
+        its users.
         """
         clone = Module(self.name)
         for name, buffer in self.globals.items():
@@ -125,36 +129,33 @@ class Module:
                 block_map[id(block)] = new_block
             new_fn._name_counts = dict(fn._name_counts)
 
-            placeholders: Dict[int, "Value"] = {}
-
-            def map_operand(op: "Value") -> "Value":
-                mapped = value_map.get(id(op))
-                if mapped is not None:
-                    return mapped
-                if isinstance(op, Constant):
-                    fresh = Constant(op.type, op.value)
-                    value_map[id(op)] = fresh
-                    return fresh
-                # an instruction defined later: forward-reference placeholder
-                placeholder = placeholders.get(id(op))
-                if placeholder is None:
-                    placeholder = Value(op.type, op.name)
-                    placeholders[id(op)] = placeholder
-                return placeholder
-
+            pairs = []
             for block in fn.blocks:
                 new_block = block_map[id(block)]
                 for inst in block.instructions:
-                    cloned = _clone_instruction(inst, map_operand, block_map)
-                    value_map[id(inst)] = cloned
-                    placeholder = placeholders.pop(id(inst), None)
-                    if placeholder is not None:
-                        placeholder.replace_all_uses_with(cloned)
-                    new_block.append(cloned)
-            assert not placeholders, (
-                f"unresolved forward references cloning {fn.name}: "
-                f"{[v.name for v in placeholders.values()]}"
-            )
+                    copier = _COPIERS.get(inst.__class__)
+                    if copier is None:
+                        raise TypeError(
+                            f"clone: unhandled instruction class {type(inst).__name__}"
+                        )
+                    copy = copier(inst, block_map)
+                    new_block.append(copy)
+                    value_map[id(inst)] = copy
+                    pairs.append((inst, copy))
+            for inst, copy in pairs:
+                operands = []
+                for use in inst._operands:
+                    op = use.value
+                    mapped = value_map.get(id(op))
+                    if mapped is None:
+                        if not isinstance(op, Constant):
+                            raise ValueError(
+                                f"clone {fn.name}: operand %{op.name} of "
+                                f"{inst.opcode} is not in the function"
+                            )
+                        mapped = value_map[id(op)] = Constant(op.type, op.value)
+                    operands.append(mapped)
+                copy._append_operands(operands)
         return clone
 
     # -- stats -------------------------------------------------------------------
@@ -169,87 +170,88 @@ class Module:
         )
 
 
-def _clone_instruction(inst, map_operand, block_map):
-    """Construct a fresh copy of ``inst`` with mapped operands/targets."""
-    if isinstance(inst, PhiInst):
-        phi = PhiInst(inst.type, inst.name)
-        for value, block in zip(inst.operands, inst.incoming_blocks):
-            phi.add_incoming(map_operand(value), block_map[id(block)])
-        return phi
-    if isinstance(inst, AltBinaryInst):
-        return AltBinaryInst(
-            inst.lane_opcodes,
-            map_operand(inst.operand(0)),
-            map_operand(inst.operand(1)),
-            inst.name,
-        )
-    if isinstance(inst, CmpInst):
-        return CmpInst(
-            inst.opcode,
-            inst.predicate,
-            map_operand(inst.operand(0)),
-            map_operand(inst.operand(1)),
-            inst.name,
-        )
-    if isinstance(inst, BinaryInst):
-        return BinaryInst(
-            inst.opcode,
-            map_operand(inst.operand(0)),
-            map_operand(inst.operand(1)),
-            inst.name,
-        )
-    if isinstance(inst, LoadInst):
-        return LoadInst(map_operand(inst.operand(0)), inst.type, inst.name)
-    if isinstance(inst, StoreInst):
-        return StoreInst(map_operand(inst.operand(0)), map_operand(inst.operand(1)))
-    if isinstance(inst, GepInst):
-        return GepInst(
-            map_operand(inst.operand(0)), map_operand(inst.operand(1)), inst.name
-        )
-    if isinstance(inst, InsertElementInst):
-        return InsertElementInst(
-            map_operand(inst.operand(0)),
-            map_operand(inst.operand(1)),
-            map_operand(inst.operand(2)),
-            inst.name,
-        )
-    if isinstance(inst, ExtractElementInst):
-        return ExtractElementInst(
-            map_operand(inst.operand(0)), map_operand(inst.operand(1)), inst.name
-        )
-    if isinstance(inst, ShuffleVectorInst):
-        return ShuffleVectorInst(
-            map_operand(inst.operand(0)),
-            map_operand(inst.operand(1)),
-            inst.mask,
-            inst.name,
-        )
-    if isinstance(inst, SelectInst):
-        return SelectInst(
-            map_operand(inst.operand(0)),
-            map_operand(inst.operand(1)),
-            map_operand(inst.operand(2)),
-            inst.name,
-        )
-    if isinstance(inst, CastInst):
-        return CastInst(
-            inst.opcode, map_operand(inst.operand(0)), inst.type, inst.name
-        )
-    if isinstance(inst, CallInst):
-        return CallInst(
-            inst.callee,
-            [map_operand(op) for op in inst.operands],
-            inst.name,
-        )
-    if isinstance(inst, CondBranchInst):
-        return CondBranchInst(
-            map_operand(inst.operand(0)),
-            block_map[id(inst.if_true)],
-            block_map[id(inst.if_false)],
-        )
-    if isinstance(inst, BranchInst):
-        return BranchInst(block_map[id(inst.target)])
-    if isinstance(inst, RetInst):
-        value = inst.operand(0) if inst.operands else None
-        return RetInst(map_operand(value) if value is not None else None)
-    raise AssertionError(f"clone: unhandled instruction class {type(inst).__name__}")
+def _copy(inst: Instruction) -> Instruction:
+    """A new instruction of ``inst``'s class with its opcode, type and name
+    but no operands, uses or parent.  The attributes are set in the order
+    ``Instruction.__init__`` sets them, so the copy shares its class's
+    attribute layout (a copy through ``__dict__`` would not)."""
+    copy = object.__new__(inst.__class__)
+    copy.type = inst.type
+    copy.name = inst.name
+    copy.uses = []
+    copy._operands = []
+    copy.opcode = inst.opcode
+    copy.parent = None
+    return copy
+
+
+def _copy_plain(inst: Instruction, block_map: Dict[int, BasicBlock]) -> Instruction:
+    return _copy(inst)
+
+
+def _copy_altbinop(inst: AltBinaryInst, block_map: Dict[int, BasicBlock]) -> Instruction:
+    copy = _copy(inst)
+    copy.lane_opcodes = inst.lane_opcodes
+    return copy
+
+
+def _copy_shufflevector(
+    inst: ShuffleVectorInst, block_map: Dict[int, BasicBlock]
+) -> Instruction:
+    copy = _copy(inst)
+    copy.mask = inst.mask
+    return copy
+
+
+def _copy_cmp(inst: CmpInst, block_map: Dict[int, BasicBlock]) -> Instruction:
+    copy = _copy(inst)
+    copy.predicate = inst.predicate
+    return copy
+
+
+def _copy_call(inst: CallInst, block_map: Dict[int, BasicBlock]) -> Instruction:
+    copy = _copy(inst)
+    copy.callee = inst.callee
+    return copy
+
+
+def _copy_branch(inst: BranchInst, block_map: Dict[int, BasicBlock]) -> Instruction:
+    copy = _copy(inst)
+    copy.target = block_map[id(inst.target)]
+    return copy
+
+
+def _copy_condbr(inst: CondBranchInst, block_map: Dict[int, BasicBlock]) -> Instruction:
+    copy = _copy(inst)
+    copy.if_true = block_map[id(inst.if_true)]
+    copy.if_false = block_map[id(inst.if_false)]
+    return copy
+
+
+def _copy_phi(inst: PhiInst, block_map: Dict[int, BasicBlock]) -> Instruction:
+    copy = _copy(inst)
+    copy.incoming_blocks = [block_map[id(block)] for block in inst.incoming_blocks]
+    return copy
+
+
+#: instruction class -> a copy of the instruction without operands, its
+#: class's own attributes copied and its block references mapped into the
+#: clone (the attributes are immutable, so they are shared)
+_COPIERS = {
+    BinaryInst: _copy_plain,
+    AltBinaryInst: _copy_altbinop,
+    LoadInst: _copy_plain,
+    StoreInst: _copy_plain,
+    GepInst: _copy_plain,
+    InsertElementInst: _copy_plain,
+    ExtractElementInst: _copy_plain,
+    ShuffleVectorInst: _copy_shufflevector,
+    CmpInst: _copy_cmp,
+    SelectInst: _copy_plain,
+    CastInst: _copy_plain,
+    CallInst: _copy_call,
+    BranchInst: _copy_branch,
+    CondBranchInst: _copy_condbr,
+    RetInst: _copy_plain,
+    PhiInst: _copy_phi,
+}

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from .types import FloatType, IntType, Type, VectorType, pointer_to
 
@@ -101,13 +101,19 @@ class User(Value):
         super().__init__(type_, name)
         #: one :class:`Use` record per operand slot, in operand order
         self._operands: List[Use] = []
-        for op in operands:
-            self._append_operand(op)
+        self._append_operands(operands)
 
-    def _append_operand(self, value: Value) -> None:
-        use = Use(self, len(self._operands), value)
-        self._operands.append(use)
-        value.add_use(use)
+    def _append_operands(self, values: Iterable[Value]) -> None:
+        """Add operand slots reading ``values``, in one pass: each slot's
+        record goes on this user's operand list and on its value's use
+        list (construction, phi edges, and :meth:`Module.clone`)."""
+        records = self._operands
+        index = len(records)
+        for value in values:
+            use = Use(self, index, value)
+            records.append(use)
+            value.uses.append(use)
+            index += 1
 
     # -- operand access ------------------------------------------------------
 

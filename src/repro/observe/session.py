@@ -237,8 +237,19 @@ def current_metrics() -> MetricsRegistry:
 def _trace_collection(phase: str, info: Dict[str, int]) -> None:
     """The :data:`gc.callbacks` hook: while the current session's spans
     are armed, each garbage collection is a ``gc`` span in its stream
-    (:meth:`Tracer.collection`); otherwise it costs one mask test."""
-    tracer = current_tracer()
+    (:meth:`Tracer.collection`); otherwise it costs a context copy and
+    one mask test.
+
+    It reads the session from a copy of the context, not with
+    ``_CURRENT.get()``.  A collection can start inside ``_CURRENT.set()``
+    or ``.reset()`` (each allocates the context's new mapping), and a
+    ``get()`` there fills CPython's per-variable cache with the session
+    being replaced, as a borrowed reference that outlives the switch: a
+    later ``current_session()`` returns that session, freed or not, and
+    the interpreter crashes.
+    """
+    session = contextvars.copy_context().get(_CURRENT)
+    tracer = (session if session is not None else DEFAULT_SESSION).tracer
     if tracer.mask & SPAN:
         tracer.collection(phase, info)
 

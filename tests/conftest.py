@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import os
 import random
 from typing import Dict, List, Sequence
 
@@ -26,6 +28,15 @@ from repro.ir import (
 # inherit this profile.
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
+
+# ``REPRO_TEST_GC_THRESHOLD=100,10,10`` runs the suite under that collector
+# schedule (``gc.set_threshold``): CI runs tier-1 once with a low one, so a
+# test that passes only where the default schedule happens to place a
+# collection fails there.  The tests read it; the library never sets the
+# collector's schedule.
+_GC_THRESHOLD = os.environ.get("REPRO_TEST_GC_THRESHOLD", "")
+if _GC_THRESHOLD:
+    gc.set_threshold(*(int(part) for part in _GC_THRESHOLD.split(",")))
 
 
 def build_simple_store_module(num_lanes: int = 2, opcode: str = "fadd") -> Module:

@@ -275,13 +275,19 @@ class TestCampaign:
     def test_campaign_uses_private_session(self):
         # each compilation runs in its own derived session; campaign
         # bucket counters live in the campaign's session, and neither
-        # leaks into the default session's registry
+        # leaks into the default session's registry.  Earlier tests may
+        # have compiled in the default session, so the campaign is judged
+        # by what it adds there: nothing.
         from repro.observe import DEFAULT_SESSION
 
+        before = DEFAULT_SESSION.stats.snapshot()
         result = run_campaign(budget="5", seed=0)
+        after = DEFAULT_SESSION.stats.snapshot()
         assert result.stats["fuzz.programs-generated"] == 5
-        assert "fuzz.programs-generated" not in DEFAULT_SESSION.stats.snapshot()
-        assert "slp.seed-bundles" not in DEFAULT_SESSION.stats.snapshot()
+        assert result.stats["fuzz.programs-vectorized"] > 0
+        assert after.get("fuzz.programs-generated") == before.get("fuzz.programs-generated")
+        assert after.get("slp.seed-bundles") == before.get("slp.seed-bundles")
+        assert after == before
 
     def test_failure_artifacts_written(self, monkeypatch, tmp_path):
         _flip_addsub_codegen(monkeypatch)

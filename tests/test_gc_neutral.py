@@ -8,7 +8,10 @@ collector only ever walks live objects.
 """
 
 import gc
+import os
 import random
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -221,3 +224,33 @@ class TestCollectorSpans:
         session = CompilerSession(name="untraced")
         self._compile_with_forced_collection(session, monkeypatch)
         assert session.tracer.events == []
+
+    def test_collection_during_a_session_switch_leaves_no_stale_session(self):
+        # A collection that starts inside ``use_session``'s set or reset
+        # (each allocates the context's new mapping) runs the hook while
+        # the switch is half done.  Reading the session there with
+        # ``ContextVar.get()`` left CPython's per-variable cache holding the
+        # session being replaced: ``current_session()`` then returned a
+        # freed session and the interpreter crashed.  A subprocess, so a
+        # crash fails this test instead of ending the run.
+        script = (
+            "import contextvars, gc\n"
+            "from repro.observe import DEFAULT_SESSION, CompilerSession,"
+            " current_session, use_session\n"
+            "pad = [contextvars.ContextVar(f'pad{i}') for i in range(40)]\n"
+            "for i, var in enumerate(pad):\n"
+            "    var.set(i)\n"
+            "sessions = [CompilerSession(name=f's{i}') for i in range(2000)]\n"
+            "gc.set_threshold(1)\n"
+            "while sessions:\n"
+            "    with use_session(sessions.pop()):\n"
+            "        pass\n"
+            "    assert current_session() is DEFAULT_SESSION\n"
+            "print('ok')\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, proc.stdout.strip()) == (0, "ok"), proc.stderr[-2000:]
