@@ -4,22 +4,17 @@
 Recomputes the kernel speedups (simulated cycles are deterministic, so any
 drift is a code change, not noise) and compares them against
 ``benchmarks/results/fig5_kernel_speedup.json``.  A kernel whose LSLP or
-SN-SLP speedup dropped by more than ``--tolerance`` (default 10%) fails
-the check; improvements and new kernels only inform.
+SN-SLP speedup dropped by more than ``TOLERANCE`` (10%) fails the check;
+improvements and new kernels only inform.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/check_regression.py
-    PYTHONPATH=src python benchmarks/check_regression.py --tolerance 0.05
-    PYTHONPATH=src python benchmarks/check_regression.py --emit-bench BENCH_pr4.json
+    PYTHONPATH=src python benchmarks/check_regression.py --jobs 2
 
 ``--jobs N`` shards the Figure 5 measurement over N worker processes
-(bit-identical data).  ``--emit-bench PATH`` additionally times the suite
-serial, through an ephemeral jobs=2 pool, and through a persistent warm
-compile service (prime pass + warm passes over a shared result cache),
-and writes a perf-baseline JSON: per-kernel speedups, all wall-clock
-measurements, the warm-service ``parallel_speedup``, and the sustained
-``serve.compiles_per_sec`` figure.
+(bit-identical data).  Wall-clock performance is measured by
+``benchmarks/e2e/run.py``, not here.
 """
 
 from __future__ import annotations
@@ -33,6 +28,8 @@ BASELINE = (
     pathlib.Path(__file__).parent / "results" / "fig5_kernel_speedup.json"
 )
 CONFIGS = ("LSLP", "SN-SLP")
+#: maximum allowed fractional speedup drop
+TOLERANCE = 0.10
 
 
 def load_baseline(path: pathlib.Path) -> dict:
@@ -40,250 +37,20 @@ def load_baseline(path: pathlib.Path) -> dict:
     return {row["kernel"]: row for row in rows if "kernel" in row}
 
 
-def emit_bench(
-    path: pathlib.Path, fresh: dict, history_db: pathlib.Path = None
-) -> None:
-    """Write the perf baseline: speedups, wall-clock, and telemetry.
-
-    Simulated cycles are deterministic, so the speedup table is identical
-    between the runs; only the wall-clock differs.  All measurements run
-    the full (kernel, config) suite through the same worker function.
-
-    Three transports are timed:
-
-    * serial (jobs=1, in-process) — the reference;
-    * an ephemeral jobs=2 service per call (the pre-PR-7 semantics:
-      spawn cost paid every call, no result cache);
-    * a persistent warm service (jobs=2, shared result cache): one prime
-      pass populates the cache, then ``WARM_PASSES`` suite passes measure
-      the steady state a long-lived ``repro serve`` reaches.  The
-      headline ``parallel_speedup`` is serial over warm-pass wall — the
-      structural win the service exists for — and ``serve.compiles_per_
-      sec`` is the sustained pair throughput across the warm passes.
-
-    The serial run is made under a metrics+tracer-armed session, giving
-    exact p50/p90/p99 compile-time percentiles (from the per-run
-    ``compile_seconds`` samples, not histogram buckets) and the
-    interpreter throughput (total interpreted instructions over the
-    tracer's ``simulate`` span wall time).  The parallel run's session
-    contributes the ``parallel.*`` overhead counters, so the perf
-    baseline records where jobs=2 time goes.  ``history_db`` additionally
-    appends the headline numbers to a run-history store for trend gating.
-    """
-    import tempfile
-    import time
-
-    from repro.bench import run_suite_parallel
-    from repro.observe.metrics import exact_percentile
-    from repro.observe.session import CompilerSession, use_session
-    from repro.serve.service import CompileService
-
-    WARM_PASSES = 3
-
-    serial_session = CompilerSession(name="emit-bench-serial")
-    serial_session.tracer.enable()
-    serial_session.metrics.enable()
-    with use_session(serial_session):
-        start = time.perf_counter()
-        results = run_suite_parallel(jobs=1)
-        serial_seconds = time.perf_counter() - start
-
-    parallel_session = CompilerSession(name="emit-bench-parallel")
-    parallel_session.metrics.enable()
-    with use_session(parallel_session):
-        start = time.perf_counter()
-        run_suite_parallel(jobs=2)
-        parallel_seconds = time.perf_counter() - start
-
-    service_session = CompilerSession(name="emit-bench-service")
-    warm_walls = []
-    with tempfile.TemporaryDirectory(prefix="repro-emit-cache-") as cache_dir:
-        with CompileService(
-            workers=2, cache_dir=cache_dir,
-            session=service_session, name="emit-bench",
-        ) as service:
-            start = time.perf_counter()
-            run_suite_parallel(jobs=2, service=service)  # prime the cache
-            prime_seconds = time.perf_counter() - start
-            for _ in range(WARM_PASSES):
-                start = time.perf_counter()
-                run_suite_parallel(jobs=2, service=service)
-                warm_walls.append(time.perf_counter() - start)
-            # per-request latency percentiles over everything the warm
-            # service handled (prime + warm passes), from the same
-            # recent-window deques the wire `stats` op reports
-            latency = service.describe()
-    warm_seconds = sum(warm_walls) / len(warm_walls)
-    service_stats = service_session.stats.snapshot()
-    pairs_per_pass = sum(len(matrix) for matrix in results.values())
-    compiles_per_sec = pairs_per_pass * len(warm_walls) / sum(warm_walls)
-
-    runs = [run for matrix in results.values() for run in matrix.values()]
-    compile_samples = sorted(run.compile_seconds for run in runs)
-    total_instructions = sum(run.instructions for run in runs)
-    simulate_seconds = serial_session.tracer.total_ns("simulate") / 1e9
-    instructions_per_sec = (
-        total_instructions / simulate_seconds if simulate_seconds else 0.0
-    )
-    overhead = parallel_session.stats.snapshot()
-
-    # Engine-only throughput, scalar vs batched, over the same suite —
-    # the PR 9 headline.  interpreter_throughput times interp.run alone
-    # (the sim.instructions_per_sec gauge's definition), so the ratio is
-    # the planned engine's speedup with shared harness work excluded.
-    from repro.bench.timing import interpreter_throughput
-
-    engine_rates = {
-        name: interpreter_throughput(engine=name, repeats=3)
-        for name in ("scalar", "batched")
-    }
-    scalar_rate = engine_rates["scalar"]["instructions_per_sec"]
-    batched_rate = engine_rates["batched"]["instructions_per_sec"]
-    engine_speedup = batched_rate / scalar_rate if scalar_rate else 0.0
-    plan_cache = {
-        key: sum(run.counters.get(key, 0.0) for run in runs)
-        for key in ("interp.plan_cache.hits", "interp.plan_cache.misses")
-    }
-
-    document = {
-        "figure": "fig5_kernel_speedups",
-        "speedups": {
-            kernel: {
-                config: float(row[config])
-                for config in CONFIGS
-                if config in row
-            }
-            for kernel, row in sorted(fresh.items())
-        },
-        "suite_wall_seconds": {
-            "serial": round(serial_seconds, 3),
-            "parallel_jobs2": round(parallel_seconds, 3),
-            "service_warm_jobs2": round(warm_seconds, 3),
-        },
-        # the gated headline: serial over a *warm* service pass
-        "parallel_speedup": round(serial_seconds / warm_seconds, 3),
-        "parallel_speedup_cold": round(serial_seconds / parallel_seconds, 3),
-        "service": {
-            "workers": 2,
-            "prime_seconds": round(prime_seconds, 3),
-            "warm_pass_seconds": [round(wall, 3) for wall in warm_walls],
-            "compiles_per_sec": round(compiles_per_sec, 2),
-            "pairs_per_pass": pairs_per_pass,
-            "task_cache_hits": service_stats.get("serve.task_cache.hits", 0),
-            "task_cache_misses": service_stats.get("serve.task_cache.misses", 0),
-            "cross_worker_hits": service_stats.get("cache.cross_worker_hits", 0),
-            "queue_seconds": latency["queue_seconds"],
-            "turnaround_seconds": latency["turnaround_seconds"],
-        },
-        "compile_seconds": {
-            "count": len(compile_samples),
-            "p50": round(exact_percentile(compile_samples, 50), 6),
-            "p90": round(exact_percentile(compile_samples, 90), 6),
-            "p99": round(exact_percentile(compile_samples, 99), 6),
-            "sum": round(sum(compile_samples), 6),
-        },
-        "interpreter": {
-            "instructions": total_instructions,
-            "simulate_seconds": round(simulate_seconds, 3),
-            "instructions_per_sec": round(instructions_per_sec),
-        },
-        "engines": {
-            "scalar_instructions_per_sec": round(scalar_rate),
-            "batched_instructions_per_sec": round(batched_rate),
-            "engine_speedup": round(engine_speedup, 2),
-            "plan_cache": plan_cache,
-        },
-        "parallel_overhead_seconds": {
-            "overhead": round(overhead.get("parallel.overhead_seconds", 0.0), 3),
-            # 6 decimals: marshal is ~1e-4s per suite and rounding to 3
-            # reported a flat 0.0 in BENCH_pr6 (the satellite this fixes)
-            "marshal": round(overhead.get("parallel.marshal_seconds", 0.0), 6),
-            "spawn": round(overhead.get("parallel.spawn_seconds", 0.0), 3),
-            "tasks": overhead.get("parallel.tasks", 0),
-        },
-    }
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    print(
-        f"wrote {path}: suite serial {serial_seconds:.2f}s, "
-        f"parallel(jobs=2) {parallel_seconds:.2f}s "
-        f"({serial_seconds / parallel_seconds:.2f}x), "
-        f"warm service {warm_seconds:.3f}s "
-        f"({serial_seconds / warm_seconds:.2f}x, "
-        f"{compiles_per_sec:,.0f} pairs/s), "
-        f"compile p50 {document['compile_seconds']['p50'] * 1e3:.2f}ms / "
-        f"p99 {document['compile_seconds']['p99'] * 1e3:.2f}ms, "
-        f"interp {instructions_per_sec:,.0f} insns/s, "
-        f"engines scalar {scalar_rate:,.0f} vs batched {batched_rate:,.0f} "
-        f"insns/s ({engine_speedup:.1f}x)"
-    )
-
-    if history_db is not None:
-        from repro.observe.history import RunHistory
-
-        samples = {
-            "emit.compile.seconds.p50": document["compile_seconds"]["p50"],
-            "emit.compile.seconds.p99": document["compile_seconds"]["p99"],
-            "emit.interp.instructions_per_sec": instructions_per_sec,
-            "emit.interp.engine_speedup": engine_speedup,
-            "sim.instructions_per_sec": batched_rate,
-            "emit.suite.serial_seconds": serial_seconds,
-            "emit.parallel.overhead_seconds": overhead.get(
-                "parallel.overhead_seconds", 0.0
-            ),
-            "serve.compiles_per_sec": compiles_per_sec,
-            "serve.queue_seconds.p99": latency["queue_seconds"]["p99"],
-            "serve.turnaround_seconds.p99": latency["turnaround_seconds"]["p99"],
-        }
-        with RunHistory(str(history_db)) as history:
-            run_id = history.record(
-                kind="emit-bench",
-                metrics=samples,
-                payload={"bench": str(path)},
-                config={"command": "check_regression"},
-            )
-        print(f"recorded run #{run_id} ({len(samples)} metric(s)) in {history_db}")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--baseline",
-        type=pathlib.Path,
-        default=BASELINE,
-        help="committed fig5 JSON to compare against",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="maximum allowed fractional speedup drop (default 0.10)",
-    )
     parser.add_argument(
         "--jobs",
         type=int,
         default=1,
         help="worker processes for the fresh Figure 5 run (default 1)",
     )
-    parser.add_argument(
-        "--emit-bench",
-        type=pathlib.Path,
-        metavar="PATH",
-        help="also time the suite serial vs parallel (jobs=2) vs a warm "
-        "compile service and write a perf-baseline JSON to PATH",
-    )
-    parser.add_argument(
-        "--history-db",
-        type=pathlib.Path,
-        metavar="PATH",
-        help="with --emit-bench: also append the headline numbers to this "
-        "run-history database (see `repro history`)",
-    )
     args = parser.parse_args(argv)
 
-    if not args.baseline.exists():
-        print(f"FAIL: baseline not found: {args.baseline}")
+    if not BASELINE.exists():
+        print(f"FAIL: baseline not found: {BASELINE}")
         return 2
-    baseline = load_baseline(args.baseline)
+    baseline = load_baseline(BASELINE)
 
     from repro.bench import fig5_kernel_speedups
 
@@ -292,9 +59,6 @@ def main(argv=None) -> int:
         for row in fig5_kernel_speedups(jobs=args.jobs)
         if "kernel" in row
     }
-
-    if args.emit_bench is not None:
-        emit_bench(args.emit_bench, fresh, history_db=args.history_db)
 
     failures = []
     for kernel, old in sorted(baseline.items()):
@@ -308,7 +72,7 @@ def main(argv=None) -> int:
             was, now = float(old[config]), float(new[config])
             drop = (was - now) / was if was else 0.0
             marker = "ok"
-            if drop > args.tolerance:
+            if drop > TOLERANCE:
                 marker = "REGRESSION"
                 failures.append((kernel, config, was, now))
             print(
@@ -321,12 +85,12 @@ def main(argv=None) -> int:
     if failures:
         print(
             f"\nFAIL: {len(failures)} speedup(s) regressed beyond "
-            f"{args.tolerance:.0%}:"
+            f"{TOLERANCE:.0%}:"
         )
         for kernel, config, was, now in failures:
             print(f"  {kernel} [{config}]: {was:.3f} -> {now:.3f}")
         return 1
-    print(f"\nOK: all speedups within {args.tolerance:.0%} of the baseline")
+    print(f"\nOK: all speedups within {TOLERANCE:.0%} of the baseline")
     return 0
 
 

@@ -16,8 +16,6 @@ IR, executing on the simulator and comparing configurations::
     python -m repro fuzz --inject --budget 15s
     python -m repro bisect failure-0000/reduced.ir --config sn-slp
     python -m repro profile motiv-leaf-reorder --folded profile.folded
-    python -m repro bench --json --history-db history.db > RESULTS.json
-    python -m repro history --db history.db --check
     python -m repro serve --socket /tmp/repro.sock --slow-log 0.5
     python -m repro top --socket /tmp/repro.sock --count 5
     python -m repro waterfall trace.json --slow 0.1
@@ -117,7 +115,7 @@ def _configure_observability(args: argparse.Namespace, session: CompilerSession)
         if getattr(args, flag, None):
             session.tracer.enable(CATEGORIES[category])
     session.tracer.level = getattr(args, "log_level", None) or "info"
-    if getattr(args, "metrics_out", None) or getattr(args, "history_db", None):
+    if getattr(args, "metrics_out", None):
         session.metrics.enable()
 
 
@@ -147,51 +145,8 @@ def _flush_observability(args: argparse.Namespace, session: CompilerSession) -> 
             f"; wrote metrics exposition to {args.metrics_out}",
             file=sys.stderr,
         )
-    if getattr(args, "history_db", None):
-        _record_history(args, session)
     if getattr(args, "stats", False) and not getattr(args, "_stats_printed", False):
         print(session.stats.report(), file=sys.stderr)
-
-
-#: args that are output destinations or presentation toggles — they do
-#: not change what the run *measures*, so they stay out of the run-
-#: history config hash (otherwise changing an artifact path would split
-#: a metric series in two)
-_HISTORY_CONFIG_EXCLUDE = frozenset(
-    {
-        "fn", "_stats_printed", "history_db", "metrics_out", "trace_out",
-        "remarks", "journal", "out", "output", "stats", "verbose", "json",
-        "folded", "dot", "dot_worst", "emit_ir", "show", "cache_dir",
-        "socket", "log", "log_level", "slow_log_out",
-    }
-)
-
-
-def _record_history(args: argparse.Namespace, session: CompilerSession) -> None:
-    """Append this invocation's metrics + counters to the history DB."""
-    from .observe.history import RunHistory
-
-    samples = dict(session.metrics.flat_summary())
-    for name, value in session.stats.snapshot().items():
-        samples.setdefault(name, value)
-    config = {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key not in _HISTORY_CONFIG_EXCLUDE
-        and isinstance(value, (str, int, float, bool, list, tuple, type(None)))
-    }
-    with RunHistory(args.history_db) as history:
-        run_id = history.record(
-            kind=args.command,
-            metrics=samples,
-            payload={"args": config},
-            config=config,
-        )
-    print(
-        f"; recorded run #{run_id} ({len(samples)} metric(s)) in "
-        f"{args.history_db}",
-        file=sys.stderr,
-    )
 
 
 def _stats_table(stats, title: str) -> str:
@@ -886,9 +841,9 @@ def _bench_gauges(rows: List[Dict]) -> None:
     """Record deterministic per-config aggregates as gauges.
 
     Total simulated cycles and geomean speedups are pure functions of
-    the code under test (no wall clock), so their history series are
-    flat until a real change lands — exactly what the MAD gate's
-    relative-deviation fallback wants to see.
+    the code under test (no wall clock), so two runs of one commit
+    export equal values (``--metrics-out``, the ``--json`` document's
+    ``metrics``) until a real change lands.
     """
     import math
 
@@ -956,64 +911,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     print(render_top_table(stats, args.top))
-    return EXIT_OK
-
-
-def cmd_history(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from .observe.history import (
-        DEFAULT_THRESHOLD,
-        RunHistory,
-        check_history,
-        render_trend_table,
-    )
-
-    if not os.path.exists(args.db):
-        _usage(f"history database {args.db} does not exist")
-    with RunHistory(args.db) as history:
-        if args.json:
-            document = [
-                {
-                    "id": record.id,
-                    "created_at": record.created_at,
-                    "kind": record.kind,
-                    "git_rev": record.git_rev,
-                    "config_hash": record.config_hash,
-                    "metrics": record.metrics,
-                }
-                for record in history.runs(kind=args.kind, limit=args.limit)
-            ]
-            print(json.dumps(document, indent=2, sort_keys=True))
-        else:
-            print(
-                render_trend_table(
-                    history,
-                    kind=args.kind,
-                    metrics=args.metric or None,
-                    limit=args.limit,
-                )
-            )
-        if args.check:
-            anomalies = check_history(
-                history,
-                kind=args.kind,
-                metrics=args.metric or None,
-                limit=args.limit,
-                threshold=(
-                    args.threshold if args.threshold is not None
-                    else DEFAULT_THRESHOLD
-                ),
-            )
-            if anomalies:
-                for anomaly in anomalies:
-                    print(
-                        f"repro: history: regression: {anomaly}",
-                        file=sys.stderr,
-                    )
-                return EXIT_MISMATCH
-            print("; history check: no regressions", file=sys.stderr)
     return EXIT_OK
 
 
@@ -1363,12 +1260,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="FILE",
             help="write gauges/histograms/counters as Prometheus text "
             "exposition to FILE (arms the session metrics registry)",
-        )
-        p.add_argument(
-            "--history-db",
-            metavar="FILE",
-            help="append this run's headline metrics to the sqlite "
-            "run-history DB at FILE (see `repro history`)",
         )
         p.add_argument(
             "--log",
@@ -1910,52 +1801,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(flamegraph.pl / speedscope input)",
     )
     p_profile.set_defaults(fn=cmd_profile)
-
-    p_history = sub.add_parser(
-        "history",
-        help="render run-history trend tables; --check gates on "
-        "median/MAD anomaly detection",
-    )
-    p_history.add_argument(
-        "--db", required=True, metavar="FILE", help="sqlite run-history database"
-    )
-    p_history.add_argument(
-        "--kind",
-        metavar="CMD",
-        help="only consider runs recorded by this command (e.g. bench)",
-    )
-    p_history.add_argument(
-        "--metric",
-        action="append",
-        metavar="NAME",
-        help="only show/check this metric; repeatable",
-    )
-    p_history.add_argument(
-        "--limit",
-        type=int,
-        default=20,
-        metavar="N",
-        help="series length to consider (default: 20 most recent runs)",
-    )
-    p_history.add_argument(
-        "--check",
-        action="store_true",
-        help="flag regressive anomalies in the latest run; exit "
-        f"{EXIT_MISMATCH} when any are found",
-    )
-    p_history.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        metavar="Z",
-        help="robust z-score threshold for --check (default: 3.5)",
-    )
-    p_history.add_argument(
-        "--json",
-        action="store_true",
-        help="dump the recorded runs as a JSON document",
-    )
-    p_history.set_defaults(fn=cmd_history)
 
     p_bisect = sub.add_parser(
         "bisect",

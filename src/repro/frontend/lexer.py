@@ -31,19 +31,20 @@ KEYWORDS = frozenset(
 )
 
 # Whitespace and comments (the skipped prefix), then exactly one of the
-# alternatives.  Comments are tried before the ``/`` operator; an
-# unterminated ``/*`` is no comment, so it lexes as ``/`` then ``*``.
-# ``eof`` matches only at the end of the source and ``bad`` any character
-# no token starts with, so every position has a match.
+# alternatives.  The prefix takes every closed comment, so a ``/*`` left
+# after it has no ``*/`` and is an error (``open``), not the ``/``
+# operator.  ``eof`` matches only at the end of the source and ``bad`` any
+# character no token starts with, so every position has a match.
 _TOKEN_RE = re.compile(
     r"""
     (?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*
     (?:
       (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<op>\+=|-=|\*=|/=|==|!=|<=|>=|[-+*/=<>;,(){}\[\]?:])
+    | (?P<op>\+=|-=|\*=|/=|==|!=|<=|>=|/(?!\*)|[-+*=<>;,(){}\[\]?:])
     | (?P<float>\d+\.\d*(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
     | (?P<int>\d+)
     | (?P<eof>\Z)
+    | (?P<open>/\*)
     | (?P<bad>.)
     )
     """,
@@ -52,7 +53,7 @@ _TOKEN_RE = re.compile(
 
 #: match.lastindex of each group; the first four name their token kind
 _KINDS = (None, "ident", "op", "float", "int")
-_IDENT, _EOF, _BAD = 1, 5, 6
+_IDENT, _EOF, _OPEN, _BAD = 1, 5, 6, 7
 
 
 class _LineIndex:
@@ -114,9 +115,13 @@ def tokenize(source: str) -> List[Token]:
         if index == _IDENT:
             kind = "keyword" if text in KEYWORDS else "ident"
         elif index >= _EOF:
-            if index == _BAD:
+            if index != _EOF:
                 bad = Token("bad", text, match.start(index), lines)
-                raise LexError(f"unexpected character {text!r}", bad.location)
+                raise LexError(
+                    "unterminated /* comment" if index == _OPEN
+                    else f"unexpected character {text!r}",
+                    bad.location,
+                )
             append(Token("eof", "", match.start(index), lines))
             break
         else:

@@ -267,9 +267,11 @@ class KernelParser:
                 return ArrayRef(token.location, token.text, index)
             if self._accept("op", "("):
                 args: List[Expr] = []
-                while not self._accept("op", ")"):
+                if not self._accept("op", ")"):
                     args.append(self._parse_expr())
-                    self._accept("op", ",")
+                    while not self._accept("op", ")"):
+                        self._expect("op", ",")
+                        args.append(self._parse_expr())
                 return Call(token.location, token.text, args)
             return VarRef(token.location, token.text)
         if token.kind == "op" and token.text == "(":

@@ -521,6 +521,11 @@ def _run_campaign_parallel(
         chunks=len(chunks), programs=count, jobs=jobs,
         resilient=resilience is not None, owns_service=service is None,
     )
+    # A caller's service outlives this call, and its workers may hold
+    # state such as armed faults, so there each chunk is pinned to a
+    # worker by a shard key naming its index range: a chunk and its
+    # retries meet the same worker whatever order results come back in.
+    # A pool made for this call balances chunks by load instead.
     tasks = [
         (
             "fuzz-chunk",
@@ -529,7 +534,7 @@ def _run_campaign_parallel(
                 target.name, input_seed, max_ulps, engine_name,
                 campaign.mask,
             ),
-            None,
+            None if service is None else f"fuzz-chunk-{chunk[0]}-{chunk[-1]}",
             float(len(chunk) * len(config_names)),
         )
         for chunk in chunks

@@ -20,8 +20,6 @@ The LLVM-style introspection set for this Python compiler:
   so worker spans parent into one cross-process tree per request;
 * :mod:`repro.observe.profile` — self-time attribution and folded
   flamegraph export over recorded spans (``repro profile``);
-* :mod:`repro.observe.history` — the sqlite run-history store with
-  trend tables and MAD anomaly gating (``repro history``);
 * :mod:`repro.observe.session` — :class:`CompilerSession`, the explicit
   bundle of tracer, counters and metrics that makes compilation
   reentrant, and its :meth:`~CompilerSession.capture` /

@@ -304,17 +304,6 @@ class MetricsRegistry:
             },
         }
 
-    def flat_summary(self) -> Dict[str, float]:
-        """One flat ``{name: value}`` map — the shape the run-history
-        store records: gauges as-is, histograms as ``<name>.p50`` /
-        ``.p90`` / ``.p99`` / ``.count`` / ``.sum``."""
-        flat: Dict[str, float] = dict(self.gauges)
-        for name, histogram in self.histograms.items():
-            summary = histogram.summary()
-            for key in ("p50", "p90", "p99", "count", "sum"):
-                flat[f"{name}.{key}"] = float(summary[key])
-        return flat
-
     # -- Prometheus text exposition ----------------------------------------
 
     def render_exposition(self, stats: Optional[StatsRegistry] = None) -> str:

@@ -19,9 +19,13 @@ happened:
 
 ``escaped``/``fatal`` runs fail the campaign (CLI exit code 6).
 Everything is seeded: scenarios are enumerated deterministically,
-repetitions shift the fault's ``skip`` so later hits fire, and the
-resilience policy's backoff jitter derives from the same seed — a
-failing campaign replays bit-for-bit.
+repetitions shift the fault's ``skip`` so later hits fire, the
+resilience policy's backoff jitter derives from the same seed, and bench
+pairs and fuzz chunks are pinned to workers by shard key.  A campaign
+therefore replays: every run's status and its ``serve.degraded`` and
+``serve.retries`` counts come out the same at one seed.  Wall times and
+``serve.requeued`` (how many tasks sat in a worker's pipe when it died)
+depend on timing and do not.
 """
 
 from __future__ import annotations
@@ -450,9 +454,9 @@ def run_chaos_campaign(
     and service-less — the ground truth every armed run must match.
 
     Aggregate ``serve.*``/``cache.*`` counters from every run are folded
-    into ``session`` (default: the ambient session), so ``--stats``,
-    ``--metrics-out`` and the history trend gate see
-    ``serve.degraded``/``serve.retries`` totals for the whole campaign.
+    into ``session`` (default: the ambient session), so ``--stats`` and
+    ``--metrics-out`` see ``serve.degraded``/``serve.retries`` totals
+    for the whole campaign.
     """
     parent = session if session is not None else current_session()
     started = time.perf_counter()

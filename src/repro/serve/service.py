@@ -28,18 +28,18 @@ Scheduling semantics:
   :class:`TaskCancelled`; an already-running task's eventual result is
   dropped on arrival.
 * **Crash → respawn + requeue.** A worker that dies mid-task is
-  respawned under the same slot and its in-flight tasks are requeued
-  (``retries`` attempts) before :class:`WorkerCrashed` surfaces.  A
-  task that *keeps* killing workers fails rather than looping forever.
+  respawned under the same slot.  The task it died on is requeued
+  (``retries`` attempts) before :class:`WorkerCrashed` surfaces; the
+  tasks pipelined behind it never started, so they requeue in order
+  without spending an attempt.  A task that *keeps* killing workers
+  fails rather than looping forever.
 
 Every queue transition is instrumented into the service session:
 ``serve.queue_depth`` gauge, ``serve.task.queue_seconds`` /
 ``serve.task.turnaround_seconds`` histograms, per-worker utilization
-gauges, and the ``serve.compiles_per_sec`` throughput gauge that CI's
-history gate watches.  The ``parallel.marshal_seconds`` satellite fix
-lives here too: the submit path pickles payloads itself and records the
-real encode time (the old driver timed a round-trip of tiny name tuples
-and rounded to zero).
+gauges, and the ``serve.compiles_per_sec`` throughput gauge.  The
+submit path pickles payloads itself and records the real encode time as
+``parallel.marshal_seconds``.
 """
 
 from __future__ import annotations
@@ -898,20 +898,29 @@ class CompileService:
                         worker=index,
                         error=type(exc).__name__,
                     )
+        # The worker runs its pipe in order, so the oldest orphan is the
+        # task it died on; the ones behind it never started.  Only that
+        # one is charged the attempt, and the rest go back to the head of
+        # the queue in their dispatch order.  No requeued task has begun
+        # on its next worker, so the stall detector must not time it
+        # from its last start.
         crashed: List[TaskRecord] = []
         requeued: List[TaskRecord] = []
         with self._lock:
-            for record in orphans:
+            for position, record in enumerate(orphans):
                 if record.done or record.state == "abandoned":
                     continue
-                if record.attempts > self.retries:
+                if position > 0:
+                    record.attempts -= 1
+                elif record.attempts > self.retries:
                     crashed.append(record)
                     continue
                 record.state = "pending"
                 record.worker_index = None
-                self._pending.appendleft(record)
+                record.began_at = None
                 requeued.append(record)
                 _REQUEUED.resolve(stats).add()
+            self._pending.extendleft(reversed(requeued))
         for record in requeued:
             self._log(
                 "info", "requeue",
@@ -955,11 +964,14 @@ class CompileService:
                     oldest = next(iter(inflight), None)
                     if oldest == record.id:
                         # The worker is actually grinding on this task:
-                        # kill it so the slot comes back.  Pipelined
-                        # followers requeue via _handle_dead_worker.
+                        # kill it so the slot comes back.  The task stays
+                        # first in flight, so _handle_dead_worker sees
+                        # that the worker died on it and requeues the
+                        # pipelined followers without charging them.
                         wedged.append(record.worker_index)
+                    else:
+                        inflight.pop(record.id, None)
                     record.state = "abandoned"
-                    inflight.pop(record.id, None)
                 else:
                     record.state = "abandoned"
                 expired.append(record)
@@ -981,7 +993,9 @@ class CompileService:
         for index in wedged:
             with self._lock:
                 if index < len(self.pool.workers):
-                    self.pool.workers[index].process.terminate()
+                    worker = self.pool.workers[index]
+                    worker.wedged = True
+                    worker.process.terminate()
             # death is observed (and requeue happens) on the next
             # wait_any pass, through the normal crash path
 

@@ -54,8 +54,8 @@ DIAGNOSTICS = {
     ),
     'unterminated_block_comment': (
         'double A[4];\n/* never closed\nkernel k(n) { A[0] = 1.0; }',
-        'SyntaxErrorKL',
-        "2:1: expected declaration or kernel, got '/'",
+        'LexError',
+        '2:1: unterminated /* comment',
     ),
     'bad_character_after_multiline_comment': (
         'double A[4];\n/* two\n   lines */ kernel k(n) { A[0] = # 1.0; }',
@@ -121,6 +121,16 @@ DIAGNOSTICS = {
         'double A[4];\nkernel k(n) {\n  for (i = 0; j < n; i += 1) {}\n}',
         'SyntaxErrorKL',
         "3:3: loop condition tests 'j', expected 'i'",
+    ),
+    'call_arguments_without_comma': (
+        'double A[4];\nkernel k(n) { A[0] = fmin(A[1] A[2]); }',
+        'SyntaxErrorKL',
+        "2:32: expected ',', got 'A'",
+    ),
+    'call_arguments_trailing_comma': (
+        'double A[4];\nkernel k(n) { A[0] = fmin(A[1], A[2],); }',
+        'SyntaxErrorKL',
+        "2:38: expected expression, got ')'",
     ),
     'unknown_intrinsic': (
         'double A[4];\nkernel k(n) { A[0] = frob(A[1]); }',

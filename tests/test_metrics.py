@@ -124,16 +124,6 @@ class TestRegistryContract:
         assert a.histograms["h"].count == 2
         assert a.gauges["g"] == 9.0
 
-    def test_flat_summary_shape(self):
-        m = MetricsRegistry(enabled=True)
-        m.gauge("rate", 0.5)
-        m.observe("h", 2.0)
-        flat = m.flat_summary()
-        assert flat["rate"] == 0.5
-        assert flat["h.count"] == 1.0
-        assert flat["h.p50"] == 2.0
-        assert flat["h.sum"] == 2.0
-
 
 class TestExposition:
     def test_counters_gauges_histograms_rendered(self):

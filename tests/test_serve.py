@@ -121,6 +121,26 @@ class TestServiceLifecycle:
             # the slot was respawned; the service still answers
             assert svc.submit("ping").result(timeout=30)["pid"] > 0
 
+    def test_crash_is_charged_only_to_the_task_it_died_on(self):
+        """The tasks pipelined behind the one that killed the worker never
+        started: with ``retries=0`` only that task fails, and the others
+        rerun on the respawned worker in their submission order."""
+        session = service_session()
+        with CompileService(
+            workers=1, retries=0, session=session, name="t-crash-charge"
+        ) as svc:
+            # the sleep keeps the worker busy while the rest are pipelined
+            # behind it, so all of them are in its pipe when it dies
+            first = svc.submit("sleep", 0.3)
+            crash = svc.submit("crash", 11)
+            pings = [svc.submit("ping") for _ in range(2)]
+            assert first.result(timeout=30) == 0.3
+            with pytest.raises(WorkerCrashed):
+                crash.result(timeout=30)
+            done = [ping.result(timeout=30)["tasks_done"] for ping in pings]
+        assert done == [0, 1]  # on the fresh worker, in submission order
+        assert session.stats.value("serve.worker_crashes") == 1
+
     def test_graceful_shutdown_drains_inflight(self):
         session = service_session()
         svc = CompileService(workers=1, session=session, name="t-drain")
@@ -131,13 +151,18 @@ class TestServiceLifecycle:
 
     def test_timeout_is_typed_and_service_survives(self):
         session = service_session()
-        with CompileService(workers=1, session=session, name="t-timeout") as svc:
+        with CompileService(
+            workers=1, retries=0, session=session, name="t-timeout"
+        ) as svc:
             future = svc.submit("sleep", 30.0, timeout=0.2)
+            ping = svc.submit("ping")  # pipelined behind the sleep
             with pytest.raises(TaskTimeout):
                 future.result(timeout=30)
-            # the wedged worker was killed; a fresh one still answers
-            assert svc.submit("ping").result(timeout=30)["pid"] > 0
+            # the wedged worker was killed on the expired task; the ping
+            # never ran there, so a fresh worker answers it uncharged
+            assert ping.result(timeout=30)["tasks_done"] == 0
         assert session.stats.value("serve.timeouts") == 1
+        assert session.stats.value("serve.worker_crashes") == 1
 
     def test_cancel_is_typed(self):
         session = service_session()
@@ -603,6 +628,61 @@ class TestChaosNoEscape:
         assert status == "degraded", (scenario.name, detail)
         assert rungs and set(rungs) == {"serial"}
         assert len(rungs) == counters["serve.degraded"]
+
+
+class TestChaosReplay:
+    """What a chaos run reports does not depend on when results come
+    back: its status, ``serve.degraded`` and ``serve.retries`` replay."""
+
+    @staticmethod
+    def scenario(name):
+        return next(s for s in chaos_scenarios() if s.name == name)
+
+    def test_fuzz_chunk_retries_stay_on_their_worker(self, monkeypatch):
+        """Every submission of a fuzz chunk carries the chunk's shard key,
+        so a chunk whose worker raised is retried on that worker, whose
+        once-armed fault has fired: each of the two workers fails its
+        chunk once and each retry succeeds, never tripping the breaker."""
+        keys = []
+        submit = CompileService.submit
+
+        def spy(service, kind, payload=None, **kwargs):
+            keys.append(kwargs.get("shard_key"))
+            return submit(service, kind, payload, **kwargs)
+
+        monkeypatch.setattr(CompileService, "submit", spy)
+        session = CompilerSession(name="t-chaos-fuzz16")
+        baselines = {"fuzz": _fuzz_workload(session, 0, 16, None, None)}
+        status, detail, counters = _execute_scenario(
+            self.scenario("task-error-fuzz"),
+            repetition=0,
+            seed=0,
+            baselines=baselines,
+            kernel_names=(MOTIVATING[0],),
+            fuzz_programs=16,
+        )
+        assert status == "recovered", detail
+        assert counters["serve.errors"] == 2
+        assert counters["serve.retries"] == 2
+        assert len(keys) == 4 and None not in keys
+        assert len(set(keys[:2])) == 2
+        assert sorted(keys[2:]) == sorted(keys[:2])
+
+    def test_wedged_worker_is_killed_once(self, chaos_baselines):
+        """The stalled task is requeued without its old start stamp, so
+        the stall detector waits for it to begin on the respawned worker
+        instead of killing that worker too."""
+        status, detail, counters = _execute_scenario(
+            self.scenario("stall-bench"),
+            repetition=0,
+            seed=0,
+            baselines=chaos_baselines,
+            kernel_names=(MOTIVATING[0],),
+            fuzz_programs=8,
+        )
+        assert status == "recovered", detail
+        assert counters["serve.wedged_workers"] == 1
+        assert counters["serve.worker_crashes"] == 1
 
 
 class TestWireHardening:
