@@ -17,10 +17,11 @@ pool of warm-session workers (see :mod:`repro.serve`).  Callers can pass
 their own running ``service=`` (the ``repro bench --service`` path: one
 pool for the whole invocation, shared result cache across runs);
 otherwise ``run_batch`` spins up an ephemeral service for the call.
-Tasks are sharded by *kernel name* so repeat compiles of one kernel hit
-the worker that already holds its warm state.  ``jobs=1`` without a
-service never leaves the process: it is
-:func:`~repro.bench.runner.run_kernel_matrix` per kernel.
+On a caller's service, tasks are pinned to workers by *kernel name*, so
+repeat compiles of one kernel hit the worker that already holds its
+warm state; an ephemeral pool has no state to return to and balances
+tasks by load.  ``jobs=1`` without a service never leaves the process:
+it is :func:`~repro.bench.runner.run_kernel_matrix` per kernel.
 
 Workers receive *names*, not objects: kernels, programs, configs and
 targets are all resolvable from registries
@@ -276,8 +277,17 @@ def _dispatch(
         turnarounds[index] = seconds
 
     use_cache = service is not None and service.result_cache_enabled
+    # A caller's service outlives this call, so each pair is pinned to
+    # the worker that holds its kernel's warm state.  A pool made for
+    # this call balances pairs by load instead: a kernel-name hash can
+    # send every pair of a small run to one worker.
     tasks = [
-        ("bench-pair", (payload, use_cache), payload[0], 1.0)
+        (
+            "bench-pair",
+            (payload, use_cache),
+            None if service is None else payload[0],
+            1.0,
+        )
         for payload in payloads
     ]
     _TASKS.resolve(stats).add(len(tasks))

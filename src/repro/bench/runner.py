@@ -81,7 +81,6 @@ def run_kernel_config(
     seed: int = DEFAULT_SEED,
     session: Optional[CompilerSession] = None,
     journal: bool = False,
-    engine: Optional[str] = None,
 ) -> KernelRun:
     """Compile ``kernel`` under ``config`` and simulate one invocation.
 
@@ -90,13 +89,11 @@ def run_kernel_config(
     simulation cycle histogram — and nothing else.  ``journal=True``
     collects the compile's decisions privately into the run's
     ``journal`` summary (the caller's stream is never touched).
-    ``engine`` selects the execution engine for the simulation (``None``
-    = process default); cycle totals are engine-independent.
     """
     inputs = kernel.make_inputs(random.Random(seed))
     return _run_built(
         kernel, config, target, kernel.build(), inputs,
-        session=session, journal=journal, engine=engine,
+        session=session, journal=journal,
     )
 
 
@@ -109,7 +106,6 @@ def _run_built(
     *,
     session: Optional[CompilerSession] = None,
     journal: bool = False,
-    engine: Optional[str] = None,
 ) -> KernelRun:
     """:func:`run_kernel_config` on an already built ``module`` and drawn
     ``inputs``.  ``compile_module`` clones ``module`` and ``simulate``
@@ -127,7 +123,6 @@ def _run_built(
         [kernel.trip_count],
         inputs=inputs,
         session=own,
-        engine=engine,
     )
     report = compiled.report
     run = KernelRun(
@@ -176,7 +171,6 @@ def run_kernel_matrix(
     target: TargetMachine = DEFAULT_TARGET,
     seed: int = DEFAULT_SEED,
     journal: bool = False,
-    engine: Optional[str] = None,
 ) -> Dict[str, KernelRun]:
     """Run ``kernel`` under every configuration; verify against O3.
 
@@ -191,7 +185,7 @@ def run_kernel_matrix(
     inputs = kernel.make_inputs(random.Random(seed))
     runs = {
         config.name: _run_built(
-            kernel, config, target, module, inputs, journal=journal, engine=engine
+            kernel, config, target, module, inputs, journal=journal
         )
         for config in configs
     }

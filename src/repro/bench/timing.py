@@ -7,8 +7,10 @@ verification — the analogue of invoking clang on a kernel.
 
 :func:`interpreter_throughput` measures the *execution* tier instead:
 engine-only interpreted-instructions/sec over the kernel suite, the
-number behind the ``sim.instructions_per_sec`` gauge and the
-scalar-vs-batched engine-speedup figure in the BENCH documents.
+number behind the ``sim.instructions_per_sec`` gauge.  Timing the scalar
+reference :class:`~repro.interp.interpreter.Interpreter` and the planned
+:class:`~repro.interp.batched.BatchedInterpreter` gives the engine
+speedup.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import random
 import time
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..interp import make_interpreter, resolve_engine
-from ..interp.memory import Memory
+from ..interp import BatchedInterpreter
 from ..kernels.suite import Kernel
 from ..machine.targets import DEFAULT_TARGET, TargetMachine
 from ..sim.stats import RunStats, measure, summarize
@@ -91,24 +92,27 @@ def compile_time_and_phase_stats(
 
 
 def interpreter_throughput(
-    engine: Optional[str] = None,
+    interpreter=BatchedInterpreter,
     kernels: Optional[Sequence[Kernel]] = None,
     config: SLPConfig = SNSLP_CONFIG,
     target: TargetMachine = DEFAULT_TARGET,
     repeats: int = 3,
     seed: int = 20190216,
 ) -> Dict[str, object]:
-    """Engine-only interpreted-instructions/sec over the kernel suite.
+    """Interpreted-instructions/sec of one engine over the kernel suite.
 
+    ``interpreter`` is the engine class to time
+    (:class:`~repro.interp.batched.BatchedInterpreter` or
+    :class:`~repro.interp.interpreter.Interpreter`); each run builds one
+    on the compiled module with default memory and no cost accounting.
     Each kernel is compiled once under ``config``; the timer then wraps
     *only* the ``interp.run`` calls — input seeding and buffer readback
     are harness work shared by both engines and excluded, matching the
     definition of the ``sim.instructions_per_sec`` gauge.  Instruction
     counts come from the engines' own ``executed_instructions`` ledger,
     which the identity matrix guarantees is engine-independent, so the
-    scalar/batched ratio of the returned rate is the engine speedup.
+    ratio of two engines' returned rates is the engine speedup.
     """
-    engine_name = resolve_engine(engine)
     if kernels is None:
         from ..kernels import all_kernels
 
@@ -119,12 +123,7 @@ def interpreter_throughput(
         compiled = compile_module(kernel.build(), config, target)
         inputs = kernel.make_inputs(random.Random(seed))
         for _ in range(repeats):
-            interp = make_interpreter(
-                compiled.module,
-                engine_name,
-                memory=Memory(),
-                cost_model=target.cost_model,
-            )
+            interp = interpreter(compiled.module)
             for name, values in inputs.items():
                 interp.write_global(name, values)
             started = time.perf_counter()
@@ -132,7 +131,7 @@ def interpreter_throughput(
             seconds += time.perf_counter() - started
             instructions += interp.executed_instructions
     return {
-        "engine": engine_name,
+        "engine": interpreter.__name__,
         "instructions": float(instructions),
         "seconds": seconds,
         "instructions_per_sec": instructions / seconds if seconds > 0 else 0.0,

@@ -310,10 +310,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.engine:
-        from .interp.engine import set_default_engine
-
-        set_default_engine(args.engine)
     module = _load_module(args.source)
     kernel = _pick_kernel(module, args.kernel)
     config = _resolve_config(args.config)
@@ -333,7 +329,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         inputs=inputs,
         max_steps=args.max_steps,
         session=current_session(),
-        engine=args.engine,
     )
     print(f"config:       {config.name}")
     print(f"cycles:       {result.cycles:.1f}")
@@ -618,11 +613,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     from .fuzz import run_campaign, run_injection_campaign, replay_file
 
-    if args.engine:
-        # process-wide so spawned campaign workers inherit the choice
-        from .interp.engine import set_default_engine
-
-        set_default_engine(args.engine)
     target = _resolve_target(args.target)
 
     if args.inject:
@@ -635,7 +625,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             phase_budget_seconds=args.phase_budget,
             progress=lambda line: print(f"; {line}", file=sys.stderr),
             session=current_session(),
-            engine=args.engine,
         )
         print(result.summary())
         if args.stats:
@@ -652,7 +641,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             target=target,
             input_seed=args.input_seed,
             max_ulps=args.max_ulps,
-            engine=args.engine,
         )
         print(f"replay {args.replay}:")
         for outcome in report.outcomes:
@@ -708,7 +696,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             session=current_session(),
             service=service,
             resilience=resilience,
-            engine=args.engine,
         )
     finally:
         if service is not None:
@@ -738,11 +725,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from .bench.runner import speedup_over
     from .kernels.suite import kernel_named
 
-    if args.engine:
-        # process-wide so bench workers / the compile service inherit it
-        from .interp.engine import set_default_engine
-
-        set_default_engine(args.engine)
     target = _resolve_target(args.target)
     kernels = None
     if args.kernel:
@@ -1275,18 +1257,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="event-log severity threshold for --log (default: info)",
         )
 
-    def engine_flag(p: argparse.ArgumentParser) -> None:
-        from .interp.engine import ENGINES
-
-        p.add_argument(
-            "--engine",
-            choices=ENGINES,
-            default=None,
-            help="execution engine: 'scalar' (reference, per-step) or "
-            "'batched' (planned, whole-block; default) — results are "
-            "bit-identical, only throughput differs",
-        )
-
     p_compile = sub.add_parser("compile", help="compile and optionally print IR")
     common(p_compile)
     p_compile.add_argument("--emit-ir", action="store_true", help="print textual IR")
@@ -1334,7 +1304,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="interpreter watchdog: abort after N executed instructions "
         f"(exit code {EXIT_BUDGET})",
     )
-    engine_flag(p_run)
     p_run.set_defaults(fn=cmd_run)
 
     p_compare = sub.add_parser(
@@ -1519,7 +1488,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the service circuit-breaker opens, run them serially "
         "in-process (results stay bit-identical)",
     )
-    engine_flag(p_fuzz)
     metrics_flags(p_fuzz)
     p_fuzz.set_defaults(fn=cmd_fuzz)
 
@@ -1597,7 +1565,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the service circuit-breaker opens, run them serially "
         "in-process (results stay bit-identical)",
     )
-    engine_flag(p_bench)
     metrics_flags(p_bench)
     p_bench.set_defaults(fn=cmd_bench)
 

@@ -48,7 +48,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..interp import BudgetExceededError, TrapError, resolve_engine
+from ..interp import BudgetExceededError, TrapError
 from ..ir.module import Module
 from ..ir.parser import parse_module
 from ..ir.types import FloatType
@@ -197,7 +197,6 @@ def _reduction_predicate(
     target: TargetMachine,
     input_seed: int,
     max_ulps: int,
-    engine: Optional[str] = None,
 ) -> Callable[[Module], bool]:
     """Build the reducer predicate: the candidate must reproduce at least
     one of the original (config, status) failure pairs."""
@@ -211,7 +210,6 @@ def _reduction_predicate(
             configs=configs,
             target=target,
             max_ulps=max_ulps,
-            engine=engine,
         )
         return bool(wanted & set(failure_signature(report)))
 
@@ -240,7 +238,6 @@ def _save_failure(
     input_seed: int,
     max_ulps: int,
     reduce_failures: bool,
-    engine: Optional[str] = None,
 ) -> None:
     directory = os.path.join(out_dir, f"failure-{artifact.index:04d}")
     os.makedirs(directory, exist_ok=True)
@@ -260,7 +257,6 @@ def _save_failure(
             target,
             input_seed,
             max_ulps,
-            engine,
         )
         artifact.reduction = reduce_module(program.module, predicate)
         reproducer = artifact.reduction.module
@@ -294,7 +290,6 @@ def _run_index(
     target: TargetMachine,
     input_seed: int,
     max_ulps: int,
-    engine: Optional[str] = None,
 ) -> Tuple[OracleReport, object]:
     """Generate program ``index`` and run the oracle on it.  Deterministic:
     the serial loop, a chunk worker and a failure re-run all see the same
@@ -307,7 +302,6 @@ def _run_index(
         configs=configs,
         target=target,
         max_ulps=max_ulps,
-        engine=engine,
     )
     return report, spec
 
@@ -321,7 +315,7 @@ def _program_timer(session: CompilerSession):
 
 
 def _campaign_chunk_worker(
-    payload: Tuple[Tuple[int, ...], int, Tuple[str, ...], str, int, int, str, int],
+    payload: Tuple[Tuple[int, ...], int, Tuple[str, ...], str, int, int, int],
 ) -> List[Tuple[int, int, Capture, bool]]:
     """Run one chunk of campaign indices in a worker process.
 
@@ -337,8 +331,7 @@ def _campaign_chunk_worker(
     from ..vectorizer.slp import config_named
 
     (
-        indices, seed, config_names, target_name, input_seed, max_ulps,
-        engine, mask,
+        indices, seed, config_names, target_name, input_seed, max_ulps, mask,
     ) = payload
     configs = [config_named(name) for name in config_names]
     target = target_named(target_name)
@@ -349,7 +342,7 @@ def _campaign_chunk_worker(
         with use_session(session):
             with _program_timer(session):
                 report, _ = _run_index(
-                    index, seed, configs, target, input_seed, max_ulps, engine
+                    index, seed, configs, target, input_seed, max_ulps
                 )
             _bucket(report)
         failed = not report.ok and not report.reference_trapped
@@ -372,7 +365,6 @@ def run_campaign(
     session: Optional[CompilerSession] = None,
     service=None,
     resilience=None,
-    engine: Optional[str] = None,
 ) -> CampaignResult:
     """Run one fuzzing campaign within ``budget``.
 
@@ -389,10 +381,6 @@ def run_campaign(
     :class:`~repro.serve.resilience.ResilientExecutor`, so the campaign
     completes with identical results even when the service fails mid-run
     (chunks retry, then run serially in-process).
-
-    ``engine`` picks the execution engine for every oracle check
-    (``scalar`` | ``batched``; ``None`` = process default).  Verdicts,
-    bucket statistics and failure sets are engine-independent.
     """
     kind, amount = parse_budget(budget)
     campaign = session if session is not None else current_session().derive(
@@ -415,7 +403,6 @@ def run_campaign(
             jobs if jobs is not None else 2,
             service=service,
             resilience=resilience,
-            engine=engine,
         )
     failures: List[FailureArtifact] = []
     started = time.perf_counter()
@@ -430,7 +417,7 @@ def run_campaign(
                 break
             with _program_timer(campaign):
                 report, spec = _run_index(
-                    index, seed, configs, target, input_seed, max_ulps, engine
+                    index, seed, configs, target, input_seed, max_ulps
                 )
             _bucket(report)
             if not report.ok and not report.reference_trapped:
@@ -445,7 +432,6 @@ def run_campaign(
                         input_seed,
                         max_ulps,
                         reduce_failures,
-                        engine,
                     )
                 if progress is not None:
                     progress(
@@ -492,7 +478,6 @@ def _run_campaign_parallel(
     jobs: int,
     service=None,
     resilience=None,
-    engine: Optional[str] = None,
 ) -> CampaignResult:
     """Sharded count-budget campaign, merged to match the serial run.
 
@@ -510,8 +495,6 @@ def _run_campaign_parallel(
 
     started = time.perf_counter()
     config_names = tuple(config.name for config in configs)
-    # resolve once in the parent: workers must not re-read the env default
-    engine_name = resolve_engine(engine)
     chunks = [
         tuple(range(base, min(base + CHUNK_SIZE, count)))
         for base in range(0, count, CHUNK_SIZE)
@@ -531,8 +514,7 @@ def _run_campaign_parallel(
             "fuzz-chunk",
             (
                 chunk, seed, config_names,
-                target.name, input_seed, max_ulps, engine_name,
-                campaign.mask,
+                target.name, input_seed, max_ulps, campaign.mask,
             ),
             None if service is None else f"fuzz-chunk-{chunk[0]}-{chunk[-1]}",
             float(len(chunk) * len(config_names)),
@@ -559,8 +541,7 @@ def _run_campaign_parallel(
         # report in a throwaway session so nothing is observed twice
         with use_session(CompilerSession("fuzz-rerun", faults=campaign.faults)):
             report, spec = _run_index(
-                index, seed, configs, target, input_seed, max_ulps,
-                engine_name,
+                index, seed, configs, target, input_seed, max_ulps
             )
         artifact = FailureArtifact(index=index, report=report)
         failures.append(artifact)
@@ -574,7 +555,6 @@ def _run_campaign_parallel(
                     input_seed,
                     max_ulps,
                     reduce_failures,
-                    engine_name,
                 )
         if progress is not None:
             progress(
@@ -660,7 +640,6 @@ def _compare_guarded(
     inputs: Dict[str, List],
     reference: Dict[str, List],
     max_ulps: int,
-    engine: Optional[str] = None,
 ) -> Optional[str]:
     """Run the guarded module and diff it against the scalar reference;
     returns a human-readable divergence, or None when equivalent."""
@@ -671,7 +650,6 @@ def _compare_guarded(
             target,
             program.args,
             inputs=inputs,
-            engine=engine,
         )
     except Exception as exc:  # noqa: BLE001 - any run failure is an escape
         return f"guarded module failed to run: {type(exc).__name__}: {exc}"
@@ -694,7 +672,6 @@ def _inject_one(
     max_ulps: int,
     phase_budget_seconds: float,
     index: int,
-    engine: Optional[str] = None,
 ) -> InjectionOutcome:
     """Arm one fault, compile through the guarded driver, and classify."""
     from ..robust.guard import guarded_compile
@@ -730,7 +707,7 @@ def _inject_one(
             config_used=guarded.config_used,
         )
     divergence = _compare_guarded(
-        guarded, program, target, inputs, reference, max_ulps, engine
+        guarded, program, target, inputs, reference, max_ulps
     )
     if divergence is None and not guarded.recoveries:
         # Output is fine but the guard never noticed the fault firing —
@@ -760,7 +737,6 @@ def run_injection_campaign(
     phase_budget_seconds: float = 0.2,
     progress: Optional[Callable[[str], None]] = None,
     session: Optional[CompilerSession] = None,
-    engine: Optional[str] = None,
 ) -> InjectionResult:
     """Fault-injection campaign: prove the guarded driver absorbs every
     registered compile-time fault without corrupting results.
@@ -794,8 +770,7 @@ def run_injection_campaign(
             current_faults().disarm_all()  # the reference must run clean
             try:
                 reference = _interpret_reference(
-                    program.module, program.kernel, program.args, inputs,
-                    engine,
+                    program.module, program.kernel, program.args, inputs
                 )
             except (TrapError, BudgetExceededError):
                 _TRAPS.add()
@@ -814,7 +789,6 @@ def run_injection_campaign(
                     max_ulps,
                     phase_budget_seconds,
                     index - 1,
-                    engine,
                 )
             outcomes.append(outcome)
             if progress is not None and outcome.status in ("escaped", "fatal"):
@@ -835,7 +809,6 @@ def replay_file(
     target: TargetMachine = DEFAULT_TARGET,
     input_seed: int = 1,
     max_ulps: int = DEFAULT_MAX_ULPS,
-    engine: Optional[str] = None,
 ) -> OracleReport:
     """Re-run the oracle on a saved ``.ir`` reproducer."""
     with open(path) as handle:
@@ -855,5 +828,4 @@ def replay_file(
         configs=configs,
         target=target,
         max_ulps=max_ulps,
-        engine=engine,
     )

@@ -2,7 +2,9 @@
 
 For one program the oracle
 
-1. interprets the *unoptimized* module — the reference semantics;
+1. interprets the *unoptimized* module on the scalar reference
+   :class:`~repro.interp.interpreter.Interpreter` — the reference
+   semantics;
 2. compiles the module under every configuration (O3 / SLP / LSLP /
    SN-SLP), which includes the IR verifier on the post-vectorization
    module;
@@ -10,6 +12,11 @@ For one program the oracle
    compares every output buffer against the reference with ULP-aware
    float comparison (integers compare exactly);
 4. cross-checks the simulator's cycle accounting (finite, positive).
+
+The reference and the simulations run on different engines: simulation
+uses the planned :class:`~repro.interp.batched.BatchedInterpreter`, so a
+bug in the planned engine shows up as a ``mismatch`` instead of being
+shared by both sides of the comparison.
 
 Divergences are classified so campaigns can bucket them:
 
@@ -36,19 +43,19 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..interp import (
     BudgetExceededError,
+    Interpreter,
     TrapError,
     UnsupportedOpcodeError,
-    make_interpreter,
 )
 from ..ir.module import Module
 from ..ir.types import FloatType
 from ..ir.verifier import VerificationError
 from ..machine.targets import DEFAULT_TARGET, TargetMachine
-from ..observe.session import current_session, use_session
+from ..observe.session import current_session
 from ..sim import simulate
 from ..vectorizer import ALL_CONFIGS, SLPConfig, compile_module
 from .genprog import FuzzProgram, make_inputs
@@ -162,18 +169,14 @@ def _interpret_reference(
     kernel: str,
     args: Sequence,
     inputs: Dict[str, List],
-    engine: Optional[str] = None,
 ) -> Dict[str, List]:
-    # A throwaway derived session so engine bookkeeping (plan-cache
-    # counters) never lands in the caller's stats — campaign counters must
-    # stay identical between serial and parallel drivers.
-    scratch = current_session().derive(name="oracle-reference")
-    with use_session(scratch):
-        interp = make_interpreter(module, engine)
-        for name, values in inputs.items():
-            interp.write_global(name, values)
-        interp.run(kernel, args)
-        return {name: interp.read_global(name) for name in module.globals}
+    # The scalar interpreter records no counters, so campaign statistics
+    # hold only the per-config checks, whichever driver ran them.
+    interp = Interpreter(module)
+    for name, values in inputs.items():
+        interp.write_global(name, values)
+    interp.run(kernel, args)
+    return {name: interp.read_global(name) for name in module.globals}
 
 
 def run_oracle(
@@ -182,21 +185,15 @@ def run_oracle(
     configs: Sequence[SLPConfig] = ALL_CONFIGS,
     target: TargetMachine = DEFAULT_TARGET,
     max_ulps: int = DEFAULT_MAX_ULPS,
-    engine: Optional[str] = None,
 ) -> OracleReport:
-    """Differentially test ``program`` under every configuration.
-
-    ``engine`` selects the execution engine for both the reference
-    interpretation and every per-config simulation (``None`` = process
-    default); verdicts are engine-independent by the identity guarantee.
-    """
+    """Differentially test ``program`` under every configuration."""
     module = program.module
     inputs = make_inputs(module, input_seed)
     report = OracleReport(program=program, input_seed=input_seed)
 
     try:
         reference = _interpret_reference(
-            module, program.kernel, program.args, inputs, engine
+            module, program.kernel, program.args, inputs
         )
     except TrapError as exc:
         # The scalar program itself traps: not a miscompile, just a
@@ -218,7 +215,7 @@ def run_oracle(
     for config in configs:
         report.outcomes.append(
             _check_config(
-                program, config, target, inputs, reference, max_ulps, engine
+                program, config, target, inputs, reference, max_ulps
             )
         )
     return report
@@ -231,7 +228,6 @@ def _check_config(
     inputs: Dict[str, List],
     reference: Dict[str, List],
     max_ulps: int,
-    engine: Optional[str] = None,
 ) -> ConfigOutcome:
     # A private session per configuration check: the outcome carries its
     # own compile + simulation counter snapshot (replay reports print it).
@@ -255,7 +251,6 @@ def _check_config(
             program.args,
             inputs=inputs,
             session=session,
-            engine=engine,
         )
     except UnsupportedOpcodeError as exc:
         return ConfigOutcome(

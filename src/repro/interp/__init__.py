@@ -11,13 +11,6 @@ from .interpreter import (
 )
 from .plan import BlockPlan, FunctionPlan, plan_function
 from .batched import BatchedInterpreter
-from .engine import (
-    ENGINES,
-    default_engine,
-    make_interpreter,
-    resolve_engine,
-    set_default_engine,
-)
 
 __all__ = [
     "Memory",
@@ -32,9 +25,4 @@ __all__ = [
     "FunctionPlan",
     "plan_function",
     "BatchedInterpreter",
-    "ENGINES",
-    "default_engine",
-    "make_interpreter",
-    "resolve_engine",
-    "set_default_engine",
 ]

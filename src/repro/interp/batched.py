@@ -10,12 +10,12 @@ cycle accounting folded to ``visits x pre-summed block cost`` at the end.
 Semantics are bit-identical to the reference engine by construction:
 
 * the **fast path** only runs when nothing can observe per-step state —
-  no ``on_execute`` hook, no armed fault plan, block provably inside the
-  step budget, and exactly-summable cost charges;
+  no armed fault plan, block provably inside the step budget, and
+  exactly-summable cost charges;
 * otherwise the block falls back to a **slow path** that ticks per
   instruction in exactly the reference order (count, fault fire, budget
-  check, hook, charge), so ``BudgetExceededError`` fires at the same step
-  and injected faults see every ``interp.step`` site hit;
+  check, charge), so ``BudgetExceededError`` fires at the same step and
+  injected faults see every ``interp.step`` site hit;
 * on the fast path, entering the header of a counted loop the plan
   recognised hands the whole loop to the **column pass**
   (:mod:`repro.interp.loops`), which evaluates each body instruction over
@@ -26,8 +26,9 @@ A block's step closures are bound on its first block-at-a-time visit, so
 a loop the column pass runs never binds its own.
 
 Cost accounting lives *in* the engine (``cycles`` / ``instructions`` /
-``per_opcode`` attributes) instead of an external ``on_execute`` counter,
-which is what makes whole-block accounting possible.
+``per_opcode`` attributes) instead of the reference interpreter's
+external ``on_execute`` counter, which is what makes whole-block
+accounting possible.
 """
 
 from __future__ import annotations
@@ -59,13 +60,11 @@ class BatchedInterpreter:
         module: Module,
         memory: Optional[Memory] = None,
         max_steps: Optional[int] = None,
-        on_execute: Optional[Callable[[Instruction], None]] = None,
         cost_model=None,
     ) -> None:
         self.module = module
         self.memory = memory if memory is not None else Memory()
         self.instruction_budget = max_steps if max_steps is not None else 50_000_000
-        self.on_execute = on_execute
         self.cost_model = cost_model
         self.executed_instructions = 0
         #: internal cycle accounting (populated when ``cost_model`` given)
@@ -122,7 +121,7 @@ class BatchedInterpreter:
         blocks = plan.blocks
         memory = self.memory
         budget = self.instruction_budget
-        fast_ok = plan.exact and self.on_execute is None
+        exact = plan.exact
         faults = current_faults()
         steps_by_block: List[Optional[List[Callable]]] = [None] * len(blocks)
         # flattened per-block records: one tuple load per block visit
@@ -144,7 +143,7 @@ class BatchedInterpreter:
         try:
             while True:
                 dsts, tables, count, term, name, loop = bound[idx]
-                if fast_ok and not faults.armed and executed + count <= budget:
+                if exact and not faults.armed and executed + count <= budget:
                     if loop is not None and prev.index != loop.body:
                         table = tables.get(id(prev.block))
                         if type(table) is list:
@@ -264,8 +263,6 @@ class BatchedInterpreter:
                 f"step budget exhausted after {self.instruction_budget} "
                 "instructions (likely an infinite loop)"
             )
-        if self.on_execute is not None:
-            self.on_execute(inst)
         self.cycles += cost
         self.instructions += 1
         self.per_opcode[inst.opcode] = self.per_opcode.get(inst.opcode, 0.0) + cost

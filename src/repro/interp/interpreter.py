@@ -6,9 +6,12 @@ contents and return values) of every kernel under it.  It executes scalar
 *and* vector instructions, so both pre- and post-vectorization IR run on
 the same engine.
 
-An ``on_execute`` hook fires for every executed instruction; the cycle
-simulator (:mod:`repro.sim.executor`) uses it to accumulate costs without
-duplicating the execution logic.
+Simulation runs on the planned engine (:mod:`repro.interp.batched`);
+this interpreter is the independent semantics it is checked against —
+the fuzz oracle's reference run and the engine parity tests.  An
+``on_execute`` hook fires for every executed instruction; a
+:class:`~repro.sim.executor.CycleCounter` charged through it gives the
+reference cycle accounting.
 """
 
 from __future__ import annotations

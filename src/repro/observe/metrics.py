@@ -313,8 +313,7 @@ class MetricsRegistry:
         Every exposition leads with a ``repro_build_info`` info-style
         gauge (value 1, identity in labels — the node-exporter idiom) so
         scraped series can always be joined back to the exact source
-        fingerprint, active engine and bench-task format that produced
-        them.
+        fingerprint and bench-task format that produced them.
         """
         lines: List[str] = list(_build_info_lines())
         if stats is not None:
@@ -367,24 +366,22 @@ class MetricsRegistry:
 def _build_info_lines() -> List[str]:
     """The ``repro_build_info`` identity gauge, node-exporter style.
 
-    The providers live in packages that import ``repro.observe`` (the
-    vectorizer cache for the source fingerprint and format version, the
-    interpreter for the active engine), so they are imported lazily here
-    — at render time the cycle has long since resolved.  If an embedder
-    renders an exposition with those packages unavailable, the gauge is
-    simply omitted rather than failing the scrape.
+    The provider lives in a package that imports ``repro.observe`` (the
+    vectorizer cache, for the source fingerprint and format version), so
+    it is imported lazily here — at render time the cycle has long since
+    resolved.  If an embedder renders an exposition with that package
+    unavailable, the gauge is simply omitted rather than failing the
+    scrape.
     """
     try:
-        from ..interp.engine import default_engine
         from ..vectorizer.cache import CACHE_FORMAT, repro_source_fingerprint
     except ImportError:  # pragma: no cover - partial installs only
         return []
     return [
-        "# HELP repro_build_info source fingerprint, active engine and "
-        "bench-task format of this build",
+        "# HELP repro_build_info source fingerprint and bench-task format "
+        "of this build",
         "# TYPE repro_build_info gauge",
         "repro_build_info{"
-        f'engine="{default_engine()}",'
         f'fingerprint="{repro_source_fingerprint()}",'
         f'format="{CACHE_FORMAT}"'
         "} 1",

@@ -172,11 +172,8 @@ def _bench_task_key(state: WorkerState, pair) -> str:
 
     The repro-source fingerprint is part of "everything": a store warmed
     by an older checkout misses after a code change instead of replaying
-    counters the current compiler would not produce.  The execution
-    engine is too: cycles are engine-independent, but the per-run counter
-    snapshot (``interp.plan_cache.*``) is not.
+    counters the current compiler would not produce.
     """
-    from ..interp.engine import default_engine
     from ..vectorizer.cache import repro_source_fingerprint
 
     kernel_name, config_name, target_name, seed, _, journal = pair
@@ -184,8 +181,7 @@ def _bench_task_key(state: WorkerState, pair) -> str:
     hasher.update(state.module_text(kernel_name).encode("utf-8"))
     hasher.update(
         f"\x00{config_name}\x00{target_name}\x00{seed}\x00{int(journal)}"
-        f"\x00{BENCH_TASK_FORMAT}\x00{repro_source_fingerprint()}"
-        f"\x00{default_engine()}".encode()
+        f"\x00{BENCH_TASK_FORMAT}\x00{repro_source_fingerprint()}".encode()
     )
     return hasher.hexdigest()
 

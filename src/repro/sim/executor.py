@@ -7,11 +7,12 @@ comparing the same kernel compiled under the O3 / LSLP / SN-SLP
 configurations on the same simulated machine gives the normalized
 speedups of Figures 5 and 8.
 
-Two engines share these semantics bit-for-bit (see
-:mod:`repro.interp.engine`): the ``scalar`` reference interpreter charged
-through a per-step :class:`CycleCounter` hook, and the ``batched`` planned
-engine (:mod:`repro.interp.batched`) that accounts whole pre-decoded block
-traces at a time.
+Simulation runs on the planned engine (:mod:`repro.interp.batched`),
+which accounts whole pre-decoded block traces at a time.  The scalar
+reference :class:`~repro.interp.interpreter.Interpreter` charged through
+a per-step :class:`CycleCounter` hook gives bit-identical cycles,
+per-opcode charges and buffers; the engine parity tests and the fuzz
+oracle hold the planned engine to it.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 from ..interp.batched import BatchedInterpreter
-from ..interp.engine import resolve_engine
-from ..interp.interpreter import Interpreter
-from ..interp.memory import Memory
 from ..ir.instructions import Instruction, Opcode
 from ..ir.module import Module
 from ..machine.costmodel import instruction_cost
@@ -73,11 +71,8 @@ def simulate(
     target: TargetMachine,
     args: Sequence = (),
     inputs: Optional[Dict[str, Sequence]] = None,
-    capture_globals: bool = True,
-    memory_size: int = 1 << 20,
     max_steps: Optional[int] = None,
     session: Optional[CompilerSession] = None,
-    engine: Optional[str] = None,
 ) -> SimulationResult:
     """Execute ``function_name`` and account cycles on ``target``.
 
@@ -87,11 +82,6 @@ def simulate(
     raises :class:`~repro.interp.interpreter.BudgetExceededError` instead
     of letting a malformed loop hang the harness.
 
-    ``engine`` picks the execution engine (``scalar`` | ``batched``);
-    ``None`` uses the process default (see :mod:`repro.interp.engine`).
-    Cycle totals, per-opcode charges and globals are bit-identical across
-    engines — the choice is purely a throughput knob.
-
     ``sim.*`` counters land in ``session`` when given, else in an
     ephemeral child of the ambient session (the result object itself
     carries cycles/instructions, so nothing is lost by discarding it).
@@ -99,27 +89,12 @@ def simulate(
     own = session if session is not None else current_session().derive(
         name=f"simulate:{function_name}"
     )
-    engine_name = resolve_engine(engine)
-    if engine_name == "batched":
-        counter = None
-        interp = BatchedInterpreter(
-            module,
-            memory=Memory(memory_size),
-            max_steps=max_steps,
-            cost_model=target.cost_model,
-        )
-    else:
-        counter = CycleCounter(target)
-        interp = Interpreter(
-            module,
-            memory=Memory(memory_size),
-            on_execute=counter.charge,
-            max_steps=max_steps,
-        )
+    interp = BatchedInterpreter(
+        module, max_steps=max_steps, cost_model=target.cost_model
+    )
     if inputs:
         for name, values in inputs.items():
             interp.write_global(name, values)
-    accounting = counter if counter is not None else interp
     with use_session(own):
         with own.tracer.span(
             "simulate", function=function_name, target=target.name
@@ -127,13 +102,11 @@ def simulate(
             started = time.perf_counter()
             result = interp.run(function_name, args)
             elapsed = time.perf_counter() - started
-        own.stats.stat("sim.cycles", "Total simulated cycles").add(
-            accounting.cycles
-        )
+        own.stats.stat("sim.cycles", "Total simulated cycles").add(interp.cycles)
         own.stats.stat("sim.instructions", "Simulated instructions executed").add(
-            accounting.instructions
+            interp.instructions
         )
-        for opcode, cycles in accounting.per_opcode.items():
+        for opcode, cycles in interp.per_opcode.items():
             own.stats.stat(
                 f"sim.cycles.{opcode.name.lower()}",
                 "Simulated cycles charged to this opcode",
@@ -141,18 +114,13 @@ def simulate(
         if own.metrics.enabled and elapsed > 0:
             own.metrics.gauge(
                 "sim.instructions_per_sec",
-                accounting.instructions / elapsed,
+                interp.instructions / elapsed,
                 "Interpreted instructions per wall-clock second",
             )
-    globals_after = (
-        {name: interp.read_global(name) for name in module.globals}
-        if capture_globals
-        else {}
-    )
     return SimulationResult(
-        cycles=accounting.cycles,
-        instructions=accounting.instructions,
-        per_opcode=dict(accounting.per_opcode),
+        cycles=interp.cycles,
+        instructions=interp.instructions,
+        per_opcode=dict(interp.per_opcode),
         return_value=result,
-        globals_after=globals_after,
+        globals_after={name: interp.read_global(name) for name in module.globals},
     )

@@ -1,23 +1,25 @@
-"""Engine parity: the batched planned engine vs the scalar reference.
+"""Engine parity: the planned engine vs the scalar reference interpreter.
 
-The contract under test is the PR 9 identity guarantee: for every
-program both engines produce bit-identical cycle totals, per-opcode
-charges, instruction counts, output buffers and oracle verdicts — the
-engine choice is purely a throughput knob.  The matrix here runs the
-whole kernel suite (unvectorized and under every configuration) plus
-seeded fuzz programs, and then pins the edge semantics individually:
-NaN propagation through intrinsics, trap messages, vector-lane bounds,
-and the step watchdog firing at the exact same instruction.
+Every command simulates on the planned engine (``simulate`` builds a
+:class:`BatchedInterpreter`); the scalar :class:`Interpreter`, charged per
+step through a :class:`CycleCounter`, is the independent semantics it is
+held to.  For every program both produce bit-identical cycle totals,
+per-opcode charges, instruction counts and output buffers.  The matrix
+here runs the whole kernel suite (unvectorized and under every
+configuration) plus seeded fuzz programs under every configuration, and
+then pins the edge semantics individually: NaN propagation through
+intrinsics, trap messages, vector-lane bounds, and the step watchdog
+firing at the exact same instruction.  The fuzz oracle uses the same
+reference, so a planned-engine bug surfaces as a ``mismatch`` there too.
 """
 
 import math
 import operator
-import os
 import struct
 
 import pytest
 
-from repro.fuzz import generate_program, random_spec, run_oracle
+from repro.fuzz import generate_program, make_inputs, random_spec, run_oracle
 from repro.interp import (
     BatchedInterpreter,
     BudgetExceededError,
@@ -25,11 +27,7 @@ from repro.interp import (
     Memory,
     MemoryError_,
     TrapError,
-    default_engine,
-    make_interpreter,
     plan_function,
-    resolve_engine,
-    set_default_engine,
 )
 from repro.ir import (
     F64,
@@ -51,19 +49,35 @@ from repro.kernels import all_kernels
 from repro.kernels.seeding import derive_seed
 from repro.machine import DEFAULT_TARGET
 from repro.observe.session import CompilerSession, use_session
-from repro.sim import simulate
+from repro.sim import CycleCounter, SimulationResult, simulate
 from repro.vectorizer import ALL_CONFIGS, compile_module
 
 import random
 
+#: the reference first: a parity loop reports the scalar outcome as [0]
+ENGINES = (Interpreter, BatchedInterpreter)
+
+
+def _reference_simulate(module, function, args, inputs=None):
+    """The scalar reference run in :class:`SimulationResult` form: the
+    :class:`Interpreter` charged per step through a :class:`CycleCounter`."""
+    counter = CycleCounter(DEFAULT_TARGET)
+    interp = Interpreter(module, on_execute=counter.charge)
+    for name, values in (inputs or {}).items():
+        interp.write_global(name, values)
+    value = interp.run(function, list(args))
+    return SimulationResult(
+        cycles=counter.cycles,
+        instructions=counter.instructions,
+        per_opcode=dict(counter.per_opcode),
+        return_value=value,
+        globals_after={name: interp.read_global(name) for name in module.globals},
+    )
+
 
 def _simulate_both(module, function, args, inputs=None):
-    scalar = simulate(
-        module, function, DEFAULT_TARGET, args, inputs=inputs, engine="scalar"
-    )
-    batched = simulate(
-        module, function, DEFAULT_TARGET, args, inputs=inputs, engine="batched"
-    )
+    scalar = _reference_simulate(module, function, args, inputs)
+    batched = simulate(module, function, DEFAULT_TARGET, args, inputs=inputs)
     return scalar, batched
 
 
@@ -82,41 +96,10 @@ def _assert_identical(scalar, batched):
                 for y in b], name
 
 
-class TestEngineSelection:
-    def test_resolve_and_default(self):
-        assert resolve_engine(None) == default_engine()
-        assert resolve_engine("scalar") == "scalar"
-        assert resolve_engine("batched") == "batched"
-        with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine("jit")
-        with pytest.raises(ValueError, match="unknown engine"):
-            set_default_engine("jit")
-
-    def test_set_default_engine_is_env_carried(self):
-        before = os.environ.get("REPRO_ENGINE")
-        try:
-            set_default_engine("scalar")
-            assert os.environ["REPRO_ENGINE"] == "scalar"
-            assert default_engine() == "scalar"
-            assert isinstance(make_interpreter(Module("m")), Interpreter)
-            set_default_engine("batched")
-            assert isinstance(make_interpreter(Module("m")), BatchedInterpreter)
-        finally:
-            if before is None:
-                os.environ.pop("REPRO_ENGINE", None)
-            else:
-                os.environ["REPRO_ENGINE"] = before
-
-    def test_invalid_env_falls_back(self):
-        before = os.environ.get("REPRO_ENGINE")
-        try:
-            os.environ["REPRO_ENGINE"] = "nonsense"
-            assert default_engine() in ("scalar", "batched")
-        finally:
-            if before is None:
-                os.environ.pop("REPRO_ENGINE", None)
-            else:
-                os.environ["REPRO_ENGINE"] = before
+def _fuzz_program(index):
+    return generate_program(
+        random_spec(derive_seed(0, f"engine-identity/{index}"))
+    )
 
 
 class TestIdentityMatrix:
@@ -143,22 +126,34 @@ class TestIdentityMatrix:
             )
             _assert_identical(scalar, batched)
 
-    def test_fuzz_program_verdicts(self):
+    def test_fuzz_programs_all_configs(self):
         for index in range(6):
-            spec = random_spec(derive_seed(0, f"engine-identity/{index}"))
-            program = generate_program(spec)
-            verdicts = {}
-            for engine in ("scalar", "batched"):
-                report = run_oracle(program, engine=engine)
-                verdicts[engine] = (
-                    report.reference_trapped,
-                    [
-                        (o.config, o.status, o.detail, o.cycles,
-                         o.vectorized_graphs)
-                        for o in report.outcomes
-                    ],
+            program = _fuzz_program(index)
+            inputs = make_inputs(program.module, 1)
+            for config in ALL_CONFIGS:
+                compiled = compile_module(program.module, config, DEFAULT_TARGET)
+                scalar, batched = _simulate_both(
+                    compiled.module, program.kernel, program.args, inputs
                 )
-            assert verdicts["scalar"] == verdicts["batched"], spec
+                _assert_identical(scalar, batched)
+
+
+class TestOracleReference:
+    def test_oracle_catches_a_planned_engine_bug(self, monkeypatch):
+        # a planned engine that misreports one element of every buffer it
+        # reads back: the oracle's reference runs on the scalar
+        # interpreter, so every configuration must diverge from it
+        def broken_read_global(self, name):
+            values = self.memory.read_global(name)
+            values[0] = values[0] + 1 if isinstance(values[0], int) else math.nan
+            return values
+
+        monkeypatch.setattr(BatchedInterpreter, "read_global", broken_read_global)
+        report = run_oracle(_fuzz_program(0))
+        assert not report.reference_trapped
+        assert [(o.config, o.status) for o in report.outcomes] == [
+            (config.name, "mismatch") for config in ALL_CONFIGS
+        ]
 
 
 class TestEdgeSemantics:
@@ -187,10 +182,7 @@ class TestEdgeSemantics:
     )
     def test_nan_through_minmax(self, callee, args):
         module = self._binary_intrinsic(callee)
-        results = [
-            make_interpreter(module, engine).run("f", list(args))
-            for engine in ("scalar", "batched")
-        ]
+        results = [engine(module).run("f", list(args)) for engine in ENGINES]
         assert struct.pack("<d", results[0]) == struct.pack("<d", results[1])
 
     @pytest.mark.parametrize("lanes", [1, 4])
@@ -212,10 +204,7 @@ class TestEdgeSemantics:
                 for i in range(0, len(pairs) - lanes + 1, lanes)
             ]
         for a, b in pairs:
-            results = [
-                make_interpreter(module, engine).run("f", [a, b])
-                for engine in ("scalar", "batched")
-            ]
+            results = [engine(module).run("f", [a, b]) for engine in ENGINES]
             bits = [
                 struct.pack(f"<{lanes}d", *(r if lanes > 1 else (r,)))
                 for r in results
@@ -225,10 +214,7 @@ class TestEdgeSemantics:
     def test_nan_through_sqrt(self):
         module = self._unary_intrinsic("sqrt")
         for value in (float("nan"), 4.0, 0.0):
-            results = [
-                make_interpreter(module, engine).run("f", [value])
-                for engine in ("scalar", "batched")
-            ]
+            results = [engine(module).run("f", [value]) for engine in ENGINES]
             assert struct.pack("<d", results[0]) == struct.pack(
                 "<d", results[1]
             )
@@ -240,9 +226,9 @@ class TestEdgeSemantics:
         builder = IRBuilder(function.add_block("entry"))
         builder.ret(builder.sdiv(*function.arguments))
         messages = []
-        for engine in ("scalar", "batched"):
+        for engine in ENGINES:
             with pytest.raises(TrapError) as excinfo:
-                make_interpreter(module, engine).run("f", [7, 0])
+                engine(module).run("f", [7, 0])
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
 
@@ -257,8 +243,8 @@ class TestEdgeSemantics:
             ((-1.0, 0.0), lambda v: v == float("-inf")),
             ((0.0, 0.0), math.isnan),
         ]:
-            for engine in ("scalar", "batched"):
-                assert check(make_interpreter(module, engine).run("f", args))
+            for engine in ENGINES:
+                assert check(engine(module).run("f", args))
 
     def test_vector_load_out_of_bounds_parity(self):
         vt = vector_of(F64, 4)
@@ -269,8 +255,8 @@ class TestEdgeSemantics:
         builder.ret(builder.load(function.arguments[0], vt))
         for addr in (0, -8, 1 << 30):
             messages = []
-            for engine in ("scalar", "batched"):
-                interp = make_interpreter(module, engine, memory=Memory(256))
+            for engine in ENGINES:
+                interp = engine(module, memory=Memory(256))
                 with pytest.raises(MemoryError_) as excinfo:
                     interp.run("f", [addr])
                 messages.append(str(excinfo.value))
@@ -286,8 +272,8 @@ class TestEdgeSemantics:
         builder.ret()
         for addr in (0, 250):  # 250: second lane crosses the 256-byte end
             messages = []
-            for engine in ("scalar", "batched"):
-                interp = make_interpreter(module, engine, memory=Memory(256))
+            for engine in ENGINES:
+                interp = engine(module, memory=Memory(256))
                 with pytest.raises(MemoryError_) as excinfo:
                     interp.run("f", [addr, (1, 2)])
                 messages.append(str(excinfo.value))
@@ -304,8 +290,8 @@ class TestEdgeSemantics:
         builder.ret(builder.load(function.arguments[0]))
         for addr in self.SCALAR_OOB_ADDRESSES:
             errors = []
-            for engine in ("scalar", "batched"):
-                interp = make_interpreter(module, engine, memory=Memory(256))
+            for engine in ENGINES:
+                interp = engine(module, memory=Memory(256))
                 with pytest.raises(MemoryError_) as excinfo:
                     interp.run("f", [addr])
                 errors.append((type(excinfo.value), str(excinfo.value)))
@@ -320,9 +306,9 @@ class TestEdgeSemantics:
         builder.ret()
         for addr in self.SCALAR_OOB_ADDRESSES:
             states = []
-            for engine in ("scalar", "batched"):
+            for engine in ENGINES:
                 memory = Memory(256)
-                interp = make_interpreter(module, engine, memory=memory)
+                interp = engine(module, memory=memory)
                 with pytest.raises(MemoryError_) as excinfo:
                     interp.run("f", [addr, -1])  # all-ones bytes
                 states.append((
@@ -353,10 +339,7 @@ class TestEdgeSemantics:
                 want = element.wrap(python_op(a, b))
             else:
                 want = tuple(element.wrap(python_op(x, y)) for x, y in zip(a, b))
-            results = [
-                make_interpreter(module, engine).run("f", [a, b])
-                for engine in ("scalar", "batched")
-            ]
+            results = [engine(module).run("f", [a, b]) for engine in ENGINES]
             assert results[0] == results[1] == want, (a, b)
 
     def test_integer_add_on_float_operand_traps_alike(self):
@@ -370,9 +353,9 @@ class TestEdgeSemantics:
         total.set_operand(1, function.arguments[1])
         builder.ret(total)
         messages = []
-        for engine in ("scalar", "batched"):
+        for engine in ENGINES:
             with pytest.raises(TrapError) as excinfo:
-                make_interpreter(module, engine).run("f", [3, 0.5])
+                engine(module).run("f", [3, 0.5])
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
 
@@ -380,8 +363,8 @@ class TestEdgeSemantics:
         module = _loop_module()
         for budget in (1, 7, 50, 137):
             states = []
-            for engine in ("scalar", "batched"):
-                interp = make_interpreter(module, engine, max_steps=budget)
+            for engine in ENGINES:
+                interp = engine(module, max_steps=budget)
                 with pytest.raises(BudgetExceededError) as excinfo:
                     interp.run("count", [10**9])
                 states.append((interp.executed_instructions, str(excinfo.value)))
@@ -390,8 +373,8 @@ class TestEdgeSemantics:
     def test_budget_not_hit_matches(self):
         module = _loop_module()
         outs = []
-        for engine in ("scalar", "batched"):
-            interp = make_interpreter(module, engine, max_steps=10_000)
+        for engine in ENGINES:
+            interp = engine(module, max_steps=10_000)
             interp.run("count", [10])
             outs.append((interp.executed_instructions, interp.read_global("A")))
         assert outs[0] == outs[1]

@@ -189,7 +189,6 @@ class TestBuildInfo:
             line for line in text.splitlines()
             if line.startswith("repro_build_info{")
         )
-        assert 'engine="' in line
         assert 'fingerprint="' in line
         assert 'format="' in line
         assert line.endswith("} 1")
@@ -324,6 +323,32 @@ class TestServiceBenchTracing:
                 run = traced[kernel_name][config_name]
                 assert run.cycles == expected.cycles, (kernel_name, config_name)
                 assert run.outputs == expected.outputs
+
+    def test_ephemeral_pool_compiles_on_every_worker(self):
+        """A pool started for one call balances pairs by load.  Pinned by
+        kernel name, both motivating kernels hash to one of two workers
+        and the other idles."""
+        kernels = [kernel_named(name) for name in MOTIVATING]
+        serial = run_suite_parallel(kernels, jobs=1)
+        session = traced_session(name="t-ephemeral-balance")
+        with use_session(session):
+            parallel = run_suite_parallel(kernels, jobs=2)
+        pids = {event.pid for event in spans_named(session, "compile")}
+        assert len(pids) == 2 and 0 not in pids, pids
+
+        def row(run):
+            return (
+                run.cycles, run.instructions, run.vectorized_graphs,
+                run.attempted_graphs, run.node_count,
+                run.aggregate_node_size, run.average_node_size,
+                run.outputs, run.correct, run.counters,
+            )
+
+        for kernel_name, matrix in serial.items():
+            for config_name, expected in matrix.items():
+                assert row(parallel[kernel_name][config_name]) == row(
+                    expected
+                ), (kernel_name, config_name)
 
 
 class TestIntrospection:
