@@ -1548,7 +1548,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         metavar="DIR",
         help="with --service: shared cross-worker cache directory "
-        "(compile artifacts + bench-pair results, LRU-bounded)",
+        "(compile artifacts + bench-pair results, unbounded)",
     )
     p_bench.add_argument(
         "--service-timeout",
@@ -1591,7 +1591,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="LRU size bound per cache namespace (default: unbounded)",
+        help="entries kept per cache namespace: a write past the bound "
+        "evicts the entries read or written least recently (default: "
+        "unbounded)",
     )
     p_serve.add_argument(
         "--max-pending",

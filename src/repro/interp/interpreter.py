@@ -77,12 +77,6 @@ class BudgetExceededError(InterpreterError):
     """
 
 
-def _elementwise(op, a, b):
-    if isinstance(a, tuple):
-        return tuple(op(x, y) for x, y in zip(a, b))
-    return op(a, b)
-
-
 _INTRINSIC_IMPL = {
     "sqrt": lambda a: math.sqrt(a) if a >= 0 else math.nan,
     "fabs": abs,

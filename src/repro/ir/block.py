@@ -51,9 +51,6 @@ class BasicBlock:
     def insert_before(self, anchor: Instruction, inst: Instruction) -> Instruction:
         return self.insert_at(self.index_of(anchor), inst)
 
-    def insert_after(self, anchor: Instruction, inst: Instruction) -> Instruction:
-        return self.insert_at(self.index_of(anchor) + 1, inst)
-
     def remove(self, inst: Instruction) -> None:
         self.instructions.remove(inst)
         inst.parent = None

@@ -213,11 +213,6 @@ class Instruction(User):
             self.parent.remove(self)
         block.insert_before(other, self)
 
-    def index_in_block(self) -> int:
-        if self.parent is None:
-            raise ValueError("detached instruction has no index")
-        return self.parent.index_of(self)
-
     # -- classification -------------------------------------------------------
 
     @property
@@ -600,8 +595,3 @@ class PhiInst(Instruction):
             if pred is block:
                 return value
         raise KeyError(f"phi has no incoming edge from {block.name}")
-
-
-def make_binary(opcode: Opcode, lhs: Value, rhs: Value, name: str = "") -> BinaryInst:
-    """Convenience constructor used by the builder and the folding pass."""
-    return BinaryInst(opcode, lhs, rhs, name)

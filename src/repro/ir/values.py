@@ -148,10 +148,6 @@ class User(Value):
         # ``set_operand(i, b)`` may have been a no-op if a is b; handle both.
         self.set_operand(j, a)
 
-    def operand_index_of(self, value: Value) -> int:
-        """First operand slot holding ``value`` (ValueError if absent)."""
-        return [use.value for use in self._operands].index(value)
-
     def drop_all_references(self) -> None:
         """Detach this user from every operand (used when erasing, and
         when the owning function is freed).  A record its operand's use

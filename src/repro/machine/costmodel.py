@@ -155,9 +155,6 @@ class CostModel:
         """Building a vector out of N arbitrary scalars (N inserts)."""
         return self.insert_cost * vec_type.count
 
-    def extract_all_cost(self, vec_type: VectorType) -> float:
-        return self.extract_cost * vec_type.count
-
     # -- SLP node-level savings ------------------------------------------------------
 
     def scalarized_cost(self, opcode: Opcode, type_: Type, lanes: int) -> float:

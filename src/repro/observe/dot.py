@@ -24,7 +24,6 @@ why they are not re-exported from ``repro.observe``).
 from __future__ import annotations
 
 import html
-import json
 from typing import Dict, List, Optional
 
 #: bundle-kind fill colors, keyed by NodeKind.value (paper figure style:
@@ -178,10 +177,6 @@ def graph_to_json(graph) -> Dict[str, object]:
             for r in getattr(graph, "supernodes", [])
         ],
     }
-
-
-def dump_json(graph) -> str:
-    return json.dumps(graph_to_json(graph), indent=2, sort_keys=True)
 
 
 # -- Multi-/Super-Node lane chains ------------------------------------------------

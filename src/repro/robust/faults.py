@@ -120,8 +120,8 @@ FAULT_SITES: Dict[str, FaultSite] = {
             "service",
         ),
         FaultSite(
-            "serve.cache.index",
-            "shared-store recency index scribbled with garbage",
+            "serve.cache.entry",
+            "shared-store entry file scribbled with garbage before a read",
             ("corrupt",),
             "service",
         ),
@@ -161,7 +161,7 @@ WORKER_SIDE_SITES: Tuple[str, ...] = (
     "serve.worker.stall",
     "serve.task.error",
     "serve.pipe.frame",
-    "serve.cache.index",
+    "serve.cache.entry",
 )
 
 
@@ -230,14 +230,8 @@ class FaultInjector:
         self.armed[site] = plan
         return plan
 
-    def disarm(self, site: str) -> None:
-        self.armed.pop(site, None)
-
     def disarm_all(self) -> None:
         self.armed.clear()
-
-    def plan_for(self, site: str) -> Optional[FaultPlan]:
-        return self.armed.get(site)
 
     # -- the hook instrumented code calls ---------------------------------
 

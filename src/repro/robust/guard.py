@@ -152,10 +152,6 @@ def resolve_ladder(
     return [requested] + configs
 
 
-class _AttemptFailed(Exception):
-    """Internal: this ladder rung could not produce verified IR."""
-
-
 def _classify(exc: BaseException) -> Tuple[str, str]:
     if isinstance(exc, VerificationError):
         return "verifier", str(exc)

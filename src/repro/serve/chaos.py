@@ -54,13 +54,14 @@ DEFAULT_FUZZ_PROGRAMS = 16
 SOCKET_REQUESTS = 6
 
 #: counter that witnesses a worker-side fault actually fired (the plan
-#: state lives in the worker process; the parent sees only the fallout)
+#: state lives in the worker process; the parent sees only the fallout:
+#: a scribbled cache entry, for one, is read back as a corrupt entry)
 _SITE_EVIDENCE: Dict[str, str] = {
     "serve.worker.crash": "serve.worker_crashes",
     "serve.worker.stall": "serve.wedged_workers",
     "serve.task.error": "serve.errors",
     "serve.pipe.frame": "serve.bad_frames",
-    "serve.cache.index": "cache.index_rebuilds",
+    "serve.cache.entry": "cache.corrupt_entries",
 }
 
 
@@ -78,8 +79,8 @@ class ChaosScenario:
     #: service worker slots; 1 + retries=0 forces the defunct path
     workers: int = 2
     retries: int = 1
-    #: give the service a shared cache directory (``serve.cache.index``
-    #: only fires inside ``SharedJsonStore.put``)
+    #: give the service a shared cache directory (``serve.cache.entry``
+    #: only fires inside ``SharedJsonStore.get``)
     with_cache_dir: bool = False
 
 
@@ -105,7 +106,7 @@ def chaos_scenarios() -> List[ChaosScenario]:
             "pipe-frame-bench", "serve.pipe.frame", "corrupt", "bench"
         ),
         ChaosScenario(
-            "cache-index-bench", "serve.cache.index", "corrupt", "bench",
+            "cache-entry-bench", "serve.cache.entry", "corrupt", "bench",
             with_cache_dir=True,
         ),
         ChaosScenario(

@@ -469,6 +469,3 @@ class WorkerPool:
                     pass
         self.workers = []
         self._started = False
-
-    def alive_count(self) -> int:
-        return sum(1 for worker in self.workers if worker.alive())

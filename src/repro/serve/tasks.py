@@ -9,10 +9,13 @@ objects.
 
 :class:`WorkerState` is the per-worker context: the slot index, the warm
 :class:`~repro.observe.session.CompilerSession`, and (when the service
-was given a cache directory) two lazily-opened shared stores:
+was given a cache directory) two lazily-opened namespaces of the shared
+on-disk store, which every worker reads and writes directly (a worker
+keeps no copy of its own):
 
 * the :class:`~repro.vectorizer.cache.CompileCache` (namespace
-  ``compile``) memoizing raw compiles for the ``compile`` wire kind, and
+  ``compile``) memoizing raw compiles for the ``compile`` wire kind,
+  whose reply says ``cached`` exactly when the lookup was a hit, and
 * a bench *result* store (namespace ``bench-task``) memoizing whole
   :class:`~repro.bench.runner.KernelRun` outcomes for ``bench-pair``
   tasks.
@@ -277,7 +280,7 @@ def _compile_task(payload, state: WorkerState):
         "vectorized": vectorized,
         "attempted": attempted,
         "compile_seconds": result.compile_seconds,
-        "cached": cache is not None and cache.last_lookup in ("memory", "disk"),
+        "cached": cache is not None and cache.last_lookup == "hit",
         "counters": dict(result.counters),
     }
 

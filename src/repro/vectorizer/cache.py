@@ -15,17 +15,17 @@ deterministic field; ``compile_seconds``/``phase_seconds`` are replayed
 from the original measurement (they describe the compile that produced
 the artifact, not the lookup).
 
-On-disk persistence is provided by :class:`SharedJsonStore`, a
-file-locked, LRU-bounded JSON document store designed for *concurrent
-writers*: all workers of a :mod:`repro.serve` pool (and successive
-service runs) point at the same directory, so one worker's cold compile
-becomes every other worker's hit.  Entries record the writing process's
-pid, which lets a reader count ``cache.cross_worker_hits``.  Truncated
-or garbage entries are deleted and treated as misses
-(``cache.corrupt_entries``), never raised.  When the store holds more
-than ``max_entries`` documents the least-recently-used ones are evicted
-(``cache.evictions``); recency is tracked in a ``.index.json`` touched
-under the lock on every hit.
+Results persist in a :class:`SharedJsonStore`, a JSON document store
+designed for *concurrent writers*: all workers of a :mod:`repro.serve`
+pool (and successive service runs) point at the same directory, so one
+worker's cold compile becomes every other worker's hit.  Each entry is
+one file and the only record of its result: it carries the writing
+process's pid, which lets a reader count ``cache.cross_worker_hits``,
+and its modification time is its recency stamp, set on every write and
+every hit.  Truncated or garbage entries are deleted and treated as
+misses (``cache.corrupt_entries``), never raised.  When a bounded store
+holds more than ``max_entries`` documents, the ones with the oldest
+stamps are evicted (``cache.evictions``).
 
 Hits and misses are counted through the ambient
 :class:`~repro.observe.session.CompilerSession` via ``cache.hits`` /
@@ -67,9 +67,6 @@ STAT_CORRUPT = STAT(
 STAT_CROSS_WORKER = STAT(
     "cache.cross_worker_hits", "disk hits on entries written by another process"
 )
-STAT_INDEX_REBUILDS = STAT(
-    "cache.index_rebuilds", "recency indexes found corrupt and rebuilt from mtimes"
-)
 
 #: bump when the serialized entry layout changes; stale-version entries
 #: on disk are treated as misses rather than deserialization errors
@@ -78,22 +75,16 @@ CACHE_FORMAT = 2
 _SOURCE_FINGERPRINT: Optional[str] = None
 
 
-def repro_source_fingerprint(refresh: bool = False) -> str:
+def repro_source_fingerprint() -> str:
     """Content hash of every ``repro`` source module, cached per process.
 
     Folded into cache keys so a persistent cache directory survives a
     code change *safely*: entries written by an older checkout simply
     stop matching and recompile, instead of replaying counters/reports
-    the current compiler would no longer produce.  The
-    ``REPRO_SOURCE_FINGERPRINT`` environment variable overrides the
-    computed value (tests use it to simulate a code change without
-    editing files).
+    the current compiler would no longer produce.
     """
     global _SOURCE_FINGERPRINT
-    override = os.environ.get("REPRO_SOURCE_FINGERPRINT")
-    if override:
-        return override
-    if _SOURCE_FINGERPRINT is None or refresh:
+    if _SOURCE_FINGERPRINT is None:
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         hasher = hashlib.sha256()
         for dirpath, dirnames, filenames in os.walk(root):
@@ -244,15 +235,18 @@ def _unlock_file(handle) -> None:
 
 
 class SharedJsonStore:
-    """File-locked, LRU-bounded JSON document store shared across processes.
+    """JSON document store shared across processes, one file per entry.
 
-    One ``<key>.json`` file per document, written atomically
+    Each document is one ``<key>.json`` file, written atomically
     (tmp + ``os.replace``) and wrapped as ``{"pid": writer, "doc": ...}``
-    so readers can tell cross-process hits from own-process ones.  A
-    ``.index.json`` recency map, mutated only under an ``flock`` on
-    ``.lock``, drives least-recently-used eviction once the store exceeds
-    ``max_entries``.  The index is advisory: if it is missing or corrupt
-    it is rebuilt from directory mtimes, so deleting it never loses data.
+    so readers can tell cross-process hits from own-process ones.  The
+    file is the entry's only record: its modification time is its
+    recency stamp, set explicitly (``time.time_ns()``) on every ``put``
+    and every hit, so two operations microseconds apart still order.
+    Reads take no lock and touch only their own entry.  A bounded
+    ``put`` evicts the entries with the oldest stamps under an ``flock``
+    on ``.lock``; an unbounded one never scans the directory.  Dotfiles
+    are never entries.
 
     ``get`` never raises on bad entries — a truncated or garbage file is
     deleted, counted via ``cache.corrupt_entries``, and reported as a
@@ -267,12 +261,10 @@ class SharedJsonStore:
         max_entries: Optional[int] = None,
     ) -> None:
         self.directory = os.path.join(directory, namespace)
-        self.namespace = namespace
         self.max_entries = max_entries
         self.last_get: str = "miss"
         os.makedirs(self.directory, exist_ok=True)
         self._lock_path = os.path.join(self.directory, ".lock")
-        self._index_path = os.path.join(self.directory, ".index.json")
 
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.json")
@@ -287,69 +279,54 @@ class SharedJsonStore:
             _unlock_file(handle)
             handle.close()
 
-    # -- recency index (call only under the lock) --
-
-    def _read_index(self) -> Dict[str, float]:
-        corrupt = False
+    @staticmethod
+    def _stamp(path: str) -> None:
+        """Set ``path``'s recency stamp to now; an entry another process
+        evicted in the meantime has nothing left to stamp."""
+        now = time.time_ns()
         try:
-            with open(self._index_path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-            entries = data.get("entries") if isinstance(data, dict) else None
-            if isinstance(entries, dict):
-                return {str(key): float(stamp) for key, stamp in entries.items()}
-            corrupt = True
-        except FileNotFoundError:
-            pass  # fresh store: no index yet, nothing to recover from
-        except (OSError, ValueError, TypeError):
-            corrupt = True
-        if corrupt:
-            session = current_session()
-            STAT_INDEX_REBUILDS.resolve(session.stats).add()
-            session.tracer.remark(
-                "recovery", "cache",
-                f"recency index for {self.namespace!r} store was corrupt; "
-                f"rebuilt from entry mtimes (no documents lost)",
-                namespace=self.namespace,
-            )
-        # Rebuild from directory mtimes: the index is a hint, not truth.
-        entries: Dict[str, float] = {}
-        for name in os.listdir(self.directory):
-            if name.startswith(".") or not name.endswith(".json"):
-                continue
-            try:
-                entries[name[:-5]] = os.path.getmtime(
-                    os.path.join(self.directory, name)
-                )
-            except OSError:
-                continue
-        return entries
+            os.utime(path, ns=(now, now))
+        except OSError:
+            pass
 
-    def _write_index(self, entries: Dict[str, float]) -> None:
-        tmp = f"{self._index_path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            # dumps runs the C encoder; dump streams through the Python one
-            handle.write(json.dumps({"entries": entries}))
-        os.replace(tmp, self._index_path)
-
-    def _touch(self, key: str) -> None:
-        with self._locked():
-            entries = self._read_index()
-            entries[key] = time.time()
-            self._write_index(entries)
-
-    def _fire_index_fault(self) -> None:
-        """``serve.cache.index`` fault hook: scribble garbage over the
-        recency index so the next ``_read_index`` exercises the rebuild
-        path.  One attribute check when nothing is armed."""
+    def _fire_entry_fault(self, path: str) -> None:
+        """``serve.cache.entry`` fault hook: leave garbage at the entry's
+        path so the read that follows takes the corrupt-as-miss path.
+        One attribute check when nothing is armed."""
         faults = current_session().faults
         if faults is None or not getattr(faults, "armed", None):
             return
 
         def _scribble() -> None:
-            with open(self._index_path, "w", encoding="utf-8") as handle:
-                handle.write('{"entries": {truncated garbage')
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write('{"pid": 0, "doc": {truncated garbage')
 
-        faults.fire("serve.cache.index", corrupt=_scribble)
+        faults.fire("serve.cache.entry", corrupt=_scribble)
+
+    def _evict(self, keep: str) -> None:
+        """Drop the oldest-stamped entries until at most ``max_entries``
+        remain, never ``keep``.  Call only under the lock."""
+        stamps: Dict[str, int] = {}
+        with os.scandir(self.directory) as scan:
+            for entry in scan:
+                name = entry.name
+                if name.startswith(".") or not name.endswith(".json"):
+                    continue
+                try:
+                    stamps[name[:-5]] = entry.stat().st_mtime_ns
+                except OSError:  # removed since the listing
+                    continue
+        excess = len(stamps) - self.max_entries
+        if excess <= 0:
+            return
+        stamps.pop(keep, None)
+        stat = STAT_EVICTIONS.resolve(current_session().stats)
+        for victim in sorted(stamps, key=stamps.__getitem__)[:excess]:
+            try:
+                os.remove(self._path(victim))
+            except OSError:
+                continue
+            stat.add()
 
     # -- public API --
 
@@ -357,6 +334,7 @@ class SharedJsonStore:
         """Stored document for ``key`` or None; never raises on bad data."""
         stats = current_session().stats
         path = self._path(key)
+        self._fire_entry_fault(path)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 wrapper = json.load(handle)
@@ -372,34 +350,22 @@ class SharedJsonStore:
             return None
         if writer_pid != os.getpid():
             STAT_CROSS_WORKER.resolve(stats).add()
-        self._touch(key)
+        self._stamp(path)
         self.last_get = "hit"
         return doc
 
     def put(self, key: str, doc: Dict[str, object]) -> None:
-        """Store ``doc`` under ``key``, evicting LRU entries over the cap."""
-        stats = current_session().stats
+        """Store ``doc`` under ``key``, evicting the oldest entries over
+        the cap."""
         path = self._path(key)
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(json.dumps({"pid": os.getpid(), "doc": doc}))
         os.replace(tmp, path)
-        with self._locked():
-            self._fire_index_fault()
-            entries = self._read_index()
-            entries[key] = time.time()
-            if self.max_entries is not None:
-                while len(entries) > self.max_entries:
-                    oldest = min(entries, key=entries.get)
-                    if oldest == key:  # never evict what we just wrote
-                        break
-                    entries.pop(oldest)
-                    try:
-                        os.remove(self._path(oldest))
-                    except OSError:
-                        pass
-                    STAT_EVICTIONS.resolve(stats).add()
-            self._write_index(entries)
+        self._stamp(path)
+        if self.max_entries is not None:
+            with self._locked():
+                self._evict(key)
 
     def discard(self, key: str) -> None:
         """Drop ``key`` (used for corrupt entries); missing keys are fine."""
@@ -407,10 +373,6 @@ class SharedJsonStore:
             os.remove(self._path(key))
         except OSError:
             pass
-        with self._locked():
-            entries = self._read_index()
-            if entries.pop(key, None) is not None:
-                self._write_index(entries)
 
     def keys(self) -> list:
         return sorted(
@@ -427,69 +389,39 @@ class SharedJsonStore:
 
 
 class CompileCache:
-    """In-memory compile cache with optional shared on-disk persistence.
+    """Compile cache over a shared on-disk store.
 
-    With ``directory=None`` entries live only in this process.  With a
-    directory, entries are also written through a :class:`SharedJsonStore`
-    (namespace ``compile``) and lookups fall back to disk on an in-memory
-    miss, so a warm directory survives process boundaries and is safely
-    shared by concurrent service workers (the CI warm/hit check relies on
-    this).  ``max_entries`` bounds the *on-disk* store with LRU eviction;
-    the in-memory layer mirrors only what this process touched.
+    Entries live in a :class:`SharedJsonStore` (namespace ``compile``)
+    under ``directory``, so a warm directory survives process boundaries
+    and is safely shared by concurrent service workers (the CI warm/hit
+    check relies on this).  The store is the only layer: every lookup
+    reads the entry file, and ``max_entries`` bounds the store with
+    least-recently-used eviction.
 
     ``last_lookup`` reports how the most recent :meth:`lookup` resolved:
-    ``"memory"``, ``"disk"``, ``"miss"``, ``"stale"`` (format-version
-    mismatch) or ``"corrupt"`` (garbage on disk, deleted and treated as a
-    miss).
+    ``"hit"``, ``"miss"``, ``"stale"`` (format-version mismatch) or
+    ``"corrupt"`` (garbage on disk, deleted and treated as a miss).
     """
 
-    def __init__(
-        self,
-        directory: Optional[str] = None,
-        max_entries: Optional[int] = None,
-    ) -> None:
-        self.directory = directory
-        self.max_entries = max_entries
+    def __init__(self, directory: str, max_entries: Optional[int] = None) -> None:
         self.last_lookup: str = "miss"
-        self._entries: Dict[str, Dict[str, object]] = {}
-        self._store: Optional[SharedJsonStore] = None
-        if directory is not None:
-            self._store = SharedJsonStore(
-                directory, namespace="compile", max_entries=max_entries
-            )
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def shared_store(self) -> Optional[SharedJsonStore]:
-        return self._store
+        self._store = SharedJsonStore(
+            directory, namespace="compile", max_entries=max_entries
+        )
 
     def lookup(self, key: str) -> Optional[CompilationResult]:
         """Return the cached result for ``key``, or None."""
-        entry = self._entries.get(key)
-        self.last_lookup = "memory"
-        if entry is None and self._store is not None:
-            candidate = self._store.get(key)
-            self.last_lookup = self._store.last_get  # "hit"/"miss"/"corrupt"
-            if candidate is not None:
-                if candidate.get("format") == CACHE_FORMAT:
-                    entry = candidate
-                    self._entries[key] = entry
-                    self.last_lookup = "disk"
-                else:
-                    self.last_lookup = "stale"
+        entry = self._store.get(key)
+        self.last_lookup = self._store.last_get  # "hit"/"miss"/"corrupt"
         if entry is None:
-            if self.last_lookup in ("memory", "hit"):
-                self.last_lookup = "miss"
+            return None
+        if entry.get("format") != CACHE_FORMAT:
+            self.last_lookup = "stale"
             return None
         return result_from_json(entry)
 
     def store(self, key: str, result: CompilationResult) -> None:
-        entry = result_to_json(result)
-        self._entries[key] = entry
-        if self._store is not None:
-            self._store.put(key, entry)
+        self._store.put(key, result_to_json(result))
 
 
 def cached_compile_module(

@@ -203,12 +203,12 @@ class TestMetricsOffBitIdentical:
 
 
 class TestCacheHitRateGauge:
-    def test_hit_rate_gauge_tracks_lookups(self):
+    def test_hit_rate_gauge_tracks_lookups(self, tmp_path):
         from repro.vectorizer.cache import CompileCache, cached_compile_module
 
         session = CompilerSession(name="cache-metrics")
         session.metrics.enable()
-        cache = CompileCache()
+        cache = CompileCache(str(tmp_path))
         module = kernel_named("motiv-leaf-reorder").build
         with use_session(session):
             cached_compile_module(module(), SNSLP_CONFIG, cache=cache)
@@ -217,7 +217,7 @@ class TestCacheHitRateGauge:
         assert session.metrics.gauges["cache.hit_rate"] == 0.5
         assert session.metrics.histograms["cache.lookup.seconds"].count == 2
 
-    def test_no_gauge_when_metrics_disabled(self):
+    def test_no_gauge_when_metrics_disabled(self, tmp_path):
         from repro.vectorizer.cache import CompileCache, cached_compile_module
 
         session = CompilerSession(name="cache-plain")
@@ -225,7 +225,7 @@ class TestCacheHitRateGauge:
             cached_compile_module(
                 kernel_named("motiv-leaf-reorder").build(),
                 SNSLP_CONFIG,
-                cache=CompileCache(),
+                cache=CompileCache(str(tmp_path)),
             )
         assert session.metrics.gauges == {}
 

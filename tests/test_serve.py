@@ -60,7 +60,14 @@ from repro.serve.wire import (
     SocketServer,
     serve_stream,
 )
-from repro.vectorizer import SNSLP_CONFIG, CompileCache, cached_compile_module
+from repro.vectorizer import (
+    LSLP_CONFIG,
+    O3_CONFIG,
+    SNSLP_CONFIG,
+    CompileCache,
+    cached_compile_module,
+    compile_module,
+)
 from repro.vectorizer.cache import (
     SharedJsonStore,
     cache_key,
@@ -69,6 +76,9 @@ from repro.vectorizer.cache import (
 
 MOTIVATING = ("motiv-leaf-reorder", "motiv-trunk-reorder")
 
+#: the per-process source fingerprint folded into every cache key
+FINGERPRINT = "repro.vectorizer.cache._SOURCE_FINGERPRINT"
+
 #: a cold bench pair: (kernel, config, target, seed, mask, journal) —
 #: the same PairPayload the bench driver ships
 PAIR = ("motiv-leaf-reorder", "SN-SLP", "skylake-like", DEFAULT_SEED, 0, False)
@@ -76,6 +86,20 @@ PAIR = ("motiv-leaf-reorder", "SN-SLP", "skylake-like", DEFAULT_SEED, 0, False)
 
 def service_session() -> CompilerSession:
     return CompilerSession(name="test-serve")
+
+
+def _store_stress_worker(directory, worker, start, rounds, max_entries, keys):
+    """Put and get overlapping keys of one bounded store; exit non-zero
+    on a read that returns another key's document or finds a torn one."""
+    store = SharedJsonStore(directory, namespace="t", max_entries=max_entries)
+    start.wait(timeout=60)  # every worker imported: run the rounds together
+    for index in range(rounds):
+        key = f"k{(worker * 5 + index) % keys}"
+        store.put(key, {"key": key, "worker": worker, "pad": "x" * 2048})
+        wanted = f"k{(index * 3) % keys}"
+        doc = store.get(wanted)
+        if store.last_get == "corrupt" or (doc is not None and doc["key"] != wanted):
+            sys.exit(3)
 
 
 class TestServiceLifecycle:
@@ -305,11 +329,6 @@ class TestSharedStore:
         json.dump({"pid": os.getpid(), "doc": doc}, expected)
         with open(store._path("doc"), encoding="utf-8") as handle:
             assert handle.read() == expected.getvalue()
-        with open(store._index_path, encoding="utf-8") as handle:
-            index = handle.read()
-        expected = io.StringIO()
-        json.dump(json.loads(index), expected)
-        assert index == expected.getvalue()
 
     def test_cross_worker_hits_are_counted(self, tmp_path):
         session = service_session()
@@ -331,8 +350,8 @@ class TestSharedStore:
             cold = cached_compile_module(
                 module, SNSLP_CONFIG, cache=CompileCache(str(tmp_path)),
             )
-        fresh = CompileCache(str(tmp_path))  # empty memory layer
-        with open(fresh.shared_store._path(key), "w") as handle:
+        fresh = CompileCache(str(tmp_path))
+        with open(fresh._store._path(key), "w") as handle:
             handle.write("not json at all")
         session = CompilerSession(name="corrupt")
         session.tracer.enable(REMARK)
@@ -350,7 +369,91 @@ class TestSharedStore:
         # the poisoned file is gone and the recompile re-seeded the store
         warm = CompileCache(str(tmp_path))
         assert warm.lookup(key) is not None
-        assert warm.last_lookup == "disk"
+        assert warm.last_lookup == "hit"
+
+    def test_hot_entry_survives_eviction(self, tmp_path):
+        """Hits refresh an entry's recency on disk: an entry looked up
+        since a colder one was stored outlives it, and the namespace
+        never holds more entries than the bound."""
+        module = kernel_named(MOTIVATING[0]).build()
+        configs = (SNSLP_CONFIG, LSLP_CONFIG, O3_CONFIG)  # A, B, C
+        keys = [cache_key(module, config) for config in configs]
+        results = [compile_module(module, config) for config in configs]
+        namespace = tmp_path / "compile"
+
+        def entries():
+            return sorted(
+                name[:-5] for name in os.listdir(namespace)
+                if name.endswith(".json") and not name.startswith(".")
+            )
+
+        held = []
+        with use_session(service_session()):
+            cache = CompileCache(str(tmp_path), max_entries=2)
+            for key, result in zip(keys[:2], results[:2]):
+                cache.store(key, result)
+                held.append(len(entries()))
+                time.sleep(0.01)  # distinct recency stamps
+            for _ in range(3):
+                assert cache.lookup(keys[0]) is not None
+                held.append(len(entries()))
+                time.sleep(0.01)
+            cache.store(keys[2], results[2])
+            held.append(len(entries()))
+        assert entries() == sorted([keys[0], keys[2]])  # B was the LRU entry
+        assert max(held) <= 2
+
+    def test_hit_touches_only_its_own_entry(self, tmp_path):
+        """A hit rewrites nothing: every file in the namespace, dotfiles
+        included, keeps its name, size and mtime except the entry read,
+        whose mtime alone moves."""
+
+        def snapshot(directory):
+            files = {
+                name: os.stat(os.path.join(directory, name))
+                for name in os.listdir(directory)
+            }
+            return {
+                name: (stat.st_size, stat.st_mtime_ns)
+                for name, stat in files.items()
+            }
+
+        with use_session(service_session()):
+            store = SharedJsonStore(str(tmp_path), namespace="t", max_entries=4)
+            for key in ("a", "b", "c"):
+                store.put(key, {"value": key})
+            time.sleep(0.01)  # distinct recency stamps
+            before = snapshot(store.directory)
+            assert store.get("b") == {"value": "b"}
+            after = snapshot(store.directory)
+        assert set(after) == set(before)
+        changed = {name for name in before if before[name] != after[name]}
+        assert changed == {"b.json"}
+        assert after["b.json"][0] == before["b.json"][0]
+        assert after["b.json"][1] > before["b.json"][1]
+
+    def test_concurrent_writers_and_lock_free_readers(self, tmp_path):
+        """More worker processes than cores hammer one bounded store:
+        no read sees a torn or foreign document, nothing raises, and
+        once every put has evicted the namespace is within its bound."""
+        context = multiprocessing.get_context("spawn")
+        count = min(8, (os.cpu_count() or 2) + 2)
+        start = context.Barrier(count)
+        workers = [
+            context.Process(
+                target=_store_stress_worker,
+                args=(str(tmp_path), worker, start, 300, 6, 16),
+            )
+            for worker in range(count)
+        ]
+        for process in workers:
+            process.start()
+        for process in workers:
+            process.join(timeout=120)
+        assert not any(process.is_alive() for process in workers)
+        assert [process.exitcode for process in workers] == [0] * len(workers)
+        store = SharedJsonStore(str(tmp_path), namespace="t")
+        assert 0 < len(store) <= 6
 
     def test_cache_shared_across_services(self, tmp_path):
         """Two successive services over one cache directory: the second
@@ -810,15 +913,16 @@ class TestWireHardening:
 
 class TestSourceFingerprint:
     def test_cache_key_folds_source_fingerprint(self, monkeypatch):
-        """Simulated code change (env override) → different cache keys,
-        so persistent stores warmed by an older checkout miss cleanly."""
+        """Simulated code change (patched fingerprint) → different cache
+        keys, so persistent stores warmed by an older checkout miss
+        cleanly."""
         module = kernel_named(MOTIVATING[0]).build()
-        monkeypatch.setenv("REPRO_SOURCE_FINGERPRINT", "checkout-a")
+        monkeypatch.setattr(FINGERPRINT, "checkout-a")
         key_a = cache_key(module, SNSLP_CONFIG)
-        monkeypatch.setenv("REPRO_SOURCE_FINGERPRINT", "checkout-b")
+        monkeypatch.setattr(FINGERPRINT, "checkout-b")
         key_b = cache_key(module, SNSLP_CONFIG)
         assert key_a != key_b
-        monkeypatch.delenv("REPRO_SOURCE_FINGERPRINT")
+        monkeypatch.setattr(FINGERPRINT, None)  # recomputed from the sources
         assert cache_key(module, SNSLP_CONFIG) not in (key_a, key_b)
 
     def test_fingerprint_is_stable_within_a_checkout(self):
@@ -829,28 +933,37 @@ class TestSourceFingerprint:
         self, tmp_path, monkeypatch
     ):
         module = kernel_named(MOTIVATING[0]).build()
-        monkeypatch.setenv("REPRO_SOURCE_FINGERPRINT", "old-checkout")
+        monkeypatch.setattr(FINGERPRINT, "old-checkout")
         with use_session(CompilerSession(name="warm")):
             cached_compile_module(
                 module, SNSLP_CONFIG, cache=CompileCache(str(tmp_path)),
             )
-        monkeypatch.setenv("REPRO_SOURCE_FINGERPRINT", "new-checkout")
+        monkeypatch.setattr(FINGERPRINT, "new-checkout")
         fresh = CompileCache(str(tmp_path))
         assert fresh.lookup(cache_key(module, SNSLP_CONFIG)) is None
 
-    def test_corrupt_recency_index_is_rebuilt_without_data_loss(
-        self, tmp_path
-    ):
+    def test_leftover_recency_index_is_ignored(self, tmp_path):
+        """An older checkout kept a ``.index.json`` recency map beside
+        the entries; a garbage one left behind is not an entry: every
+        document stays readable and eviction stays exact."""
         session = service_session()
         with use_session(session):
-            store = SharedJsonStore(str(tmp_path), namespace="t", max_entries=4)
-            store.put("a", {"value": 1})
-            with open(store._index_path, "w", encoding="utf-8") as handle:
+            store = SharedJsonStore(str(tmp_path), namespace="t", max_entries=2)
+            leftover = os.path.join(store.directory, ".index.json")
+            with open(leftover, "w", encoding="utf-8") as handle:
                 handle.write('{"entries": {truncated garbage')
+            store.put("a", {"value": 1})
+            time.sleep(0.01)  # distinct recency stamps
             store.put("b", {"value": 2})
+            time.sleep(0.01)
             assert store.get("a") == {"value": 1}
             assert store.get("b") == {"value": 2}
-        assert session.stats.value("cache.index_rebuilds") == 1
+            time.sleep(0.01)
+            store.put("c", {"value": 3})
+        assert store.keys() == ["b", "c"]  # a was the LRU entry
+        assert os.path.exists(leftover)
+        assert session.stats.value("cache.evictions") == 1
+        assert session.stats.value("cache.corrupt_entries") == 0
 
 
 class TestCLIExitCodes:
