@@ -186,7 +186,7 @@ def run_suite_parallel(
     jobs: Optional[int] = None,
     journal: bool = False,
     service=None,
-    resilience=None,
+    resilient: bool = False,
 ) -> Dict[str, Dict[str, KernelRun]]:
     """Run every (kernel, config) pair of the suite, sharded over
     processes; returns ``{kernel_name: {config_name: KernelRun}}``.
@@ -208,13 +208,12 @@ def run_suite_parallel(
     result cache across calls); without one an ephemeral service is
     started for this call.
 
-    ``resilience=`` is a
-    :class:`~repro.serve.resilience.ResiliencePolicy`: service traffic
-    then goes through a :class:`~repro.serve.resilience.ResilientExecutor`
-    (retry/backoff, circuit-breaker degradation to serial in-process
-    execution), so the suite completes with identical results even when
-    the service fails mid-run.  Only honoured on the service path; the
-    plain serial path needs no resilience.
+    ``resilient=True`` sends service traffic through a
+    :class:`~repro.serve.resilience.ResilientExecutor` (immediate
+    retries, then serial in-process execution), so the suite completes
+    with identical results even when the service fails mid-run.  Only
+    honoured on the service path; the plain serial path needs no
+    resilience.
 
     Overhead attribution: the parallel path records, into the *parent*
     session only, how much task wall clock was spent outside workers —
@@ -238,7 +237,7 @@ def run_suite_parallel(
         kernels, configs, target, seed, parent.mask, journal
     )
     outcomes = _dispatch(
-        parent, payloads, jobs, service=service, resilience=resilience
+        parent, payloads, jobs, service=service, resilient=resilient
     )
     return _assemble(kernels, configs, [run for run, _ in outcomes])
 
@@ -248,7 +247,7 @@ def _dispatch(
     payloads: Sequence[PairPayload],
     jobs: int,
     service=None,
-    resilience=None,
+    resilient: bool = False,
 ) -> List[Tuple[KernelRun, PairInfo]]:
     """Run payloads through the batch call, measuring dispatch overhead.
 
@@ -294,7 +293,7 @@ def _dispatch(
     pool_start = time.perf_counter()
     with parent.tracer.span("parallel:submit", tasks=len(payloads)):
         outcomes = run_batch(
-            tasks, jobs, parent, service=service, policy=resilience,
+            tasks, jobs, parent, service=service, resilient=resilient,
             on_done=on_done,
         )
     pool_wall = time.perf_counter() - pool_start

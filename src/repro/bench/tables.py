@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..kernels.suite import Kernel, all_kernels, table1_rows
+from ..kernels.suite import Kernel, all_kernels
 from ..machine.targets import DEFAULT_TARGET, TargetMachine
 from ..vectorizer.pipeline import compile_module
 from ..vectorizer.slp import SNSLP_CONFIG

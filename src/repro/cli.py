@@ -666,13 +666,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
     jobs = args.jobs if args.jobs is not None else default_jobs()
     service = None
-    resilience = None
-    if args.resilient:
-        if not args.service:
-            _usage("--resilient requires --service")
-        from .serve.resilience import ResiliencePolicy
-
-        resilience = ResiliencePolicy(seed=args.seed)
+    if args.resilient and not args.service:
+        _usage("--resilient requires --service")
     if args.service:
         from .serve.service import CompileService
 
@@ -695,7 +690,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             jobs=jobs,
             session=current_session(),
             service=service,
-            resilience=resilience,
+            resilient=args.resilient,
         )
     finally:
         if service is not None:
@@ -734,13 +729,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             _usage(str(exc.args[0]) if exc.args else str(exc))
     jobs = args.jobs if args.jobs is not None else default_jobs()
     service = None
-    resilience = None
-    if args.resilient:
-        if not args.service:
-            _usage("--resilient requires --service")
-        from .serve.resilience import ResiliencePolicy
-
-        resilience = ResiliencePolicy(seed=args.seed)
+    if args.resilient and not args.service:
+        _usage("--resilient requires --service")
     if args.service:
         from .serve.service import CompileService
 
@@ -756,7 +746,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         suite = run_suite_parallel(
             kernels, target=target, seed=args.seed, jobs=jobs,
             journal=args.journal_summary, service=service,
-            resilience=resilience,
+            resilient=args.resilient,
         )
     finally:
         if service is not None:
@@ -992,11 +982,9 @@ def _render_stats_dashboard(doc: Dict) -> str:
     queue = doc.get("queue_seconds") or {}
     turnaround = doc.get("turnaround_seconds") or {}
     counters = doc.get("counters") or {}
-    breaker = doc.get("breaker") or "closed"
     lines = [
         f"{doc.get('name', 'service')}: up {doc.get('uptime_seconds', 0.0):.1f}s  "
         f"{doc.get('compiles_per_sec', 0.0):.2f} compiles/sec  "
-        f"breaker {breaker}  "
         f"{doc.get('respawns', 0)} respawn(s)  "
         f"{doc.get('slow_requests', 0)} slow",
         f"  queue: {doc.get('pending', 0)} pending, "
@@ -1484,9 +1472,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument(
         "--resilient",
         action="store_true",
-        help="with --service: retry failed chunks with backoff and, when "
-        "the service circuit-breaker opens, run them serially "
-        "in-process (results stay bit-identical)",
+        help="with --service: resubmit a failed chunk at once (at most "
+        "twice), then run it serially in-process (results stay "
+        "bit-identical)",
     )
     metrics_flags(p_fuzz)
     p_fuzz.set_defaults(fn=cmd_fuzz)
@@ -1561,9 +1549,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--resilient",
         action="store_true",
-        help="with --service: retry failed pairs with backoff and, when "
-        "the service circuit-breaker opens, run them serially "
-        "in-process (results stay bit-identical)",
+        help="with --service: resubmit a failed pair at once (at most "
+        "twice), then run it serially in-process (results stay "
+        "bit-identical)",
     )
     metrics_flags(p_bench)
     p_bench.set_defaults(fn=cmd_bench)
@@ -1636,7 +1624,7 @@ def build_parser() -> argparse.ArgumentParser:
         "top",
         help="live service dashboard: poll a `repro serve --socket` "
         "instance's stats op (queue depth, per-worker utilization, "
-        "cache hit rate, p50/p99 latency, breaker state)",
+        "cache hit rate, p50/p99 latency, respawns)",
     )
     p_top.add_argument(
         "--socket",
@@ -1711,7 +1699,10 @@ def build_parser() -> argparse.ArgumentParser:
         "later laps fire the fault deeper into the run)",
     )
     p_chaos.add_argument(
-        "--seed", type=int, default=0, help="campaign seed (workloads + backoff jitter)"
+        "--seed",
+        type=int,
+        default=0,
+        help="campaign seed (the fuzz workload's programs)",
     )
     p_chaos.add_argument(
         "--kernel",

@@ -8,7 +8,7 @@ leaves for LLVM's SLP pass in the paper's examples.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from ..ir.builder import IRBuilder
 from ..ir.function import Function
@@ -31,7 +31,6 @@ from .syntax import (
     ForLoop,
     IntLiteral,
     KernelDecl,
-    Stmt,
     Ternary,
     Unary,
     VarRef,

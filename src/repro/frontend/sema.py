@@ -17,7 +17,7 @@ IR type so lowering is a mechanical walk.  Rules:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..ir.instructions import INTRINSICS
 from ..ir.types import F32, F64, I1, I32, I64, Type

@@ -76,7 +76,7 @@ from .oracle import (
     run_oracle,
     values_close,
 )
-from .reduce import ReductionResult, count_instructions, reduce_module, write_reproducer
+from .reduce import ReductionResult, reduce_module, write_reproducer
 
 # Campaign bucket counters: lazy proxies that resolve into the running
 # campaign's session (see module docstring).
@@ -364,7 +364,7 @@ def run_campaign(
     jobs: Optional[int] = None,
     session: Optional[CompilerSession] = None,
     service=None,
-    resilience=None,
+    resilient: bool = False,
 ) -> CampaignResult:
     """Run one fuzzing campaign within ``budget``.
 
@@ -376,11 +376,10 @@ def run_campaign(
     bit-identical to the serial run (see the module docstring).  Time
     budgets always run serial.
 
-    ``resilience=`` (a :class:`~repro.serve.resilience.ResiliencePolicy`)
-    routes service traffic through a
+    ``resilient=True`` routes service traffic through a
     :class:`~repro.serve.resilience.ResilientExecutor`, so the campaign
     completes with identical results even when the service fails mid-run
-    (chunks retry, then run serially in-process).
+    (chunks retry at once, then run serially in-process).
     """
     kind, amount = parse_budget(budget)
     campaign = session if session is not None else current_session().derive(
@@ -402,7 +401,7 @@ def run_campaign(
             progress,
             jobs if jobs is not None else 2,
             service=service,
-            resilience=resilience,
+            resilient=resilient,
         )
     failures: List[FailureArtifact] = []
     started = time.perf_counter()
@@ -477,7 +476,7 @@ def _run_campaign_parallel(
     progress: Optional[Callable[[str], None]],
     jobs: int,
     service=None,
-    resilience=None,
+    resilient: bool = False,
 ) -> CampaignResult:
     """Sharded count-budget campaign, merged to match the serial run.
 
@@ -502,7 +501,7 @@ def _run_campaign_parallel(
     campaign.tracer.log(
         "info", "fuzz-dispatch", "sharded fuzz campaign dispatched",
         chunks=len(chunks), programs=count, jobs=jobs,
-        resilient=resilience is not None, owns_service=service is None,
+        resilient=resilient, owns_service=service is None,
     )
     # A caller's service outlives this call, and its workers may hold
     # state such as armed faults, so there each chunk is pinned to a
@@ -523,7 +522,7 @@ def _run_campaign_parallel(
     ]
     summaries = []
     for chunk_summaries in run_batch(
-        tasks, jobs, campaign, service=service, policy=resilience
+        tasks, jobs, campaign, service=service, resilient=resilient
     ):
         summaries.extend(chunk_summaries)
 

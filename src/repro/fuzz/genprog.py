@@ -38,12 +38,12 @@ round-trip that reproducers take (see :func:`is_nonzero_global`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..ir.builder import IRBuilder
 from ..ir.module import Module
-from ..ir.types import F64, I64, FloatType, IntType
+from ..ir.types import F64, I64, IntType
 from ..ir.values import Constant, Value
 from ..kernels.seeding import SeededSpec
 from ..kernels.util import ArrayEnv, finish_module, make_straightline_kernel

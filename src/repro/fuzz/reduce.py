@@ -29,7 +29,7 @@ on every candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 from ..ir.dce import eliminate_dead_code_in_module
 from ..ir.instructions import (

@@ -35,7 +35,6 @@ from ..ir.instructions import (
     Instruction,
     LoadInst,
     Opcode,
-    PhiInst,
     RetInst,
     SelectInst,
     ShuffleVectorInst,

@@ -53,7 +53,6 @@ from ..ir.instructions import (
     Instruction,
     LoadInst,
     Opcode,
-    PhiInst,
     RetInst,
     SelectInst,
     ShuffleVectorInst,

@@ -7,7 +7,6 @@ An instruction is dead when it has no uses and no side effects.
 
 from __future__ import annotations
 
-from typing import List
 
 from .function import Function
 from .instructions import Instruction

@@ -26,7 +26,7 @@ import enum
 from typing import List, Optional, Sequence, Tuple
 
 from .types import I1, VOID, IntType, PointerType, Type, VectorType, vector_of
-from .values import Constant, User, Value
+from .values import User, Value
 
 
 class Opcode(enum.Enum):

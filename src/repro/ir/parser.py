@@ -35,7 +35,14 @@ from .instructions import (
     StoreInst,
 )
 from .module import Module
-from .types import FloatType, IntType, PointerType, Type, VOID, VectorType, parse_type
+from .types import (
+    FloatType,
+    IntType,
+    PointerType,
+    Type,
+    VectorType,
+    parse_type,
+)
 from .values import Constant, Value
 
 

@@ -37,7 +37,6 @@ from .instructions import (
     InsertElementInst,
     Instruction,
     LoadInst,
-    Opcode,
     PhiInst,
     RetInst,
     SelectInst,
@@ -45,7 +44,7 @@ from .instructions import (
     StoreInst,
 )
 from .module import Module
-from .values import Constant, Value, format_constant
+from .values import Value, format_constant
 
 
 def operand_ref(value: Value) -> str:

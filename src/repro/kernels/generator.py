@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..ir.builder import IRBuilder
-from ..ir.function import Function
 from ..ir.module import Module
-from ..ir.types import F64, I64, VOID
+from ..ir.types import F64
 from ..ir.values import Value
 from .seeding import SeededSpec
 from .util import make_loop_kernel, finish_module

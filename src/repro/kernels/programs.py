@@ -18,7 +18,7 @@ composite lands near the paper's ~2% and the rest stay within noise
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..ir.builder import IRBuilder
 from ..ir.function import Function

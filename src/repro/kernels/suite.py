@@ -12,8 +12,8 @@ see DESIGN.md, "Substitutions".
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence
 
 from ..ir.module import Module
 

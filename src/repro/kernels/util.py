@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import random
 from itertools import repeat, starmap
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List
 
 from ..ir.builder import IRBuilder
 from ..ir.function import Function
 from ..ir.instructions import CmpPredicate
 from ..ir.module import Module
-from ..ir.types import F32, F64, I64, Type, VOID
+from ..ir.types import I64, VOID
 from ..ir.values import Value
 from ..ir.verifier import verify_module
 

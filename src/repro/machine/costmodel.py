@@ -19,7 +19,7 @@ data between scalar and vector registers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 from ..ir.instructions import (
     AltBinaryInst,

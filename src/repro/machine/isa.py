@@ -9,8 +9,8 @@ family) that let ``[+,-]`` lane patterns execute without blend overhead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, List, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, List
 
 from ..ir.types import FloatType, IntType, Type
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .stats import StatsRegistry
 

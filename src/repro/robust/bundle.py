@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import json
 import os
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from ..ir.module import Module
-from ..ir.printer import print_module
 from ..ir.verifier import VerificationError
 from ..machine.targets import DEFAULT_TARGET, TargetMachine
 from ..observe.session import write_remarks

@@ -26,7 +26,7 @@ Modes:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from ..observe.session import DEFAULT_SESSION, current_session
@@ -103,13 +103,13 @@ FAULT_SITES: Dict[str, FaultSite] = {
         ),
         FaultSite(
             "serve.worker.stall",
-            "worker wedges past the heartbeat stall budget mid-task",
+            "worker wedges past the service's stall budget mid-task",
             ("stall",),
             "service",
         ),
         FaultSite(
             "serve.task.error",
-            "transient in-worker task failure (exercises client retry/backoff)",
+            "transient in-worker task failure (exercises client retry)",
             ("raise",),
             "service",
         ),

@@ -19,9 +19,8 @@ compile service (ROADMAP Open item 1):
 * :mod:`repro.serve.resilience` — the client side: ``run_batch``, the
   one batch call bench and fuzz dispatch through (an ephemeral service
   unless the caller owns one, results in task order), and the client's
-  half of the failure contract: bounded retries with deterministic
-  backoff and a circuit breaker degrading service traffic to serial
-  in-process execution (service → serial).
+  half of the failure contract: a failed task is resubmitted at once, at
+  most twice, then runs serially in-process (service → serial).
 * :mod:`repro.serve.chaos` — the ``repro chaos`` campaign arming seeded
   service faults against real bench/fuzz traffic and classifying each
   run recovered/degraded/escaped/fatal.
@@ -43,15 +42,11 @@ __all__ = [
     "ServiceUnavailable",
     "RemoteTaskError",
     "WorkerPool",
-    "ResiliencePolicy",
     "ResilientExecutor",
-    "CircuitBreaker",
     "run_batch",
 ]
 
-_RESILIENCE_NAMES = (
-    "ResiliencePolicy", "ResilientExecutor", "CircuitBreaker", "run_batch",
-)
+_RESILIENCE_NAMES = ("ResilientExecutor", "run_batch")
 
 
 def __getattr__(name: str):

@@ -8,9 +8,9 @@ happened:
 
 * ``recovered`` — the service healed itself (respawn, requeue, wedge
   kill, retry) and the results are bit-identical to the fault-free
-  baseline with no degradation-ladder descent;
+  baseline with no serial fallback;
 * ``degraded``  — results are still bit-identical, but at least one task
-  fell down the resilience ladder (``serve.degraded > 0``);
+  fell back to serial in-process execution (``serve.degraded > 0``);
 * ``escaped``   — the run completed but its results diverge from the
   baseline, or a fault/service error reached the chaos driver: the
   resilience contract is broken;
@@ -19,9 +19,9 @@ happened:
 
 ``escaped``/``fatal`` runs fail the campaign (CLI exit code 6).
 Everything is seeded: scenarios are enumerated deterministically,
-repetitions shift the fault's ``skip`` so later hits fire, the
-resilience policy's backoff jitter derives from the same seed, and bench
-pairs and fuzz chunks are pinned to workers by shard key.  A campaign
+repetitions shift the fault's ``skip`` so later hits fire, the fuzz
+workload's programs derive from the seed, and bench pairs and fuzz
+chunks are pinned to workers by shard key.  A campaign
 therefore replays: every run's status and its ``serve.degraded`` and
 ``serve.retries`` counts come out the same at one seed.  Wall times and
 ``serve.requeued`` (how many tasks sat in a worker's pipe when it died)
@@ -40,8 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..observe.session import CompilerSession, current_session, use_session
-from ..robust.faults import FAULT_SITES, FaultError, FaultInjector, WORKER_SIDE_SITES
-from .resilience import ResiliencePolicy
+from ..robust.faults import FaultError, FaultInjector, WORKER_SIDE_SITES
 from .service import CompileService, ServiceError
 
 #: default bench workload: two small kernels keep a run under a second
@@ -209,7 +208,6 @@ def _bench_workload(
     session: CompilerSession,
     kernel_names: Sequence[str],
     service: Optional[CompileService],
-    policy: Optional[ResiliencePolicy],
 ) -> str:
     """Run the bench suite; returns a fingerprint of every deterministic
     field (cycles, instruction counts, counters, outputs)."""
@@ -222,7 +220,7 @@ def _bench_workload(
             kernels,
             jobs=1 if service is None else 2,
             service=service,
-            resilience=policy,
+            resilient=service is not None,
         )
     flat = {
         f"{kernel}/{config}": {
@@ -244,7 +242,6 @@ def _fuzz_workload(
     seed: int,
     programs: int,
     service: Optional[CompileService],
-    policy: Optional[ResiliencePolicy],
 ) -> str:
     """Run a count-budget fuzz campaign; fingerprints the visited-program
     count, the failing indices, and every ``fuzz.*`` counter."""
@@ -255,7 +252,7 @@ def _fuzz_workload(
         seed=seed,
         session=session,
         service=service,
-        resilience=policy,
+        resilient=service is not None,
         reduce_failures=False,
         jobs=None if service is None else 2,
     )
@@ -324,19 +321,6 @@ def _socket_workload(
 # -- the campaign -------------------------------------------------------------------
 
 
-def _chaos_policy(seed: int) -> ResiliencePolicy:
-    """Fast-recovery knobs: chaos runs many scenarios, so backoffs and
-    breaker cooldowns are shrunk to keep the campaign seconds-scale."""
-    return ResiliencePolicy(
-        seed=seed,
-        max_retries=2,
-        backoff_base_seconds=0.005,
-        backoff_max_seconds=0.05,
-        breaker_failures=2,
-        breaker_cooldown_seconds=0.2,
-    )
-
-
 def _execute_scenario(
     scenario: ChaosScenario,
     repetition: int,
@@ -370,7 +354,6 @@ def _execute_scenario(
         if scenario.with_cache_dir
         else None
     )
-    policy = _chaos_policy(seed)
     stall = scenario.mode == "stall"
     service = CompileService(
         workers=scenario.workers,
@@ -379,7 +362,6 @@ def _execute_scenario(
         session=session,
         name=f"chaos-{scenario.name}",
         fault_plans=plans,
-        heartbeat_interval=0.1,
         stall_budget=0.75 if stall else None,
         fault_stall_seconds=30.0 if stall else None,
     )
@@ -387,12 +369,10 @@ def _execute_scenario(
     try:
         with service:
             if scenario.workload == "bench":
-                fingerprint = _bench_workload(
-                    session, kernel_names, service, policy
-                )
+                fingerprint = _bench_workload(session, kernel_names, service)
             elif scenario.workload == "fuzz":
                 fingerprint = _fuzz_workload(
-                    session, seed, fuzz_programs, service, policy
+                    session, seed, fuzz_programs, service
                 )
             else:
                 fingerprint, reconnects = _socket_workload(session, service)
@@ -474,10 +454,8 @@ def run_chaos_campaign(
     )
     baseline_session = CompilerSession(name="chaos-baseline")
     baselines = {
-        "bench": _bench_workload(baseline_session, kernel_names, None, None),
-        "fuzz": _fuzz_workload(
-            baseline_session, seed, fuzz_programs, None, None
-        ),
+        "bench": _bench_workload(baseline_session, kernel_names, None),
+        "fuzz": _fuzz_workload(baseline_session, seed, fuzz_programs, None),
     }
     socket_session = CompilerSession(name="chaos-baseline-socket")
     with CompileService(

@@ -34,7 +34,9 @@ Protocol (all tuples, pickled):
   forest: records rooted at a ``worker:task`` span whose ``parent_id``
   is the request span shipped in ``trace``, which is what lets the
   parent assemble one causally-linked tree per request across process
-  boundaries.
+  boundaries.  Before running a task the worker sends
+  ``(task_id, "begin", b"", 0.0, None)``, the marker the service's
+  stall budget measures from.
 
 Crash handling: the parent polls ``Process.is_alive()`` (pipe EOF is
 unreliable under ``fork`` because later workers inherit earlier workers'
@@ -47,7 +49,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import threading
 import time
 from dataclasses import dataclass, field
 from multiprocessing import Pipe, Process, connection
@@ -56,9 +57,6 @@ from typing import List, Optional, Sequence, Set, Tuple
 #: wire tuples (see module docstring)
 TaskEnvelope = Tuple[int, str, bytes, Optional[Tuple[str, str, int]]]
 ResultEnvelope = Tuple[int, str, bytes, float, object]
-
-#: pseudo task id of periodic worker heartbeat envelopes
-HEARTBEAT_ID = -3
 
 #: one armed fault shipped to generation-0 workers: (site, mode, skip, once)
 FaultPlanSpec = Tuple[str, str, int, bool]
@@ -76,7 +74,6 @@ def _worker_main(
     cache_entries: Optional[int],
     pool_name: str,
     fault_plans: Sequence[FaultPlanSpec],
-    heartbeat_interval: Optional[float],
     fault_stall_seconds: Optional[float],
 ) -> None:
     """Worker loop: one warm session, tasks until sentinel or EOF."""
@@ -108,29 +105,6 @@ def _worker_main(
         cache_entries=cache_entries,
         generation=generation,
     )
-    # The heartbeat thread shares the result pipe with task replies;
-    # Connection.send is not atomic across threads, so all sends take
-    # this lock.
-    send_lock = threading.Lock()
-
-    def _send(envelope: ResultEnvelope) -> None:
-        with send_lock:
-            result_send.send(envelope)
-
-    if heartbeat_interval is not None:
-
-        def _beat() -> None:
-            while True:
-                time.sleep(heartbeat_interval)
-                try:
-                    _send((HEARTBEAT_ID, "hb", b"", 0.0, None))
-                except (OSError, BrokenPipeError, ValueError):
-                    break
-
-        threading.Thread(
-            target=_beat, name=f"{pool_name}-hb-{index}", daemon=True
-        ).start()
-
     with use_session(session):
         while True:
             try:
@@ -139,16 +113,16 @@ def _worker_main(
                 break
             if envelope is None:  # drain sentinel
                 try:
-                    _send((-1, "bye", b"", 0.0, None))
+                    result_send.send((-1, "bye", b"", 0.0, None))
                 except (OSError, BrokenPipeError):
                     pass
                 break
             task_id, kind, payload_bytes, trace = envelope
-            # Proactive progress beat: the parent's wedged-worker
-            # detector measures stall time from this marker, so a task
-            # that never completes is caught before its deadline.
+            # Task-start marker: the parent's wedged-worker detector
+            # measures stall time from here, so a task that never
+            # completes is caught before its deadline.
             try:
-                _send((task_id, "begin", b"", 0.0, None))
+                result_send.send((task_id, "begin", b"", 0.0, None))
             except (OSError, BrokenPipeError):
                 break
             if faults is not None:
@@ -183,7 +157,7 @@ def _worker_main(
                     nonlocal garbled
                     garbled = True
                     try:  # a structurally bogus frame, not a result
-                        _send(("garbage-frame", index))  # type: ignore[arg-type]
+                        result_send.send(("garbage-frame", index))
                     except (OSError, BrokenPipeError):
                         pass
 
@@ -191,7 +165,9 @@ def _worker_main(
             if garbled:
                 continue
             try:
-                _send((task_id, status, data, worker_seconds, capture))
+                result_send.send(
+                    (task_id, status, data, worker_seconds, capture)
+                )
             except (OSError, BrokenPipeError):
                 break
 
@@ -248,9 +224,6 @@ class Worker:
     tasks_sent: int = 0
     busy_seconds: float = 0.0
     started_at: float = field(default_factory=time.perf_counter)
-    #: wall stamp of the last envelope seen from this worker (any kind —
-    #: results, begin markers and heartbeats all prove liveness)
-    last_beat: float = field(default_factory=time.perf_counter)
     #: set once the wedged-worker detector decided to kill this process,
     #: so one stall is counted (and terminated) exactly once
     wedged: bool = False
@@ -274,7 +247,6 @@ class WorkerPool:
         cache_entries: Optional[int] = None,
         name: str = "serve",
         fault_plans: Sequence[FaultPlanSpec] = (),
-        heartbeat_interval: Optional[float] = None,
         fault_stall_seconds: Optional[float] = None,
     ) -> None:
         self.size = max(1, size)
@@ -282,7 +254,6 @@ class WorkerPool:
         self.cache_entries = cache_entries
         self.name = name
         self.fault_plans = tuple(fault_plans)
-        self.heartbeat_interval = heartbeat_interval
         self.fault_stall_seconds = fault_stall_seconds
         #: parent-side injector consulted at respawn (``serve.respawn``);
         #: the service binds its session's injector here before start
@@ -312,8 +283,7 @@ class WorkerPool:
             args=(
                 index, generation, task_recv, result_send,
                 self.cache_dir, self.cache_entries, self.name,
-                self.fault_plans, self.heartbeat_interval,
-                self.fault_stall_seconds,
+                self.fault_plans, self.fault_stall_seconds,
             ),
             name=f"{self.name}-worker-{index}.{generation}",
             daemon=True,

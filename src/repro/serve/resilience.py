@@ -1,31 +1,27 @@
-"""The client side of compile-service traffic: one batch call, resilience.
+"""The client side of compile-service traffic: one batch call, one retry rule.
 
 The compile service (:mod:`repro.serve.service`) already recovers from
 *worker* failures — crashes respawn, wedged workers are killed, in-flight
-tasks requeue.  This module is the **client's** half of the contract: a
-bench/fuzz driver that talks to a service must finish with bit-identical
-results even when the service itself misbehaves or disappears.
+tasks requeue, and a pool with no live worker left refuses new work.
+This module is the **client's** half of the contract: a bench/fuzz
+driver that talks to a service must finish with bit-identical results
+even when the service itself misbehaves or disappears.
 
 :func:`run_batch` is the one way bench and fuzz dispatch work: it starts
 and closes an ephemeral service when the caller has none, submits plainly
 or through a :class:`ResilientExecutor`, and returns results in task
-order.  The resilience pieces behind it:
+order.  The executor has one rule per task: a service future that fails
+with a retryable error is resubmitted at once, at most
+:data:`MAX_RETRIES` times; after that, or on any other failure, the task
+runs serially in-process::
 
-* :class:`ResiliencePolicy` — the knobs: bounded retries with exponential
-  backoff and *deterministic* jitter (seeded hash, never ``random``, so a
-  chaos run replays exactly), and circuit-breaker thresholds.
-* :class:`CircuitBreaker` — classic closed/open/half-open gate.  Enough
-  consecutive failures trip it open; while open, tasks skip the service
-  entirely and run serially in-process; after a cooldown one probe
-  request (half-open) decides whether to close it again.
-* :class:`ResilientExecutor` — wraps a :class:`CompileService` and runs
-  task batches through the two-rung ladder::
+    service  →  serial in-process
 
-      service  →  serial in-process
-
-  Every descent is counted (``serve.degraded``) and narrated with a
-  ``recovery`` remark, so a chaos campaign can tell *recovered* (service
-  healed itself, no descent) from *degraded* (ladder fallback) runs.
+A retry does not wait: it goes back into the service's own queue, which
+dispatches only to live workers.  Every descent is counted
+(``serve.degraded``) and narrated with a ``recovery`` remark, so a chaos
+campaign can tell *recovered* (service healed itself, no descent) from
+*degraded* (serial fallback) runs.
 
 Determinism: the task runners themselves are deterministic, so **where**
 a task executes never changes its result — only its wall-clock cost.
@@ -34,11 +30,8 @@ That is the invariant the chaos campaign checks.
 
 from __future__ import annotations
 
-import hashlib
-import threading
 import time
 from concurrent.futures import Future, as_completed
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..observe import STAT
@@ -47,145 +40,34 @@ from ..observe.session import CompilerSession, current_session, use_session
 from .service import (
     CompileService,
     RemoteTaskError,
-    ServiceClosed,
     ServiceError,
-    ServiceUnavailable,
-    TaskCancelled,
     TaskTimeout,
     WorkerCrashed,
 )
 
-_RETRIES = STAT("serve.retries", "task resubmissions by the resilience policy")
-_DEGRADED = STAT(
-    "serve.degraded", "tasks that fell down the degradation ladder"
+_RETRIES = STAT(
+    "serve.retries", "task resubmissions after a retryable failure"
 )
-_BREAKER_TRIPS = STAT(
-    "serve.breaker_trips", "circuit-breaker transitions to the open state"
+_DEGRADED = STAT(
+    "serve.degraded", "tasks that fell back to serial in-process execution"
 )
 
 #: failures where resubmitting to the *same* service can plausibly help:
 #: the worker that died/wedged/errored has been (or is being) replaced.
+#: Every other error a service future carries (the service is closed,
+#: has no live worker left, or cancelled the task) runs the task
+#: serially right away.
 _RETRYABLE = (WorkerCrashed, TaskTimeout, RemoteTaskError)
 
-#: failures where the service as a whole is gone or refused the task —
-#: retrying is pointless, run the task serially right away.
-_FATAL_FOR_SERVICE = (ServiceUnavailable, ServiceClosed, TaskCancelled)
+#: resubmissions per task after its first attempt fails
+MAX_RETRIES = 2
 
 #: one executor-managed task: (kind, payload, shard_key, weight)
 TaskSpec = Tuple[str, object, Optional[str], float]
 
 
-@dataclass(frozen=True)
-class ResiliencePolicy:
-    """Retry/backoff/breaker knobs for :class:`ResilientExecutor`."""
-
-    #: resubmissions per task after the first attempt fails
-    max_retries: int = 2
-    #: backoff before retry ``n`` is ``base * factor**(n-1)``, capped
-    backoff_base_seconds: float = 0.02
-    backoff_factor: float = 2.0
-    backoff_max_seconds: float = 0.5
-    #: jitter scales the delay by ``1 ± ratio`` (deterministic, seeded)
-    jitter_ratio: float = 0.25
-    #: seed folded into the jitter hash so campaigns replay exactly
-    seed: int = 0
-    #: consecutive failures that trip the breaker open
-    breaker_failures: int = 3
-    #: seconds the breaker stays open before allowing a half-open probe
-    breaker_cooldown_seconds: float = 5.0
-
-
-def backoff_delay(policy: ResiliencePolicy, attempt: int, token: str = "") -> float:
-    """Delay before retry ``attempt`` (1-based), with deterministic jitter.
-
-    Jitter comes from ``sha256(seed, token, attempt)`` — no global RNG is
-    touched, so two runs of the same campaign sleep identical schedules.
-    """
-    if attempt <= 0:
-        return 0.0
-    base = policy.backoff_base_seconds * (
-        policy.backoff_factor ** (attempt - 1)
-    )
-    base = min(policy.backoff_max_seconds, base)
-    digest = hashlib.sha256(
-        f"{policy.seed}\x00{token}\x00{attempt}".encode("utf-8")
-    ).digest()
-    fraction = int.from_bytes(digest[:4], "big") / 0xFFFFFFFF
-    jitter = policy.jitter_ratio * (2.0 * fraction - 1.0)
-    return max(0.0, base * (1.0 + jitter))
-
-
-class CircuitBreaker:
-    """Closed/open/half-open failure gate over a monotonic clock.
-
-    * **closed** — requests flow; consecutive failures are counted.
-    * **open** — :meth:`allow` returns False until the cooldown lapses.
-    * **half-open** — one probe is admitted; success closes the breaker,
-      failure re-opens it (and restarts the cooldown).
-    """
-
-    def __init__(
-        self,
-        failures_to_trip: int = 3,
-        cooldown_seconds: float = 5.0,
-        clock=time.monotonic,
-    ) -> None:
-        self.failures_to_trip = max(1, failures_to_trip)
-        self.cooldown_seconds = cooldown_seconds
-        self._clock = clock
-        self._lock = threading.Lock()
-        self.state = "closed"
-        self.consecutive_failures = 0
-        self.trips = 0
-        self._opened_at = 0.0
-        self._probing = False
-
-    def allow(self) -> bool:
-        """May the next request go to the service?"""
-        with self._lock:
-            if self.state == "closed":
-                return True
-            now = self._clock()
-            if self.state == "open":
-                if now - self._opened_at < self.cooldown_seconds:
-                    return False
-                self.state = "half-open"
-                self._probing = False
-            # half-open: admit exactly one probe at a time
-            if self._probing:
-                return False
-            self._probing = True
-            return True
-
-    def record_success(self) -> None:
-        with self._lock:
-            self.state = "closed"
-            self.consecutive_failures = 0
-            self._probing = False
-
-    def record_failure(self) -> bool:
-        """Count a failure; True when this call tripped the breaker open."""
-        with self._lock:
-            self.consecutive_failures += 1
-            if self.state == "half-open":
-                tripped = True  # failed probe re-opens
-            elif (
-                self.state == "closed"
-                and self.consecutive_failures >= self.failures_to_trip
-            ):
-                tripped = True
-            else:
-                tripped = False
-            if tripped:
-                self.state = "open"
-                self._opened_at = self._clock()
-                self._probing = False
-                self.trips += 1
-            return tripped
-
-
 class ResilientExecutor:
-    """Run task batches through retry → circuit breaker → serial fallback.
+    """Run task batches through immediate retries, then serial fallback.
 
     ``service`` may be None (or die mid-batch): every task still
     completes, just in-process.  Results are position-stable —
@@ -195,16 +77,10 @@ class ResilientExecutor:
     def __init__(
         self,
         service: Optional[CompileService],
-        policy: Optional[ResiliencePolicy] = None,
         session: Optional[CompilerSession] = None,
     ) -> None:
         self.service = service
-        self.policy = policy if policy is not None else ResiliencePolicy()
         self.session = session if session is not None else current_session()
-        self.breaker = CircuitBreaker(
-            failures_to_trip=self.policy.breaker_failures,
-            cooldown_seconds=self.policy.breaker_cooldown_seconds,
-        )
         self._serial_state = None
 
     # -- the batch API --------------------------------------------------
@@ -240,7 +116,7 @@ class ResilientExecutor:
         self, task: TaskSpec, trace: Optional[TraceContext] = None
     ) -> Optional[Future]:
         """Submit to the service, or None when it can't take the task."""
-        if self.service is None or not self.breaker.allow():
+        if self.service is None:
             return None
         kind, payload, shard_key, weight = task
         try:
@@ -248,7 +124,6 @@ class ResilientExecutor:
                 kind, payload, shard_key=shard_key, weight=weight, trace=trace
             )
         except ServiceError:
-            self._count_failure()
             return None
 
     def _collect(
@@ -258,8 +133,7 @@ class ResilientExecutor:
         context: Optional[TraceContext] = None,
         started_ns: int = 0,
     ) -> object:
-        kind, _, shard_key, _ = task
-        policy = self.policy
+        kind = task[0]
         attempt = 0
         last_exc: Optional[BaseException] = None
         while future is not None:
@@ -267,12 +141,7 @@ class ResilientExecutor:
                 result = future.result()
             except ServiceError as exc:
                 last_exc = exc
-                self._count_failure()
-                if (
-                    isinstance(exc, _FATAL_FOR_SERVICE)
-                    or attempt >= policy.max_retries
-                ):
-                    future = None
+                if not isinstance(exc, _RETRYABLE) or attempt >= MAX_RETRIES:
                     break
                 attempt += 1
                 _RETRIES.resolve(self.session.stats).add()
@@ -287,15 +156,8 @@ class ResilientExecutor:
                     attempt=attempt,
                     error=type(exc).__name__,
                 )
-                delay = backoff_delay(
-                    policy, attempt, token=shard_key or kind
-                )
-                if delay > 0:
-                    time.sleep(delay)
                 future = self._try_submit(task, trace=context)
             else:
-                self.breaker.record_success()
-                self._sync_breaker()
                 self._finish_client_span(task, context, started_ns, "ok")
                 return result
         result = self._run_degraded(task, cause=last_exc, context=context)
@@ -320,31 +182,6 @@ class ResilientExecutor:
             kind=task[0], status=status, attempt=context.attempt,
         )
 
-    def _sync_breaker(self) -> None:
-        """Mirror the breaker state onto the service for ``stats``/top."""
-        if self.service is not None:
-            self.service.breaker_state = self.breaker.state
-
-    def _count_failure(self) -> None:
-        tripped = self.breaker.record_failure()
-        self._sync_breaker()
-        if tripped:
-            _BREAKER_TRIPS.resolve(self.session.stats).add()
-            self.session.tracer.remark(
-                "recovery", "resilience",
-                f"circuit breaker tripped open after "
-                f"{self.breaker.consecutive_failures} consecutive service "
-                f"failures; cooling down "
-                f"{self.breaker.cooldown_seconds:g}s",
-                breaker_trips=self.breaker.trips,
-            )
-            self.session.tracer.log(
-                "error", "breaker-trip",
-                f"circuit breaker opened after "
-                f"{self.breaker.consecutive_failures} consecutive failures",
-                trips=self.breaker.trips,
-            )
-
     # -- the serial fallback -------------------------------------------
 
     def _run_degraded(
@@ -364,7 +201,7 @@ class ResilientExecutor:
         detail = (
             f"{type(cause).__name__}: {cause}"
             if cause is not None
-            else "service unavailable or circuit open"
+            else "service unavailable"
         )
         self.session.tracer.remark(
             "recovery", "resilience",
@@ -431,7 +268,7 @@ def run_batch(
     jobs: int,
     session: CompilerSession,
     service: Optional[CompileService] = None,
-    policy: Optional[ResiliencePolicy] = None,
+    resilient: bool = False,
     on_done: Optional[Callable[[int, float], None]] = None,
 ) -> List[object]:
     """Run ``tasks`` on the compile service; results in task order.
@@ -439,8 +276,8 @@ def run_batch(
     Without a caller-owned ``service`` an ephemeral one with
     ``min(jobs, len(tasks))`` workers, named after the first task's
     kind, is started on ``session`` and closed before returning, so no
-    worker process outlives the call.  With a ``policy`` the tasks go
-    through a :class:`ResilientExecutor` (retries, circuit breaker,
+    worker process outlives the call.  With ``resilient=True`` the tasks
+    go through a :class:`ResilientExecutor` (immediate retries, then
     serial fallback); otherwise each is submitted once and a failure
     propagates.  On that plain path ``on_done(index, seconds)`` reports,
     in this thread and before the call returns, each task's
@@ -456,10 +293,8 @@ def run_batch(
             name=f"{tasks[0][0]}-pool",
         ).start()
     try:
-        if policy is not None:
-            return ResilientExecutor(
-                service, policy=policy, session=session
-            ).run_batch(tasks)
+        if resilient:
+            return ResilientExecutor(service, session=session).run_batch(tasks)
         submitted: Dict[Future, Tuple[int, float]] = {}
         for index, (kind, payload, shard_key, weight) in enumerate(tasks):
             start = time.perf_counter()

@@ -14,7 +14,7 @@ Scheduling semantics:
   ``crc32(key) % workers`` so repeat compiles of one kernel land on the
   worker whose warm session and memoized module text already know it;
   unsharded tasks go to the least-loaded live worker.  Each worker keeps
-  at most ``max_inflight`` tasks pipelined in its pipe.
+  at most :data:`PIPELINE_DEPTH` tasks pipelined in its pipe.
 * **Backpressure.** At most ``max_pending`` tasks may be unresolved at
   once; ``submit(block=True)`` (default) waits for a slot,
   ``block=False`` raises :class:`ServiceOverloaded` — callers that fan
@@ -84,6 +84,9 @@ _RESPAWN_FAILURES = STAT(
     "serve.respawn_failures", "failed worker respawns (slot went defunct)"
 )
 
+#: tasks pipelined into one worker's pipe at most
+PIPELINE_DEPTH = 4
+
 
 class ServiceError(RuntimeError):
     """Base class for typed compile-service failures."""
@@ -113,7 +116,7 @@ class ServiceUnavailable(ServiceError):
     """Every worker slot is defunct (failed respawns) — no capacity left.
 
     The client-side resilience layer (:mod:`repro.serve.resilience`)
-    treats this as the signal to descend the degradation ladder."""
+    treats this as the signal to run the task serially in-process."""
 
 
 class RemoteTaskError(ServiceError):
@@ -168,12 +171,10 @@ class CompileService:
         cache_dir: Optional[str] = None,
         cache_entries: Optional[int] = None,
         max_pending: int = 1024,
-        max_inflight: int = 4,
         default_timeout: Optional[float] = None,
         retries: int = 1,
         session: Optional[CompilerSession] = None,
         name: str = "serve",
-        heartbeat_interval: Optional[float] = None,
         stall_budget: Optional[float] = None,
         fault_plans: Sequence[Tuple[str, str, int, bool]] = (),
         fault_stall_seconds: Optional[float] = None,
@@ -183,20 +184,17 @@ class CompileService:
         self.name = name
         self.cache_dir = cache_dir
         self.max_pending = max(1, max_pending)
-        self.max_inflight = max(1, max_inflight)
         self.default_timeout = default_timeout
         self.retries = max(0, retries)
         #: max seconds a dispatched task may sit without completing
         #: before its worker is declared wedged and killed (None = off)
         self.stall_budget = stall_budget
-        self.heartbeat_interval = heartbeat_interval
         self.pool = WorkerPool(
             size=workers,
             cache_dir=cache_dir,
             cache_entries=cache_entries,
             name=name,
             fault_plans=fault_plans,
-            heartbeat_interval=heartbeat_interval,
             fault_stall_seconds=fault_stall_seconds,
         )
         self._lock = threading.RLock()
@@ -222,9 +220,6 @@ class CompileService:
         #: percentiles — introspection only, never part of results
         self._recent_queue: Deque[float] = deque(maxlen=512)
         self._recent_turnaround: Deque[float] = deque(maxlen=512)
-        #: mirrored by a client-side ResilientExecutor when one fronts
-        #: this service ("closed"/"open"/"half-open"; "" = no breaker)
-        self.breaker_state = ""
 
     # -- properties ---------------------------------------------------------------
 
@@ -450,10 +445,8 @@ class CompileService:
             record = self._by_future.get(future)
             if record is None or record.done:
                 return False
-            if record.state == "inflight":
-                record.state = "abandoned"  # drop the result on arrival
-            else:
-                record.state = "abandoned"
+            # an in-flight task's eventual result is dropped on arrival
+            record.state = "abandoned"
         _CANCELLED.resolve(self.session.stats).add()
         self._finish(
             record,
@@ -521,7 +514,8 @@ class CompileService:
             "compiles_per_sec": round(self.compiles_per_sec(), 3),
             "cache_dir": self.cache_dir,
             "cache_hit_rate": round(hits / lookups, 4) if lookups else 0.0,
-            "breaker": self.breaker_state,
+            # always "": kept so the wire ``stats`` reply keeps its keys
+            "breaker": "",
             "slow_requests": len(self.slow_records),
             "queue_seconds": {
                 "p50": round(exact_percentile(recent_queue, 50), 6),
@@ -551,7 +545,7 @@ class CompileService:
         if record.shard_key is not None:
             index = zlib.crc32(record.shard_key.encode()) % self.pool.size
             if index not in defunct:
-                if len(self._inflight[index]) < self.max_inflight:
+                if len(self._inflight[index]) < PIPELINE_DEPTH:
                     return index
                 return None
         best, best_load = None, None
@@ -559,7 +553,7 @@ class CompileService:
             if index in defunct:
                 continue
             load = len(self._inflight[index])
-            if load >= self.max_inflight:
+            if load >= PIPELINE_DEPTH:
                 continue
             if best_load is None or load < best_load:
                 best, best_load = index, load
@@ -649,11 +643,6 @@ class CompileService:
             # be trusted — kill it; the dead scan requeues its in-flight
             # tasks through the normal crash path.
             self._handle_bad_frame(worker_index)
-            return
-        with self._lock:
-            if worker_index < len(self.pool.workers):
-                self.pool.workers[worker_index].last_beat = time.perf_counter()
-        if status == "hb":  # periodic liveness beat, no payload
             return
         if status == "begin":  # task-start marker for the stall detector
             with self._lock:
@@ -1002,20 +991,13 @@ class CompileService:
     def _check_wedged(self) -> None:
         """Proactive wedged-worker detection, ahead of request deadlines.
 
-        Two signals, both opt-in: a worker whose *oldest* dispatched task
-        has been running longer than ``stall_budget`` since its "begin"
-        marker is wedged (the task will never finish); a worker with
-        in-flight work whose heartbeat went silent for four intervals is
-        frozen.  Either way the process is killed now — requeue happens
-        through the normal crash path — so the requeued task can still
-        make its request deadline instead of timing out."""
+        Opt-in: a worker whose *oldest* dispatched task has been running
+        longer than ``stall_budget`` since its "begin" marker is wedged
+        (the task will never finish).  The process is killed now —
+        requeue happens through the normal crash path — so the requeued
+        task can still make its request deadline instead of timing out."""
         stall_budget = self.stall_budget
-        beat_timeout = (
-            self.heartbeat_interval * 4.0
-            if self.heartbeat_interval is not None
-            else None
-        )
-        if stall_budget is None and beat_timeout is None:
+        if stall_budget is None:
             return
         now = time.perf_counter()
         victims: List[Tuple[int, str]] = []
@@ -1029,24 +1011,11 @@ class CompileService:
                     continue
                 oldest = next(iter(inflight.values()))
                 began = oldest.began_at
-                if (
-                    stall_budget is not None
-                    and began is not None
-                    and now - began > stall_budget
-                ):
+                if began is not None and now - began > stall_budget:
                     victims.append((
                         index,
                         f"task {oldest.id} ({oldest.kind}) stalled "
                         f"{now - began:.2f}s > budget {stall_budget:.2f}s",
-                    ))
-                elif (
-                    beat_timeout is not None
-                    and now - worker.last_beat > beat_timeout
-                ):
-                    victims.append((
-                        index,
-                        f"no heartbeat for {now - worker.last_beat:.2f}s "
-                        f"with {len(inflight)} task(s) in flight",
                     ))
         stats = self.session.stats
         for index, reason in victims:

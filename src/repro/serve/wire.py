@@ -22,8 +22,9 @@ parents its request/worker spans under the caller's span instead of
 minting a fresh trace.  ``stats`` answers with
 :meth:`~repro.serve.service.CompileService.describe`: queue depth,
 per-worker utilization and inflight counts, cache hit rate, p50/p99
-queue/turnaround latency, compiles/sec and breaker state — the document
-``repro top`` renders live.
+queue/turnaround latency, compiles/sec and respawns — the document
+``repro top`` renders live.  Its ``breaker`` key is always ``""``; it
+stays for the wire format.
 
 Responses (order follows *completion*, not submission — match on
 ``id``)::

@@ -8,7 +8,7 @@ scalar expression tree for DCE — the same strategy as LLVM's SLP pass.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..ir.builder import IRBuilder
 from ..ir.instructions import (
@@ -22,7 +22,7 @@ from ..ir.instructions import (
     SelectInst,
     StoreInst,
 )
-from ..ir.types import VectorType, vector_of as vector_type_of
+from ..ir.types import vector_of as vector_type_of
 from ..ir.values import Constant, Value
 from ..robust.faults import current_faults
 from .graph import NodeKind, SLPGraph, SLPNode

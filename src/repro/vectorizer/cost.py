@@ -10,7 +10,7 @@ LLVM's ``getTreeCost``.
 from __future__ import annotations
 
 from ..ir.instructions import CallInst, Instruction, Opcode
-from ..ir.values import Constant, Value
+from ..ir.values import Constant
 from ..machine.costmodel import CostModel
 from .graph import NodeKind, SLPGraph, SLPNode
 

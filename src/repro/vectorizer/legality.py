@@ -15,10 +15,9 @@ memory dependence:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import Optional, Sequence, Set
 
 from ..ir.analysis import AddressInfo, AddressMemo, address_of, may_alias
-from ..ir.block import BasicBlock
 from ..ir.instructions import Instruction, LoadInst, StoreInst
 from ..ir.values import Value
 

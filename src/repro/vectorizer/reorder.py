@@ -15,7 +15,7 @@ bottom-up SLP bundling that follows see fully isomorphic code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir.builder import IRBuilder
@@ -24,7 +24,7 @@ from ..ir.values import Value
 from ..observe import DECISION, STAT, current_tracer
 from ..robust.faults import current_faults
 from .lookahead import LookAheadScorer
-from .supernode import LaneChain, Leaf, Slot, TrunkUnit, build_lane_chain
+from .supernode import LaneChain, Leaf, Slot, build_lane_chain
 
 _STAT_NODES_FORMED = STAT(
     "supernode.nodes-formed", "Multi-/Super-Nodes formed across all lanes"

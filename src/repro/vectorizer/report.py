@@ -9,7 +9,7 @@ reports accumulate exactly those quantities while the vectorizer runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .reorder import SuperNodeRecord
 

@@ -8,7 +8,7 @@ arities (widest first).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..ir.analysis import AddressInfo, address_of
 from ..ir.block import BasicBlock

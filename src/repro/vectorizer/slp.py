@@ -17,7 +17,7 @@ bundles made (Listing 1, line 53) through ``_GraphBuilder.undo_chains``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir.block import BasicBlock

@@ -58,8 +58,6 @@ from ..ir.instructions import (
     Instruction,
     Opcode,
     base_opcode,
-    inverse_opcode,
-    is_commutative,
 )
 from ..ir.values import Value
 from ..observe import STAT

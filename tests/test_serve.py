@@ -1,4 +1,4 @@
-"""Tests for the compile service (PR 7) and its chaos hardening (PR 8).
+"""Tests for the compile service and its chaos hardening.
 
 Covers the lifecycle contract of :mod:`repro.serve` — crash → respawn +
 requeue with results still bit-identical to serial, graceful drain,
@@ -6,11 +6,11 @@ typed timeout/cancel/backpressure errors — plus the shared cross-worker
 store (LRU eviction, corruption-as-miss), the marshal-time satellite
 fix, the JSONL wire protocol, and the CLI exit-code convention.
 
-PR 8 adds the resilience layer (deterministic backoff, circuit breaker,
-degradation ladder), wire hardening (frame limits, client reconnect,
-concurrent socket clients), the repro-source cache fingerprint, and the
-no-escape contract: every service fault scenario must classify as
-``recovered`` or ``degraded``, never ``escaped``/``fatal``.
+Also covered: the resilience layer (immediate retries, then serial
+fallback), wire hardening (frame limits, client reconnect, concurrent
+socket clients), the repro-source cache fingerprint, and the no-escape
+contract: every service fault scenario must classify as ``recovered``
+or ``degraded``, never ``escaped``/``fatal``.
 """
 
 import io
@@ -21,6 +21,7 @@ import subprocess
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -47,13 +48,8 @@ from repro.serve.chaos import (
     _socket_workload,
     chaos_scenarios,
 )
-from repro.serve.resilience import (
-    CircuitBreaker,
-    ResiliencePolicy,
-    ResilientExecutor,
-    backoff_delay,
-    run_batch,
-)
+from repro.serve import resilience
+from repro.serve.resilience import MAX_RETRIES, ResilientExecutor, run_batch
 from repro.serve.wire import (
     MAX_FRAME_BYTES,
     ServiceClient,
@@ -530,66 +526,78 @@ class TestWireProtocol:
 
 
 class TestResilience:
-    def test_backoff_jitter_is_deterministic_and_bounded(self):
-        policy = ResiliencePolicy(seed=7)
-        delays = [backoff_delay(policy, n, token="shard-a") for n in (1, 2, 3)]
-        replay = [backoff_delay(policy, n, token="shard-a") for n in (1, 2, 3)]
-        assert delays == replay  # no global RNG: schedules replay exactly
-        for attempt, delay in enumerate(delays, start=1):
-            base = min(
-                policy.backoff_max_seconds,
-                policy.backoff_base_seconds
-                * policy.backoff_factor ** (attempt - 1),
-            )
-            assert base * (1 - policy.jitter_ratio) <= delay
-            assert delay <= base * (1 + policy.jitter_ratio)
-        assert backoff_delay(policy, 0) == 0.0
-        other_seed = ResiliencePolicy(seed=8)
-        assert backoff_delay(other_seed, 1, token="shard-a") != delays[0]
-
-    def test_circuit_breaker_state_machine(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(
-            failures_to_trip=2, cooldown_seconds=10.0, clock=lambda: clock[0]
-        )
-        assert breaker.allow()
-        assert breaker.record_failure() is False
-        assert breaker.record_failure() is True  # second failure trips
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        clock[0] = 10.5  # cooldown lapsed: half-open admits one probe
-        assert breaker.allow()
-        assert not breaker.allow()
-        assert breaker.record_failure() is True  # failed probe re-opens
-        assert breaker.state == "open"
-        clock[0] = 21.0
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.allow() and breaker.allow()
-        assert breaker.trips == 2
-
     def test_retry_recovers_bit_identical_results(self):
         """A transient worker fault is retried against the same service;
         the retried result equals a serial run bit-for-bit."""
         expected, _ = _run_pair(PAIR)
         session = service_session()
-        policy = ResiliencePolicy(
-            backoff_base_seconds=0.001, backoff_max_seconds=0.01
-        )
         with CompileService(
             workers=1, session=session, name="t-retry",
             fault_plans=[("serve.task.error", "raise", 0, True)],
         ) as svc:
-            results = ResilientExecutor(
-                svc, policy=policy, session=session
-            ).run_batch([("bench-pair", (PAIR, False), PAIR[0], 1.0)])
+            results = ResilientExecutor(svc, session=session).run_batch(
+                [("bench-pair", (PAIR, False), PAIR[0], 1.0)]
+            )
         run, _capture = results[0]
         assert run.cycles == expected.cycles
         assert run.counters == expected.counters
         assert run.outputs == expected.outputs
         assert session.stats.value("serve.retries") >= 1
         assert session.stats.value("serve.degraded") == 0
+
+    def test_retry_does_not_sleep(self, monkeypatch):
+        """A failed task goes straight back into the service's queue,
+        which dispatches only to live workers: nothing waits first."""
+        sleeps = []
+        monkeypatch.setattr(resilience, "time", SimpleNamespace(
+            perf_counter=time.perf_counter,
+            perf_counter_ns=time.perf_counter_ns,
+            sleep=sleeps.append,
+        ))
+        expected, _ = _run_pair(PAIR)
+        session = service_session()
+        with CompileService(
+            workers=1, session=session, name="t-retry-nosleep",
+            fault_plans=[("serve.task.error", "raise", 0, True)],
+        ) as svc:
+            results = ResilientExecutor(svc, session=session).run_batch(
+                [("bench-pair", (PAIR, False), PAIR[0], 1.0)]
+            )
+        run, _capture = results[0]
+        assert run.cycles == expected.cycles
+        assert run.counters == expected.counters
+        assert run.outputs == expected.outputs
+        assert session.stats.value("serve.retries") == 1
+        assert sleeps == []
+
+    def test_exhausted_retries_run_serially(self, monkeypatch):
+        """A task that fails on every attempt is resubmitted
+        ``MAX_RETRIES`` times, then runs serially in-process with the
+        serial run's result."""
+        submits = []
+        submit = CompileService.submit
+
+        def spy(service, kind, payload=None, **kwargs):
+            submits.append(kind)
+            return submit(service, kind, payload, **kwargs)
+
+        monkeypatch.setattr(CompileService, "submit", spy)
+        expected, _ = _run_pair(PAIR)
+        session = service_session()
+        with CompileService(
+            workers=1, session=session, name="t-retry-exhausted",
+            fault_plans=[("serve.task.error", "raise", 0, False)],
+        ) as svc:
+            results = ResilientExecutor(svc, session=session).run_batch(
+                [("bench-pair", (PAIR, False), PAIR[0], 1.0)]
+            )
+        run, _capture = results[0]
+        assert run.cycles == expected.cycles
+        assert run.counters == expected.counters
+        assert run.outputs == expected.outputs
+        assert len(submits) == 1 + MAX_RETRIES
+        assert session.stats.value("serve.retries") == 2
+        assert session.stats.value("serve.degraded") == 1
 
     def test_no_service_degrades_to_serial_with_identical_results(self):
         """The bottom rung: no service at all, tasks still complete with
@@ -640,15 +648,12 @@ class TestRunBatch:
 
     def test_resilient_path_keeps_task_order(self):
         session = service_session()
-        policy = ResiliencePolicy(
-            backoff_base_seconds=0.001, backoff_max_seconds=0.01
-        )
         with CompileService(
             workers=2, session=session, name="t-batch-resilient",
             fault_plans=[("serve.task.error", "raise", 0, True)],
         ) as svc:
             results = run_batch(
-                self.TASKS, 2, session, service=svc, policy=policy
+                self.TASKS, 2, session, service=svc, resilient=True
             )
         assert results == self.EXPECTED
         assert session.stats.value("serve.retries") >= 1
@@ -656,9 +661,7 @@ class TestRunBatch:
     def test_resilient_path_without_service_starts_an_ephemeral_one(self):
         before = set(multiprocessing.active_children())
         session = service_session()
-        results = run_batch(
-            self.TASKS, 2, session, policy=ResiliencePolicy()
-        )
+        results = run_batch(self.TASKS, 2, session, resilient=True)
         assert results == self.EXPECTED
         assert session.stats.value("serve.completed") == len(self.TASKS)
         assert session.stats.value("serve.degraded") == 0
@@ -670,8 +673,8 @@ def chaos_baselines():
     """Fault-free workload fingerprints, computed once for the module."""
     session = CompilerSession(name="t-chaos-baseline")
     baselines = {
-        "bench": _bench_workload(session, (MOTIVATING[0],), None, None),
-        "fuzz": _fuzz_workload(session, 0, 8, None, None),
+        "bench": _bench_workload(session, (MOTIVATING[0],), None),
+        "fuzz": _fuzz_workload(session, 0, 8, None),
     }
     socket_session = CompilerSession(name="t-chaos-baseline-sock")
     with CompileService(
@@ -745,7 +748,7 @@ class TestChaosReplay:
         """Every submission of a fuzz chunk carries the chunk's shard key,
         so a chunk whose worker raised is retried on that worker, whose
         once-armed fault has fired: each of the two workers fails its
-        chunk once and each retry succeeds, never tripping the breaker."""
+        chunk once and each retry succeeds."""
         keys = []
         submit = CompileService.submit
 
@@ -755,7 +758,7 @@ class TestChaosReplay:
 
         monkeypatch.setattr(CompileService, "submit", spy)
         session = CompilerSession(name="t-chaos-fuzz16")
-        baselines = {"fuzz": _fuzz_workload(session, 0, 16, None, None)}
+        baselines = {"fuzz": _fuzz_workload(session, 0, 16, None)}
         status, detail, counters = _execute_scenario(
             self.scenario("task-error-fuzz"),
             repetition=0,

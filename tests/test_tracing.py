@@ -32,7 +32,7 @@ from repro.observe import (
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.session import CompilerSession, use_session
 from repro.observe.trace import TraceEvent, Tracer
-from repro.serve.resilience import ResiliencePolicy, ResilientExecutor
+from repro.serve.resilience import ResilientExecutor
 from repro.serve.service import CompileService
 
 MOTIVATING = ("motiv-leaf-reorder", "motiv-trunk-reorder")
@@ -271,16 +271,13 @@ class TestResilienceTracing:
 
     def test_retry_shares_trace_with_incremented_attempt(self):
         session = traced_session()
-        policy = ResiliencePolicy(
-            backoff_base_seconds=0.001, backoff_max_seconds=0.01,
-        )
         with CompileService(
             workers=1, session=session, name="t-retrytrace",
             fault_plans=[("serve.task.error", "raise", 0, True)],
         ) as svc:
-            results = ResilientExecutor(
-                svc, policy=policy, session=session
-            ).run_batch([("ping", None, None, 1.0)])
+            results = ResilientExecutor(svc, session=session).run_batch(
+                [("ping", None, None, 1.0)]
+            )
         assert results[0]["pid"] > 0
         assert session.stats.value("serve.retries") >= 1
         (client,) = spans_named(session, "client:request")
