@@ -13,7 +13,7 @@ IR, executing on the simulator and comparing configurations::
     python -m repro report RESULTS.json --baseline OLD.json -o report.html
     python -m repro fuzz --budget 30s --seed 0 --out fuzz-artifacts
     python -m repro fuzz --replay fuzz-artifacts/failure-0000/reduced.ir
-    python -m repro fuzz --inject --budget 15s
+    python -m repro chaos --seed 0 --out chaos.json
     python -m repro bisect failure-0000/reduced.ir --config sn-slp
     python -m repro profile motiv-leaf-reorder --folded profile.folded
     python -m repro serve --socket /tmp/repro.sock --slow-log 0.5
@@ -29,10 +29,10 @@ or, given a ``repro bench --json`` results file, renders a
 self-contained HTML benchmark report (with ``--baseline`` diffing);
 ``explain`` narrates the vectorizer's per-graph decision journal;
 ``fuzz`` runs a differential-testing campaign (or replays a saved
-reproducer, or — with ``--inject`` — injects deterministic faults and
-checks they cannot escape the guard); ``bisect`` localizes the first
-faulty vectorization decision in a failing module.  Global buffers are
-seeded deterministically from ``--seed``.
+reproducer); ``chaos`` arms every compile and service fault site in
+turn and checks each fires and cannot escape recovery; ``bisect``
+localizes the first faulty vectorization decision in a failing module.
+Global buffers are seeded deterministically from ``--seed``.
 
 Exit codes are distinct per failure class so scripts and CI can branch:
 
@@ -611,29 +611,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    from .fuzz import run_campaign, run_injection_campaign, replay_file
+    from .fuzz import run_campaign, replay_file
 
     target = _resolve_target(args.target)
-
-    if args.inject:
-        result = run_injection_campaign(
-            budget=args.budget,
-            seed=args.seed,
-            target=target,
-            input_seed=args.input_seed,
-            max_ulps=args.max_ulps,
-            phase_budget_seconds=args.phase_budget,
-            progress=lambda line: print(f"; {line}", file=sys.stderr),
-            session=current_session(),
-        )
-        print(result.summary())
-        if args.stats:
-            print(
-                _stats_table(result.stats, "Injection Campaign Statistics"),
-                file=sys.stderr,
-            )
-            args._stats_printed = True
-        return EXIT_OK if result.ok else EXIT_MISMATCH
 
     if args.replay:
         report = replay_file(
@@ -1139,7 +1119,11 @@ def cmd_waterfall(args: argparse.Namespace) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
-    from .serve.chaos import DEFAULT_KERNELS, run_chaos_campaign
+    from .serve.chaos import (
+        DEFAULT_KERNELS,
+        FAILING_STATUSES,
+        run_chaos_campaign,
+    )
 
     kernel_names = tuple(args.kernel) if args.kernel else DEFAULT_KERNELS
     from .kernels.suite import kernel_named
@@ -1159,7 +1143,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     )
     print(result.summary())
     for run in result.runs:
-        if run.status in ("escaped", "fatal"):
+        if run.status in FAILING_STATUSES:
             print(f"  [{run.status}] {run.scenario}: {run.detail}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -1443,19 +1427,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the campaign bucket counter table on stderr",
     )
     p_fuzz.add_argument(
-        "--inject",
-        action="store_true",
-        help="fault-injection campaign: arm every registered (site, mode) "
-        "in turn and verify the guarded driver absorbs each fault",
-    )
-    p_fuzz.add_argument(
-        "--phase-budget",
-        type=float,
-        default=0.2,
-        metavar="SECONDS",
-        help="per-phase wall-clock budget for --inject guarded compiles",
-    )
-    p_fuzz.add_argument(
         "--jobs",
         type=int,
         default=None,
@@ -1686,23 +1657,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chaos = sub.add_parser(
         "chaos",
-        help="chaos-test the compile service: arm each service fault site "
-        "against real bench/fuzz/socket traffic and verify every run "
-        "recovers bit-identically",
+        help="fault campaign: arm each compile site (simplify, Super-Node "
+        "build, reorder, codegen) against guarded compiles and each "
+        "service site against real bench/fuzz/socket traffic; every "
+        "fault must fire and every run recover with correct results",
     )
     p_chaos.add_argument(
         "--budget",
         type=int,
-        default=20,
+        default=None,
         metavar="N",
-        help="chaos runs to execute (scenarios cycle round-robin, "
-        "later laps fire the fault deeper into the run)",
+        help="chaos runs to execute (scenarios cycle round-robin; "
+        "default: two laps, one run per scenario each)",
     )
     p_chaos.add_argument(
         "--seed",
         type=int,
         default=0,
-        help="campaign seed (the fuzz workload's programs)",
+        help="campaign seed (the compile and fuzz workloads' programs)",
     )
     p_chaos.add_argument(
         "--kernel",
@@ -1716,7 +1688,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=16,
         metavar="N",
-        help="programs per fuzz workload (default: 16)",
+        help="programs per compile or fuzz run (default: 16)",
     )
     p_chaos.add_argument(
         "--out",

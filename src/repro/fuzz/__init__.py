@@ -28,13 +28,9 @@ from .reduce import count_instructions, reduce_module, write_reproducer
 from .campaign import (
     CampaignResult,
     FailureArtifact,
-    InjectionOutcome,
-    InjectionResult,
-    injection_combos,
     parse_budget,
     replay_file,
     run_campaign,
-    run_injection_campaign,
 )
 
 __all__ = [
@@ -56,11 +52,7 @@ __all__ = [
     "write_reproducer",
     "CampaignResult",
     "FailureArtifact",
-    "InjectionOutcome",
-    "InjectionResult",
-    "injection_combos",
     "parse_budget",
     "replay_file",
     "run_campaign",
-    "run_injection_campaign",
 ]

@@ -30,13 +30,9 @@ Failures become artifact directories::
 
 Replay a saved reproducer with ``repro fuzz --replay failure-0000/reduced.ir``.
 
-``repro fuzz --inject`` runs the *injection* campaign instead: every
-generated program is compiled through :func:`repro.robust.guard.
-guarded_compile` with one deterministic fault armed (cycling through
-every (site, mode) combination the registry declares), and the guarded
-result must still match the scalar reference.  A fault that produces a
-wrong answer **escaped** the guard; one that kills the driver is
-**fatal** — either fails the campaign.
+The same program stream (:func:`campaign_program`) feeds ``repro
+chaos``, whose compile runs arm one fault per program and check the
+guarded driver's output against the scalar reference.
 """
 
 from __future__ import annotations
@@ -48,10 +44,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..interp import BudgetExceededError, TrapError
 from ..ir.module import Module
 from ..ir.parser import parse_module
-from ..ir.types import FloatType
 from ..ir.verifier import verify_module
 from ..kernels.seeding import derive_seed
 from ..machine.targets import DEFAULT_TARGET, TargetMachine
@@ -63,18 +57,13 @@ from ..observe.session import (
     use_session,
     write_remarks,
 )
-from ..robust.faults import COMPILE_SITES, FAULT_SITES, current_faults
-from ..sim import simulate
 from ..vectorizer import ALL_CONFIGS, SLPConfig, compile_module
-from ..vectorizer.slp import SNSLP_CONFIG
-from .genprog import FuzzProgram, generate_program, make_inputs, random_spec
+from .genprog import FuzzProgram, generate_program, random_spec
 from .oracle import (
     DEFAULT_MAX_ULPS,
     OracleReport,
-    _interpret_reference,
     failure_signature,
     run_oracle,
-    values_close,
 )
 from .reduce import ReductionResult, reduce_module, write_reproducer
 
@@ -94,19 +83,6 @@ _GAPS = STAT("fuzz.interp-gaps", "interpreter gaps (unsupported opcodes)")
 _CRASHES = STAT("fuzz.crashes", "compiler crashes")
 _BUDGET_BLOWS = STAT(
     "fuzz.budget-exceeded", "compiled modules that blew the step watchdog"
-)
-_INJECTIONS = STAT("fuzz.injections", "deterministic faults armed")
-_INJ_RECOVERED = STAT(
-    "fuzz.injected-recovered", "injected faults the guarded driver recovered from"
-)
-_INJ_UNREACHED = STAT(
-    "fuzz.injected-unreached", "armed faults whose site the compile never reached"
-)
-_INJ_ESCAPED = STAT(
-    "fuzz.injected-escaped", "injected faults that corrupted the guarded output"
-)
-_INJ_FATAL = STAT(
-    "fuzz.injected-fatal", "injected faults that killed the guarded driver"
 )
 
 
@@ -283,6 +259,13 @@ def _save_failure(
 CHUNK_SIZE = 8
 
 
+def campaign_program(seed: int, index: int) -> FuzzProgram:
+    """Program ``index`` of the campaign stream at ``seed``."""
+    return generate_program(
+        random_spec(derive_seed(seed, f"campaign-program/{index}"))
+    )
+
+
 def _run_index(
     index: int,
     seed: int,
@@ -294,8 +277,7 @@ def _run_index(
     """Generate program ``index`` and run the oracle on it.  Deterministic:
     the serial loop, a chunk worker and a failure re-run all see the same
     program and verdicts.  Does NOT bucket."""
-    spec = random_spec(derive_seed(seed, f"campaign-program/{index}"))
-    program = generate_program(spec)
+    program = campaign_program(seed, index)
     report = run_oracle(
         program,
         input_seed=input_seed,
@@ -303,7 +285,7 @@ def _run_index(
         target=target,
         max_ulps=max_ulps,
     )
-    return report, spec
+    return report, program.spec
 
 
 def _program_timer(session: CompilerSession):
@@ -570,235 +552,6 @@ def _run_campaign_parallel(
         elapsed_seconds=elapsed,
         stats=campaign.stats.snapshot(),
         failures=failures,
-    )
-
-
-def injection_combos() -> List[Tuple[str, str]]:
-    """Every (site, mode) combination reachable from ``compile_module``,
-    in registry order — the deterministic cycle the campaign walks."""
-    return [
-        (name, mode)
-        for name in COMPILE_SITES
-        for mode in FAULT_SITES[name].modes
-    ]
-
-
-@dataclass
-class InjectionOutcome:
-    """The verdict for one (program, site, mode) injection."""
-
-    index: int
-    site: str
-    mode: str
-    status: str  # recovered | unreached | escaped | fatal
-    detail: str = ""
-    recoveries: int = 0
-    config_used: str = ""
-
-
-@dataclass
-class InjectionResult:
-    """Everything one injection campaign produced."""
-
-    programs: int
-    elapsed_seconds: float
-    stats: Dict[str, float]
-    outcomes: List[InjectionOutcome] = field(default_factory=list)
-
-    @property
-    def escapes(self) -> List[InjectionOutcome]:
-        return [o for o in self.outcomes if o.status in ("escaped", "fatal")]
-
-    @property
-    def ok(self) -> bool:
-        return not self.escapes
-
-    def summary(self) -> str:
-        counts: Dict[str, int] = {}
-        for outcome in self.outcomes:
-            counts[outcome.status] = counts.get(outcome.status, 0) + 1
-        lines = [
-            f"injection campaign: {self.programs} program(s) in "
-            f"{self.elapsed_seconds:.1f}s, {len(self.escapes)} escape(s)"
-        ]
-        for status in ("recovered", "unreached", "escaped", "fatal"):
-            if status in counts:
-                lines.append(f"  {status:10s} {counts[status]}")
-        for outcome in self.escapes:
-            lines.append(
-                f"  escape #{outcome.index}: {outcome.site}:{outcome.mode} "
-                f"[{outcome.status}] {outcome.detail}"
-            )
-        return "\n".join(lines)
-
-
-def _compare_guarded(
-    guarded,
-    program: FuzzProgram,
-    target: TargetMachine,
-    inputs: Dict[str, List],
-    reference: Dict[str, List],
-    max_ulps: int,
-) -> Optional[str]:
-    """Run the guarded module and diff it against the scalar reference;
-    returns a human-readable divergence, or None when equivalent."""
-    try:
-        result = simulate(
-            guarded.result.module,
-            program.kernel,
-            target,
-            program.args,
-            inputs=inputs,
-        )
-    except Exception as exc:  # noqa: BLE001 - any run failure is an escape
-        return f"guarded module failed to run: {type(exc).__name__}: {exc}"
-    for name in program.module.globals:
-        is_float = isinstance(program.module.globals[name].element, FloatType)
-        got = result.globals_after[name]
-        for index, (want, have) in enumerate(zip(reference[name], got)):
-            if not values_close(have, want, is_float, max_ulps=max_ulps):
-                return f"@{name}[{index}]: reference {want!r} vs guarded {have!r}"
-    return None
-
-
-def _inject_one(
-    program: FuzzProgram,
-    site: str,
-    mode: str,
-    target: TargetMachine,
-    inputs: Dict[str, List],
-    reference: Dict[str, List],
-    max_ulps: int,
-    phase_budget_seconds: float,
-    index: int,
-) -> InjectionOutcome:
-    """Arm one fault, compile through the guarded driver, and classify."""
-    from ..robust.guard import guarded_compile
-
-    _INJECTIONS.add()
-    faults = current_faults()
-    plan = faults.arm(site, mode, once=True)
-    guarded = None
-    fatal_detail = ""
-    try:
-        guarded = guarded_compile(
-            program.module,
-            SNSLP_CONFIG,
-            target,
-            phase_budget_seconds=phase_budget_seconds,
-        )
-    except Exception as exc:  # noqa: BLE001 - the guard must never raise
-        fatal_detail = f"{type(exc).__name__}: {exc}"
-    finally:
-        fired = plan.fired
-        faults.disarm_all()
-
-    if guarded is None:
-        _INJ_FATAL.add()
-        return InjectionOutcome(index, site, mode, "fatal", fatal_detail)
-    if fired == 0:
-        # The compile never visited the site (e.g. nothing was profitable
-        # to vectorize); nothing to recover from, nothing to check.
-        _INJ_UNREACHED.add()
-        return InjectionOutcome(
-            index, site, mode, "unreached",
-            recoveries=len(guarded.recoveries),
-            config_used=guarded.config_used,
-        )
-    divergence = _compare_guarded(
-        guarded, program, target, inputs, reference, max_ulps
-    )
-    if divergence is None and not guarded.recoveries:
-        # Output is fine but the guard never noticed the fault firing —
-        # a detection gap (e.g. a stall that slipped under the budget).
-        divergence = "fault fired but no recovery was recorded"
-    if divergence is not None:
-        _INJ_ESCAPED.add()
-        return InjectionOutcome(
-            index, site, mode, "escaped", divergence,
-            recoveries=len(guarded.recoveries),
-            config_used=guarded.config_used,
-        )
-    _INJ_RECOVERED.add()
-    return InjectionOutcome(
-        index, site, mode, "recovered",
-        recoveries=len(guarded.recoveries),
-        config_used=guarded.config_used,
-    )
-
-
-def run_injection_campaign(
-    budget: str = "15s",
-    seed: int = 0,
-    target: TargetMachine = DEFAULT_TARGET,
-    input_seed: int = 1,
-    max_ulps: int = DEFAULT_MAX_ULPS,
-    phase_budget_seconds: float = 0.2,
-    progress: Optional[Callable[[str], None]] = None,
-    session: Optional[CompilerSession] = None,
-) -> InjectionResult:
-    """Fault-injection campaign: prove the guarded driver absorbs every
-    registered compile-time fault without corrupting results.
-
-    Program ``index`` arms combination ``index % len(combos)``, so a
-    count budget of ``len(injection_combos())`` (currently 8) covers
-    every (site, mode) pair exactly once per cycle.  Always serial:
-    arming a fault mutates the session's injector, which parallel shards
-    would race on.
-    """
-    kind, amount = parse_budget(budget)
-    campaign = session if session is not None else current_session().derive(
-        name="inject-campaign"
-    )
-    combos = injection_combos()
-    outcomes: List[InjectionOutcome] = []
-    started = time.perf_counter()
-    index = 0
-    with use_session(campaign):
-        while True:
-            if kind == "count" and index >= amount:
-                break
-            if kind == "time" and time.perf_counter() - started >= amount:
-                break
-            spec = random_spec(derive_seed(seed, f"inject-program/{index}"))
-            program = generate_program(spec)
-            site, mode = combos[index % len(combos)]
-            index += 1
-            _PROGRAMS.add()
-            inputs = make_inputs(program.module, input_seed)
-            current_faults().disarm_all()  # the reference must run clean
-            try:
-                reference = _interpret_reference(
-                    program.module, program.kernel, program.args, inputs
-                )
-            except (TrapError, BudgetExceededError):
-                _TRAPS.add()
-                continue
-            with campaign.metrics.timer(
-                "fuzz.injection.seconds",
-                "guarded compile + diff wall seconds per injection",
-            ):
-                outcome = _inject_one(
-                    program,
-                    site,
-                    mode,
-                    target,
-                    inputs,
-                    reference,
-                    max_ulps,
-                    phase_budget_seconds,
-                    index - 1,
-                )
-            outcomes.append(outcome)
-            if progress is not None and outcome.status in ("escaped", "fatal"):
-                progress(
-                    f"escape #{outcome.index} ({site}:{mode}): {outcome.detail}"
-                )
-    return InjectionResult(
-        programs=index,
-        elapsed_seconds=time.perf_counter() - started,
-        stats=campaign.stats.snapshot(),
-        outcomes=outcomes,
     )
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..interp import (
     BudgetExceededError,
@@ -101,6 +101,30 @@ def values_close(
     if math.isclose(a, b, rel_tol=0.0, abs_tol=abs_tol):
         return True
     return ulp_distance(a, b) <= max_ulps
+
+
+def first_divergence(
+    module: Module,
+    reference: Dict[str, List],
+    got: Dict[str, List],
+    label: str,
+    max_ulps: int = DEFAULT_MAX_ULPS,
+) -> Optional[str]:
+    """The first element of any global where ``got`` strays from
+    ``reference``, described for a report, or None when all match.
+
+    Every global is compared, not just the declared outputs: a compiled
+    module scribbling over an *input* buffer is just as much a bug.
+    """
+    for name in module.globals:
+        is_float = isinstance(module.globals[name].element, FloatType)
+        for index, (want, have) in enumerate(zip(reference[name], got[name])):
+            if not values_close(have, want, is_float, max_ulps=max_ulps):
+                return (
+                    f"@{name}[{index}]: reference {want!r} vs "
+                    f"{label} {have!r}"
+                )
+    return None
 
 
 @dataclass
@@ -164,7 +188,7 @@ def failure_signature(report: OracleReport) -> Tuple[Tuple[str, str], ...]:
     )
 
 
-def _interpret_reference(
+def interpret_reference(
     module: Module,
     kernel: str,
     args: Sequence,
@@ -192,7 +216,7 @@ def run_oracle(
     report = OracleReport(program=program, input_seed=input_seed)
 
     try:
-        reference = _interpret_reference(
+        reference = interpret_reference(
             module, program.kernel, program.args, inputs
         )
     except TrapError as exc:
@@ -291,28 +315,13 @@ def _check_config(
             counters=counters,
         )
 
-    # Compare every global, not just the declared outputs: a vectorized
-    # module scribbling over an *input* buffer is just as much a bug.
-    for name in module.globals:
-        is_float = isinstance(module.globals[name].element, FloatType)
-        got = result.globals_after[name]
-        want = reference[name]
-        for index, (x, y) in enumerate(zip(want, got)):
-            if not values_close(y, x, is_float, max_ulps=max_ulps):
-                return ConfigOutcome(
-                    config.name,
-                    "mismatch",
-                    detail=(
-                        f"@{name}[{index}]: reference {x!r} vs "
-                        f"{config.name} {y!r}"
-                    ),
-                    vectorized_graphs=vectorized,
-                    cycles=result.cycles,
-                    counters=counters,
-                )
+    divergence = first_divergence(
+        module, reference, result.globals_after, config.name, max_ulps
+    )
     return ConfigOutcome(
         config.name,
-        "ok",
+        "ok" if divergence is None else "mismatch",
+        detail=divergence or "",
         vectorized_graphs=vectorized,
         cycles=result.cycles,
         counters=counters,

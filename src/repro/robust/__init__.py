@@ -25,7 +25,6 @@ from .faults import (
     FaultInjector,
     FaultPlan,
     FaultSite,
-    parse_injection,
     site_named,
 )
 
@@ -55,7 +54,7 @@ __all__ = [
     "FaultInjector", "FaultPlan", "FaultSite", "FaultError",
     "FAULT_SITES", "FAULT_MODES", "COMPILE_SITES",
     "SERVICE_SITES", "WORKER_SIDE_SITES",
-    "parse_injection", "site_named",
+    "site_named",
     "guarded_compile", "GuardedResult", "RecoveryRecord", "CrashCapture",
     "DEFAULT_LADDER", "resolve_ladder",
     "write_crash_bundle", "next_bundle_dir",

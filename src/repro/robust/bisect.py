@@ -136,9 +136,12 @@ def run_bisect(
     against the scalar reference interpreter on deterministic inputs.
     """
     from ..fuzz.genprog import make_inputs
-    from ..fuzz.oracle import DEFAULT_MAX_ULPS, values_close
-    from ..interp.interpreter import Interpreter, TrapError
-    from ..ir.types import FloatType
+    from ..fuzz.oracle import (
+        DEFAULT_MAX_ULPS,
+        first_divergence,
+        interpret_reference,
+    )
+    from ..interp.interpreter import TrapError
     from ..ir.verifier import VerificationError
     from ..sim import simulate
     from ..vectorizer import compile_module
@@ -153,14 +156,10 @@ def run_bisect(
         args = tuple(0 for _ in module.functions[kernel].arguments)
     inputs = make_inputs(module, input_seed)
 
-    interp = Interpreter(module)
-    for name, values in inputs.items():
-        interp.write_global(name, values)
     try:
-        interp.run(kernel, args)
+        reference = interpret_reference(module, kernel, args, inputs)
     except TrapError as exc:
         raise ValueError(f"reference run traps ({exc}); cannot bisect") from exc
-    reference = {name: interp.read_global(name) for name in module.globals}
 
     def check(limit: int) -> str:
         BISECT.reset(limit)
@@ -176,12 +175,10 @@ def run_bisect(
             result = simulate(compiled.module, kernel, target, args, inputs=inputs)
         except Exception:  # noqa: BLE001 - runtime divergence counts as bad
             return "mismatch"
-        for name in module.globals:
-            is_float = isinstance(module.globals[name].element, FloatType)
-            for x, y in zip(reference[name], result.globals_after[name]):
-                if not values_close(y, x, is_float, max_ulps=ulps):
-                    return "mismatch"
-        return "ok"
+        divergence = first_divergence(
+            module, reference, result.globals_after, config.name, ulps
+        )
+        return "ok" if divergence is None else "mismatch"
 
     # counting compile: unlimited, but swallow crashes (we only need count)
     BISECT.reset(-1)

@@ -1,8 +1,8 @@
 """Deterministic fault injection: named sites, armed on demand.
 
 The robustness layer needs *reproducible* failures to prove its recovery
-paths fire: tests and ``repro fuzz --inject`` arm exactly one site with
-one mode and the instrumented code faults on the chosen hit, every time.
+paths fire: tests and ``repro chaos`` arm exactly one site with one
+mode and the instrumented code faults on the chosen hit, every time.
 There is no randomness at the fire point — determinism comes from the
 caller picking (site, mode, skip) from a seed, so a failing run replays
 bit-for-bit.
@@ -149,7 +149,8 @@ COMPILE_SITES: Tuple[str, ...] = tuple(
     if site.phase not in ("execute", "service")
 )
 
-#: the compile-service boundary sites, enumerated by ``repro chaos``
+#: the compile-service boundary sites; ``repro chaos`` arms every one,
+#: as it arms every (site, mode) of :data:`COMPILE_SITES`
 SERVICE_SITES: Tuple[str, ...] = tuple(
     name for name, site in FAULT_SITES.items() if site.phase == "service"
 )
@@ -172,20 +173,6 @@ def site_named(name: str) -> FaultSite:
             f"unknown fault site {name!r}; registered: {sorted(FAULT_SITES)}"
         )
     return site
-
-
-def parse_injection(spec: str) -> Tuple[str, str, int]:
-    """Parse a CLI injection spec ``site[:mode[:skip]]`` -> (site, mode, skip)."""
-    parts = spec.split(":")
-    site = site_named(parts[0])
-    mode = parts[1] if len(parts) > 1 and parts[1] else site.modes[0]
-    skip = int(parts[2]) if len(parts) > 2 and parts[2] else 0
-    if mode not in site.modes:
-        raise ValueError(
-            f"site {site.name!r} does not support mode {mode!r} "
-            f"(supported: {list(site.modes)})"
-        )
-    return site.name, mode, skip
 
 
 @dataclass

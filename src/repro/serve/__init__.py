@@ -22,8 +22,9 @@ compile service (ROADMAP Open item 1):
   half of the failure contract: a failed task is resubmitted at once, at
   most twice, then runs serially in-process (service → serial).
 * :mod:`repro.serve.chaos` — the ``repro chaos`` campaign arming seeded
-  service faults against real bench/fuzz traffic and classifying each
-  run recovered/degraded/escaped/fatal.
+  compile faults against guarded compiles and service faults against
+  real bench/fuzz/socket traffic, and classifying each run
+  recovered/degraded/unexercised/escaped/fatal.
 
 Everything is import-light: submodules import the heavy compiler stack
 lazily so ``import repro.serve`` stays cheap for CLI startup.

@@ -1,35 +1,48 @@
-"""``repro chaos``: seeded service-fault campaigns over real traffic.
+"""``repro chaos``: one seeded fault campaign over compiles and the service.
 
-The compile-service analogue of ``repro fuzz --inject``: each chaos run
-drives a real workload (a bench suite, a fuzz campaign, or a socket
-client session) against a :class:`~repro.serve.service.CompileService`
-with exactly one service fault scenario armed, then classifies what
-happened:
+Each chaos run arms exactly one fault scenario and drives a real
+workload through it:
 
-* ``recovered`` — the service healed itself (respawn, requeue, wedge
-  kill, retry) and the results are bit-identical to the fault-free
-  baseline with no serial fallback;
-* ``degraded``  — results are still bit-identical, but at least one task
-  fell back to serial in-process execution (``serve.degraded > 0``);
-* ``escaped``   — the run completed but its results diverge from the
-  baseline, or a fault/service error reached the chaos driver: the
-  resilience contract is broken;
-* ``fatal``     — the harness itself blew up (an exception that is
+* ``compile`` — fuzz-stream programs compiled through the guarded driver
+  (:func:`repro.robust.guard.guarded_compile`) with one compile-pipeline
+  (site, mode) armed afresh for each program; every guarded result must
+  match the program's scalar reference;
+* ``bench``, ``fuzz``, ``socket`` — a bench suite, a fuzz campaign, or a
+  socket client session against a
+  :class:`~repro.serve.service.CompileService` with one service fault
+  armed; the results must be bit-identical to a fault-free baseline.
+
+Every run is classified:
+
+* ``recovered``   — the fault fired and was healed (phase rollback,
+  respawn, requeue, wedge kill, retry) with correct results;
+* ``degraded``    — results still correct, but work descended a ladder:
+  the guard fell back to a weaker configuration
+  (``robust.ladder-descents > 0``) or a task ran serially in-process
+  (``serve.degraded > 0``);
+* ``unexercised`` — the fault never fired, so the run proved nothing;
+* ``escaped``     — results diverged, a fired compile fault left no
+  recovery record, or a fault/service error reached the chaos driver:
+  the resilience contract is broken;
+* ``fatal``       — the harness itself blew up (an exception that is
   neither a fault nor a typed service error).
 
-``escaped``/``fatal`` runs fail the campaign (CLI exit code 6).
-Everything is seeded: scenarios are enumerated deterministically,
-repetitions shift the fault's ``skip`` so later hits fire, the fuzz
-workload's programs derive from the seed, and bench pairs and fuzz
-chunks are pinned to workers by shard key.  A campaign
-therefore replays: every run's status and its ``serve.degraded`` and
-``serve.retries`` counts come out the same at one seed.  Wall times and
-``serve.requeued`` (how many tasks sat in a worker's pipe when it died)
-depend on timing and do not.
+``unexercised``/``escaped``/``fatal`` runs fail the campaign (CLI exit
+code 6).  Each lap is built so its fault fires by construction: compile
+and fuzz runs fire on their first hit and draw fresh programs each lap
+(lap 0 at the campaign seed); bench and socket runs fire on hit
+``lap % h``, ``h`` being the number of hits the armed process is sure to
+see.  Bench pairs and fuzz chunks are pinned to workers by shard key, so
+a campaign replays: every run's status, detail (the fired count) and its
+``serve.degraded``, ``serve.retries`` and ``robust.ladder-descents``
+counts come out the same at one seed.  Wall times and ``serve.requeued``
+(how many tasks sat in a worker's pipe when it died) depend on timing
+and do not.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -40,17 +53,31 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..observe.session import CompilerSession, current_session, use_session
-from ..robust.faults import FaultError, FaultInjector, WORKER_SIDE_SITES
+from ..robust.faults import (
+    COMPILE_SITES,
+    FAULT_SITES,
+    WORKER_SIDE_SITES,
+    FaultError,
+    FaultInjector,
+)
 from .service import CompileService, ServiceError
 
 #: default bench workload: two small kernels keep a run under a second
 DEFAULT_KERNELS: Tuple[str, ...] = ("motiv-leaf-reorder", "motiv-trunk-reorder")
 
-#: programs per fuzz workload (two service chunks at CHUNK_SIZE=8)
+#: programs per compile or fuzz run (a fuzz run is two service chunks at
+#: CHUNK_SIZE=8)
 DEFAULT_FUZZ_PROGRAMS = 16
+
+#: laps over the scenario table a campaign runs by default
+DEFAULT_LAPS = 2
 
 #: requests per socket workload
 SOCKET_REQUESTS = 6
+
+#: per-phase wall-clock budget of a compile run's guarded compiles; an
+#: armed stall burns 0.25 s, so a stalled phase always blows it
+PHASE_BUDGET_SECONDS = 0.2
 
 #: counter that witnesses a worker-side fault actually fired (the plan
 #: state lives in the worker process; the parent sees only the fallout:
@@ -63,6 +90,15 @@ _SITE_EVIDENCE: Dict[str, str] = {
     "serve.cache.entry": "cache.corrupt_entries",
 }
 
+#: counters a run reports and the campaign session aggregates
+_COUNTER_PREFIXES = ("serve.", "cache.", "robust.")
+
+#: every run status, in report order
+STATUSES = ("recovered", "degraded", "unexercised", "escaped", "fatal")
+
+#: the statuses that fail the campaign
+FAILING_STATUSES = ("unexercised", "escaped", "fatal")
+
 
 @dataclass(frozen=True)
 class ChaosScenario:
@@ -71,7 +107,7 @@ class ChaosScenario:
     name: str
     site: str
     mode: str
-    workload: str  # "bench" | "fuzz" | "socket"
+    workload: str  # "compile" | "bench" | "fuzz" | "socket"
     #: also arm a one-shot worker crash (sites like ``serve.respawn``
     #: only fire while handling a dead worker)
     with_crash: bool = False
@@ -84,23 +120,21 @@ class ChaosScenario:
 
 
 def chaos_scenarios() -> List[ChaosScenario]:
-    """The deterministic scenario matrix, covering every service site."""
-    return [
-        ChaosScenario(
-            "crash-bench", "serve.worker.crash", "raise", "bench"
-        ),
-        ChaosScenario(
-            "crash-fuzz", "serve.worker.crash", "raise", "fuzz"
-        ),
-        ChaosScenario(
-            "stall-bench", "serve.worker.stall", "stall", "bench"
-        ),
+    """The deterministic scenario table: every compile (site, mode), then
+    every service site."""
+    compile_scenarios = [
+        ChaosScenario(f"{site}:{mode}", site, mode, "compile")
+        for site in COMPILE_SITES
+        for mode in FAULT_SITES[site].modes
+    ]
+    return compile_scenarios + [
+        ChaosScenario("crash-bench", "serve.worker.crash", "raise", "bench"),
+        ChaosScenario("crash-fuzz", "serve.worker.crash", "raise", "fuzz"),
+        ChaosScenario("stall-bench", "serve.worker.stall", "stall", "bench"),
         ChaosScenario(
             "task-error-bench", "serve.task.error", "raise", "bench"
         ),
-        ChaosScenario(
-            "task-error-fuzz", "serve.task.error", "raise", "fuzz"
-        ),
+        ChaosScenario("task-error-fuzz", "serve.task.error", "raise", "fuzz"),
         ChaosScenario(
             "pipe-frame-bench", "serve.pipe.frame", "corrupt", "bench"
         ),
@@ -131,10 +165,10 @@ class ChaosRun:
     site: str
     mode: str
     workload: str
-    status: str  # recovered | degraded | escaped | fatal
+    status: str  # one of STATUSES
     seconds: float
     detail: str = ""
-    #: non-zero serve.*/cache.* counters observed during the run
+    #: non-zero serve.*/cache.*/robust.* counters observed during the run
     counters: Dict[str, float] = field(default_factory=dict)
 
     def to_json(self) -> Dict[str, object]:
@@ -162,26 +196,23 @@ class ChaosResult:
 
     @property
     def by_status(self) -> Dict[str, int]:
-        summary = {"recovered": 0, "degraded": 0, "escaped": 0, "fatal": 0}
+        summary = dict.fromkeys(STATUSES, 0)
         for run in self.runs:
-            summary[run.status] = summary.get(run.status, 0) + 1
+            summary[run.status] += 1
         return summary
 
     @property
     def ok(self) -> bool:
         counts = self.by_status
-        return counts["escaped"] == 0 and counts["fatal"] == 0
+        return not any(counts[status] for status in FAILING_STATUSES)
 
     def summary(self) -> str:
         counts = self.by_status
-        status = "ok" if self.ok else "FAILED"
         return (
             f"chaos: {len(self.runs)} run(s) in "
             f"{self.elapsed_seconds:.1f}s: "
-            f"{counts['recovered']} recovered, "
-            f"{counts['degraded']} degraded, "
-            f"{counts['escaped']} escaped, "
-            f"{counts['fatal']} fatal [{status}]"
+            + ", ".join(f"{counts[status]} {status}" for status in STATUSES)
+            + (" [ok]" if self.ok else " [FAILED]")
         )
 
     def to_json(self) -> Dict[str, object]:
@@ -279,25 +310,25 @@ def _socket_workload(
     """
     from .wire import ServiceClient, SocketServer
 
-    sock_dir = tempfile.mkdtemp(prefix="repro-chaos-")
-    path = os.path.join(sock_dir, "serve.sock")
-    server = SocketServer(service, path)
-    thread = threading.Thread(
-        target=server.serve_forever, name="chaos-socket", daemon=True
-    )
-    thread.start()
-    try:
-        with ServiceClient(path, max_reconnects=2) as client:
-            docs = [{"kind": "ping"} for _ in range(SOCKET_REQUESTS - 1)]
-            docs.append({
-                "kind": "bench", "kernel": DEFAULT_KERNELS[0],
-                "config": "SN-SLP",
-            })
-            responses = client.batch(docs)
-            reconnects = client.reconnects
-    finally:
-        server.request_shutdown()
-        thread.join(timeout=10.0)
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as sock_dir:
+        path = os.path.join(sock_dir, "serve.sock")
+        server = SocketServer(service, path)
+        thread = threading.Thread(
+            target=server.serve_forever, name="chaos-socket", daemon=True
+        )
+        thread.start()
+        try:
+            with ServiceClient(path, max_reconnects=2) as client:
+                docs = [{"kind": "ping"} for _ in range(SOCKET_REQUESTS - 1)]
+                docs.append({
+                    "kind": "bench", "kernel": DEFAULT_KERNELS[0],
+                    "config": "SN-SLP",
+                })
+                responses = client.batch(docs)
+                reconnects = client.reconnects
+        finally:
+            server.request_shutdown()
+            thread.join(timeout=10.0)
     witness = [
         {
             "ok": response.get("ok"),
@@ -318,7 +349,174 @@ def _socket_workload(
     return _fingerprint(witness), reconnects
 
 
+def _compile_workload(
+    session: CompilerSession,
+    site: str,
+    mode: str,
+    seed: int,
+    programs: int,
+) -> Tuple[int, Optional[str]]:
+    """Compile the first ``programs`` fuzz-stream programs at ``seed``
+    through the guarded driver, arming ``site`` once for each.
+
+    Returns (programs whose fault fired, the first escape or None).  An
+    escape is a guarded result that strays from the program's scalar
+    reference, or a fault that fired with no recovery recorded (a
+    detection gap, such as a stall that slipped under the budget).
+    Programs whose reference traps are skipped, as the fuzz oracle
+    rejects them too.
+    """
+    from ..fuzz.campaign import campaign_program
+    from ..fuzz.genprog import make_inputs
+    from ..fuzz.oracle import first_divergence, interpret_reference
+    from ..interp import BudgetExceededError, TrapError
+    from ..machine.targets import DEFAULT_TARGET
+    from ..robust.guard import guarded_compile
+    from ..sim import simulate
+    from ..vectorizer.slp import SNSLP_CONFIG
+
+    fired = 0
+    for index in range(programs):
+        program = campaign_program(seed, index)
+        inputs = make_inputs(program.module, input_seed=1)
+        try:  # nothing is armed yet: the reference runs clean
+            reference = interpret_reference(
+                program.module, program.kernel, program.args, inputs
+            )
+        except (TrapError, BudgetExceededError):
+            continue
+        plan = session.faults.arm(site, mode, once=True)
+        try:
+            guarded = guarded_compile(
+                program.module,
+                SNSLP_CONFIG,
+                DEFAULT_TARGET,
+                phase_budget_seconds=PHASE_BUDGET_SECONDS,
+                session=session,
+            )
+        finally:
+            session.faults.disarm_all()
+        if not plan.fired:
+            continue
+        fired += 1
+        if not guarded.recoveries:
+            return fired, (
+                f"program {index}: fault fired but no recovery was recorded"
+            )
+        try:
+            result = simulate(
+                guarded.result.module,
+                program.kernel,
+                DEFAULT_TARGET,
+                program.args,
+                inputs=inputs,
+                session=session,
+            )
+        except Exception as exc:  # noqa: BLE001 - not running is an escape
+            return fired, (
+                f"program {index}: guarded module failed to run: "
+                f"{type(exc).__name__}: {exc}"
+            )
+        divergence = first_divergence(
+            program.module, reference, result.globals_after, "guarded"
+        )
+        if divergence is not None:
+            return fired, f"program {index}: {divergence}"
+    return fired, None
+
+
+def _service_workload(
+    session: CompilerSession,
+    scenario: ChaosScenario,
+    lap: int,
+    seed: int,
+    kernel_names: Sequence[str],
+    fuzz_programs: int,
+) -> Tuple[str, int]:
+    """Run ``scenario``'s workload against a service with its fault armed.
+
+    Returns (fingerprint, client reconnects).
+    """
+    from ..vectorizer import ALL_CONFIGS
+
+    # Bench and socket runs fire on hit ``lap % h`` of the ``h`` hits the
+    # armed process is sure to see: a kernel's config pairs share its
+    # shard key, and the socket server reads every request.  A fuzz run
+    # fires on its first hit; its lap draws fresh programs instead.
+    sure_hits = {"bench": len(ALL_CONFIGS), "socket": SOCKET_REQUESTS}
+    skip = lap % sure_hits.get(scenario.workload, 1)
+    plans: List[Tuple[str, str, int, bool]] = []
+    # A site reached only after the injected crash fires at once, and the
+    # crash takes the lap's skip.
+    site_skip = 0 if scenario.with_crash else skip
+    if scenario.site in WORKER_SIDE_SITES:
+        plans.append((scenario.site, scenario.mode, site_skip, True))
+    else:
+        session.faults.arm(
+            scenario.site, scenario.mode, skip=site_skip, once=True
+        )
+    if scenario.with_crash:
+        plans.append(("serve.worker.crash", "raise", skip, True))
+
+    stall = scenario.mode == "stall"
+    cache = (
+        tempfile.TemporaryDirectory(prefix="repro-chaos-cache-")
+        if scenario.with_cache_dir
+        else contextlib.nullcontext()
+    )
+    with cache as cache_dir, CompileService(
+        workers=scenario.workers,
+        retries=scenario.retries,
+        cache_dir=cache_dir,
+        session=session,
+        name=f"chaos-{scenario.name}",
+        fault_plans=plans,
+        stall_budget=0.75 if stall else None,
+        fault_stall_seconds=30.0 if stall else None,
+    ) as service:
+        if scenario.workload == "bench":
+            return _bench_workload(session, kernel_names, service), 0
+        if scenario.workload == "fuzz":
+            return _fuzz_workload(session, seed, fuzz_programs, service), 0
+        return _socket_workload(session, service)
+
+
 # -- the campaign -------------------------------------------------------------------
+
+
+def _lap_seed(seed: int, lap: int) -> int:
+    """The program seed of lap ``lap``: the campaign seed itself on lap 0,
+    a fresh draw from it on later laps."""
+    from ..kernels.seeding import derive_seed
+
+    return seed if lap == 0 else derive_seed(seed, f"chaos-lap/{lap}")
+
+
+def _baseline(
+    cache: Dict[str, str],
+    workload: str,
+    seed: int,
+    kernel_names: Sequence[str],
+    fuzz_programs: int,
+) -> str:
+    """The fault-free fingerprint a service ``workload`` must match, kept
+    in ``cache``.  Bench and fuzz baselines run serial and service-less."""
+    key = f"fuzz/{seed}" if workload == "fuzz" else workload
+    if key not in cache:
+        # A session per baseline: the fuzz fingerprint reads the session's
+        # cumulative fuzz.* counters, so a second baseline computed in a
+        # shared session would read as a divergence.
+        session = CompilerSession(name=f"chaos-baseline:{key}")
+        if workload == "bench":
+            cache[key] = _bench_workload(session, kernel_names, None)
+        elif workload == "fuzz":
+            cache[key] = _fuzz_workload(session, seed, fuzz_programs, None)
+        else:
+            with CompileService(
+                workers=2, session=session, name="chaos-baseline"
+            ) as service:
+                cache[key], _ = _socket_workload(session, service)
+    return cache[key]
 
 
 def _execute_scenario(
@@ -329,53 +527,36 @@ def _execute_scenario(
     kernel_names: Sequence[str],
     fuzz_programs: int,
 ) -> Tuple[str, str, Dict[str, float]]:
-    """One armed run.  Returns (status, detail, counters)."""
+    """One armed run on lap ``repetition``.  Returns (status, detail,
+    counters).  ``baselines`` caches fault-free fingerprints across runs
+    of one (``kernel_names``, ``fuzz_programs``) pair."""
     # Remarks stay disabled: arming them would flip the bench payloads'
     # remark flag relative to the fault-free baseline (remark-armed
     # pairs always run cold), which is exactly the kind of accidental
     # divergence this campaign exists to catch.
     session = CompilerSession(name=f"chaos:{scenario.name}")
-    injector = FaultInjector()
-    session.faults = injector
-    # Repetitions shift which hit fires, so re-visiting a scenario
-    # exercises a different task/request instead of replaying run 0.
-    skip = repetition
-
-    plans: List[Tuple[str, str, int, bool]] = []
-    if scenario.site in WORKER_SIDE_SITES:
-        plans.append((scenario.site, scenario.mode, skip, True))
-    else:
-        injector.arm(scenario.site, scenario.mode, skip=skip, once=True)
-    if scenario.with_crash:
-        plans.append(("serve.worker.crash", "raise", skip, True))
-
-    cache_dir = (
-        tempfile.mkdtemp(prefix="repro-chaos-cache-")
-        if scenario.with_cache_dir
-        else None
-    )
-    stall = scenario.mode == "stall"
-    service = CompileService(
-        workers=scenario.workers,
-        retries=scenario.retries,
-        cache_dir=cache_dir,
-        session=session,
-        name=f"chaos-{scenario.name}",
-        fault_plans=plans,
-        stall_budget=0.75 if stall else None,
-        fault_stall_seconds=30.0 if stall else None,
-    )
+    injector = session.faults = FaultInjector()
+    programs_seed = _lap_seed(seed, repetition)
     reconnects = 0
     try:
-        with service:
-            if scenario.workload == "bench":
-                fingerprint = _bench_workload(session, kernel_names, service)
-            elif scenario.workload == "fuzz":
-                fingerprint = _fuzz_workload(
-                    session, seed, fuzz_programs, service
-                )
-            else:
-                fingerprint, reconnects = _socket_workload(session, service)
+        if scenario.workload == "compile":
+            fired, problem = _compile_workload(
+                session, scenario.site, scenario.mode, programs_seed,
+                fuzz_programs,
+            )
+        else:
+            expected = _baseline(
+                baselines, scenario.workload, programs_seed, kernel_names,
+                fuzz_programs,
+            )
+            fingerprint, reconnects = _service_workload(
+                session, scenario, repetition, programs_seed, kernel_names,
+                fuzz_programs,
+            )
+            problem = (
+                None if fingerprint == expected
+                else "results diverged from the fault-free baseline"
+            )
     except (FaultError, ServiceError) as exc:
         return (
             "escaped",
@@ -388,87 +569,78 @@ def _execute_scenario(
     counters = {
         name: value
         for name, value in sorted(session.stats.snapshot().items())
-        if value
-        and (name.startswith("serve.") or name.startswith("cache."))
+        if value and name.startswith(_COUNTER_PREFIXES)
     }
     if reconnects:
         counters["client.reconnects"] = float(reconnects)
-    # Worker-side plans fire in worker *processes*; the parent sees the
-    # evidence in the folded counters, not in its own injector.
-    evidence = _SITE_EVIDENCE.get(scenario.site)
-    if evidence is not None:
-        fired = int(counters.get(evidence, 0))
-    else:
-        fired = sum(plan.fired for plan in injector.armed.values())
+    if scenario.workload != "compile":
+        # Worker-side plans fire in worker *processes*; the parent sees
+        # the evidence in the folded counters, not in its own injector.
+        evidence = _SITE_EVIDENCE.get(scenario.site)
+        if evidence is not None:
+            fired = int(counters.get(evidence, 0))
+        else:
+            fired = sum(plan.fired for plan in injector.armed.values())
     detail = f"fault fired {fired}x" if fired else "fault did not fire"
 
-    if fingerprint != baselines[scenario.workload]:
-        return (
-            "escaped",
-            f"results diverged from the fault-free baseline ({detail})",
-            counters,
-        )
-    if counters.get("serve.degraded", 0):
-        descents = int(counters["serve.degraded"])
+    if problem is not None:
+        return ("escaped", f"{problem} ({detail})", counters)
+    if not fired:
+        return ("unexercised", detail, counters)
+    descents = int(
+        counters.get("serve.degraded", 0)
+        + counters.get("robust.ladder-descents", 0)
+    )
+    if descents:
         return (
             "degraded",
-            f"{descents} task(s) descended the ladder; {detail}",
+            f"{descents} descent(s) down the ladder; {detail}",
             counters,
         )
     return ("recovered", detail, counters)
 
 
 def run_chaos_campaign(
-    budget: int = 20,
+    budget: Optional[int] = None,
     seed: int = 0,
     kernel_names: Sequence[str] = DEFAULT_KERNELS,
     fuzz_programs: int = DEFAULT_FUZZ_PROGRAMS,
     progress: Optional[Callable[[str], None]] = None,
     session: Optional[CompilerSession] = None,
 ) -> ChaosResult:
-    """Run ``budget`` seeded chaos runs over the scenario matrix.
+    """Run ``budget`` seeded chaos runs over the scenario table (default:
+    :data:`DEFAULT_LAPS` laps of it).
 
-    Scenarios are visited round-robin (a budget of at least
-    ``len(chaos_scenarios())`` covers every service site); repetition
-    ``r`` of a scenario arms the fault with ``skip=r`` so a later hit
-    fires.  Fault-free baselines are computed once per workload, serial
-    and service-less — the ground truth every armed run must match.
+    Scenarios are visited round-robin, so a budget of at least
+    ``len(chaos_scenarios())`` covers every compile and service site;
+    run ``i`` is on lap ``i // len(chaos_scenarios())``.  Fault-free
+    baselines are computed once per workload and lap seed, off the runs'
+    clocks.
 
-    Aggregate ``serve.*``/``cache.*`` counters from every run are folded
-    into ``session`` (default: the ambient session), so ``--stats`` and
-    ``--metrics-out`` see ``serve.degraded``/``serve.retries`` totals
-    for the whole campaign.
+    Aggregate ``serve.*``/``cache.*``/``robust.*`` counters from every
+    run are folded into ``session`` (default: the ambient session), so
+    ``--stats`` and ``--metrics-out`` see campaign-wide totals.
     """
     parent = session if session is not None else current_session()
     started = time.perf_counter()
     scenarios = chaos_scenarios()
+    if budget is None:
+        budget = DEFAULT_LAPS * len(scenarios)
 
-    def note(line: str) -> None:
-        if progress is not None:
-            progress(line)
-
-    note("computing fault-free baselines (bench, fuzz, socket)")
     parent.tracer.log(
         "info", "chaos-start", "chaos campaign started",
         budget=budget, seed=seed, scenarios=len(scenarios),
     )
-    baseline_session = CompilerSession(name="chaos-baseline")
-    baselines = {
-        "bench": _bench_workload(baseline_session, kernel_names, None),
-        "fuzz": _fuzz_workload(baseline_session, seed, fuzz_programs, None),
-    }
-    socket_session = CompilerSession(name="chaos-baseline-socket")
-    with CompileService(
-        workers=2, session=socket_session, name="chaos-baseline"
-    ) as baseline_service:
-        baselines["socket"], _ = _socket_workload(
-            socket_session, baseline_service
-        )
-
+    baselines: Dict[str, str] = {}
     runs: List[ChaosRun] = []
     for index in range(max(0, budget)):
         scenario = scenarios[index % len(scenarios)]
         repetition = index // len(scenarios)
+        if scenario.workload != "compile":
+            _baseline(
+                baselines, scenario.workload, _lap_seed(seed, repetition),
+                kernel_names, fuzz_programs,
+            )
         run_started = time.perf_counter()
         status, detail, counters = _execute_scenario(
             scenario, repetition, seed, baselines, kernel_names,
@@ -486,21 +658,22 @@ def run_chaos_campaign(
             counters=counters,
         )
         runs.append(run)
-        note(
-            f"run {index}: {scenario.name} [{scenario.workload}] -> "
-            f"{status} ({detail})"
-        )
-        # Structured twin of the progress line: escaped/fatal runs are
+        if progress is not None:
+            progress(
+                f"run {index}: {scenario.name} [{scenario.workload}] -> "
+                f"{status} ({detail})"
+            )
+        # Structured twin of the progress line: failing runs are
         # contract violations, so they log above the default threshold.
         parent.tracer.log(
-            "error" if status in ("escaped", "fatal") else "info",
+            "error" if status in FAILING_STATUSES else "info",
             "chaos-run", detail,
             run=index, scenario=scenario.name, site=scenario.site,
             workload=scenario.workload, status=status,
             seconds=round(run.seconds, 6),
         )
         for name, value in counters.items():
-            if name.startswith(("serve.", "cache.")):
+            if name.startswith(_COUNTER_PREFIXES):
                 parent.stats.stat(name).add(value)
 
     result = ChaosResult(
@@ -509,10 +682,12 @@ def run_chaos_campaign(
         runs=runs,
         elapsed_seconds=time.perf_counter() - started,
     )
+    counts = result.by_status
     parent.tracer.log(
         "info", "chaos-done", "chaos campaign finished",
         budget=budget, ok=result.ok,
-        escaped=result.by_status["escaped"] + result.by_status["fatal"],
+        unexercised=counts["unexercised"],
+        escaped=counts["escaped"] + counts["fatal"],
         elapsed=round(result.elapsed_seconds, 6),
     )
     return result

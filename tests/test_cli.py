@@ -176,8 +176,24 @@ class TestBisectCommand:
 
 
 class TestInjectionSmoke:
+    """``repro chaos`` is the fault-injection campaign: every armed fault
+    must fire, and none may escape recovery."""
+
     def test_inject_campaign_via_cli(self, capsys):
-        assert main(["fuzz", "--inject", "--budget", "8", "--seed", "0"]) == 0
+        assert main(
+            ["chaos", "--budget", "8", "--fuzz-programs", "4", "--seed", "0"]
+        ) == 0
         out = capsys.readouterr().out
-        assert "injection campaign" in out
-        assert "0 escape(s)" in out
+        assert "0 unexercised" in out
+        assert "0 escaped" in out
+
+    def test_unfired_fault_fails_the_campaign(self, capsys, monkeypatch):
+        from repro.serve import chaos
+
+        unreachable = chaos.ChaosScenario(
+            "respawn-unreached", "serve.respawn", "raise", "bench"
+        )
+        monkeypatch.setattr(chaos, "chaos_scenarios", lambda: [unreachable])
+        argv = ["chaos", "--budget", "1", "--kernel", "motiv-leaf-reorder"]
+        assert main(argv) == 6
+        assert "[unexercised] respawn-unreached" in capsys.readouterr().out

@@ -29,7 +29,6 @@ from repro.robust import (
     FAULT_SITES,
     FaultError,
     guarded_compile,
-    parse_injection,
     resolve_ladder,
     run_bisect,
     site_named,
@@ -95,20 +94,6 @@ def assert_matches_reference(compiled_module, module, inputs, reference, n=64):
 
 
 class TestFaultRegistry:
-    def test_parse_injection_defaults(self):
-        assert parse_injection("codegen.emit") == ("codegen.emit", "raise", 0)
-        assert parse_injection("codegen.emit:corrupt:2") == (
-            "codegen.emit", "corrupt", 2,
-        )
-
-    def test_parse_injection_rejects_unknown_site(self):
-        with pytest.raises(KeyError):
-            parse_injection("warpcore.breach")
-
-    def test_parse_injection_rejects_unsupported_mode(self):
-        with pytest.raises(ValueError):
-            parse_injection("supernode.build-chain:corrupt")
-
     def test_arm_rejects_unsupported_mode(self):
         with pytest.raises(ValueError):
             DEFAULT_SESSION.faults.arm("codegen.emit", "stall")
@@ -387,13 +372,3 @@ class TestFuzzIntegration:
         DEFAULT_SESSION.faults.disarm_all()
         assert report.reference_trapped
         assert report.outcomes[0].status == "budget"
-
-    def test_injection_campaign_covers_every_combo_cleanly(self):
-        from repro.fuzz import injection_combos, run_injection_campaign
-
-        combos = injection_combos()
-        assert sorted(combos) == sorted(COMPILE_COMBOS)
-        result = run_injection_campaign(budget=str(len(combos)), seed=0)
-        assert result.ok, result.summary()
-        assert result.stats.get("fuzz.injections") == len(combos)
-        assert not result.escapes
