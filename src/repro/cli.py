@@ -229,16 +229,6 @@ def _seed_inputs(module: Module, seed: int) -> Dict[str, List]:
     return inputs
 
 
-def _values_close(a, b, is_float: bool) -> bool:
-    import math
-
-    if not is_float:
-        return a == b
-    if math.isnan(a) and math.isnan(b):
-        return True
-    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
-
-
 def cmd_compile(args: argparse.Namespace) -> int:
     module = _load_module(args.source)
     config = _resolve_config(args.config)
@@ -345,6 +335,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     import json
 
+    from .fuzz.oracle import values_close
+
     module = _load_module(args.source)
     kernel = _pick_kernel(module, args.kernel)
     target = _resolve_target(args.target)
@@ -374,7 +366,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for name, values in result.globals_after.items():
             is_float = isinstance(module.globals[name].element, FloatType)
             for x, y in zip(values, baseline.globals_after[name]):
-                if not _values_close(x, y, is_float):
+                if not values_close(x, y, is_float):
                     correct = False
                     break
         if not correct:
@@ -1507,7 +1499,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         metavar="DIR",
         help="with --service: shared cross-worker cache directory "
-        "(compile artifacts + bench-pair results, unbounded)",
+        "(bench-pair results, unbounded)",
     )
     p_bench.add_argument(
         "--service-timeout",
@@ -1542,7 +1534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--cache-dir",
         metavar="DIR",
-        help="shared cross-worker cache directory (compile artifacts + "
+        help="shared cross-worker cache directory (compile replies + "
         "bench-pair results); survives service restarts",
     )
     p_serve.add_argument(
@@ -1550,9 +1542,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="entries kept per cache namespace: a write past the bound "
-        "evicts the entries read or written least recently (default: "
-        "unbounded)",
+        help="entries kept per cache namespace: a write past the bound N "
+        "evicts the entries read or written least recently, down to "
+        "N - N//8 (default: unbounded)",
     )
     p_serve.add_argument(
         "--max-pending",

@@ -12,9 +12,9 @@ Scheduling semantics:
 * **FIFO + sharding.** Tasks dispatch in submission order.  A
   ``shard_key`` (the kernel name, for bench tasks) pins a task to
   ``crc32(key) % workers`` so repeat compiles of one kernel land on the
-  worker whose warm session and memoized module text already know it;
-  unsharded tasks go to the least-loaded live worker.  Each worker keeps
-  at most :data:`PIPELINE_DEPTH` tasks pipelined in its pipe.
+  worker whose warm session already knows it; unsharded tasks go to the
+  least-loaded live worker.  Each worker keeps at most
+  :data:`PIPELINE_DEPTH` tasks pipelined in its pipe.
 * **Backpressure.** At most ``max_pending`` tasks may be unresolved at
   once; ``submit(block=True)`` (default) waits for a slot,
   ``block=False`` raises :class:`ServiceOverloaded` — callers that fan

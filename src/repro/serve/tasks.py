@@ -9,29 +9,34 @@ objects.
 
 :class:`WorkerState` is the per-worker context: the slot index, the warm
 :class:`~repro.observe.session.CompilerSession`, and (when the service
-was given a cache directory) two lazily-opened namespaces of the shared
-on-disk store, which every worker reads and writes directly (a worker
-keeps no copy of its own):
+was given a cache directory) lazily-opened namespaces of the shared
+on-disk :class:`~repro.vectorizer.cache.SharedJsonStore`, which every
+worker reads and writes directly (a worker keeps no copy of its own).
+Two task kinds memoize their results there, under one key rule
+(:func:`task_key`):
 
-* the :class:`~repro.vectorizer.cache.CompileCache` (namespace
-  ``compile``) memoizing raw compiles for the ``compile`` wire kind,
-  whose reply says ``cached`` exactly when the lookup was a hit, and
-* a bench *result* store (namespace ``bench-task``) memoizing whole
-  :class:`~repro.bench.runner.KernelRun` outcomes for ``bench-pair``
-  tasks.
+* ``compile`` (namespace ``compile-task``) stores the reply it sends.  A
+  hit returns that reply with ``cached: true`` and runs nothing else: no
+  frontend, no IR parse, no compile, no IR print.
+* ``bench-pair`` (namespace ``bench-task``) stores the whole
+  :class:`~repro.bench.runner.KernelRun`.
+
+Both count ``serve.task_cache.hits``/``misses`` in the worker session,
+where the store also counts its ``cache.*`` statistics, so the service's
+``stats`` reply covers both kinds.
 
 The bench store exists because compile time is only ~4% of a bench pair
 on this suite (BENCH_pr6: 0.099s compile vs 2.258s wall — simulation
 dominates); caching compiles alone cannot reach the warm-service
-speedup target.  Caching the full run is sound for the same reason the
-compile cache is: given (kernel module text, config, target, seed) the
-simulator is deterministic, and the stored run replays the *cold* run's
-counters verbatim, so the parallel==serial bit-identity contract holds
-on every deterministic field (``correct`` is stored as None and
-recomputed by the parent's O3 cross-check, exactly as for a cold run),
-and a stored run feeds the same per-pair histograms a cold run does.
-Runs that armed spans, remarks or decisions bypass the store — replaying
-those records would be a lie.
+speedup target.  Caching the full run is sound because, given (kernel,
+config, target, seed) and the repro source, the simulator is
+deterministic, and the stored run replays the *cold* run's counters
+verbatim, so the parallel==serial bit-identity contract holds on every
+deterministic field (``correct`` is stored as None and recomputed by
+the parent's O3 cross-check, exactly as for a cold run), and a stored
+run feeds the same per-pair histograms a cold run does.  Runs that armed
+spans, remarks or decisions bypass the store — replaying those records
+would be a lie.
 """
 
 from __future__ import annotations
@@ -49,11 +54,12 @@ from ..observe.session import METRICS, Capture, CompilerSession
 
 TASK_KINDS: Dict[str, Callable] = {}
 
-#: bump when the bench-task store layout changes
-BENCH_TASK_FORMAT = 1
+#: bump when a task store's document layout changes (it is part of
+#: every key, so entries of another layout simply miss)
+TASK_FORMAT = 2
 
-_TASK_HITS = STAT("serve.task_cache.hits", "bench-task result-store hits")
-_TASK_MISSES = STAT("serve.task_cache.misses", "bench-task result-store misses")
+_TASK_HITS = STAT("serve.task_cache.hits", "task result-store hits")
+_TASK_MISSES = STAT("serve.task_cache.misses", "task result-store misses")
 
 
 def task_kind(name: str):
@@ -86,42 +92,49 @@ class WorkerState:
     #: pool generation of the hosting process (respawns bump it); bench
     #: pairs report it so their records absorb under (pid, generation)
     generation: int = 0
-    #: kernel name -> printed module text, memoized for cache keying
-    _module_texts: Dict[str, str] = field(default_factory=dict)
-    _compile_cache: Optional[object] = field(default=None, repr=False)
-    _result_store: Optional[object] = field(default=None, repr=False)
+    _stores: Dict[str, object] = field(default_factory=dict, repr=False)
 
-    @property
-    def compile_cache(self):
-        if self._compile_cache is None and self.cache_dir is not None:
-            from ..vectorizer.cache import CompileCache
-
-            self._compile_cache = CompileCache(
-                self.cache_dir, max_entries=self.cache_entries
-            )
-        return self._compile_cache
-
-    @property
-    def result_store(self):
-        if self._result_store is None and self.cache_dir is not None:
+    def task_store(self, namespace: str):
+        """The shared store's ``namespace``, opened on first use; None
+        when the service has no cache directory."""
+        if self.cache_dir is None:
+            return None
+        store = self._stores.get(namespace)
+        if store is None:
             from ..vectorizer.cache import SharedJsonStore
 
-            self._result_store = SharedJsonStore(
-                self.cache_dir,
-                namespace="bench-task",
+            store = self._stores[namespace] = SharedJsonStore(
+                self.cache_dir, namespace=namespace,
                 max_entries=self.cache_entries,
             )
-        return self._result_store
+        return store
 
-    def module_text(self, kernel_name: str) -> str:
-        text = self._module_texts.get(kernel_name)
-        if text is None:
-            from ..ir.printer import print_module
-            from ..kernels.suite import kernel_named
 
-            text = print_module(kernel_named(kernel_name).build())
-            self._module_texts[kernel_name] = text
-        return text
+def task_key(kind: str, payload: object) -> str:
+    """SHA-256 over the task kind, the canonical JSON of the payload that
+    determines its result, :data:`TASK_FORMAT` and the repro-source
+    fingerprint.
+
+    The fingerprint covers the compiler and the suite's kernel builders
+    alike, so a store warmed by an older checkout misses after a code
+    change instead of replaying results the current code would not
+    produce.
+    """
+    from ..vectorizer.cache import repro_source_fingerprint
+
+    text = json.dumps(
+        [kind, payload, TASK_FORMAT, repro_source_fingerprint()],
+        sort_keys=True, separators=(",", ":"),
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _lookup(store, key: str) -> Optional[Dict[str, object]]:
+    """The stored document for ``key`` or None, counted as a task-cache
+    hit or miss in the ambient (worker) session."""
+    doc = store.get(key)
+    (_TASK_HITS if doc is not None else _TASK_MISSES).add()
+    return doc
 
 
 # -- KernelRun (de)serialization ----------------------------------------------------
@@ -170,55 +183,35 @@ def run_from_json(data: Dict[str, object]):
     )
 
 
-def _bench_task_key(state: WorkerState, pair) -> str:
-    """Content hash of everything a bench pair's outcome depends on.
-
-    The repro-source fingerprint is part of "everything": a store warmed
-    by an older checkout misses after a code change instead of replaying
-    counters the current compiler would not produce.
-    """
-    from ..vectorizer.cache import repro_source_fingerprint
-
-    kernel_name, config_name, target_name, seed, _, journal = pair
-    hasher = hashlib.sha256()
-    hasher.update(state.module_text(kernel_name).encode("utf-8"))
-    hasher.update(
-        f"\x00{config_name}\x00{target_name}\x00{seed}\x00{int(journal)}"
-        f"\x00{BENCH_TASK_FORMAT}\x00{repro_source_fingerprint()}".encode()
-    )
-    return hasher.hexdigest()
-
-
 # -- task kinds ---------------------------------------------------------------------
 
 
 @task_kind("bench-pair")
 def _bench_pair_task(payload, state: WorkerState):
-    """One (kernel, config) bench pair, memoized through the result store.
+    """One (kernel, config) bench pair, memoized in ``bench-task``.
 
-    ``payload`` is ``(PairPayload, use_cache)``.  Pairs armed for spans,
-    remarks or decisions always run cold (their value *is* the records);
-    otherwise a store hit rebuilds the KernelRun from the cold run's
-    stored document, replays its per-pair histograms when metrics are
-    armed, and reports the actual lookup wall time as
-    ``worker_seconds``.
+    ``payload`` is ``(PairPayload, use_cache)``; the key covers the pair
+    without its stream mask.  Pairs armed for spans, remarks or
+    decisions always run cold (their value *is* the records); otherwise
+    a store hit rebuilds the KernelRun from the cold run's stored
+    document, replays its per-pair histograms when metrics are armed,
+    and reports the actual lookup wall time as ``worker_seconds``.
     """
     from ..bench.parallel import _run_pair
     from ..bench.runner import observe_run
 
     pair, use_cache = payload
     mask = pair[4]
-    store = state.result_store if use_cache else None
+    store = state.task_store("bench-task") if use_cache else None
     if store is None or mask & (SPAN | REMARK | DECISION):
         run, info = _run_pair(pair)
         info["generation"] = state.generation
         return run, info
     started = time.perf_counter()
-    key = _bench_task_key(state, pair)
-    entry = store.get(key)
-    if entry is not None and entry.get("format") == BENCH_TASK_FORMAT:
-        _TASK_HITS.add()
-        run = run_from_json(entry["run"])
+    key = task_key("bench-pair", pair[:4] + pair[5:])
+    doc = _lookup(store, key)
+    if doc is not None:
+        run = run_from_json(doc)
         capture = Capture()
         if mask & METRICS:
             capture.metrics = MetricsRegistry(enabled=True)
@@ -230,10 +223,9 @@ def _bench_pair_task(payload, state: WorkerState):
             "cached": True,
             "capture": capture,
         }
-    _TASK_MISSES.add()
     run, info = _run_pair(pair)
     info["generation"] = state.generation
-    store.put(key, {"format": BENCH_TASK_FORMAT, "run": run_to_json(run)})
+    store.put(key, run_to_json(run))
     return run, info
 
 
@@ -245,16 +237,33 @@ def _compile_task(payload, state: WorkerState):
     (``"kernel"``/``"ir"``), ``config``, ``target``, ``unroll`` and
     ``cache`` (bool).  Returns a slim JSON document (full reports stay
     worker-side; wire clients want the IR and the headline numbers).
+    With ``cache`` and a cache directory, the reply is memoized in
+    ``compile-task``: a hit returns the stored reply with ``cached``
+    set, and a miss stores exactly the reply it returns.
     """
-    from ..ir.parser import parse_module
+    store = state.task_store("compile-task") if payload.get("cache", True) else None
+    if store is None:
+        return _compile_reply(payload)
+    key = task_key("compile", payload)
+    reply = _lookup(store, key)
+    if reply is not None:
+        return dict(reply, cached=True)
+    reply = _compile_reply(payload)
+    store.put(key, reply)
+    return reply
+
+
+def _compile_reply(payload) -> Dict[str, object]:
+    """Frontend (or IR parse), compile and print: the ``compile`` reply."""
     from ..ir.printer import print_module
     from ..machine.targets import DEFAULT_TARGET, target_named
-    from ..vectorizer.cache import cached_compile_module
+    from ..vectorizer.pipeline import compile_module
     from ..vectorizer.slp import config_named
 
     text = payload["text"]
-    language = payload.get("language", "kernel")
-    if language == "ir":
+    if payload.get("language", "kernel") == "ir":
+        from ..ir.parser import parse_module
+
         module = parse_module(text)
     else:
         from ..frontend import compile_source
@@ -263,24 +272,18 @@ def _compile_task(payload, state: WorkerState):
     config = config_named(payload.get("config", "SN-SLP"))
     target_name = payload.get("target")
     target = target_named(target_name) if target_name else DEFAULT_TARGET
-    unroll = int(payload.get("unroll", 0))
-    cache = state.compile_cache if payload.get("cache", True) else None
-    session = state.session.derive(name="serve-compile")
-    result = cached_compile_module(
-        module, config, target,
-        unroll_factor=unroll, session=session, cache=cache,
+    result = compile_module(
+        module, config, target, unroll_factor=int(payload.get("unroll", 0)),
     )
-    report = result.report
-    vectorized = sum(1 for g in report.all_graphs() if g.vectorized)
-    attempted = sum(1 for g in report.all_graphs())
+    graphs = result.report.all_graphs()
     return {
         "module": print_module(result.module),
         "config": config.name,
         "target": target.name,
-        "vectorized": vectorized,
-        "attempted": attempted,
+        "vectorized": sum(1 for g in graphs if g.vectorized),
+        "attempted": len(graphs),
         "compile_seconds": result.compile_seconds,
-        "cached": cache is not None and cache.last_lookup == "hit",
+        "cached": False,
         "counters": dict(result.counters),
     }
 

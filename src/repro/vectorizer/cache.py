@@ -18,16 +18,19 @@ the artifact, not the lookup).
 Results persist in a :class:`SharedJsonStore`, a JSON document store
 designed for *concurrent writers*: all workers of a :mod:`repro.serve`
 pool (and successive service runs) point at the same directory, so one
-worker's cold compile becomes every other worker's hit.  Each entry is
-one file and the only record of its result: it carries the writing
-process's pid, which lets a reader count ``cache.cross_worker_hits``,
-and its modification time is its recency stamp, set on every write and
-every hit.  Truncated or garbage entries are deleted and treated as
-misses (``cache.corrupt_entries``), never raised.  When a bounded store
-holds more than ``max_entries`` documents, the ones with the oldest
-stamps are evicted (``cache.evictions``).
+worker's cold result becomes every other worker's hit.  The service
+memoizes its task replies in stores of its own (see
+:mod:`repro.serve.tasks`); :class:`CompileCache` is the store behind
+``repro compile --cache-dir``.  Each entry is one file and the only
+record of its result: it carries the writing process's pid, which lets
+a reader count ``cache.cross_worker_hits``, and its modification time
+is its recency stamp, set on every write and every hit.  Truncated or
+garbage entries are deleted and treated as misses
+(``cache.corrupt_entries``), never raised.  Once a bounded store holds
+more than ``max_entries`` documents, the ones with the oldest stamps are
+evicted in one batch (``cache.evictions``).
 
-Hits and misses are counted through the ambient
+Compile-cache hits and misses are counted through the ambient
 :class:`~repro.observe.session.CompilerSession` via ``cache.hits`` /
 ``cache.misses``.
 """
@@ -224,6 +227,12 @@ def result_from_json(data: Dict[str, object]) -> CompilationResult:
 # -- the shared on-disk store -------------------------------------------------------
 
 
+def _is_entry(name: str) -> bool:
+    """Whether a directory listing's ``name`` is a store entry (not a
+    dotfile such as ``.lock``, nor an in-flight ``.tmp.<pid>`` write)."""
+    return name.endswith(".json") and not name.startswith(".")
+
+
 def _lock_file(handle) -> None:
     if fcntl is not None:
         fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
@@ -244,8 +253,12 @@ class SharedJsonStore:
     recency stamp, set explicitly (``time.time_ns()``) on every ``put``
     and every hit, so two operations microseconds apart still order.
     Reads take no lock and touch only their own entry.  A bounded
-    ``put`` evicts the entries with the oldest stamps under an ``flock``
-    on ``.lock``; an unbounded one never scans the directory.  Dotfiles
+    ``put`` counts the entries with one ``os.listdir`` and stats none
+    while the namespace holds at most ``max_entries``; once past the
+    bound N it stats every entry under an ``flock`` on ``.lock`` and
+    evicts the oldest-stamped ones down to N - N//8, so a bound of 256
+    scans once per 32 writes and a bound under 8 trims to the bound
+    itself.  An unbounded ``put`` never lists the directory.  Dotfiles
     are never entries.
 
     ``get`` never raises on bad entries — a truncated or garbage file is
@@ -304,21 +317,22 @@ class SharedJsonStore:
         faults.fire("serve.cache.entry", corrupt=_scribble)
 
     def _evict(self, keep: str) -> None:
-        """Drop the oldest-stamped entries until at most ``max_entries``
-        remain, never ``keep``.  Call only under the lock."""
+        """If more than ``max_entries`` entries remain (another writer
+        may have trimmed since the caller counted), drop the
+        oldest-stamped ones, never ``keep``, down to ``max_entries -
+        max_entries // 8``.  Call only under the lock."""
         stamps: Dict[str, int] = {}
         with os.scandir(self.directory) as scan:
             for entry in scan:
-                name = entry.name
-                if name.startswith(".") or not name.endswith(".json"):
+                if not _is_entry(entry.name):
                     continue
                 try:
-                    stamps[name[:-5]] = entry.stat().st_mtime_ns
+                    stamps[entry.name[:-5]] = entry.stat().st_mtime_ns
                 except OSError:  # removed since the listing
                     continue
-        excess = len(stamps) - self.max_entries
-        if excess <= 0:
+        if len(stamps) <= self.max_entries:
             return
+        excess = len(stamps) - (self.max_entries - self.max_entries // 8)
         stamps.pop(keep, None)
         stat = STAT_EVICTIONS.resolve(current_session().stats)
         for victim in sorted(stamps, key=stamps.__getitem__)[:excess]:
@@ -355,15 +369,15 @@ class SharedJsonStore:
         return doc
 
     def put(self, key: str, doc: Dict[str, object]) -> None:
-        """Store ``doc`` under ``key``, evicting the oldest entries over
-        the cap."""
+        """Store ``doc`` under ``key``; past the bound, evict the oldest
+        entries in one batch."""
         path = self._path(key)
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(json.dumps({"pid": os.getpid(), "doc": doc}))
         os.replace(tmp, path)
         self._stamp(path)
-        if self.max_entries is not None:
+        if self.max_entries is not None and len(self) > self.max_entries:
             with self._locked():
                 self._evict(key)
 
@@ -376,27 +390,25 @@ class SharedJsonStore:
 
     def keys(self) -> list:
         return sorted(
-            name[:-5]
-            for name in os.listdir(self.directory)
-            if name.endswith(".json") and not name.startswith(".")
+            name[:-5] for name in os.listdir(self.directory) if _is_entry(name)
         )
 
     def __len__(self) -> int:
-        return len(self.keys())
+        return sum(1 for name in os.listdir(self.directory) if _is_entry(name))
 
 
 # -- the cache ----------------------------------------------------------------------
 
 
 class CompileCache:
-    """Compile cache over a shared on-disk store.
+    """Compile cache over a shared on-disk store, behind ``repro compile
+    --cache-dir``.
 
     Entries live in a :class:`SharedJsonStore` (namespace ``compile``)
     under ``directory``, so a warm directory survives process boundaries
-    and is safely shared by concurrent service workers (the CI warm/hit
-    check relies on this).  The store is the only layer: every lookup
-    reads the entry file, and ``max_entries`` bounds the store with
-    least-recently-used eviction.
+    (the CI warm/hit check relies on this).  The store is the only
+    layer: every lookup reads the entry file, and ``max_entries`` bounds
+    the store with least-recently-used eviction.
 
     ``last_lookup`` reports how the most recent :meth:`lookup` resolved:
     ``"hit"``, ``"miss"``, ``"stale"`` (format-version mismatch) or

@@ -1,8 +1,11 @@
 """CLI driver tests (``python -m repro`` / the ``snslp`` entry point)."""
 
+import struct
+
 import pytest
 
-from repro.cli import main
+from repro import cli
+from repro.cli import EXIT_MISMATCH, main
 
 FIG3 = """
 long A[1024]; long B[1024]; long C[1024]; long D[1024];
@@ -110,6 +113,32 @@ class TestCompare:
         # SN-SLP must show a speedup and correctness
         snslp_line = next(l for l in out.splitlines() if l.startswith("SN-SLP"))
         assert "True" in snslp_line
+
+    def test_compare_judges_floats_by_the_oracle_ulp_rule(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """An output of magnitude 1e6 that is 100,000 ULPs (about 1e-11
+        relative) off O3's is a mismatch under the fuzz oracle's
+        4096-ULP rule, though a 1e-9 relative tolerance would pass it."""
+        path = tmp_path / "big.sn"
+        path.write_text("double A[4]; double B[4];\nkernel k(n) { A[0] = B[0] + 1000000.0; }\n")
+        simulate = cli.simulate
+        calls = []
+
+        def perturb_last_config(*args, **kwargs):
+            result = simulate(*args, **kwargs)
+            calls.append(result)
+            if len(calls) == len(cli.ALL_CONFIGS):  # O3, the baseline, runs first
+                out = result.globals_after["A"]
+                bits = struct.unpack("<q", struct.pack("<d", out[0]))[0]
+                out[0] = struct.unpack("<d", struct.pack("<q", bits + 100_000))[0]
+            return result
+
+        monkeypatch.setattr(cli, "simulate", perturb_last_config)
+        assert main(["compare", str(path), "--n", "1"]) == EXIT_MISMATCH
+        rows = capsys.readouterr().out.splitlines()
+        assert "False" in next(l for l in rows if l.startswith("SN-SLP"))
+        assert "True" in next(l for l in rows if l.startswith("LSLP"))
 
 
 class TestReport:

@@ -219,7 +219,7 @@ def token_digest(sources: List[str]) -> str:
 
 #: test file (or ``generated``) -> (number of sources, token digest)
 TOKEN_DIGESTS = {
-    'test_cli.py': (3, 'abb6c7a17ee0a942d3044852497f70249a976a895f8dc3410bcec83f7f561187'),
+    'test_cli.py': (4, '114a31517320feeaa11b64dae59c2cca0836d6e36cb07d521c6053b0174eb621'),
     'test_event_stream.py': (1, '2f0875bf4ef52606243346f04e4466d834859c4c85f80e67ebe35a69af061f4f'),
     'test_frontend.py': (31, '933c12f35e4803cc67c79f7392258b561048eac18cdb93a2892a6f67cdbc1a15'),
     'test_journal.py': (1, '2f0875bf4ef52606243346f04e4466d834859c4c85f80e67ebe35a69af061f4f'),
@@ -227,6 +227,7 @@ TOKEN_DIGESTS = {
     'test_passes.py': (2, '36e610db4c58affcd257f4e039a99b19174f80b5cb91ce5650153bfc89a8a449'),
     'test_pipeline.py': (1, '79e2b57aee535acdc1976f3bdffdc980e4c3205a5b869c25a9ed43398cde3529'),
     'test_robust.py': (1, '2f0875bf4ef52606243346f04e4466d834859c4c85f80e67ebe35a69af061f4f'),
+    'test_serve.py': (1, '9c20e4ef77753672999c16c5e0689ad6482d4da1a1879db7bc81dad6ae306da2'),
     'test_undo.py': (1, 'beec04ece0d6c5773d5e486f866c6df931ec8c26c281fd32da8fda8a2909cdca'),
     'generated': (18, '335028bdafa8b3494cbaf3dd7cc0a8d42719a90fa34f274b7d1ee77036e72e80'),
 }

@@ -3,8 +3,9 @@
 Covers the lifecycle contract of :mod:`repro.serve` — crash → respawn +
 requeue with results still bit-identical to serial, graceful drain,
 typed timeout/cancel/backpressure errors — plus the shared cross-worker
-store (LRU eviction, corruption-as-miss), the marshal-time satellite
-fix, the JSONL wire protocol, and the CLI exit-code convention.
+store (batched LRU eviction, corruption-as-miss), the memoized wire
+``compile`` kind, the marshal-time satellite fix, the JSONL wire
+protocol, and the CLI exit-code convention.
 
 Also covered: the resilience layer (immediate retries, then serial
 fallback), wire hardening (frame limits, client reconnect, concurrent
@@ -30,7 +31,11 @@ import pytest
 from repro.bench import run_kernel_matrix, run_suite_parallel
 from repro.bench.parallel import _run_pair
 from repro.bench.runner import DEFAULT_SEED
+from repro import frontend
+from repro.frontend import compile_source
 from repro.fuzz import run_campaign
+from repro.ir import parser as ir_parser
+from repro.ir import printer as ir_printer
 from repro.kernels import kernel_named
 from repro.observe import REMARK, Tracer
 from repro.observe.session import CompilerSession, use_session
@@ -55,6 +60,7 @@ from repro.serve.chaos import (
 )
 from repro.serve import resilience
 from repro.serve.resilience import MAX_RETRIES, ResilientExecutor, run_batch
+from repro.serve.tasks import WorkerState, run_task
 from repro.serve.wire import (
     MAX_FRAME_BYTES,
     ServiceClient,
@@ -83,6 +89,16 @@ FINGERPRINT = "repro.vectorizer.cache._SOURCE_FINGERPRINT"
 #: a cold bench pair: (kernel, config, target, seed, mask, journal) —
 #: the same PairPayload the bench driver ships
 PAIR = ("motiv-leaf-reorder", "SN-SLP", "skylake-like", DEFAULT_SEED, 0, False)
+
+#: a small mini-C source for the wire ``compile`` kind: a signed sum
+#: SN-SLP vectorizes
+SIGNED_SUM = (
+    "double A[8]; double B[8]; double C[8]; double D[8];\n"
+    "kernel signed_sum(n) {\n"
+    "  A[0] = B[0] - C[0] + D[0];\n"
+    "  A[1] = B[1] + D[1] - C[1];\n"
+    "}\n"
+)
 
 
 def service_session() -> CompilerSession:
@@ -433,6 +449,37 @@ class TestSharedStore:
         assert after["b.json"][0] == before["b.json"][0]
         assert after["b.json"][1] > before["b.json"][1]
 
+    def test_batched_eviction_trims_below_the_bound(self, tmp_path, monkeypatch):
+        """Past a bound of 16, one scan evicts the oldest-stamped entries
+        down to 16 - 16//8 = 14; the puts that follow stat nothing until
+        the bound is passed again, and a hit still protects its entry."""
+        scans = []
+        real_scandir = os.scandir
+
+        def counting_scandir(path):
+            scans.append(path)
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "scandir", counting_scandir)
+        session = service_session()
+        with use_session(session):
+            store = SharedJsonStore(str(tmp_path), namespace="t", max_entries=16)
+            for index in range(16):
+                store.put(f"key{index:02d}", {"value": index})
+                time.sleep(0.01)  # distinct recency stamps
+            assert store.get("key00") == {"value": 0}  # touch: now the newest
+            time.sleep(0.01)
+            assert scans == []
+            store.put("key16", {"value": 16})
+            assert len(scans) == 1
+            assert session.stats.value("cache.evictions") == 3
+            assert store.keys() == ["key00"] + [f"key{i:02d}" for i in range(4, 17)]
+            store.put("key17", {"value": 17})
+            store.put("key18", {"value": 18})
+        assert len(scans) == 1
+        assert len(store) == 16
+        assert session.stats.value("cache.evictions") == 3
+
     def test_concurrent_writers_and_lock_free_readers(self, tmp_path):
         """More worker processes than cores hammer one bounded store:
         no read sees a torn or foreign document, nothing raises, and
@@ -528,6 +575,101 @@ class TestWireProtocol:
             thread.join(timeout=10)
             assert not thread.is_alive()
         assert not os.path.exists(path)
+
+
+class TestCompileMemo:
+    """The wire ``compile`` kind stores the reply it sends and answers an
+    exact repeat from the store."""
+
+    @staticmethod
+    def _serve(svc, requests):
+        out = io.StringIO()
+        lines = "".join(json.dumps(doc) + "\n" for doc in requests)
+        serve_stream(svc, io.StringIO(lines), out)
+        return {
+            doc["id"]: doc for doc in map(json.loads, out.getvalue().splitlines())
+        }
+
+    def test_repeat_is_answered_from_the_store(self, tmp_path):
+        ir_text = ir_printer.print_module(compile_source(SIGNED_SUM))
+        source = {"kind": "compile", "source": SIGNED_SUM}
+        requests = [
+            dict(source, id=1),
+            dict(source, id=2),
+            {"id": 3, "kind": "compile", "ir": ir_text},
+            {"id": 4, "kind": "compile", "ir": ir_text},
+            dict(source, id=5, config="LSLP"),
+            dict(source, id=6, target="sse4-like"),
+            dict(source, id=7, unroll=2),
+            dict(source, id=8, cache=False),
+            dict(source, id=9, config="turbo"),
+        ]
+        with CompileService(
+            workers=1, cache_dir=str(tmp_path), session=service_session(),
+            name="t-compile-memo",
+        ) as svc:
+            replies = self._serve(svc, requests)
+        results = {rid: doc.get("result") for rid, doc in replies.items()}
+        assert all(replies[rid]["ok"] for rid in range(1, 9))
+        for first, repeat in ((1, 2), (3, 4)):
+            assert results[first]["cached"] is False
+            assert results[repeat]["cached"] is True
+            assert dict(results[repeat], cached=False) == results[first]
+        assert "<2 x f64>" in results[1]["module"]
+        assert "<2 x f64>" in results[3]["module"]
+        assert results[5]["config"] == "LSLP"
+        assert results[6]["target"] == "sse4-like"
+        for rid in (5, 6, 7, 8):
+            assert results[rid]["cached"] is False, rid
+        assert not replies[9]["ok"]
+        assert "turbo" in replies[9]["error"]["message"]
+
+    def test_stats_count_compile_hits(self, tmp_path):
+        """Compile-only traffic reaches the ``stats`` reply: two hits and
+        two misses make a hit rate of one half."""
+        requests = [
+            {"id": 1, "kind": "compile", "source": SIGNED_SUM},
+            {"id": 2, "kind": "compile", "source": SIGNED_SUM},
+            {"id": 3, "kind": "compile", "source": SIGNED_SUM, "config": "LSLP"},
+            {"id": 4, "kind": "compile", "source": SIGNED_SUM, "config": "LSLP"},
+        ]
+        with CompileService(
+            workers=1, cache_dir=str(tmp_path), session=service_session(),
+            name="t-compile-stats",
+        ) as svc:
+            replies = self._serve(svc, requests)
+            stats = self._serve(svc, [{"id": 5, "kind": "stats"}])[5]["result"]
+        assert [replies[rid]["result"]["cached"] for rid in (1, 2, 3, 4)] == [
+            False, True, False, True,
+        ]
+        assert stats["cache_hit_rate"] == 0.5
+        assert stats["counters"]["serve.task_cache.hits"] == 2
+        assert stats["counters"]["serve.task_cache.misses"] == 2
+
+    def test_hit_runs_no_frontend_parse_or_print(self, tmp_path, monkeypatch):
+        state = WorkerState(
+            index=0, session=service_session(), cache_dir=str(tmp_path),
+        )
+        ir_text = ir_printer.print_module(compile_source(SIGNED_SUM))
+        payloads = [
+            {"text": text, "language": language, "config": "SN-SLP",
+             "target": None, "unroll": 0, "cache": True}
+            for text, language in ((SIGNED_SUM, "kernel"), (ir_text, "ir"))
+        ]
+        with use_session(state.session):
+            firsts = [run_task("compile", payload, state) for payload in payloads]
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("a compile-task hit ran the frontend or the IR printer/parser")
+
+            monkeypatch.setattr(frontend, "compile_source", refuse)
+            monkeypatch.setattr(ir_parser, "parse_module", refuse)
+            monkeypatch.setattr(ir_printer, "print_module", refuse)
+            hits = [run_task("compile", payload, state) for payload in payloads]
+        for first, hit in zip(firsts, hits):
+            assert first["cached"] is False
+            assert hit == dict(first, cached=True)
+        assert state.session.stats.value("serve.task_cache.hits") == 2
 
 
 class TestResilience:
