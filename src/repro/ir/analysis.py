@@ -5,13 +5,18 @@ load/store into ``(base object, symbolic index, constant offset)``.  This is
 the miniature equivalent of LLVM's SCEV-based pointer analysis that the SLP
 pass uses to recognise loads/stores of *adjacent* memory locations —
 ``A[i+0]``, ``A[i+1]`` — the primary vectorization seeds and leaves.
+
+:class:`FunctionAnalysis` answers address and block-position queries once
+per IR state for every reader of one vectorizer run: seeds, legality and
+look-ahead scoring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from .block import BasicBlock
 from .instructions import (
     BinaryInst,
     GepInst,
@@ -20,7 +25,7 @@ from .instructions import (
     Opcode,
     StoreInst,
 )
-from .values import Constant, GlobalBuffer, Value
+from .values import MUTATION_EPOCH, Constant, GlobalBuffer, Value
 
 
 @dataclass(frozen=True)
@@ -98,22 +103,51 @@ def address_of(inst: Instruction) -> Optional[AddressInfo]:
     return None
 
 
-class AddressMemo:
-    """:func:`address_of` that decomposes each instruction's pointer once,
-    remembered by identity.  Valid only while no pointer operand changes:
-    make one per analysis and drop it afterwards."""
+class FunctionAnalysis:
+    """Address decompositions and block positions, each computed once per
+    IR state.
 
-    __slots__ = ("_infos",)
+    Every entry belongs to the mutation epoch it was computed at
+    (:data:`~repro.ir.values.MUTATION_EPOCH`): the first query after any
+    operand change, insertion, removal or DCE sweep drops them all.  An
+    entry holds its key object, so no id in the tables is a reused one.
+    That also keeps every instruction asked about alive: make one per
+    vectorizer run (or per standalone query) and drop it when the run
+    returns.
+    """
+
+    __slots__ = ("_epoch", "_addresses", "_positions")
 
     def __init__(self) -> None:
-        self._infos: Dict[int, Optional[AddressInfo]] = {}
+        self._epoch = MUTATION_EPOCH.value
+        #: id(inst) -> (inst, its address info)
+        self._addresses: Dict[int, Tuple[Instruction, Optional[AddressInfo]]] = {}
+        #: id(block) -> (block, id(inst) -> index in the block)
+        self._positions: Dict[int, Tuple[BasicBlock, Dict[int, int]]] = {}
 
-    def __call__(self, inst: Instruction) -> Optional[AddressInfo]:
-        key = id(inst)
-        if key in self._infos:
-            return self._infos[key]
-        info = self._infos[key] = address_of(inst)
-        return info
+    def _reset(self) -> None:
+        self._epoch = MUTATION_EPOCH.value
+        self._addresses.clear()
+        self._positions.clear()
+
+    def address_of(self, inst: Instruction) -> Optional[AddressInfo]:
+        """:func:`address_of`, decomposed once per IR state."""
+        if self._epoch != MUTATION_EPOCH.value:
+            self._reset()
+        entry = self._addresses.get(id(inst))
+        if entry is None:
+            entry = self._addresses[id(inst)] = (inst, address_of(inst))
+        return entry[1]
+
+    def positions(self, block: BasicBlock) -> Dict[int, int]:
+        """Index of every instruction of ``block``, keyed by ``id``."""
+        if self._epoch != MUTATION_EPOCH.value:
+            self._reset()
+        entry = self._positions.get(id(block))
+        if entry is None:
+            index = {id(inst): pos for pos, inst in enumerate(block.instructions)}
+            entry = self._positions[id(block)] = (block, index)
+        return entry[1]
 
 
 def may_alias(a: AddressInfo, b: AddressInfo) -> bool:

@@ -6,16 +6,19 @@ import weakref
 from typing import Iterator, List, Optional
 
 from .instructions import Instruction, PhiInst
+from .values import MUTATION_EPOCH
 
 
 class BasicBlock:
     """A straight-line sequence of instructions ending in a terminator.
 
-    The block owns instruction ordering; all position queries the scheduler
-    and the vectorizer's legality checks need (``index_of``, ``comes_before``)
-    are answered here.  ``parent`` does not own: the function owns its
-    blocks, and a block whose function was freed is detached (``parent``
-    is None, no instructions).
+    The block owns instruction ordering and answers position queries
+    (``index_of``, ``comes_before``); the vectorizer reads positions
+    through :meth:`~repro.ir.analysis.FunctionAnalysis.positions`, which
+    is valid until the next insertion or removal here bumps the mutation
+    epoch.  ``parent`` does not own: the function owns its blocks, and a
+    block whose function was freed is detached (``parent`` is None, no
+    instructions).
     """
 
     def __init__(self, name: str) -> None:
@@ -39,6 +42,7 @@ class BasicBlock:
             raise ValueError(f"instruction already belongs to block {inst.parent.name}")
         self.instructions.append(inst)
         inst.parent = self
+        MUTATION_EPOCH.value += 1
         return inst
 
     def insert_at(self, index: int, inst: Instruction) -> Instruction:
@@ -46,6 +50,7 @@ class BasicBlock:
             raise ValueError(f"instruction already belongs to block {inst.parent.name}")
         self.instructions.insert(index, inst)
         inst.parent = self
+        MUTATION_EPOCH.value += 1
         return inst
 
     def insert_before(self, anchor: Instruction, inst: Instruction) -> Instruction:
@@ -54,15 +59,17 @@ class BasicBlock:
     def remove(self, inst: Instruction) -> None:
         self.instructions.remove(inst)
         inst.parent = None
+        MUTATION_EPOCH.value += 1
 
     # -- queries ---------------------------------------------------------------
 
     def index_of(self, inst: Instruction) -> int:
-        # Identity search: instructions never compare equal structurally.
-        for i, candidate in enumerate(self.instructions):
-            if candidate is inst:
-                return i
-        raise ValueError(f"instruction not in block {self.name}")
+        # Instructions compare by identity (none defines __eq__), so the
+        # list's own search is an identity search.
+        try:
+            return self.instructions.index(inst)
+        except ValueError:
+            raise ValueError(f"instruction not in block {self.name}") from None
 
     def comes_before(self, a: Instruction, b: Instruction) -> bool:
         """True when ``a`` appears strictly before ``b`` in this block."""

@@ -13,6 +13,11 @@ The IR follows the classic SSA design used by production compilers:
 
 Keeping use lists exact is what lets the SLP vectorizer walk *up* the
 use-def chains (operands) and *down* the def-use chains (users) cheaply.
+
+Every mutation of existing IR bumps :data:`MUTATION_EPOCH`: an operand
+change here, an insertion or removal in a block, a DCE sweep.  An analysis
+result computed at one epoch is valid for as long as the epoch reads the
+same (:class:`~repro.ir.analysis.FunctionAnalysis`).
 """
 
 from __future__ import annotations
@@ -22,6 +27,22 @@ import struct
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 from .types import FloatType, IntType, Type, VectorType, pointer_to
+
+
+class MutationEpoch:
+    """A counter that every mutation of existing IR increments.  Creating
+    a value does not count, as nothing can have analysed it yet; placing
+    it in a block does.  There is one per process: a bump anywhere only
+    makes a cache recompute, never answer wrongly, so it needs no owner."""
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
+
+
+#: the one IR mutation epoch (an int: it holds no IR)
+MUTATION_EPOCH = MutationEpoch()
 
 
 class Use:
@@ -138,6 +159,7 @@ class User(Value):
         old.remove_use(use)
         use.value = value
         value.add_use(use)
+        MUTATION_EPOCH.value += 1
 
     def swap_operands(self, i: int, j: int) -> None:
         """Exchange two operands of this user (commutation helper)."""

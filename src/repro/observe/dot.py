@@ -195,8 +195,8 @@ def chains_to_dot(chains, title: str = "") -> str:
     One cluster per lane; trunk units render as their opcode symbol,
     leaves as their IR ref, and **every edge carries the child's APO
     sign** — the annotation the paper's legality rules reason about.
-    Render ``node.saved_chains`` for the before-reorder view and
-    ``node.chains`` for the after view.
+    Render ``node.chains`` before the reorder for the before view and
+    after it for the after view.
     """
     lines: List[str] = ["digraph chains {", "  rankdir=TB;", "  node [fontsize=10];"]
     if title:

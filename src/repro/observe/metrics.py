@@ -366,24 +366,27 @@ class MetricsRegistry:
 def _build_info_lines() -> List[str]:
     """The ``repro_build_info`` identity gauge, node-exporter style.
 
-    The provider lives in a package that imports ``repro.observe`` (the
-    vectorizer cache, for the source fingerprint and format version), so
-    it is imported lazily here — at render time the cycle has long since
-    resolved.  If an embedder renders an exposition with that package
+    The providers live in packages that import ``repro.observe`` (the
+    vectorizer cache, for the source fingerprint and the compile-cache
+    format; the service's tasks, for the task format), so they are
+    imported lazily here — at render time the cycle has long since
+    resolved.  If an embedder renders an exposition with those packages
     unavailable, the gauge is simply omitted rather than failing the
     scrape.
     """
     try:
+        from ..serve.tasks import TASK_FORMAT
         from ..vectorizer.cache import CACHE_FORMAT, repro_source_fingerprint
     except ImportError:  # pragma: no cover - partial installs only
         return []
     return [
-        "# HELP repro_build_info source fingerprint and bench-task format "
-        "of this build",
+        "# HELP repro_build_info source fingerprint, compile-cache format "
+        "and service task format of this build",
         "# TYPE repro_build_info gauge",
         "repro_build_info{"
         f'fingerprint="{repro_source_fingerprint()}",'
-        f'format="{CACHE_FORMAT}"'
+        f'format="{CACHE_FORMAT}",'
+        f'task_format="{TASK_FORMAT}"'
         "} 1",
     ]
 

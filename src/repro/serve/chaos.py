@@ -364,7 +364,8 @@ def _compile_workload(
     reference, or a fault that fired with no recovery recorded (a
     detection gap, such as a stall that slipped under the budget).
     Programs whose reference traps are skipped, as the fuzz oracle
-    rejects them too.
+    rejects them too.  A stall run stops after its first fired program:
+    every further one would only sleep through the same budget again.
     """
     from ..fuzz.campaign import campaign_program
     from ..fuzz.genprog import make_inputs
@@ -422,6 +423,8 @@ def _compile_workload(
         )
         if divergence is not None:
             return fired, f"program {index}: {divergence}"
+        if mode == "stall":
+            break
     return fired, None
 
 

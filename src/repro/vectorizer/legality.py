@@ -11,13 +11,17 @@ memory dependence:
   cannot alias;
 * loads that originally executed *after* an in-bundle store must not alias
   it (the vector load issues before the vector store).
+
+Positions and addresses come from the caller's
+:class:`~repro.ir.analysis.FunctionAnalysis` (the vectorizer passes its
+run's), or from a fresh one per call.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
-from ..ir.analysis import AddressInfo, AddressMemo, address_of, may_alias
+from ..ir.analysis import AddressInfo, FunctionAnalysis, address_of, may_alias
 from ..ir.instructions import Instruction, LoadInst, StoreInst
 from ..ir.values import Value
 
@@ -30,7 +34,9 @@ def _alias(a: Optional[AddressInfo], b: Optional[AddressInfo]) -> bool:
 
 
 def bundle_is_schedulable_stores(
-    stores: Sequence[StoreInst], anchor: Instruction
+    stores: Sequence[StoreInst],
+    anchor: Instruction,
+    analysis: Optional[FunctionAnalysis] = None,
 ) -> bool:
     """Can the seed store bundle legally execute at the anchor position?
 
@@ -40,9 +46,9 @@ def bundle_is_schedulable_stores(
     block = anchor.parent
     if block is None:
         return False
-    # One scan for every position and one decomposition per address.
-    positions = {id(inst): pos for pos, inst in enumerate(block.instructions)}
-    address = AddressMemo()
+    analysis = analysis if analysis is not None else FunctionAnalysis()
+    positions = analysis.positions(block)
+    address = analysis.address_of
     anchor_pos = positions[id(anchor)]
     bundle_ids = {id(s) for s in stores}
     for store in stores:
@@ -64,6 +70,7 @@ def bundle_is_schedulable_loads(
     loads: Sequence[LoadInst],
     anchor: Instruction,
     seed_stores: Sequence[StoreInst],
+    analysis: Optional[FunctionAnalysis] = None,
 ) -> bool:
     """Can a load bundle legally execute at the anchor position?
 
@@ -75,9 +82,9 @@ def bundle_is_schedulable_loads(
     block = anchor.parent
     if block is None:
         return False
-    # One scan for every position and one decomposition per address.
-    positions = {id(inst): pos for pos, inst in enumerate(block.instructions)}
-    address = AddressMemo()
+    analysis = analysis if analysis is not None else FunctionAnalysis()
+    positions = analysis.positions(block)
+    address = analysis.address_of
     anchor_pos = positions[id(anchor)]
     seed_ids = {id(s) for s in seed_stores}
     seed_positions = [(positions[id(s)], s) for s in seed_stores]
@@ -104,6 +111,13 @@ def bundle_is_schedulable_loads(
     return True
 
 
+def _addresses(
+    loads: Sequence[LoadInst], analysis: Optional[FunctionAnalysis]
+) -> List[Optional[AddressInfo]]:
+    address = analysis.address_of if analysis is not None else address_of
+    return [address(load) for load in loads]
+
+
 def lanes_form_valid_bundle(lanes: Sequence[Value]) -> Optional[str]:
     """Generic structural checks; returns a failure reason or None.
 
@@ -128,19 +142,23 @@ def lanes_form_valid_bundle(lanes: Sequence[Value]) -> Optional[str]:
     return None
 
 
-def loads_are_consecutive(loads: Sequence[LoadInst]) -> bool:
+def loads_are_consecutive(
+    loads: Sequence[LoadInst], analysis: Optional[FunctionAnalysis] = None
+) -> bool:
     """True when the loads access strictly consecutive addresses in lane
     order (the only layout vectorizable without a shuffle)."""
-    infos = [address_of(load) for load in loads]
+    infos = _addresses(loads, analysis)
     if any(info is None for info in infos):
         return False
     return all(a.is_consecutive_with(b) for a, b in zip(infos, infos[1:]))
 
 
-def loads_are_reversed(loads: Sequence[LoadInst]) -> bool:
+def loads_are_reversed(
+    loads: Sequence[LoadInst], analysis: Optional[FunctionAnalysis] = None
+) -> bool:
     """True when the loads address consecutive memory in *descending* lane
     order — vectorizable as one wide load plus a reversing shuffle."""
-    infos = [address_of(load) for load in loads]
+    infos = _addresses(loads, analysis)
     if any(info is None for info in infos):
         return False
     return all(b.is_consecutive_with(a) for a, b in zip(infos, infos[1:]))

@@ -8,18 +8,21 @@ distinguishes look-ahead reordering from plain single-level operand
 matching: two adds whose operands are consecutive loads score much higher
 than two adds over unrelated values.
 
-A search that scores many pairs over IR it does not change (one Super-Node
-reorder, one reduction-group ordering) asks :meth:`LookAheadScorer.memo`
-for a :class:`MemoScorer`, which computes each pair's score and each
-load's address once for as long as the search holds it.
+A scorer reads load addresses through a
+:class:`~repro.ir.analysis.FunctionAnalysis` when it is given one (the
+vectorizer gives every scorer of a run the run's), so each address is
+decomposed once per IR state.  A search that scores many pairs over IR it
+does not change (one Super-Node reorder, one reduction-group ordering)
+asks :meth:`LookAheadScorer.memo` for a :class:`MemoScorer`, which also
+scores each pair once for as long as the search holds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..ir.analysis import AddressMemo, address_of
+from ..ir.analysis import FunctionAnalysis, address_of
 from ..ir.instructions import (
     BinaryInst,
     CallInst,
@@ -59,15 +62,27 @@ DEFAULT_SCORES = ScoreTable()
 class LookAheadScorer:
     """Pairwise value scoring with bounded recursive look-ahead."""
 
-    def __init__(self, depth: int = 2, table: ScoreTable = DEFAULT_SCORES) -> None:
+    def __init__(
+        self,
+        depth: int = 2,
+        table: ScoreTable = DEFAULT_SCORES,
+        analysis: Optional[FunctionAnalysis] = None,
+    ) -> None:
         self.depth = depth
         self.table = table
-        self._address = address_of
+        self.analysis = analysis
+        self._address = analysis.address_of if analysis is not None else address_of
+
+    def using(self, analysis: FunctionAnalysis) -> "LookAheadScorer":
+        """This scorer's depth and table, reading addresses through
+        ``analysis``."""
+        return LookAheadScorer(self.depth, self.table, analysis)
 
     def memo(self) -> "MemoScorer":
-        """A scorer with this one's depth and table that remembers what it
-        computes; valid only while the IR it scores does not change."""
-        return MemoScorer(self.depth, self.table)
+        """A scorer with this one's depth, table and analysis that
+        remembers each pair's score; valid only while the IR it scores
+        does not change."""
+        return MemoScorer(self.depth, self.table, self.analysis)
 
     # -- public API ----------------------------------------------------------
 
@@ -141,7 +156,8 @@ class LookAheadScorer:
 
 class MemoScorer(LookAheadScorer):
     """A :class:`LookAheadScorer` for one search: each ordered (a, b) pair
-    is scored once and each load's address decomposed once.
+    is scored once.  Addresses come from the analysis it is given, or
+    from its own when it is given none.
 
     Keys are object identities, never ``Value.__eq__``: constants compare
     by value, yet a constant scored with itself is a splat while two
@@ -151,10 +167,16 @@ class MemoScorer(LookAheadScorer):
     per search and drop it when the search returns.
     """
 
-    def __init__(self, depth: int = 2, table: ScoreTable = DEFAULT_SCORES) -> None:
-        super().__init__(depth, table)
+    def __init__(
+        self,
+        depth: int = 2,
+        table: ScoreTable = DEFAULT_SCORES,
+        analysis: Optional[FunctionAnalysis] = None,
+    ) -> None:
+        super().__init__(
+            depth, table, analysis if analysis is not None else FunctionAnalysis()
+        )
         self._pairs: Dict[Tuple[int, int], int] = {}
-        self._address = AddressMemo()
 
     def score_pair(self, a: Value, b: Value) -> int:
         key = (id(a), id(b))

@@ -86,9 +86,10 @@ class SuperNode:
         self.contains_inverse = any(
             unit.is_inverse for chain in chains for _, unit in chain.trunks()
         )
-        #: pristine copy saved for undoing (Listing 1 line 53: the whole
-        #: massage is reverted when the graph turns out unprofitable)
-        self.saved_chains: List[LaneChain] = [chain.clone() for chain in chains]
+        #: every unit's original opcode and children, per lane, for
+        #: undoing in place (Listing 1 line 53: the whole massage is
+        #: reverted when the graph turns out unprofitable)
+        self.originals = [chain.record() for chain in chains]
         self.original_roots: List[BinaryInst] = list(roots)
         self.emitted_instructions: List[BinaryInst] = []
 
@@ -108,17 +109,19 @@ class SuperNode:
         Legality (the ``areCompatible`` checks): every lane must grow a
         chain of >= 2 trunks in the same operator family, the lanes must
         expose the same number of operand slots, and no instruction may be
-        claimed by two lanes.
+        claimed by two lanes.  The lanes share one layout table, so lanes
+        of one shape and inverse pattern share their trunk-swap plans.
         """
         if len(roots) < 2:
             return None
         chains: List[LaneChain] = []
+        layouts: Dict = {}
         for root in roots:
             if not isinstance(root, BinaryInst):
                 return None
             chain = build_lane_chain(
                 root, allow_inverse=allow_inverse, fast_math=fast_math,
-                max_trunks=max_trunks,
+                max_trunks=max_trunks, layouts=layouts,
             )
             if chain is None:
                 return None
@@ -201,18 +204,24 @@ class SuperNode:
         for op_index in order:
             # Each lane's candidates and their placement legality are
             # invariant while this operand index is being decided, so
-            # probe them once here instead of inside every group-building
-            # combination.
-            placeable = [
-                [
-                    candidate
-                    for candidate in self._candidates(lane, used)
-                    if self._can_place(
-                        lane, candidate, self.chains[lane].slots()[op_index], locked
+            # each lane answers them in one pass here instead of inside
+            # every group-building combination.
+            placeable: List[List[Value]] = []
+            probed = 0
+            for lane, chain in enumerate(self.chains):
+                candidates = self._candidates(lane, used)
+                placeable.append(
+                    chain.placeable(
+                        candidates, chain.slots()[op_index], locked[lane],
+                        trunk_swaps=self.allow_trunk_swaps,
                     )
-                ]
-                for lane in range(self.num_lanes)
-            ]
+                )
+                probed += len(candidates)
+            rejected = probed - sum(len(fits) for fits in placeable)
+            if probed:
+                _STAT_MOVES_PROBED.add(probed)
+            if rejected:
+                _STAT_MOVES_REJECTED.add(rejected)
             scored: Optional[List[Tuple[List[Value], int]]] = (
                 [] if tracer.mask & DECISION else None
             )
@@ -270,7 +279,7 @@ class SuperNode:
                 chain = self.chains[lane]
                 slot = chain.slots()[op_index]
                 moved = chain.place_leaf(leaf, slot, locked[lane])
-                if not moved:  # pragma: no cover - guarded by can_place_leaf
+                if not moved:  # pragma: no cover - guarded by placeable
                     raise AssertionError("group member failed to place")
                 locked[lane][slot] = leaf
                 used[lane].add(id(leaf))
@@ -372,24 +381,6 @@ class SuperNode:
             result.append(value)
         return result
 
-    def _can_place(
-        self,
-        lane: int,
-        value: Value,
-        target: Slot,
-        locked: List[Dict[Slot, Value]],
-    ) -> bool:
-        chain = self.chains[lane]
-        _STAT_MOVES_PROBED.add()
-        # Without trunk swaps only a direct leaf swap (or no move) can work.
-        ok = (
-            self.allow_trunk_swaps
-            or chain.can_swap_leaves(chain.slot_of_value(value), target)
-        ) and chain.can_place_leaf(value, target, locked[lane])
-        if not ok:
-            _STAT_MOVES_REJECTED.add()
-        return ok
-
     # -- code generation (SN.generateCode, Listing 1 line 51) ------------------------------------------
 
     def generate_code(self) -> List[BinaryInst]:
@@ -428,25 +419,28 @@ class SuperNode:
         *nested* Super-Nodes that were undone first, whose originals were
         erased during their own generate_code) to their restored
         replacements.
+
+        The chains themselves are restored in place from the recorded
+        opcodes and children, so afterwards they model the original code.
         """
-        if leaf_remap:
-            for chain in self.saved_chains:
+        restored: List[BinaryInst] = []
+        for chain, original, massaged_root in zip(
+            self.chains, self.originals, self.roots
+        ):
+            chain.restore(original)
+            if leaf_remap:
                 for slot in chain.slots():
                     leaf = chain.leaf_at(slot)
                     replacement = leaf_remap.get(id(leaf.value))
                     if replacement is not None:
                         leaf.value = replacement
-        restored: List[BinaryInst] = []
-        current_roots = self.roots
-        for saved, massaged_root in zip(self.saved_chains, current_roots):
             builder = IRBuilder()
             builder.position_before(massaged_root)
-            original_root = _emit_tree(saved.root, builder, [])
+            original_root = _emit_tree(chain.root, builder, [])
             massaged_root.replace_all_uses_with(original_root)
             restored.append(original_root)  # type: ignore[arg-type]
             self._erase_superseded_roots([massaged_root])
         self.roots = restored
-        self.chains = [chain.clone() for chain in self.saved_chains]
         return restored
 
     @staticmethod

@@ -8,9 +8,9 @@ arities (widest first).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..ir.analysis import AddressInfo, address_of
+from ..ir.analysis import AddressInfo, FunctionAnalysis, address_of
 from ..ir.block import BasicBlock
 from ..ir.instructions import StoreInst
 from ..ir.types import Type
@@ -29,13 +29,18 @@ def _group_key(info: AddressInfo, element: Type) -> Tuple[int, int, Type]:
     return (id(info.base), id(info.symbol), element)
 
 
-def collect_store_seeds(block: BasicBlock, isa: VectorISA) -> List[List[StoreInst]]:
+def collect_store_seeds(
+    block: BasicBlock, isa: VectorISA, analysis: Optional[FunctionAnalysis] = None
+) -> List[List[StoreInst]]:
     """Seed bundles of consecutive scalar stores in one block.
 
     Returns groups in program order of their first member.  Each group's
     stores are ordered by ascending address offset and the group length is
-    a legal lane count for the target.
+    a legal lane count for the target.  Addresses come from ``analysis``
+    when given (the vectorizer's run), so the first graph's scheduling
+    check reuses them.
     """
+    address = analysis.address_of if analysis is not None else address_of
     groups: Dict[Tuple, List[Tuple[StoreInst, AddressInfo]]] = {}
     order: List[Tuple] = []
     for inst in block:
@@ -46,7 +51,7 @@ def collect_store_seeds(block: BasicBlock, isa: VectorISA) -> List[List[StoreIns
             continue  # already-vector stores are not seeds
         if not isa.supports_element(element):
             continue
-        info = address_of(inst)
+        info = address(inst)
         if info is None:
             continue
         key = _group_key(info, element)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..ir.analysis import FunctionAnalysis
 from ..ir.block import BasicBlock
 from ..ir.dce import eliminate_dead_code
 from ..ir.function import Function
@@ -157,7 +158,13 @@ class _GraphBuilder:
     ) -> None:
         self.vectorizer = vectorizer
         self.config = vectorizer.config
-        self.scorer = vectorizer.scorer
+        #: the run's analysis; a builder made outside a run gets its own
+        self.analysis = (
+            vectorizer.analysis
+            if vectorizer.analysis is not None
+            else FunctionAnalysis()
+        )
+        self.scorer = vectorizer.scorer.using(self.analysis)
         self.function = function
         self.seed_stores = list(seed_stores)
         if anchor is not None:
@@ -166,7 +173,8 @@ class _GraphBuilder:
         else:
             self.block = seed_stores[0].parent
             assert self.block is not None
-            self.anchor = max(self.seed_stores, key=self.block.index_of)
+            positions = self.analysis.positions(self.block)
+            self.anchor = max(self.seed_stores, key=lambda s: positions[id(s)])
         assert self.block is not None
         # The id-keyed state below names only objects this builder holds
         # (the seed stores, its nodes' lanes, the formed Super-Nodes' old
@@ -190,7 +198,9 @@ class _GraphBuilder:
     # -- entry point -----------------------------------------------------------------
 
     def build(self) -> Optional[SLPGraph]:
-        if not bundle_is_schedulable_stores(self.seed_stores, self.anchor):
+        if not bundle_is_schedulable_stores(
+            self.seed_stores, self.anchor, self.analysis
+        ):
             return None
         lanes = tuple(self.seed_stores)
         vec_type = vector_of(self.seed_stores[0].value.type, len(lanes))
@@ -286,13 +296,14 @@ class _GraphBuilder:
             if not all(isinstance(i, LoadInst) for i in instrs):
                 return self._gather(instrs, "mixed opcodes")
             reversed_run = False
-            if not loads_are_consecutive(instrs):  # type: ignore[arg-type]
-                if loads_are_reversed(instrs):  # type: ignore[arg-type]
+            if not loads_are_consecutive(instrs, self.analysis):  # type: ignore[arg-type]
+                if loads_are_reversed(instrs, self.analysis):  # type: ignore[arg-type]
                     reversed_run = True
                 else:
                     return self._gather(instrs, "non-consecutive loads")
             if not bundle_is_schedulable_loads(
-                instrs, self.anchor, self.seed_stores  # type: ignore[arg-type]
+                instrs, self.anchor, self.seed_stores,  # type: ignore[arg-type]
+                self.analysis,
             ):
                 return self._gather(instrs, "unschedulable loads")
             node = self._make_node(NodeKind.LOAD, instrs, vec_type, [])
@@ -470,7 +481,7 @@ class _GraphBuilder:
                 ],
                 chains=[repr(chain) for chain in node.chains],
                 dot_before=chains_to_dot(
-                    node.saved_chains, title=f"{node.kind}-node before reorder"
+                    node.chains, title=f"{node.kind}-node before reorder"
                 ),
             )
         applied = node.reorder_leaves_and_trunks(
@@ -532,6 +543,10 @@ class SLPVectorizer:
         self.target = target
         self.config = config
         self.scorer = LookAheadScorer(depth=config.lookahead_depth)
+        #: address and position analysis of the function being vectorized;
+        #: one per :meth:`run_on_function`, dropped when it returns (it
+        #: keeps every instruction it was asked about alive)
+        self.analysis: Optional[FunctionAnalysis] = None
         #: instructions consumed by emitted vector code (across graphs),
         #: by id.  Codegen and DCE erase them; holding each one here keeps
         #: a freed instruction's id from passing to a new instruction that
@@ -544,10 +559,14 @@ class SLPVectorizer:
         report = FunctionReport(name=function.name)
         if not self.config.enable_vectorizer:
             return report
-        with current_tracer().span("slp.function", function=function.name):
-            for block in list(function.blocks):
-                self._run_on_block(function, block, report)
-            eliminate_dead_code(function)
+        self.analysis = FunctionAnalysis()
+        try:
+            with current_tracer().span("slp.function", function=function.name):
+                for block in list(function.blocks):
+                    self._run_on_block(function, block, report)
+                eliminate_dead_code(function)
+        finally:
+            self.analysis = None
         return report
 
     def run_on_module(self, module: Module) -> VectorizationReport:
@@ -580,7 +599,7 @@ class SLPVectorizer:
     def _vectorize_store_graphs(
         self, function: Function, block: BasicBlock, report: FunctionReport
     ) -> None:
-        seeds = collect_store_seeds(block, self.target.isa)  # step 1
+        seeds = collect_store_seeds(block, self.target.isa, self.analysis)  # step 1
         for seed in seeds:  # steps 2, 7, 8
             if any(id(store) in self.consumed_ids for store in seed):
                 continue

@@ -43,8 +43,12 @@ unchanged chain — a direct leaf swap, or a legal trunk swap followed by
 an optional leaf swap — and checked against the locked slots as a layout
 of slot indexes; only a move that passes is applied.  A legal trunk swap
 keeps every leaf's APO, so whether the leaf swap after it is legal is a
-lookup too.  The legal trunk swaps of one chain state are built once and
-shared by every placement probe until the chain next changes.
+lookup too.  Slot APOs and the legal trunk swaps depend only on the tree
+shape, the fixed trunk APOs and which positions hold an inverse opcode,
+so they are built once per such key (a :class:`_Layout`): a leaf swap
+keeps them, and the lanes of one Super-Node share them.
+:meth:`LaneChain.placeable` answers, for one target slot, which of many
+candidate leaves can move there, in one pass over one chain state.
 """
 
 from __future__ import annotations
@@ -141,18 +145,20 @@ class Slot:
 
 
 class _TrunkPlan(NamedTuple):
-    """One legal trunk swap, computed on an unchanged chain.
+    """One legal trunk swap, by position path and slot index.
 
-    Slots are named by their index in :meth:`LaneChain.slots`.  ``leaves``
-    maps each pooled slot to the leaf the swap puts there, ``dest`` each
-    pooled slot to the slot its current leaf moves to, and ``apos`` each
-    pooled slot to its APO after the swap (the APO of the leaf it then
-    holds: a legal swap changes no leaf's APO).
+    Slots are named by their index in :meth:`LaneChain.slots`.
+    ``origin`` maps each pooled slot to the slot whose leaf the swap puts
+    there, ``dest`` each pooled slot to the slot its current leaf moves
+    to, and ``apos`` each pooled slot to its APO after the swap (the APO
+    of the leaf it then holds: a legal swap changes no leaf's APO).  It
+    names no leaf or unit, so one plan serves every chain of the same
+    :class:`_Layout`.
     """
 
-    unit_a: TrunkUnit
-    unit_b: TrunkUnit
-    leaves: Dict[int, Leaf]
+    path_a: Tuple[int, ...]
+    path_b: Tuple[int, ...]
+    origin: Dict[int, int]
     dest: Dict[int, int]
     apos: Dict[int, APO]
 
@@ -161,26 +167,56 @@ class _TrunkPlan(NamedTuple):
 #: between two slot indexes
 _Move = Tuple[Optional[_TrunkPlan], Optional[Tuple[int, int]]]
 _NO_MOVE: _Move = (None, None)
+#: the ``origin`` of a move without a trunk swap: every leaf stays
+_IN_PLACE: Dict[int, int] = {}
+
+
+class _Layout:
+    """What placement planning reads of a chain's trunk opcodes: per
+    trunk position its inverse-ness, per slot index its APO, and the
+    legal trunk swaps once asked for.  All of it follows from the tree
+    shape, the fixed trunk APOs and the inverse pattern, which is the
+    key it is stored under: a leaf swap keeps it, and the lanes of one
+    Super-Node share it (:func:`build_lane_chain`'s ``layouts``)."""
+
+    __slots__ = ("inverse", "apos", "plans")
+
+    def __init__(self, chain: "LaneChain", inverse: Tuple[bool, ...]) -> None:
+        self.inverse: Dict[Tuple[int, ...], bool] = {
+            path: flag for (path, _), flag in zip(chain._trunks, inverse)
+        }
+        self.apos: List[APO] = [
+            chain._trunk_apos[slot.trunk_path]
+            ^ (self.inverse[slot.trunk_path] and slot.child_index == 1)
+            for slot in chain._slots
+        ]
+        self.plans: Optional[List[_TrunkPlan]] = None
 
 
 class _State:
-    """What placement planning reads of one chain state, per slot index
-    (leaf, APO), per leaf value (the slot indexes holding it, by identity)
-    and per trunk position (inverse-ness), plus the state's legal trunk
-    swaps once asked for.  Built on demand; any applied move drops it."""
+    """What placement planning reads of one chain state: per slot index
+    its leaf, per leaf value the slot indexes holding it (by identity),
+    and the :class:`_Layout` of the trunk opcodes.  Built on demand; any
+    applied move drops it."""
 
-    __slots__ = ("leaves", "apos", "holders", "inverse", "plans")
+    __slots__ = ("leaves", "holders", "layout")
 
     def __init__(self, chain: "LaneChain") -> None:
         self.leaves: List[Leaf] = [
             unit.children[slot.child_index] for slot, unit in chain._slot_units
         ]
-        self.apos: List[APO] = [chain.slot_apo(slot) for slot in chain._slots]
         self.holders: Dict[int, List[int]] = {}
         for index, leaf in enumerate(self.leaves):
             self.holders.setdefault(id(leaf.value), []).append(index)
-        self.inverse = {path: unit.is_inverse for path, unit in chain._trunks}
-        self.plans: Optional[List[_TrunkPlan]] = None
+        inverse = tuple([unit.is_inverse for _, unit in chain._trunks])
+        layout = chain._layouts.get(inverse)
+        if layout is None:
+            layout = chain._layouts[inverse] = _Layout(chain, inverse)
+        self.layout = layout
+
+
+#: the original opcode and children of every unit of a chain
+_UnitRecord = List[Tuple[TrunkUnit, Opcode, List[Union[TrunkUnit, Leaf]]]]
 
 
 class LaneChain:
@@ -192,9 +228,18 @@ class LaneChain:
     slot's owning unit, the APO of every trunk position, and the slot
     indexes placement planning works in.  Moves change only unit opcodes
     and leaf children, never which units exist.
+
+    ``layouts`` stores each :class:`_Layout` by shape and trunk APOs,
+    then by inverse pattern; chains given the same dict share their
+    layouts and trunk-swap plans.
     """
 
-    def __init__(self, root: TrunkUnit, family: Opcode) -> None:
+    def __init__(
+        self,
+        root: TrunkUnit,
+        family: Opcode,
+        layouts: Optional[Dict[tuple, Dict[tuple, _Layout]]] = None,
+    ) -> None:
         self.root = root
         self.family = family  # base (commutative) opcode of the family
         self._trunks: List[Tuple[Tuple[int, ...], TrunkUnit]] = []
@@ -225,6 +270,16 @@ class LaneChain:
         }
         for index, slot in enumerate(self._slots):
             self._free[slot.trunk_path].append((index, slot.child_index == 1))
+        #: the layouts of this chain's tree shape (pre-order: which
+        #: operands are chain edges) and trunk APOs, by inverse pattern
+        shape = tuple(
+            (path, self._trunk_apos[path], self._index1_trunk[path],
+             isinstance(unit.children[0], TrunkUnit))
+            for path, unit in self._trunks
+        )
+        self._layouts: Dict[tuple, _Layout] = (
+            layouts if layouts is not None else {}
+        ).setdefault(shape, {})
         self._cached: Optional[_State] = None
         #: applied-move counters (observability for reports/ablations)
         self.leaf_swaps_applied = 0
@@ -237,6 +292,19 @@ class LaneChain:
         twin.leaf_swaps_applied = self.leaf_swaps_applied
         twin.trunk_swaps_applied = self.trunk_swaps_applied
         return twin
+
+    def record(self) -> _UnitRecord:
+        """Every unit's opcode and children as they are now, for
+        :meth:`restore`."""
+        return [(unit, unit.opcode, list(unit.children)) for _, unit in self._trunks]
+
+    def restore(self, record: _UnitRecord) -> None:
+        """Put every unit back as :meth:`record` found it (the tree shape
+        never changes, so this restores the whole chain in place)."""
+        for unit, opcode, children in record:
+            unit.opcode = opcode
+            unit.children[:] = children
+        self._changed()
 
     # -- traversal ----------------------------------------------------------------
 
@@ -345,16 +413,17 @@ class LaneChain:
         """
         if path_a == path_b:
             return False
-        plan = self._trunk_plan(path_a, path_b)
+        plan = self._trunk_plan(self._state().layout, path_a, path_b)
         if plan is None:
             return False
         self._apply((plan, None))
         return True
 
     def _trunk_plan(
-        self, path_a: Tuple[int, ...], path_b: Tuple[int, ...]
+        self, layout: _Layout, path_a: Tuple[int, ...], path_b: Tuple[int, ...]
     ) -> Optional[_TrunkPlan]:
-        """The legal trunk swap of two distinct positions, or None.
+        """The legal trunk swap of two distinct positions under
+        ``layout``, or None.
 
         Exchanging the opcodes keeps every trunk APO iff the opcodes have
         equal inverse-ness or neither position has a trunk at operand
@@ -364,8 +433,7 @@ class LaneChain:
         leaf of the wanted APO.  One path being a prefix of the other is
         fine (parent/child swap): only opcodes and leaves move.
         """
-        state = self._state()
-        inverse_a, inverse_b = state.inverse[path_a], state.inverse[path_b]
+        inverse_a, inverse_b = layout.inverse[path_a], layout.inverse[path_b]
         if inverse_a != inverse_b and (
             self._index1_trunk[path_a] or self._index1_trunk[path_b]
         ):
@@ -379,21 +447,18 @@ class LaneChain:
                 pooled.append(index)
                 wanted.append(apo ^ (inverse and second))
         unplaced = list(pooled)
-        placed: Dict[int, Leaf] = {}
+        origin: Dict[int, int] = {}
         dest: Dict[int, int] = {}
         for slot, apo in zip(pooled, wanted):
             for source in unplaced:
-                if state.apos[source] == apo:
+                if layout.apos[source] == apo:
                     break
             else:
                 return None
             unplaced.remove(source)
-            placed[slot] = state.leaves[source]
+            origin[slot] = source
             dest[source] = slot
-        return _TrunkPlan(
-            self._unit_at[path_a], self._unit_at[path_b], placed, dest,
-            dict(zip(pooled, wanted)),
-        )
+        return _TrunkPlan(path_a, path_b, origin, dest, dict(zip(pooled, wanted)))
 
     # -- high-level placement (used by Listings 2/3) ---------------------------------------
 
@@ -428,61 +493,118 @@ class LaneChain:
         move.  Never touches the chain."""
         return self._plan_move(value, target, locked or {}) is not None
 
+    def placeable(
+        self,
+        candidates: Sequence[Value],
+        target: Slot,
+        locked: Dict[Slot, Value],
+        trunk_swaps: bool = True,
+    ) -> List[Value]:
+        """The ``candidates`` that :meth:`place_leaf` could move into
+        ``target`` without disturbing a ``locked`` slot, in order; with
+        ``trunk_swaps=False``, only by no move or a direct leaf swap.  One
+        pass over one chain state: the target, the locks and the trunk
+        plans are looked up once for all candidates.  Never touches the
+        chain."""
+        moves = self._moves(candidates, target, locked, trunk_swaps)
+        return [value for value, move in zip(candidates, moves) if move is not None]
+
     def _state(self) -> _State:
         if self._cached is None:
             self._cached = _State(self)
         return self._cached
 
-    def _trunk_plans(self) -> List[_TrunkPlan]:
-        """Every legal trunk swap of the current state, in
+    def _trunk_plans(self, layout: _Layout) -> List[_TrunkPlan]:
+        """Every legal trunk swap under ``layout``, in
         ``itertools.combinations`` order of the pre-order positions."""
-        state = self._state()
-        if state.plans is None:
+        if layout.plans is None:
             paths = [path for path, _ in self._trunks]
-            plans = (self._trunk_plan(a, b) for a, b in itertools.combinations(paths, 2))
-            state.plans = [plan for plan in plans if plan is not None]
-        return state.plans
+            plans = (
+                self._trunk_plan(layout, a, b)
+                for a, b in itertools.combinations(paths, 2)
+            )
+            layout.plans = [plan for plan in plans if plan is not None]
+        return layout.plans
 
     def _plan_move(
         self, value: Value, target: Slot, locked: Dict[Slot, Value]
     ) -> Optional[_Move]:
         """The move :meth:`place_leaf` makes, planned on the unchanged
         chain, or None when no move keeps every locked slot."""
+        return self._moves([value], target, locked, True)[0]
+
+    def _moves(
+        self,
+        values: Sequence[Value],
+        target: Slot,
+        locked: Dict[Slot, Value],
+        trunk_swaps: bool,
+    ) -> List[Optional[_Move]]:
+        """Per value, the first move that puts it in ``target`` and keeps
+        every locked slot, or None: no move, a direct leaf swap of equal
+        APOs, then (``trunk_swaps``) each legal trunk swap with a leaf
+        swap if still needed."""
         state = self._state()
-        leaves, apos = state.leaves, state.apos
-        holders = state.holders.get(id(value))
-        if holders is None:
-            raise KeyError(f"value {value.ref()} is not a leaf of this chain")
-        current = holders[0]
+        leaves, holders_of, layout = state.leaves, state.holders, state.layout
+        apos = layout.apos
         goal = self._slot_index[target]
-        if current == goal:
-            return _NO_MOVE
         locks = [(self._slot_index[slot], want) for slot, want in locked.items()]
-        if apos[current] == apos[goal]:
-            if _locks_hold(locks, leaves, {}, current, goal):
-                return None, (current, goal)
-            return None
-        for plan in self._trunk_plans():
+        moves: List[Optional[_Move]] = []
+        for value in values:
+            holders = holders_of.get(id(value))
+            if holders is None:
+                raise KeyError(f"value {value.ref()} is not a leaf of this chain")
+            current = holders[0]
+            if current == goal:
+                move: Optional[_Move] = _NO_MOVE
+            elif apos[current] == apos[goal]:
+                if _locks_hold(locks, leaves, _IN_PLACE, current, goal):
+                    move = None, (current, goal)
+                else:
+                    move = None
+            elif trunk_swaps:
+                move = self._trunk_move(layout, leaves, holders, goal, locks)
+            else:
+                move = None
+            moves.append(move)
+        return moves
+
+    def _trunk_move(
+        self,
+        layout: _Layout,
+        leaves: List[Leaf],
+        holders: List[int],
+        goal: int,
+        locks: List[Tuple[int, Value]],
+    ) -> Optional[_Move]:
+        """The first legal trunk swap, plus a leaf swap if still needed,
+        that brings the value in slots ``holders`` to slot ``goal`` and
+        keeps every lock, or None."""
+        apos = layout.apos
+        current = holders[0]
+        for plan in self._trunk_plans(layout):
             dest = plan.dest
             if len(holders) == 1:
                 where = dest.get(current, current)
             else:  # the value sits in several slots: the first one counts
                 where = min(dest.get(i, i) for i in holders)
             if where == goal:
-                if _locks_hold(locks, leaves, plan.leaves, goal, goal):
+                if _locks_hold(locks, leaves, plan.origin, goal, goal):
                     return plan, None
             elif plan.apos.get(where, apos[where]) == plan.apos.get(goal, apos[goal]):
-                if _locks_hold(locks, leaves, plan.leaves, where, goal):
+                if _locks_hold(locks, leaves, plan.origin, where, goal):
                     return plan, (where, goal)
         return None
 
     def _apply(self, move: _Move) -> None:
         plan, swap = move
         if plan is not None:
-            plan.unit_a.opcode, plan.unit_b.opcode = plan.unit_b.opcode, plan.unit_a.opcode
-            for index, leaf in plan.leaves.items():
+            unit_a, unit_b = self._unit_at[plan.path_a], self._unit_at[plan.path_b]
+            unit_a.opcode, unit_b.opcode = unit_b.opcode, unit_a.opcode
+            leaves = self._state().leaves
+            for index, source in plan.origin.items():
                 slot, unit = self._slot_units[index]
-                unit.children[slot.child_index] = leaf
+                unit.children[slot.child_index] = leaves[source]
             self.trunk_swaps_applied += 1
             self._changed()
         if swap is not None:
@@ -575,19 +697,20 @@ def _format(node: Union[TrunkUnit, Leaf]) -> str:
 def _locks_hold(
     locks: List[Tuple[int, Value]],
     leaves: List[Leaf],
-    moved: Dict[int, Leaf],
+    origin: Dict[int, int],
     a: int,
     b: int,
 ) -> bool:
     """Whether every locked slot keeps its value in the layout ``leaves``
-    after a trunk swap that puts ``moved`` in place and a leaf swap of
-    slots ``a`` and ``b`` (equal indexes: no leaf swap)."""
+    after a trunk swap that fills each slot of ``origin`` from the slot it
+    maps to, then a leaf swap of slots ``a`` and ``b`` (equal indexes: no
+    leaf swap)."""
     for index, want in locks:
         if index == a:
             index = b
         elif index == b:
             index = a
-        if moved.get(index, leaves[index]).value is not want:
+        if leaves[origin.get(index, index)].value is not want:
             return False
     return True
 
@@ -612,6 +735,7 @@ def build_lane_chain(
     allow_inverse: bool,
     fast_math: bool,
     max_trunks: int = 16,
+    layouts: Optional[Dict[tuple, Dict[tuple, _Layout]]] = None,
 ) -> Optional[LaneChain]:
     """Grow a Multi-/Super-Node lane chain rooted at ``root``.
 
@@ -619,7 +743,8 @@ def build_lane_chain(
     An operand joins the trunk when it is a single-use binary instruction
     of the same operator family in the same block; otherwise it becomes a
     leaf.  ``allow_inverse=False`` gives LSLP's Multi-Node (commutative
-    opcodes only); ``True`` gives the Super-Node.
+    opcodes only); ``True`` gives the Super-Node.  Chains built with one
+    ``layouts`` dict share their trunk-swap plans (:class:`LaneChain`).
     """
     current_faults().fire("supernode.build-chain")
     if not isinstance(root, BinaryInst):
@@ -635,11 +760,10 @@ def build_lane_chain(
         return None
 
     trunk = _grow_chain(root, root, family, allow_inverse, [max_trunks])
-    chain = LaneChain(trunk, family)
-    if chain.size() < 2:
-        return None
+    if not any(isinstance(child, TrunkUnit) for child in trunk.children):
+        return None  # a single trunk: no chain
     _STAT_CHAINS_GROWN.add()
-    return chain
+    return LaneChain(trunk, family, layouts)
 
 
 def _grow_chain(

@@ -1,5 +1,8 @@
 """Address analysis and aliasing tests."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.ir import (
@@ -15,8 +18,18 @@ from repro.ir import (
     may_alias,
     pointer_to,
 )
-from repro.ir.analysis import memory_instructions_between, sort_by_offset
+from repro.ir import analysis as analysis_module
+from repro.ir.analysis import (
+    FunctionAnalysis,
+    memory_instructions_between,
+    sort_by_offset,
+)
+from repro.ir.instructions import GepInst
 from repro.ir.values import Argument
+from repro.machine import DEFAULT_TARGET
+from repro.vectorizer import SNSLP_CONFIG, SLPVectorizer
+
+from conftest import build_simple_store_module
 
 
 def _setup():
@@ -191,3 +204,93 @@ class TestMemoryBetween:
         last = other_builder.load(other_builder.gep(a, 1))
         with pytest.raises(ValueError):
             memory_instructions_between(first, last)
+
+
+class TestFunctionAnalysis:
+    """One cache per vectorizer run: each answer is computed once per IR
+    state, and any mutation of the IR starts a new state."""
+
+    def test_each_address_is_decomposed_once_per_state(self, monkeypatch):
+        _, a, _, function, builder = _setup()
+        i = function.arguments[0]
+        l0 = builder.load(builder.gep(a, i))
+        l1 = builder.load(builder.gep(a, builder.add(i, builder.const_i64(1))))
+        calls = []
+        decompose = analysis_module.address_of
+        monkeypatch.setattr(
+            analysis_module, "address_of",
+            lambda inst: calls.append(inst) or decompose(inst),
+        )
+        analysis = FunctionAnalysis()
+        for _ in range(3):
+            assert analysis.address_of(l0).is_consecutive_with(analysis.address_of(l1))
+        assert calls == [l0, l1]
+
+    def test_set_operand_on_a_gep_index_moves_the_address(self):
+        _, a, _, function, builder = _setup()
+        i = function.arguments[0]
+        gep = builder.gep(a, builder.add(i, builder.const_i64(1)))
+        load = builder.load(gep)
+        plus4 = builder.add(i, builder.const_i64(4))  # built before any query
+        analysis = FunctionAnalysis()
+        assert (analysis.address_of(load).symbol, analysis.address_of(load).offset) == (i, 1)
+        gep.set_operand(1, plus4)
+        assert (analysis.address_of(load).symbol, analysis.address_of(load).offset) == (i, 4)
+        gep.set_operand(1, Constant(I64, 7))
+        info = analysis.address_of(load)
+        assert (info.symbol, info.offset) == (None, 7)
+
+    def test_rauw_of_a_gep_index_moves_the_address(self):
+        _, a, b, function, builder = _setup()
+        i = function.arguments[0]
+        index = builder.add(i, builder.const_i64(2))
+        load = builder.load(builder.gep(a, index))
+        store = builder.store(load, builder.gep(b, index))
+        minus3 = builder.sub(i, builder.const_i64(3))  # built before any query
+        analysis = FunctionAnalysis()
+        assert analysis.address_of(load).offset == 2
+        assert analysis.address_of(store).offset == 2
+        index.replace_all_uses_with(minus3)
+        assert analysis.address_of(load).offset == -3
+        assert analysis.address_of(store).offset == -3
+
+    def test_insert_and_erase_move_the_positions(self):
+        _, a, _, function, builder = _setup()
+        block = function.entry
+        load = builder.load(builder.gep(a, 0))
+        store = builder.store(load, builder.gep(a, 1))
+        analysis = FunctionAnalysis()
+        positions = analysis.positions(block)
+        assert analysis.positions(block) is positions  # one map per state
+        assert (positions[id(load)], positions[id(store)]) == (1, 3)
+        extra = GepInst(a, Constant(I64, 5))
+        block.insert_at(0, extra)
+        positions = analysis.positions(block)
+        assert [positions[id(inst)] for inst in block] == list(range(5))
+        assert (positions[id(extra)], positions[id(store)]) == (0, 4)
+        extra.erase_from_parent()
+        positions = analysis.positions(block)
+        assert id(extra) not in positions
+        assert positions[id(store)] == 3
+
+    def test_no_cache_outlives_its_run(self):
+        """The run's analysis holds every instruction it was asked about;
+        it goes when ``run_on_function`` returns, so dropping the compiled
+        function frees its instructions at once (by refcount), all but
+        the ones the vectorizer keeps on purpose (``consumed_ids``)."""
+        module = build_simple_store_module(4)
+        function = module.function("kernel")
+        vectorizer = SLPVectorizer(DEFAULT_TARGET, SNSLP_CONFIG)
+        refs = [weakref.ref(inst) for inst in function.instructions()]
+        vectorizer.run_on_function(function)
+        assert vectorizer.analysis is None
+        loose = [ref for ref in refs if id(ref()) not in vectorizer.consumed_ids]
+        assert any(ref() is None for ref in loose)  # swept by DCE, freed
+        assert any(ref() is not None for ref in loose)  # still in the function
+        gc.collect()
+        gc.disable()
+        try:
+            del function, module
+            assert [ref for ref in loose if ref() is not None] == []
+        finally:
+            gc.enable()

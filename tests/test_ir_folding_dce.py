@@ -21,6 +21,7 @@ from repro.ir import (
     vector_of,
 )
 from repro.ir.folding import FoldError, compare, fold_binary, fold_cast
+from repro.ir.printer import print_module
 from repro.ir.instructions import BinaryInst, CastInst, CmpInst
 
 
@@ -148,3 +149,61 @@ class TestDCE:
         builder.load(builder.gep(a, 0))
         builder.ret()
         assert eliminate_dead_code(function) == 2  # load then its gep
+
+
+def _fixpoint_dce(function: Function) -> int:
+    """The sweep before the single-walk DCE: reverse walks over every
+    block, erasing one trivially dead instruction at a time, repeated
+    until a whole pass removes nothing.  Reference oracle."""
+    removed = 0
+    changed = True
+    while changed:
+        changed = False
+        for block in function.blocks:
+            for inst in reversed(list(block.instructions)):
+                if not inst.has_side_effects and inst.num_uses == 0 and not inst.type.is_void:
+                    inst.erase_from_parent()
+                    removed += 1
+                    changed = True
+    return removed
+
+
+def _two_dead_chains():
+    """Blocks listed entry, early, late, exit; control runs entry -> late
+    -> early -> exit.  Two dead chains end in ``early``: one starts in
+    ``entry`` (it spans two blocks), the other starts in ``late``, listed
+    after the block of its dead user."""
+    module = Module("m")
+    a = module.add_global("A", F64, 8)
+    function = Function("f", [("i", I64)], VOID)
+    module.add_function(function)
+    entry, early, late, exit_ = (
+        function.add_block(name) for name in ("entry", "early", "late", "exit")
+    )
+    builder = IRBuilder(entry)
+    live = builder.load(builder.gep(a, 0))
+    spanning = builder.fadd(live, Constant(F64, 1.0))
+    builder.br(late)
+    builder.position_at_end(late)
+    later = builder.fsub(live, Constant(F64, 2.0))
+    builder.br(early)
+    builder.position_at_end(early)
+    builder.fmul(spanning, spanning)
+    builder.fadd(later, builder.fmul(later, Constant(F64, 3.0)))
+    builder.store(live, builder.gep(a, 1))
+    builder.br(exit_)
+    builder.position_at_end(exit_)
+    builder.ret()
+    return module, function
+
+
+class TestSingleWalkDCE:
+    def test_dead_chains_across_blocks_go_in_one_call(self):
+        module, function = _two_dead_chains()
+        twin_module, twin = _two_dead_chains()
+        assert print_module(module) == print_module(twin_module)
+        expected = _fixpoint_dce(twin)
+        assert expected == 5
+        assert eliminate_dead_code(function) == expected
+        assert print_module(module) == print_module(twin_module)
+        assert eliminate_dead_code(function) == 0

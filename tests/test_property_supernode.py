@@ -373,6 +373,110 @@ def test_planned_placement_matches_try_then_restore_oracle(seed, family, depth):
         )
 
 
+def _can_place(chain: LaneChain, value, target, locked, trunk_swaps: bool) -> bool:
+    """The per-candidate probe the reorder search made before
+    ``placeable``: without trunk swaps only a direct leaf swap (or no move)
+    can work.  Reference oracle for :meth:`LaneChain.placeable`."""
+    return (
+        trunk_swaps or chain.can_swap_leaves(chain.slot_of_value(value), target)
+    ) and chain.can_place_leaf(value, target, locked)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    family=st.sampled_from(["add", "fmul"]),
+    depth=st.integers(2, 4),
+)
+def test_placeable_is_the_per_candidate_probe_in_one_pass(seed, family, depth):
+    """Over random chains, states, lock sets and candidate lists (values in
+    several slots included): ``placeable`` returns exactly the candidates
+    the per-candidate probe accepts, in order, with and without trunk
+    swaps, and leaves the chain, its counters and its ``Leaf`` objects as
+    they were."""
+    function, root = _random_chain(seed, family, max_depth=depth, reuse=0.2)
+    chain = build_lane_chain(root, allow_inverse=True, fast_math=True)
+    if chain is None:
+        return
+    rng = random.Random(seed + 6)
+    slots = chain.slots()
+    values = list(dict.fromkeys(chain.leaf_values()))
+    for _ in range(3):
+        for target in slots:
+            locked = _random_locks(chain, rng)
+            candidates = rng.sample(values, rng.randint(0, len(values)))
+            text = repr(chain)
+            counters = (chain.leaf_swaps_applied, chain.trunk_swaps_applied)
+            leaf_objects = [id(chain.leaf_at(slot)) for slot in slots]
+            for trunk_swaps in (True, False):
+                expected = [
+                    value for value in candidates
+                    if _can_place(chain, value, target, locked, trunk_swaps)
+                ]
+                got = chain.placeable(candidates, target, locked, trunk_swaps=trunk_swaps)
+                assert got == expected
+            assert repr(chain) == text
+            assert (chain.leaf_swaps_applied, chain.trunk_swaps_applied) == counters
+            assert [id(chain.leaf_at(slot)) for slot in slots] == leaf_objects
+        chain.place_leaf(rng.choice(values), rng.choice(slots))
+
+
+def _terms(chain: LaneChain):
+    return [(apo, id(value)) for apo, value in chain.signed_terms()]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    family=st.sampled_from(["add", "fmul"]),
+    depth=st.integers(2, 5),
+)
+def test_shared_plans_place_like_private_ones(seed, family, depth):
+    """Chains built with one layouts table share their trunk-swap plans,
+    as the lanes of one Super-Node do.  A first chain over the tree, and
+    chains over trees of other shapes, fill the table; then a chain
+    sharing it and a chain with its own table make the same placements
+    (random targets and lock sets), and after every one they agree on the
+    outcome, the signed terms, the repr and the applied-move counters."""
+    function, root = _random_chain(seed, family, max_depth=depth, reuse=0.2)
+    layouts = {}
+    warm = build_lane_chain(root, allow_inverse=True, fast_math=True, layouts=layouts)
+    if warm is None:
+        return
+    shared = build_lane_chain(root, allow_inverse=True, fast_math=True, layouts=layouts)
+    private = build_lane_chain(root, allow_inverse=True, fast_math=True)
+    rng = random.Random(seed + 7)
+    others = [_random_chain(seed + k, family, max_depth=depth) for k in (1, 2, 3)]
+    for chain in [warm] + [
+        build_lane_chain(other_root, allow_inverse=True, fast_math=True, layouts=layouts)
+        for _, other_root in others
+    ]:
+        if chain is None:
+            continue
+        chain_values = chain.leaf_values()
+        for _ in range(6):
+            chain.place_leaf(
+                rng.choice(chain_values), rng.choice(chain.slots()),
+                _random_locks(chain, rng),
+            )
+    slots = warm.slots()
+    values = list(dict.fromkeys(warm.leaf_values()))
+    assert layouts and shared._layouts is warm._layouts
+    assert private._layouts is not warm._layouts
+    for _ in range(12):
+        value, target = rng.choice(values), rng.choice(slots)
+        locked = _random_locks(private, rng)
+        assert shared.place_leaf(value, target, locked) == private.place_leaf(
+            value, target, locked
+        )
+        assert _terms(shared) == _terms(private)
+        assert repr(shared) == repr(private)
+        assert (shared.leaf_swaps_applied, shared.trunk_swaps_applied) == (
+            private.leaf_swaps_applied,
+            private.trunk_swaps_applied,
+        )
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_clone_isolation(seed):

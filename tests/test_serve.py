@@ -860,6 +860,18 @@ class TestChaosNoEscape:
         assert status in ("recovered", "degraded"), (scenario.name, detail)
         assert "did not fire" not in detail, (scenario.name, detail)
 
+    @pytest.mark.parametrize("site", ["simplify.module", "reorder.reorder"])
+    def test_stall_run_stops_after_its_first_fired_program(
+        self, site, chaos_baselines
+    ):
+        """A stall blows the phase budget the same way on every program,
+        so a compile stall run stops once its first program has fired and
+        recovered."""
+        scenario = ChaosScenario(f"{site}:stall", site, "stall", "compile")
+        status, detail, _counters = run_chaos(scenario, chaos_baselines)
+        assert status in ("recovered", "degraded"), detail
+        assert detail.endswith("fault fired 1x"), detail
+
     def test_unfired_fault_is_unexercised(self, chaos_baselines):
         """No crash is armed, so no worker respawns and the respawn fault
         never fires: the run proved nothing and says so."""

@@ -12,6 +12,7 @@ contract.
 """
 
 import json
+import re
 
 import pytest
 
@@ -34,6 +35,8 @@ from repro.observe.session import CompilerSession, use_session
 from repro.observe.trace import TraceEvent, Tracer
 from repro.serve.resilience import ResilientExecutor
 from repro.serve.service import CompileService
+from repro.serve.tasks import TASK_FORMAT
+from repro.vectorizer.cache import CACHE_FORMAT, repro_source_fingerprint
 
 MOTIVATING = ("motiv-leaf-reorder", "motiv-trunk-reorder")
 
@@ -189,8 +192,12 @@ class TestBuildInfo:
             line for line in text.splitlines()
             if line.startswith("repro_build_info{")
         )
-        assert 'fingerprint="' in line
-        assert 'format="' in line
+        labels = dict(re.findall(r'(\w+)="([^"]*)"', line))
+        assert labels == {
+            "fingerprint": repro_source_fingerprint(),
+            "format": str(CACHE_FORMAT),
+            "task_format": str(TASK_FORMAT),
+        }
         assert line.endswith("} 1")
 
 

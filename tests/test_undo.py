@@ -26,9 +26,11 @@ from repro.ir import (
     Opcode,
     verify_module,
 )
+from repro.ir.printer import print_module
 from repro.machine import DEFAULT_TARGET
 from repro.sim import simulate
-from repro.vectorizer import O3_CONFIG, SNSLP_CONFIG, compile_module
+from repro.vectorizer import O3_CONFIG, SNSLP_CONFIG, LookAheadScorer, compile_module
+from repro.vectorizer.reorder import SuperNode
 
 
 def _unprofitable_chain_module() -> Module:
@@ -180,3 +182,157 @@ class TestRejectedReductionUndo:
         else:
             assert actual.globals_after["OUT"] == expected.globals_after["OUT"]
         assert compiled.counters.get("supernode.undo-events") == 1
+
+
+def _nested_chain_module() -> Module:
+    """Two lanes, each a signed sum whose leaves include products, in a
+    different order per lane and over per-lane arrays: the sums form a
+    Super-Node, the product bundle below it forms a second, nested one,
+    and every load group gathers, so both are undone (the inner first)."""
+    module = Module("nested")
+    for name in ["A"] + [f"{c}{lane}" for lane in range(2) for c in "BCDEFG"]:
+        module.add_global(name, F64, 64)
+    function = Function("kernel", [("i", I64)], VOID, fast_math=True)
+    module.add_function(function)
+    b = IRBuilder(function.add_block("entry"))
+    i = function.arguments[0]
+
+    def load(name, lane):
+        idx = b.add(i, b.const_i64(lane)) if lane else i
+        return b.load(b.gep(module.global_named(f"{name}{lane}"), idx))
+
+    # lane 0: B*C*D - E + F*G; lane 1: F*G*D + B*C - E
+    lane0 = b.fadd(
+        b.fsub(b.fmul(b.fmul(load("B", 0), load("C", 0)), load("D", 0)), load("E", 0)),
+        b.fmul(load("F", 0), load("G", 0)),
+    )
+    b.store(lane0, b.gep(module.global_named("A"), i))
+    lane1 = b.fsub(
+        b.fadd(b.fmul(b.fmul(load("F", 1), load("G", 1)), load("D", 1)),
+               b.fmul(load("B", 1), load("C", 1))),
+        load("E", 1),
+    )
+    b.store(lane1, b.gep(module.global_named("A"), b.add(i, b.const_i64(1))))
+    b.ret()
+    verify_module(module)
+    return module
+
+
+#: the nested kernel after SN-SLP rejects its graph and undoes both nodes,
+#: as printed when undo re-emitted each lane from a clone of its chain
+#: taken before the reorder (each lane is re-emitted before its massaged
+#: root, so the chain now follows its last leaf)
+_NESTED_UNDONE = """\
+func @kernel(%i: i64) -> void fastmath {
+entry:
+  %t = gep f64* @B0, i64 %i
+  %t.1 = load f64, f64* %t
+  %t.2 = gep f64* @C0, i64 %i
+  %t.3 = load f64, f64* %t.2
+  %t.4 = gep f64* @D0, i64 %i
+  %t.5 = load f64, f64* %t.4
+  %t.6 = fmul f64 %t.1, %t.3
+  %t.7 = fmul f64 %t.6, %t.5
+  %t.8 = gep f64* @E0, i64 %i
+  %t.9 = load f64, f64* %t.8
+  %t.10 = gep f64* @F0, i64 %i
+  %t.11 = load f64, f64* %t.10
+  %t.12 = gep f64* @G0, i64 %i
+  %t.13 = load f64, f64* %t.12
+  %t.14 = fmul f64 %t.11, %t.13
+  %t.15 = fsub f64 %t.7, %t.9
+  %t.16 = fadd f64 %t.15, %t.14
+  %t.17 = gep f64* @A, i64 %i
+  store f64 %t.16, f64* %t.17
+  %t.18 = add i64 %i, 1
+  %t.19 = gep f64* @F1, i64 %t.18
+  %t.20 = load f64, f64* %t.19
+  %t.21 = add i64 %i, 1
+  %t.22 = gep f64* @G1, i64 %t.21
+  %t.23 = load f64, f64* %t.22
+  %t.24 = add i64 %i, 1
+  %t.25 = gep f64* @D1, i64 %t.24
+  %t.26 = load f64, f64* %t.25
+  %t.27 = fmul f64 %t.20, %t.23
+  %t.28 = fmul f64 %t.27, %t.26
+  %t.29 = add i64 %i, 1
+  %t.30 = gep f64* @B1, i64 %t.29
+  %t.31 = load f64, f64* %t.30
+  %t.32 = add i64 %i, 1
+  %t.33 = gep f64* @C1, i64 %t.32
+  %t.34 = load f64, f64* %t.33
+  %t.35 = fmul f64 %t.31, %t.34
+  %t.36 = add i64 %i, 1
+  %t.37 = gep f64* @E1, i64 %t.36
+  %t.38 = load f64, f64* %t.37
+  %t.39 = fadd f64 %t.28, %t.35
+  %t.40 = fsub f64 %t.39, %t.38
+  %t.41 = add i64 %i, 1
+  %t.42 = gep f64* @A, i64 %t.41
+  store f64 %t.40, f64* %t.42
+  ret
+}
+"""
+
+
+def _unit_layout(node: SuperNode):
+    """Every unit of every lane, by identity, with its opcode and its
+    children (units and leaves by identity, leaf values by identity)."""
+    return [
+        (id(unit), unit.opcode, [
+            (id(child), id(getattr(child, "value", None))) for child in unit.children
+        ])
+        for chain in node.chains
+        for _, unit in chain.trunks()
+    ]
+
+
+class TestUndoFromRecords:
+    """Undo restores every unit's recorded opcode and children in place,
+    instead of re-emitting from clones of the chains."""
+
+    def test_chains_are_restored_in_place(self):
+        # Fig. 3's lanes: B - C + D and B + D - C; lane 1 needs a trunk swap
+        module = Module("fig3")
+        for name in "ABCD":
+            module.add_global(name, F64, 64)
+        function = Function("kernel", [("i", I64)], VOID, fast_math=True)
+        module.add_function(function)
+        b = IRBuilder(function.add_block("entry"))
+        i = function.arguments[0]
+
+        def load(name, lane):
+            idx = b.add(i, b.const_i64(lane)) if lane else i
+            return b.load(b.gep(module.global_named(name), idx))
+
+        lanes = [
+            b.fadd(b.fsub(load("B", 0), load("C", 0)), load("D", 0)),
+            b.fsub(b.fadd(load("B", 1), load("D", 1)), load("C", 1)),
+        ]
+        stores = [
+            b.store(lanes[0], b.gep(module.global_named("A"), i)),
+            b.store(lanes[1], b.gep(module.global_named("A"), b.add(i, b.const_i64(1)))),
+        ]
+        b.ret()
+        node = SuperNode.build(
+            [store.operand(0) for store in stores],
+            allow_inverse=True, allow_trunk_swaps=True, fast_math=True,
+        )
+        before = _unit_layout(node)
+        node.reorder_leaves_and_trunks(LookAheadScorer())
+        assert _unit_layout(node) != before
+        node.generate_code()
+        restored = node.undo_code()
+        assert _unit_layout(node) == before
+        assert [store.operand(0) for store in stores] == restored
+        verify_module(module)
+
+    def test_nested_undo_prints_the_original_ir(self):
+        compiled = compile_module(_nested_chain_module(), SNSLP_CONFIG, DEFAULT_TARGET)
+        assert compiled.counters.get("supernode.nodes-formed") == 2
+        assert compiled.counters.get("supernode.undo-events") == 2
+        assert compiled.counters.get("supernode.trunk-moves-applied") == 1
+        text = print_module(compiled.module)
+        assert text[text.index("func @kernel"):] == _NESTED_UNDONE
+        o3 = compile_module(_nested_chain_module(), O3_CONFIG, DEFAULT_TARGET)
+        assert _stored_trees(compiled.module) == _stored_trees(o3.module)
