@@ -10,6 +10,11 @@ the workload draws them) at seeds 20190216 and 7 under every config:
 sha256 of its programs' printed IR, one of their sorted counters, and a
 short digest pair per program, which names the program that moved.
 
+The ``frontend`` family pins the frontend at its own boundary: one row per
+(``supernode-wide`` stratum, seed) holding a sha256 of the printed modules
+its sources lower to (``compile_source`` output, before any pass), with
+``-`` for the config and the counters.
+
     PYTHONPATH=src python scripts/fingerprint.py --out scripts/fingerprint.tsv
     PYTHONPATH=src python scripts/fingerprint.py --check scripts/fingerprint.tsv
 
@@ -96,15 +101,35 @@ def _row(family: str, name: str, config, seed: str, modules) -> Row:
     }
 
 
+def _frontend_row(name: str, seed: str, sources) -> Row:
+    """The printed, unoptimised modules of one stratum's sources.  Each
+    source is lowered afresh: printing names a module's values, which would
+    move the compile rows' output if it happened to the modules they use."""
+    ir = hashlib.sha256()
+    programs = []
+    for program, source in sources:
+        text = print_module(compile_source(source, program)).encode()
+        ir.update(text)
+        programs.append(f"{program}:{hashlib.sha256(text).hexdigest()[:SHORT]}:-")
+    return {
+        "family": "frontend", "name": name, "config": "-", "seed": seed,
+        "ir_sha256": ir.hexdigest(), "counters_sha256": "-",
+        "programs": ",".join(programs),
+    }
+
+
 def fingerprint_rows() -> Iterator[Row]:
     for kernel in all_kernels():
         for config in ALL_CONFIGS:
             yield _row("suite", kernel.name, config, "-", [(kernel.name, kernel.build())])
+    frontend = []
     for seed in SEEDS:
         for stratum, sources in _stratum_sources(seed).items():
             modules = [(name, compile_source(text, name)) for name, text in sources]
+            frontend.append(_frontend_row(stratum, str(seed), sources))
             for config in ALL_CONFIGS:
                 yield _row("supernode-wide", stratum, config, str(seed), modules)
+    yield from frontend
 
 
 def _key(row: Row) -> str:

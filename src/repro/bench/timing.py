@@ -15,6 +15,7 @@ speedup.
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 from typing import Dict, Optional, Sequence, Tuple
@@ -70,24 +71,36 @@ def compile_time_and_phase_stats(
     compilation also contributes its ``phase_seconds`` breakdown, so
     Figure 11 can attribute the SLP overhead to the vectorize phase
     without compiling everything twice.
+
+    The collector runs once before the first warm-up and is off for every
+    compile after it, so no single compile absorbs a full collection and
+    sets a row's mean; it is switched back on (if it was on) however the
+    runs end.
     """
     module = kernel.build()
     wall: Dict[str, RunStats] = {}
     phases: Dict[str, Dict[str, float]] = {}
-    for config in configs:
-        samples = []
-        totals: Dict[str, float] = {}
-        for i in range(warmup + runs):
-            result = compile_module(module, config, target)
-            if i < warmup:
-                continue
-            samples.append(result.compile_seconds)
-            for phase, seconds in result.phase_seconds.items():
-                totals[phase] = totals.get(phase, 0.0) + seconds
-        wall[config.name] = summarize(samples)
-        phases[config.name] = {
-            phase: total / runs for phase, total in sorted(totals.items())
-        }
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for config in configs:
+            samples = []
+            totals: Dict[str, float] = {}
+            for i in range(warmup + runs):
+                result = compile_module(module, config, target)
+                if i < warmup:
+                    continue
+                samples.append(result.compile_seconds)
+                for phase, seconds in result.phase_seconds.items():
+                    totals[phase] = totals.get(phase, 0.0) + seconds
+            wall[config.name] = summarize(samples)
+            phases[config.name] = {
+                phase: total / runs for phase, total in sorted(totals.items())
+            }
+    finally:
+        if collecting:
+            gc.enable()
     return wall, phases
 
 

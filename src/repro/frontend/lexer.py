@@ -6,15 +6,17 @@ and straight-line arithmetic assignments over array elements.
 
 Tokenizing is one regex pass: each match consumes the whitespace and
 comments before a token together with the token, so skipped text makes no
-object, and each real token makes one :class:`Token`.  A token's
-``line:column`` is computed only when its ``location`` is read.
+object.  :func:`scan` returns the tokens as parallel lists of kinds, texts
+and offsets plus the source's :class:`LineIndex`, which the parser reads
+directly; :func:`tokenize` views the same scan as :class:`Token` objects.
+A ``line:column`` is computed from an offset only when it is read.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .errors import LexError, SourceLocation
 
@@ -51,15 +53,15 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-#: match.lastindex of each group; the first four name their token kind
-_KINDS = (None, "ident", "op", "float", "int")
-_IDENT, _EOF, _OPEN, _BAD = 1, 5, 6, 7
+#: match.lastindex of each group; the first five name their token kind
+_KINDS = (None, "ident", "op", "float", "int", "eof")
+_IDENT, _EOF, _OPEN = 1, 5, 6
 
 
-class _LineIndex:
+class LineIndex:
     """The offsets at which the lines of one source start, found on the
     first lookup: a source whose locations are never read is never
-    scanned for them."""
+    scanned for them.  Shared by the source's tokens and AST nodes."""
 
     __slots__ = ("source", "_starts")
 
@@ -78,6 +80,22 @@ class _LineIndex:
                 newline = source.find("\n", newline + 1)
         return starts
 
+    def location(self, offset: int) -> SourceLocation:
+        """The ``line:column`` of the character at ``offset``."""
+        starts = self._starts or self.starts()
+        line = bisect_right(starts, offset)
+        return SourceLocation(line, offset - starts[line - 1] + 1)
+
+
+class Scan(NamedTuple):
+    """One source's tokens as parallel lists, the last of kind ``eof``
+    (text ``""``, offset the source's length)."""
+
+    kinds: List[str]
+    texts: List[str]
+    offsets: List[int]
+    lines: LineIndex
+
 
 class Token:
     """One token: ``kind`` ('int', 'float', 'ident', 'keyword', 'op',
@@ -86,7 +104,7 @@ class Token:
 
     __slots__ = ("kind", "text", "offset", "_lines")
 
-    def __init__(self, kind: str, text: str, offset: int, lines: _LineIndex) -> None:
+    def __init__(self, kind: str, text: str, offset: int, lines: LineIndex) -> None:
         self.kind = kind
         self.text = text
         self.offset = offset
@@ -94,37 +112,42 @@ class Token:
 
     @property
     def location(self) -> SourceLocation:
-        lines = self._lines
-        starts = lines._starts or lines.starts()
-        line = bisect_right(starts, self.offset)
-        return SourceLocation(line, self.offset - starts[line - 1] + 1)
+        return self._lines.location(self.offset)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Token({self.kind}, {self.text!r}, {self.location})"
 
 
-def tokenize(source: str) -> List[Token]:
-    """Split kernel-language source into tokens (comments stripped), the
-    last of kind ``eof``."""
-    lines = _LineIndex(source)
-    tokens: List[Token] = []
-    append = tokens.append
+def scan(source: str) -> Scan:
+    """Split kernel-language source into tokens (comments stripped)."""
+    lines = LineIndex(source)
+    kinds: List[str] = []
+    texts: List[str] = []
+    offsets: List[int] = []
+    add_kind, add_text, add_offset = kinds.append, texts.append, offsets.append
     for match in _TOKEN_RE.finditer(source):
         index = match.lastindex
         text = match.group(index)
-        if index == _IDENT:
-            kind = "keyword" if text in KEYWORDS else "ident"
-        elif index >= _EOF:
-            if index != _EOF:
-                bad = Token("bad", text, match.start(index), lines)
-                raise LexError(
-                    "unterminated /* comment" if index == _OPEN
-                    else f"unexpected character {text!r}",
-                    bad.location,
-                )
-            append(Token("eof", "", match.start(index), lines))
+        offset = match.start(index)
+        if index > _EOF:
+            raise LexError(
+                "unterminated /* comment" if index == _OPEN
+                else f"unexpected character {text!r}",
+                lines.location(offset),
+            )
+        add_kind("keyword" if index == _IDENT and text in KEYWORDS else _KINDS[index])
+        add_text(text)
+        add_offset(offset)
+        if index == _EOF:  # trailing whitespace would match a second one
             break
-        else:
-            kind = _KINDS[index]
-        append(Token(kind, text, match.start(index), lines))
-    return tokens
+    return Scan(kinds, texts, offsets, lines)
+
+
+def tokenize(source: str) -> List[Token]:
+    """Split kernel-language source into tokens (comments stripped), the
+    last of kind ``eof``."""
+    kinds, texts, offsets, lines = scan(source)
+    return [
+        Token(kind, text, offset, lines)
+        for kind, text, offset in zip(kinds, texts, offsets)
+    ]

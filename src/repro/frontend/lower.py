@@ -15,7 +15,7 @@ from ..ir.function import Function
 from ..ir.instructions import CmpPredicate, Opcode
 from ..ir.module import Module
 from ..ir.types import I64, Type, VOID
-from ..ir.values import Constant, Value
+from ..ir.values import Constant, GlobalBuffer, Value
 from ..ir.verifier import verify_module
 from .errors import SemanticError
 from .sema import ELEMENT_TYPE_MAP, SemaResult, analyze
@@ -60,15 +60,19 @@ _CMP_MAP: Dict[str, CmpPredicate] = {
 class _LoweringContext:
     """Per-kernel lowering state."""
 
-    def __init__(self, sema: SemaResult, builder: IRBuilder) -> None:
+    def __init__(
+        self, sema: SemaResult, builder: IRBuilder, globals_: Dict[str, GlobalBuffer]
+    ) -> None:
         self.sema = sema
         self.builder = builder
+        #: the module's arrays, by name
+        self.globals = globals_
         self.env: Dict[str, Value] = {}
         #: index-expression cache, reset per basic block (CSE for gep math)
         self.index_cache: Dict[Tuple, Value] = {}
 
     def child(self) -> "_LoweringContext":
-        ctx = _LoweringContext(self.sema, self.builder)
+        ctx = _LoweringContext(self.sema, self.builder, self.globals)
         ctx.env = dict(self.env)
         return ctx
 
@@ -100,7 +104,7 @@ def _lower_kernel(sema: SemaResult, module: Module, kernel: KernelDecl) -> None:
     module.add_function(function)
     entry = function.add_block("entry")
     builder = IRBuilder(entry)
-    context = _LoweringContext(sema, builder)
+    context = _LoweringContext(sema, builder, module.globals)
     context.env[kernel.param] = function.arguments[0]
 
     for statement in kernel.body:
@@ -181,14 +185,7 @@ def _opcode_for(op: str, type_: Type) -> Opcode:
 
 def _lower_array_pointer(context: _LoweringContext, ref: ArrayRef) -> Value:
     index = _lower_index(context, ref.index)
-    return context.builder.gep(_global(context, ref.array), index)
-
-
-def _global(context: _LoweringContext, name: str):
-    # the builder's block -> function -> module
-    function = context.builder.block.parent
-    assert function is not None and function.parent is not None
-    return function.parent.global_named(name)
+    return context.builder.gep(context.globals[ref.array], index)
 
 
 def _lower_index(context: _LoweringContext, index: Expr) -> Value:

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Union
 
-from .errors import SyntaxErrorKL
-from .lexer import Token, tokenize
+from .errors import SourceLocation, SyntaxErrorKL
+from .lexer import scan
 from .syntax import (
     ArrayDecl,
     ArrayRef,
@@ -51,234 +51,264 @@ ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=")
 
 
 class KernelParser:
+    """Reads the lexer's parallel token lists by position.  An operator's
+    or keyword's text names its kind (no identifier, number or ``eof`` has
+    the text of one), so such tokens are matched on text alone."""
+
     def __init__(self, source: str) -> None:
-        self._tokens = tokenize(source)
+        self._kinds, self._texts, self._offsets, self._lines = scan(source)
         self._pos = 0
 
     # -- token plumbing --------------------------------------------------------------
 
-    # The token list always ends in one ``eof`` token, which ``_next``
+    # The token lists always end in one ``eof`` token, which ``_next``
     # never steps past, so ``_pos`` always indexes a token.
 
-    def _peek(self) -> Token:
-        return self._tokens[self._pos]
+    def _next(self) -> int:
+        """Consume the current token; returns its position."""
+        pos = self._pos
+        if self._kinds[pos] != "eof":
+            self._pos = pos + 1
+        return pos
 
-    def _next(self) -> Token:
-        token = self._tokens[self._pos]
-        if token.kind != "eof":
-            self._pos += 1
-        return token
+    def _location(self, pos: int) -> SourceLocation:
+        return self._lines.location(self._offsets[pos])
 
-    def _expect(self, kind: str, text: Optional[str] = None) -> Token:
-        token = self._next()
-        if token.kind != kind or (text is not None and token.text != text):
-            want = text if text is not None else kind
+    def _expect(self, text: str) -> int:
+        """Consume the operator or keyword ``text``; returns its position."""
+        pos = self._next()
+        if self._texts[pos] != text:
             raise SyntaxErrorKL(
-                f"expected {want!r}, got {token.text!r}", token.location
+                f"expected {text!r}, got {self._texts[pos]!r}", self._location(pos)
             )
-        return token
+        return pos
 
-    def _accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        token = self._peek()
-        if token.kind == kind and (text is None or token.text == text):
-            return self._next()
-        return None
+    def _expect_kind(self, kind: str) -> int:
+        """Consume a token of ``kind``; returns its position."""
+        pos = self._next()
+        if self._kinds[pos] != kind:
+            raise SyntaxErrorKL(
+                f"expected {kind!r}, got {self._texts[pos]!r}", self._location(pos)
+            )
+        return pos
+
+    def _accept(self, text: str) -> bool:
+        """Consume the current token if it is the operator or keyword ``text``."""
+        if self._texts[self._pos] == text:
+            self._pos += 1
+            return True
+        return False
 
     # -- top level ----------------------------------------------------------------------
 
     def parse_program(self) -> Program:
-        start = self._peek().location
+        kinds, texts = self._kinds, self._texts
         declarations: List[ArrayDecl] = []
         kernels: List[KernelDecl] = []
         while True:
-            token = self._peek()
-            if token.kind == "eof":
+            pos = self._pos
+            kind = kinds[pos]
+            if kind == "eof":
                 break
-            if token.kind == "keyword" and token.text in ELEMENT_TYPES:
+            if kind == "keyword" and texts[pos] in ELEMENT_TYPES:
                 declarations.append(self._parse_array_decl())
-            elif token.kind == "keyword" and token.text == "kernel":
+            elif kind == "keyword" and texts[pos] == "kernel":
                 kernels.append(self._parse_kernel())
             else:
                 raise SyntaxErrorKL(
-                    f"expected declaration or kernel, got {token.text!r}",
-                    token.location,
+                    f"expected declaration or kernel, got {texts[pos]!r}",
+                    self._location(pos),
                 )
         if not kernels:
-            raise SyntaxErrorKL("program declares no kernels", start)
-        return Program(start, declarations, kernels)
+            raise SyntaxErrorKL("program declares no kernels", self._location(0))
+        return Program(self._offsets[0], self._lines, declarations, kernels)
 
     def _parse_array_decl(self) -> ArrayDecl:
-        type_tok = self._expect("keyword")
-        name = self._expect("ident")
-        self._expect("op", "[")
-        size = int(self._expect("int").text)
-        self._expect("op", "]")
-        self._expect("op", ";")
-        return ArrayDecl(type_tok.location, type_tok.text, name.text, size)
+        texts = self._texts
+        type_pos = self._expect_kind("keyword")
+        name = self._expect_kind("ident")
+        self._expect("[")
+        size = int(texts[self._expect_kind("int")])
+        self._expect("]")
+        self._expect(";")
+        return ArrayDecl(
+            self._offsets[type_pos], self._lines, texts[type_pos], texts[name], size
+        )
 
     def _parse_kernel(self) -> KernelDecl:
-        start = self._expect("keyword", "kernel")
-        name = self._expect("ident")
-        self._expect("op", "(")
-        param = self._expect("ident")
-        self._expect("op", ")")
-        fast_math = not self._accept("keyword", "nofastmath")
+        texts = self._texts
+        start = self._expect("kernel")
+        name = self._expect_kind("ident")
+        self._expect("(")
+        param = self._expect_kind("ident")
+        self._expect(")")
+        fast_math = not self._accept("nofastmath")
         body = self._parse_block()
-        return KernelDecl(start.location, name.text, param.text, body, fast_math)
+        return KernelDecl(
+            self._offsets[start], self._lines, texts[name], texts[param], body, fast_math
+        )
 
     # -- statements --------------------------------------------------------------------------
 
     def _parse_block(self) -> List[Stmt]:
-        self._expect("op", "{")
+        self._expect("{")
         body: List[Stmt] = []
-        while not self._accept("op", "}"):
+        while not self._accept("}"):
             statement = self._parse_stmt()
             if statement is not None:
                 body.append(statement)
         return body
 
     def _parse_stmt(self) -> Optional[Stmt]:
-        token = self._peek()
-        if token.kind == "op" and token.text == ";":
-            self._next()
+        text = self._texts[self._pos]
+        if text == ";":
+            self._pos += 1
             return None
-        if token.kind == "keyword" and token.text == "for":
+        if text == "for":
             return self._parse_for()
         return self._parse_assign()
 
     def _parse_for(self) -> ForLoop:
-        start = self._expect("keyword", "for")
-        self._expect("op", "(")
-        var = self._expect("ident").text
-        self._expect("op", "=")
+        texts = self._texts
+        start = self._expect("for")
+        self._expect("(")
+        var = texts[self._expect_kind("ident")]
+        self._expect("=")
         init = self._parse_additive()
-        self._expect("op", ";")
-        cond_var = self._expect("ident").text
+        self._expect(";")
+        cond_var = texts[self._expect_kind("ident")]
         if cond_var != var:
             raise SyntaxErrorKL(
                 f"loop condition tests {cond_var!r}, expected {var!r}",
-                start.location,
+                self._location(start),
             )
-        self._expect("op", "<")
+        self._expect("<")
         bound = self._parse_additive()
-        self._expect("op", ";")
-        step_var = self._expect("ident").text
+        self._expect(";")
+        step_var = texts[self._expect_kind("ident")]
         if step_var != var:
             raise SyntaxErrorKL(
-                f"loop increments {step_var!r}, expected {var!r}", start.location
+                f"loop increments {step_var!r}, expected {var!r}", self._location(start)
             )
-        self._expect("op", "+=")
-        step = int(self._expect("int").text)
+        self._expect("+=")
+        step = int(texts[self._expect_kind("int")])
         if step < 1:
-            raise SyntaxErrorKL("loop step must be positive", start.location)
-        self._expect("op", ")")
+            raise SyntaxErrorKL("loop step must be positive", self._location(start))
+        self._expect(")")
         body = self._parse_block()
-        return ForLoop(start.location, var, init, bound, step, body)
+        return ForLoop(self._offsets[start], self._lines, var, init, bound, step, body)
 
     def _parse_assign(self) -> Assign:
         target = self._parse_lvalue()
-        op_tok = self._next()
-        if op_tok.kind != "op" or op_tok.text not in ASSIGN_OPS:
+        pos = self._next()
+        op = self._texts[pos]
+        if op not in ASSIGN_OPS:
             raise SyntaxErrorKL(
-                f"expected assignment operator, got {op_tok.text!r}",
-                op_tok.location,
+                f"expected assignment operator, got {op!r}", self._location(pos)
             )
         value = self._parse_expr()
-        self._expect("op", ";")
-        return Assign(op_tok.location, target, op_tok.text, value)
+        self._expect(";")
+        return Assign(self._offsets[pos], self._lines, target, op, value)
 
     def _parse_lvalue(self) -> Union[ArrayRef, VarRef]:
-        name = self._expect("ident")
-        if self._accept("op", "["):
+        pos = self._expect_kind("ident")
+        name = self._texts[pos]
+        if self._accept("["):
             index = self._parse_expr()
-            self._expect("op", "]")
-            return ArrayRef(name.location, name.text, index)
-        return VarRef(name.location, name.text)
+            self._expect("]")
+            return ArrayRef(self._offsets[pos], self._lines, name, index)
+        return VarRef(self._offsets[pos], self._lines, name)
 
     # -- expressions --------------------------------------------------------------------------
 
     #: relational operators (non-associative: `a < b < c` is rejected)
-    RELOPS = ("==", "!=", "<=", ">=", "<", ">")
+    RELOPS = frozenset(("==", "!=", "<=", ">=", "<", ">"))
 
     def _parse_expr(self) -> Expr:
         """Full expression: ternary over an optional single comparison."""
         condition = self._parse_compare()
-        question = self._accept("op", "?")
-        if question is None:
+        question = self._pos
+        if self._texts[question] != "?":
             return condition
+        self._pos = question + 1
         then = self._parse_expr()
-        self._expect("op", ":")
+        self._expect(":")
         otherwise = self._parse_expr()
-        return Ternary(question.location, condition, then, otherwise)
+        return Ternary(self._offsets[question], self._lines, condition, then, otherwise)
 
     def _parse_compare(self) -> Expr:
         lhs = self._parse_additive()
-        token = self._peek()
-        if token.kind == "op" and token.text in self.RELOPS:
-            self._next()
+        texts = self._texts
+        pos = self._pos
+        op = texts[pos]
+        if op in self.RELOPS:
+            self._pos = pos + 1
             rhs = self._parse_additive()
-            follow = self._peek()
-            if follow.kind == "op" and follow.text in self.RELOPS:
+            if texts[self._pos] in self.RELOPS:
                 raise SyntaxErrorKL(
-                    "comparisons do not chain; parenthesize", follow.location
+                    "comparisons do not chain; parenthesize", self._location(self._pos)
                 )
-            return Compare(token.location, token.text, lhs, rhs)
+            return Compare(self._offsets[pos], self._lines, op, lhs, rhs)
         return lhs
 
     def _parse_additive(self) -> Expr:
         lhs = self._parse_term()
+        texts = self._texts
         while True:
-            token = self._peek()
-            if token.kind == "op" and token.text in ("+", "-"):
-                self._next()
-                rhs = self._parse_term()
-                lhs = Binary(token.location, token.text, lhs, rhs)
-            else:
+            pos = self._pos
+            op = texts[pos]
+            if op != "+" and op != "-":
                 return lhs
+            self._pos = pos + 1
+            rhs = self._parse_term()
+            lhs = Binary(self._offsets[pos], self._lines, op, lhs, rhs)
 
     def _parse_term(self) -> Expr:
         lhs = self._parse_unary()
+        texts = self._texts
         while True:
-            token = self._peek()
-            if token.kind == "op" and token.text in ("*", "/"):
-                self._next()
-                rhs = self._parse_unary()
-                lhs = Binary(token.location, token.text, lhs, rhs)
-            else:
+            pos = self._pos
+            op = texts[pos]
+            if op != "*" and op != "/":
                 return lhs
+            self._pos = pos + 1
+            rhs = self._parse_unary()
+            lhs = Binary(self._offsets[pos], self._lines, op, lhs, rhs)
 
     def _parse_unary(self) -> Expr:
-        token = self._peek()
-        if token.kind == "op" and token.text == "-":
-            self._next()
-            return Unary(token.location, "-", self._parse_unary())
+        pos = self._pos
+        if self._texts[pos] == "-":
+            self._pos = pos + 1
+            return Unary(self._offsets[pos], self._lines, "-", self._parse_unary())
         return self._parse_primary()
 
     def _parse_primary(self) -> Expr:
-        token = self._next()
-        if token.kind == "int":
-            return IntLiteral(token.location, int(token.text))
-        if token.kind == "float":
-            return FloatLiteral(token.location, float(token.text))
-        if token.kind == "ident":
-            if self._accept("op", "["):
+        pos = self._next()
+        kind = self._kinds[pos]
+        text = self._texts[pos]
+        if kind == "int":
+            return IntLiteral(self._offsets[pos], self._lines, int(text))
+        if kind == "float":
+            return FloatLiteral(self._offsets[pos], self._lines, float(text))
+        if kind == "ident":
+            if self._accept("["):
                 index = self._parse_expr()
-                self._expect("op", "]")
-                return ArrayRef(token.location, token.text, index)
-            if self._accept("op", "("):
+                self._expect("]")
+                return ArrayRef(self._offsets[pos], self._lines, text, index)
+            if self._accept("("):
                 args: List[Expr] = []
-                if not self._accept("op", ")"):
+                if not self._accept(")"):
                     args.append(self._parse_expr())
-                    while not self._accept("op", ")"):
-                        self._expect("op", ",")
+                    while not self._accept(")"):
+                        self._expect(",")
                         args.append(self._parse_expr())
-                return Call(token.location, token.text, args)
-            return VarRef(token.location, token.text)
-        if token.kind == "op" and token.text == "(":
+                return Call(self._offsets[pos], self._lines, text, args)
+            return VarRef(self._offsets[pos], self._lines, text)
+        if text == "(":
             inner = self._parse_expr()
-            self._expect("op", ")")
+            self._expect(")")
             return inner
-        raise SyntaxErrorKL(f"expected expression, got {token.text!r}", token.location)
+        raise SyntaxErrorKL(f"expected expression, got {text!r}", self._location(pos))
 
 
 def parse_source(source: str) -> Program:

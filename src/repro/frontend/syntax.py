@@ -6,11 +6,21 @@ from dataclasses import dataclass, field
 from typing import List, Union
 
 from .errors import SourceLocation
+from .lexer import LineIndex
 
 
 @dataclass
 class Node:
-    location: SourceLocation
+    """``offset`` is where the node's token starts in the source, and
+    ``lines`` the source's line index, shared by all its nodes; the
+    ``location`` a diagnostic reports is computed from them when read."""
+
+    offset: int
+    lines: LineIndex = field(repr=False, compare=False)
+
+    @property
+    def location(self) -> SourceLocation:
+        return self.lines.location(self.offset)
 
 
 # -- expressions -----------------------------------------------------------------

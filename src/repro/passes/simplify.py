@@ -14,12 +14,15 @@ parts of clang's -O3 mid-end that shape the IR the SLP pass sees:
   analysis' pattern match).
 
 The pass iterates to a fixpoint; every rewrite is RAUW + DCE-able dead
-instruction, so it composes with the rest of the pipeline.
+instruction, so it composes with the rest of the pipeline.  Folding and
+the identities read only an instruction's own operands, so after one full
+pass only the instructions whose operands a rewrite changed since their
+last visit are visited again, in block order, until none are left.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Set
 
 from ..ir.dce import eliminate_dead_code
 from ..ir.function import Function
@@ -101,33 +104,48 @@ def _canonicalize_commutative(inst: BinaryInst) -> bool:
     return False
 
 
+def _replace(inst: Instruction, value: Value, dirty: Set[Instruction]) -> None:
+    """RAUW ``inst`` with ``value`` and erase it; its users' operands
+    change, so those in a block are due another visit.  ``inst`` itself
+    never is, not even when it uses itself (unverified input can: RAUW
+    with itself changes nothing)."""
+    for use in inst.uses:
+        if use.user.parent is not None:
+            dirty.add(use.user)
+    inst.replace_all_uses_with(value)
+    inst.erase_from_parent()
+    dirty.discard(inst)
+
+
 def simplify_function(function: Function) -> int:
     """Simplify to a fixpoint; returns the number of rewrites applied."""
+    fast_math = function.fast_math
+    #: instructions whose operands a rewrite changed since their last visit
+    dirty: Set[Instruction] = set()
+    revisit = False  # the first pass visits every instruction
     total = 0
-    changed = True
-    while changed:
-        changed = False
+    while True:
         for block in function.blocks:
             for inst in list(block.instructions):
-                if inst.parent is None:
+                if dirty and inst in dirty:
+                    dirty.discard(inst)
+                elif revisit or inst.parent is None:
                     continue
                 folded = try_fold(inst)
                 if folded is not None:
-                    inst.replace_all_uses_with(folded)
-                    inst.erase_from_parent()
+                    _replace(inst, folded, dirty)
                     total += 1
-                    changed = True
                     continue
                 if isinstance(inst, BinaryInst):
                     if _canonicalize_commutative(inst):
                         total += 1
-                        changed = True
-                    replacement = _simplify_binary(inst, function.fast_math)
+                    replacement = _simplify_binary(inst, fast_math)
                     if replacement is not None:
-                        inst.replace_all_uses_with(replacement)
-                        inst.erase_from_parent()
+                        _replace(inst, replacement, dirty)
                         total += 1
-                        changed = True
+        if not dirty:
+            break
+        revisit = True
     eliminate_dead_code(function)
     return total
 

@@ -263,8 +263,11 @@ def _compile_reply(payload) -> Dict[str, object]:
     text = payload["text"]
     if payload.get("language", "kernel") == "ir":
         from ..ir.parser import parse_module
+        from ..ir.verifier import verify_module
 
+        # parsed IR is unchecked (lowered mini-C is verified by lowering)
         module = parse_module(text)
+        verify_module(module)
     else:
         from ..frontend import compile_source
 

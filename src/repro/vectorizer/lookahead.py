@@ -32,7 +32,7 @@ from ..ir.instructions import (
     is_commutative,
 )
 from ..ir.values import Constant, Value
-from ..observe import STAT
+from ..observe import STAT, Statistic
 
 _STAT_PAIR_SCORES = STAT(
     "lookahead.score-evaluations",
@@ -87,9 +87,16 @@ class LookAheadScorer:
     # -- public API ----------------------------------------------------------
 
     def score_pair(self, a: Value, b: Value) -> int:
-        """Score of placing ``a`` and ``b`` in neighbouring vector lanes."""
-        _STAT_PAIR_SCORES.add()
+        """Score of placing ``a`` and ``b`` in neighbouring vector lanes.
+
+        Uncounted: a caller that scores many pairs adds its total once,
+        with :meth:`count`."""
         return self._score(a, b, self.depth)
+
+    @staticmethod
+    def count(evaluations: int) -> None:
+        """Add ``evaluations`` pair scores to the session's counter."""
+        _STAT_PAIR_SCORES.add(evaluations)
 
     def score_group(self, values) -> int:
         """Sum of consecutive pairwise scores across a whole lane group."""
@@ -164,7 +171,9 @@ class MemoScorer(LookAheadScorer):
     distinct equal constants score as constants.  Identities stay unique
     because every keyed value is part of the IR the search reads.  The
     memo is therefore valid only while that IR does not change: make one
-    per search and drop it when the search returns.
+    per search and drop it when the search returns.  Each pair it scores
+    counts on the session's counter, resolved at the first score of the
+    search rather than at every one.
     """
 
     def __init__(
@@ -177,10 +186,14 @@ class MemoScorer(LookAheadScorer):
             depth, table, analysis if analysis is not None else FunctionAnalysis()
         )
         self._pairs: Dict[Tuple[int, int], int] = {}
+        self._evaluations: Optional[Statistic] = None
 
     def score_pair(self, a: Value, b: Value) -> int:
         key = (id(a), id(b))
         score = self._pairs.get(key)
         if score is None:
-            score = self._pairs[key] = super().score_pair(a, b)
+            score = self._pairs[key] = self._score(a, b, self.depth)
+            if self._evaluations is None:
+                self._evaluations = _STAT_PAIR_SCORES.resolve()
+            self._evaluations.add()
         return score

@@ -413,19 +413,20 @@ class _GraphBuilder:
     ) -> Tuple[List[Value], List[Value]]:
         left: List[Value] = [instrs[0].lhs]
         right: List[Value] = [instrs[0].rhs]
+        score = self.scorer.score_pair
+        evaluations = 0
         for inst in instrs[1:]:
             lhs, rhs = inst.lhs, inst.rhs
             if self.config.commutative_reordering and is_commutative(inst.opcode):
-                straight = self.scorer.score_pair(left[-1], lhs) + self.scorer.score_pair(
-                    right[-1], rhs
-                )
-                crossed = self.scorer.score_pair(left[-1], rhs) + self.scorer.score_pair(
-                    right[-1], lhs
-                )
+                straight = score(left[-1], lhs) + score(right[-1], rhs)
+                crossed = score(left[-1], rhs) + score(right[-1], lhs)
+                evaluations += 4
                 if crossed > straight:
                     lhs, rhs = rhs, lhs
             left.append(lhs)
             right.append(rhs)
+        if evaluations:
+            self.scorer.count(evaluations)
         return left, right
 
     # -- Super-Node hook ---------------------------------------------------------------------

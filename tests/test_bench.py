@@ -1,5 +1,7 @@
 """Benchmark harness tests: every figure function produces sane data."""
 
+import math
+
 import pytest
 
 from repro.bench import (
@@ -18,7 +20,7 @@ from repro.bench import (
     speedup_over,
     table1_with_activation,
 )
-from repro.kernels import kernel_named
+from repro.kernels import all_kernels, kernel_named
 from repro.kernels.programs import PROGRAMS
 from repro.machine import DEFAULT_TARGET
 
@@ -44,6 +46,69 @@ class TestRunner:
         assert outputs_match(kernel, got, {"A": [1, 2, 3]})
         assert not outputs_match(kernel, got, {"A": [1, 2, 4]})
         assert not outputs_match(kernel, got, {"A": [1, 2]})
+
+    @staticmethod
+    def _per_element(kernel, got, want):
+        """``outputs_match``'s rule element by element, with no shortcut:
+        the reference its equal-lists fast path must agree with."""
+        for name in kernel.output_globals:
+            a, b = got[name], want[name]
+            if len(a) != len(b):
+                return False
+            if kernel.check_exact:
+                if a != b:
+                    return False
+            else:
+                for x, y in zip(a, b):
+                    if math.isnan(x) and math.isnan(y):
+                        continue
+                    if not math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9):
+                        return False
+        return True
+
+    def test_outputs_match_agrees_with_the_per_element_rule(self):
+        one = 1.0 + 2.0 ** -52
+        nan_a, nan_b = float("nan"), float("-nan")
+        inf = float("inf")
+        pairs = [
+            ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+            ([nan_a, 2.0], [nan_a, 2.0]),  # one NaN object on both sides
+            ([nan_a, 2.0], [nan_b, 2.0]),  # distinct NaN objects
+            ([nan_a, 2.0], [float("nan"), 2.0]),
+            ([nan_a], [1.0]),
+            ([1.0], [nan_a]),
+            ([0.0, -0.0], [-0.0, 0.0]),
+            ([inf, -inf], [inf, -inf]),
+            ([inf], [-inf]),
+            ([inf], [1e308]),
+            ([1.0], [one]),  # 1 ULP
+            ([1.0, 5.0], [1.0, one]),
+            ([3.0], [3.0 * (1 + 1e-6)]),  # 1e-6 relative
+            ([3e-12], [2e-12]),  # within the absolute tolerance
+            ([1.0, 2.0], [1.0]),
+            ([], [1.0]),
+            ([], []),
+            ([1, 2, 3], [1, 2, 3]),
+            ([1, 2, 3], [1, 2, 4]),
+        ]
+        inexact = next(k for k in all_kernels() if not k.check_exact)
+        exact = next(k for k in all_kernels() if k.check_exact)
+        verdicts = {}
+        for kernel in (inexact, exact):
+            name = kernel.output_globals[0]
+            for index, (a, b) in enumerate(pairs):
+                for got, want in (({name: a}, {name: b}), ({name: b}, {name: a})):
+                    verdict = outputs_match(kernel, got, want)
+                    assert verdict == self._per_element(kernel, got, want), (
+                        kernel.name, got, want
+                    )
+                verdicts[kernel.check_exact, index] = verdict
+        # the rule itself: NaN matches NaN and 1 ULP is close, for an
+        # inexact kernel only; 1e-6 is never close, nor unequal lengths
+        assert verdicts[False, 2] and not verdicts[True, 2]
+        assert verdicts[False, 10] and not verdicts[True, 10]
+        assert not verdicts[False, 12] and not verdicts[False, 14]
+        assert verdicts[False, 6] and verdicts[True, 6]
 
     def test_run_fields_populated(self):
         runs = run_kernel_matrix(SMALL[0], target=DEFAULT_TARGET)
@@ -103,6 +168,33 @@ class TestFigures:
         stats = compile_time_stats(SMALL[0], runs=3, warmup=1)
         assert set(stats) == {"O3", "LSLP", "SN-SLP"}
         assert all(s.count == 3 for s in stats.values())
+
+    def test_fig11_compiles_run_with_the_collector_off(self, monkeypatch):
+        import gc
+
+        import repro.bench.timing as timing
+
+        compile_module = timing.compile_module
+        collecting = []
+
+        def spy(*args, **kwargs):
+            collecting.append(gc.isenabled())
+            return compile_module(*args, **kwargs)
+
+        monkeypatch.setattr(timing, "compile_module", spy)
+        assert gc.isenabled()
+        stats, _ = timing.compile_time_and_phase_stats(SMALL[0], runs=2, warmup=1)
+        assert all(s.count == 2 for s in stats.values())
+        assert collecting == [False] * 9
+        assert gc.isenabled()
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("compile failed")
+
+        monkeypatch.setattr(timing, "compile_module", crash)
+        with pytest.raises(RuntimeError):
+            timing.compile_time_and_phase_stats(SMALL[0], runs=2, warmup=1)
+        assert gc.isenabled()
 
 
 class TestTables:

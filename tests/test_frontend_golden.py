@@ -1,6 +1,6 @@
 """Golden frontend output: diagnostics and token streams.
 
-Two pins on the lexer and parser, both taken from a frontend known to be
+Three pins on the lexer and parser, all taken from a frontend known to be
 right, so that a rewrite of either cannot move a message, a ``line:column``
 or a token:
 
@@ -11,7 +11,9 @@ or a token:
 * ``TOKEN_DIGESTS``: per test file, the number of mini-C sources it holds
   and a sha256 of ``(kind, text, line, column)`` over every token of them.
   Sources are the string literals holding a ``kernel name(param)``
-  header, plus those the tests build from helpers (``generated``).
+  header, plus those the tests build from helpers (``generated``);
+* ``AST_LOCATIONS``: a sha256 of every AST node's class and
+  ``line:column`` over the same sources.
 
 A test file whose sources change needs its entry regenerated; take it
 with a frontend whose token streams are known not to have changed::
@@ -36,7 +38,8 @@ from typing import Dict, List
 
 import pytest
 
-from repro.frontend import FrontendError, compile_source, tokenize
+from repro.frontend import FrontendError, compile_source, parse_source, tokenize
+from repro.frontend.syntax import Node
 
 TESTS = pathlib.Path(__file__).resolve().parent
 
@@ -142,6 +145,55 @@ DIAGNOSTICS = {
         'SemanticError',
         '2:22: expected f64, got i64',
     ),
+    # located at a node whose location is not its first token (a
+    # comparison at its operator, an assignment at its operator), or at a
+    # statement or declaration after the first
+    'comparison_of_literals': (
+        'double A[4];\nkernel k(n) { A[0] = 1 < 2 ? 1.0 : 2.0; }',
+        'SemanticError',
+        '2:24: cannot infer comparison operand type',
+    ),
+    'comparison_in_float_context': (
+        'double A[4];\nkernel k(n) { A[0] = A[1] < A[2]; }',
+        'SemanticError',
+        '2:27: expected f64, got i1',
+    ),
+    'compound_assignment_to_unbound': (
+        'double A[4];\nkernel k(n) { t += 1.0; }',
+        'SemanticError',
+        "2:17: compound assignment to unbound variable 't'",
+    ),
+    'scalar_rebound_at_another_type': (
+        'double A[4]; long B[4];\nkernel k(n) {\n  t = A[0];\n  t = B[0];\n}',
+        'SemanticError',
+        '4:7: expected f64, got i64',
+    ),
+    'nested_loop': (
+        'double A[4];\nkernel k(n) { for (i = 0; i < n; i += 1) '
+        '{ for (j = 0; j < n; j += 1) { A[0] = 1.0; } } }',
+        'SemanticError',
+        '2:44: nested loops are not supported (SLP vectorizes the straight-line loop body)',
+    ),
+    'loop_variable_shadows_parameter': (
+        'double A[4];\nkernel k(n) {\n  for (n = 0; n < 4; n += 1) { A[0] = 1.0; }\n}',
+        'SemanticError',
+        "3:3: loop variable 'n' shadows an existing binding",
+    ),
+    'intrinsic_arity': (
+        'double A[4];\nkernel k(n) { A[0] = 2.0 * fmin(A[1]); }',
+        'SemanticError',
+        '2:28: fmin expects 2 argument(s), got 1',
+    ),
+    'duplicate_kernel': (
+        'double A[4];\nkernel k(n) { A[0] = 1.0; }\nkernel k(n) { A[1] = 2.0; }',
+        'SemanticError',
+        "3:1: duplicate kernel 'k'",
+    ),
+    'non_positive_array_size': (
+        'double A[0];\nkernel k(n) { A[0] = 1.0; }',
+        'SemanticError',
+        "1:1: array 'A' has non-positive size",
+    ),
 }
 
 _KERNEL_HEADER = re.compile(r"\bkernel\s+\w+\s*\(\s*\w+\s*\)")
@@ -217,6 +269,31 @@ def token_digest(sources: List[str]) -> str:
     return digest.hexdigest()
 
 
+def _node_locations(node: Node, out: list) -> None:
+    """``(class, line, column)`` of ``node`` and of every node under it,
+    in field order."""
+    out.append((type(node).__name__, node.location.line, node.location.column))
+    for value in vars(node).values():
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, Node):
+                _node_locations(child, out)
+
+
+def ast_location_digest(sources: List[str]) -> str:
+    """sha256 of every AST node's class and ``line:column`` over every
+    source; a source that does not parse contributes its error instead."""
+    digest = hashlib.sha256()
+    for source in sources:
+        nodes: list = []
+        try:
+            _node_locations(parse_source(source), nodes)
+        except FrontendError as exc:
+            nodes = [("error", str(exc))]
+        digest.update(repr(nodes).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
 #: test file (or ``generated``) -> (number of sources, token digest)
 TOKEN_DIGESTS = {
     'test_cli.py': (4, '114a31517320feeaa11b64dae59c2cca0836d6e36cb07d521c6053b0174eb621'),
@@ -231,6 +308,12 @@ TOKEN_DIGESTS = {
     'test_undo.py': (1, 'beec04ece0d6c5773d5e486f866c6df931ec8c26c281fd32da8fda8a2909cdca'),
     'generated': (18, '335028bdafa8b3494cbaf3dd7cc0a8d42719a90fa34f274b7d1ee77036e72e80'),
 }
+
+
+#: (number of sources, digest) of every AST node's class and location over
+#: the whole corpus, in file-name order; regenerate like ``TOKEN_DIGESTS``
+#: with ``ast_location_digest`` over the concatenated sources
+AST_LOCATIONS = (62, 'cb36b2ec5e460ce9c9e3a8b6aa4e4c63f4701c7ad58fcc39478436150a56c43d')
 
 
 class TestDiagnostics:
@@ -261,3 +344,21 @@ class TestTokenStreams:
     def test_token_stream_digest(self, name):
         sources = corpus()[name]
         assert (len(sources), token_digest(sources)) == TOKEN_DIGESTS[name]
+
+
+class TestAstLocations:
+    def test_every_node_location(self):
+        sources = corpus()
+        every = [source for name in sorted(sources) for source in sources[name]]
+        assert (len(every), ast_location_digest(every)) == AST_LOCATIONS
+
+    def test_location_is_computed_from_the_token_offset(self):
+        source = "double A[4];\n// x\nkernel k(n) {\n\tA[0] = A[1] -\n  A[2];\n}\n"
+        tokens = {token.text: token for token in tokenize(source)}
+        assign = parse_source(source).kernels[0].body[0]
+        minus = assign.value
+        for node, text in ((assign, "="), (minus, "-")):
+            assert node.offset == tokens[text].offset
+            assert str(node.location) == str(tokens[text].location)
+        assert str(minus.location) == "4:14"
+        assert str(minus.rhs.location) == "5:3"

@@ -226,6 +226,28 @@ class TestMemoScorer:
         assert other.score_pair(c1, c2) == other.table.constants
         assert other.score_pair(c2, c2) == other.table.splat
 
+    @pytest.mark.parametrize(
+        "kernel, config, evaluations",
+        [
+            ("motiv-leaf-reorder", "SLP", 4),
+            ("motiv-leaf-reorder", "SN-SLP", 13),
+            ("milc-su3-cmul", "SLP", 8),
+            ("milc-su3-cmul", "SN-SLP", 21),
+            ("dealii-cell-assembly", "LSLP", 8),
+            ("dealii-cell-assembly", "SN-SLP", 33),
+        ],
+    )
+    def test_compile_counts_every_score_it_computes(self, kernel, config, evaluations):
+        """Alignment adds its scores once per call and a search counts on
+        a counter it resolves once, yet a compile's total is the one
+        counted score by score (values from that rule)."""
+        from repro.kernels import kernel_named
+        from repro.vectorizer import ALL_CONFIGS, compile_module
+
+        (slp_config,) = [c for c in ALL_CONFIGS if c.name == config]
+        result = compile_module(kernel_named(kernel).build(), slp_config)
+        assert result.counters["lookahead.score-evaluations"] == evaluations
+
     def test_memo_counts_each_pair_once(self):
         _, load = _env()
         a0, a1 = load("A", 0), load("A", 1)

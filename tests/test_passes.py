@@ -123,6 +123,73 @@ class TestSimplify:
         assert removed >= 0
         verify_module(module)
 
+    def test_user_listed_before_its_operands_block_is_revisited(self):
+        # edges entry -> b1 -> b2, listed entry, b2, b1: the full pass meets
+        # `y = add x, 1` before `x = add 2, 3` folds, so y needs a revisit
+        module, function, b = _func()
+        b2 = function.add_block("b2")
+        b1 = function.add_block("b1")
+        b.br(b1)
+        b.position_at_end(b1)
+        x = b.add(Constant(I64, 2), Constant(I64, 3))
+        b.br(b2)
+        b.position_at_end(b2)
+        y = b.add(x, Constant(I64, 1))
+        store = b.store(y, b.gep(module.global_named("N"), 0))
+        b.ret()
+        verify_module(module)
+        assert [block.name for block in function.blocks] == ["entry", "b2", "b1"]
+        assert simplify_function(function) == 2
+        value = store.operand(0)
+        assert isinstance(value, Constant) and value.value == 6
+        verify_module(module)
+
+    def test_each_instruction_is_folded_once_when_users_follow(self, monkeypatch):
+        # lowering's `A[i+0]`: one `add i, 0` whose users, two GEPs, come
+        # after it, so one pass applies every rewrite and none is revisited
+        import repro.passes.simplify as simplify
+
+        module, function, b = _func()
+        _, n = function.arguments
+        index = b.add(n, Constant(I64, 0))
+        into = b.gep(module.global_named("A"), index)
+        count = b.load(b.gep(module.global_named("N"), index))
+        b.store(b.sitofp(count, F64), into)
+        b.ret()
+        instructions = list(function.entry)
+        calls = []
+        fold = simplify.try_fold
+
+        def counting(inst):
+            calls.append(inst)
+            return fold(inst)
+
+        monkeypatch.setattr(simplify, "try_fold", counting)
+        assert simplify_function(function) == 1
+        assert calls == instructions
+        assert all(gep.operand(1) is n for gep in function.entry if gep.opcode is Opcode.GEP)
+
+    @pytest.mark.parametrize("op", ["mul i64 %x, 1", "add i64 %x, 0", "and i64 %x, %x"])
+    def test_instruction_that_uses_itself_is_removed_once(self, op):
+        # unverified text IR can make `%x = op %x, ...`; its identity
+        # returns %x itself, so RAUW changes nothing and %x is erased
+        from repro.ir import parse_module
+
+        module = parse_module(
+            "module m\n\nglobal @A : i64 x 4\n\n"
+            "func @f(%n: i64) -> void {\nentry:\n"
+            f"  %x = {op}\n"
+            "  %g = gep i64* @A, i64 0\n  store i64 %n, i64* %g\n  ret\n}\n"
+        )
+        function = module.functions["f"]
+        assert simplify_function(function) == 1
+        assert [inst.opcode for inst in function.entry] == [
+            Opcode.GEP,
+            Opcode.STORE,
+            Opcode.RET,
+        ]
+        verify_module(module)
+
     def test_semantics_preserved_on_random_kernel(self):
         import sys
 

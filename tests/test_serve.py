@@ -671,6 +671,21 @@ class TestCompileMemo:
             assert hit == dict(first, cached=True)
         assert state.session.stats.value("serve.task_cache.hits") == 2
 
+    def test_ir_is_verified_before_any_pass(self):
+        from repro.ir import VerificationError
+
+        state = WorkerState(index=0, session=service_session())
+        ir_text = (
+            "module m\n\nglobal @A : i64 x 4\n\n"
+            "func @f(%n: i64) -> void {\nentry:\n  %x = mul i64 %x, 1\n"
+            "  %g = gep i64* @A, i64 0\n  store i64 %n, i64* %g\n  ret\n}\n"
+        )
+        payload = {"text": ir_text, "language": "ir", "config": "SN-SLP",
+                   "target": None, "unroll": 0, "cache": False}
+        with use_session(state.session):
+            with pytest.raises(VerificationError, match="used before definition"):
+                run_task("compile", payload, state)
+
 
 class TestResilience:
     def test_retry_recovers_bit_identical_results(self):
