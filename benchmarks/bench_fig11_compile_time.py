@@ -13,11 +13,11 @@ from repro.bench import compile_once_seconds, fig11_compile_time, format_rows
 from repro.kernels import all_kernels, kernel_named
 from repro.machine import DEFAULT_TARGET
 from repro.vectorizer import LSLP_CONFIG, O3_CONFIG, SNSLP_CONFIG
-from conftest import bench_jobs, emit
+from conftest import emit
 
 
 def test_fig11_compile_time(once):
-    rows = once(fig11_compile_time, jobs=bench_jobs())
+    rows = once(fig11_compile_time)
     emit(
         "fig11_compile_time",
         format_rows(rows, "Figure 11: compilation time normalized to O3"),

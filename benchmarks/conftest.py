@@ -18,11 +18,12 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 def bench_jobs() -> int:
-    """Worker processes for the parallelizable figure benchmarks.
+    """Worker processes for the cycle figures (5 and 8).
 
-    Defaults to 1 (serial — identical data either way, since simulated
-    cycles are deterministic); set ``REPRO_BENCH_JOBS=N`` to shard the
-    (kernel, config) measurements over N processes.
+    Defaults to 1 (serial); set ``REPRO_BENCH_JOBS=N`` to shard their
+    (kernel, config) measurements over N processes.  Their data is
+    identical either way, since simulated cycles are deterministic.
+    Figure 11 measures wall time, so it always runs serially.
     """
     try:
         return max(1, int(os.environ.get("REPRO_BENCH_JOBS", "1")))

@@ -25,11 +25,7 @@ from .figures import (
     format_rows,
 )
 from .tables import format_table1, table1_with_activation
-from .timing import (
-    compile_once_seconds,
-    compile_time_and_phase_stats,
-    compile_time_stats,
-)
+from .timing import compile_once_seconds, compile_time_and_phase_stats
 
 __all__ = [
     "DEFAULT_SEED",
@@ -54,5 +50,4 @@ __all__ = [
     "format_table1",
     "compile_once_seconds",
     "compile_time_and_phase_stats",
-    "compile_time_stats",
 ]

@@ -301,20 +301,13 @@ def fig11_compile_time(
     target: TargetMachine = DEFAULT_TARGET,
     runs: int = 10,
     warmup: int = 1,
-    jobs: Optional[int] = 1,
 ) -> List[Row]:
     """Wall compilation time normalized to the O3 configuration
     (Figure 11): 10 measured runs after one warm-up, mean +/- stddev.
-    ``jobs != 1`` times kernels in parallel worker processes; each
-    kernel's O3-normalized ratio is still measured within one process,
-    so contention skews ratios far less than absolute times."""
-    kernels = _kernel_set(kernels)
-    if jobs is not None and jobs != 1:
-        from .parallel import time_kernels_parallel
-
-        return time_kernels_parallel(kernels, target, runs, warmup, jobs=jobs)
+    Kernels are timed one after another in this process: compiles timed
+    concurrently would measure their contention, not the compiler."""
     rows: List[Row] = []
-    for kernel in kernels:
+    for kernel in _kernel_set(kernels):
         stats, phases = compile_time_and_phase_stats(
             kernel, target, runs=runs, warmup=warmup
         )

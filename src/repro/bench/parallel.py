@@ -399,52 +399,3 @@ def run_program_grid_parallel(
         }
         cursor += len(config_names)
     return grid
-
-
-#: (kernel_name, target_name, runs, warmup)
-TimingPayload = Tuple[str, str, int, int]
-
-
-def _time_kernel(payload: TimingPayload) -> Dict[str, object]:
-    """Worker: one kernel's Figure 11 compile-time row."""
-    from .timing import compile_time_and_phase_stats
-
-    kernel_name, target_name, runs, warmup = payload
-    session = CompilerSession(name=f"fig11-worker:{kernel_name}")
-    with use_session(session):
-        stats, phases = compile_time_and_phase_stats(
-            kernel_named(kernel_name), target_named(target_name),
-            runs=runs, warmup=warmup,
-        )
-    o3 = stats["O3"]
-    return {
-        "kernel": kernel_name,
-        "O3": 1.0,
-        "LSLP": stats["LSLP"].mean / o3.mean,
-        "SN-SLP": stats["SN-SLP"].mean / o3.mean,
-        "LSLP stddev": stats["LSLP"].stddev / o3.mean,
-        "SN-SLP stddev": stats["SN-SLP"].stddev / o3.mean,
-        "phase_seconds": phases,
-    }
-
-
-def time_kernels_parallel(
-    kernels: Sequence[Kernel],
-    target: TargetMachine,
-    runs: int,
-    warmup: int,
-    jobs: Optional[int] = None,
-) -> List[Dict[str, object]]:
-    """Figure 11 rows, one worker per kernel, in kernel order."""
-    payloads: List[TimingPayload] = [
-        (kernel.name, target.name, runs, warmup) for kernel in kernels
-    ]
-    jobs = _resolve_jobs(jobs)
-    if jobs <= 1 or len(payloads) <= 1:
-        return [_time_kernel(payload) for payload in payloads]
-    from ..serve.resilience import run_batch
-
-    return run_batch(
-        [("fig11-timing", payload, None, 1.0) for payload in payloads],
-        jobs, current_session(),
-    )

@@ -23,7 +23,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from ..interp import BatchedInterpreter
 from ..kernels.suite import Kernel
 from ..machine.targets import DEFAULT_TARGET, TargetMachine
-from ..sim.stats import RunStats, measure, summarize
+from ..sim.stats import RunStats, summarize
 from ..vectorizer.pipeline import compile_module
 from ..vectorizer.slp import LSLP_CONFIG, O3_CONFIG, SLPConfig, SNSLP_CONFIG
 
@@ -40,24 +40,6 @@ def compile_once_seconds(
     return time.perf_counter() - start
 
 
-def compile_time_stats(
-    kernel: Kernel,
-    target: TargetMachine = DEFAULT_TARGET,
-    configs: Sequence[SLPConfig] = TIMED_CONFIGS,
-    runs: int = 10,
-    warmup: int = 1,
-) -> Dict[str, RunStats]:
-    """Mean/stddev compile time per configuration (paper protocol)."""
-    return {
-        config.name: measure(
-            lambda config=config: compile_once_seconds(kernel, config, target),
-            runs=runs,
-            warmup=warmup,
-        )
-        for config in configs
-    }
-
-
 def compile_time_and_phase_stats(
     kernel: Kernel,
     target: TargetMachine = DEFAULT_TARGET,
@@ -65,12 +47,10 @@ def compile_time_and_phase_stats(
     runs: int = 10,
     warmup: int = 1,
 ) -> Tuple[Dict[str, RunStats], Dict[str, Dict[str, float]]]:
-    """Wall-time stats plus mean per-phase seconds, from one set of runs.
-
-    Same protocol as :func:`compile_time_stats`, but each measured
-    compilation also contributes its ``phase_seconds`` breakdown, so
-    Figure 11 can attribute the SLP overhead to the vectorize phase
-    without compiling everything twice.
+    """Mean/stddev compile time per configuration (the paper's protocol:
+    ``runs`` measured compiles after ``warmup`` unmeasured ones), plus
+    the mean per-phase seconds of the same measured compiles, so Figure
+    11 can attribute the SLP overhead to the vectorize phase.
 
     The collector runs once before the first warm-up and is off for every
     compile after it, so no single compile absorbs a full collection and

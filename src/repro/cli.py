@@ -53,7 +53,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .frontend import compile_source
 from .frontend.errors import FrontendError
@@ -62,7 +62,8 @@ from .ir import FloatType, Module, print_module
 from .ir.parser import ParseError
 from .ir.verifier import VerificationError
 from .machine import DEFAULT_TARGET, target_named
-from .observe.session import CompilerSession, current_session, use_session
+from .observe import DECISION
+from .observe.session import Capture, CompilerSession, current_session, use_session
 from .observe.trace import CATEGORIES, write_records
 from .serve.service import ServiceError
 from .serve.service import TaskTimeout as ServeTaskTimeout
@@ -164,22 +165,23 @@ def _stats_table(stats, title: str) -> str:
     return registry.report(title=title, include_zero=False)
 
 
-def _print_phase_times(result, label: str) -> None:
+def _print_phase_times(phase_seconds: Dict[str, float], label: str) -> None:
     """-v: a -time-passes-style per-phase wall-time table on stderr."""
     print(f"; phase times ({label}):", file=sys.stderr)
-    for phase, seconds in result.phase_seconds.items():
+    for phase, seconds in phase_seconds.items():
         print(f";   {phase:10s} {seconds * 1000:8.3f} ms", file=sys.stderr)
     print(
-        f";   {'total':10s} {result.compile_seconds * 1000:8.3f} ms",
+        f";   {'total':10s} {sum(phase_seconds.values()) * 1000:8.3f} ms",
         file=sys.stderr,
     )
 
 
-def _load_module(path: str) -> Module:
-    """Load a module from kernel-language source (default) or textual IR.
+def _read_source(path: str) -> Tuple[str, str, Optional[str]]:
+    """``(text, language, module_name)`` of a source file.
 
-    Files ending in ``.ir`` are parsed as textual IR (see docs/IR.md);
-    anything else goes through the mini-C frontend.
+    Files ending in ``.ir`` are textual IR (``"ir"``, see docs/IR.md),
+    which names its own module; anything else is mini-C (``"kernel"``),
+    lowered into a module named after the file.
     """
     import os
     import re
@@ -190,17 +192,26 @@ def _load_module(path: str) -> Module:
     except OSError as exc:
         _usage(f"cannot read {path}: {exc.strerror or exc}")
     if path.endswith(".ir"):
-        from .ir import parse_module, verify_module
-
-        module = parse_module(source)
-        verify_module(module)
-        return module
+        return source, "ir", None
     # module names must be identifiers (they round-trip through the
     # textual IR), so derive one from the file's base name
     stem = os.path.splitext(os.path.basename(path))[0]
     name = re.sub(r"[^A-Za-z0-9_]", "_", stem) or "kernelmod"
     if not name[0].isalpha() and name[0] != "_":
         name = f"m_{name}"
+    return source, "kernel", name
+
+
+def _load_module(path: str) -> Module:
+    """Load a module from kernel-language source (default) or textual IR
+    (see :func:`_read_source`)."""
+    source, language, name = _read_source(path)
+    if language == "ir":
+        from .ir import parse_module, verify_module
+
+        module = parse_module(source)
+        verify_module(module)
+        return module
     return compile_source(source, module_name=name)
 
 
@@ -230,6 +241,8 @@ def _seed_inputs(module: Module, seed: int) -> Dict[str, List]:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
+    if args.cache_dir and not args.guard:
+        return _compile_memoized(args)
     module = _load_module(args.source)
     config = _resolve_config(args.config)
     target = _resolve_target(args.target)
@@ -257,45 +270,99 @@ def cmd_compile(args: argparse.Namespace) -> int:
         for line in outcome.summary().splitlines():
             print(f"; {line}", file=sys.stderr)
         label = outcome.config_used
-    elif args.cache_dir:
-        from .vectorizer import CompileCache, cached_compile_module
-
-        cache = CompileCache(args.cache_dir)
-        result = cached_compile_module(
-            module,
-            config,
-            target,
-            unroll_factor=args.unroll,
-            session=current_session(),
-            cache=cache,
-        )
-        label = config.name
-        hit = current_session().stats.value("cache.hits") > 0
-        print(
-            f"; compile cache {'hit' if hit else 'miss'} in {args.cache_dir}",
-            file=sys.stderr,
-        )
     else:
         result = compile_module(
             module, config, target,
             unroll_factor=args.unroll, session=current_session(),
         )
         label = config.name
-    print(
-        f"; compiled {args.source} with {label} for {target.name} "
-        f"in {result.compile_seconds * 1000:.2f} ms",
-        file=sys.stderr,
-    )
     graphs = result.report.all_graphs()
-    vectorized = [g for g in graphs if g.vectorized]
-    print(
-        f"; SLP graphs: {len(graphs)} attempted, {len(vectorized)} vectorized",
-        file=sys.stderr,
+    _print_compile_summary(
+        args.source, label, target.name, result.compile_seconds,
+        len(graphs), sum(1 for g in graphs if g.vectorized),
     )
     if args.verbose:
-        _print_phase_times(result, label)
+        _print_phase_times(result.phase_seconds, label)
     if args.emit_ir:
         print(print_module(result.module), end="")
+    return EXIT_OK
+
+
+def _print_compile_summary(
+    source: str, label: str, target: str, seconds: float,
+    attempted: int, vectorized: int,
+) -> None:
+    print(
+        f"; compiled {source} with {label} for {target} "
+        f"in {seconds * 1000:.2f} ms",
+        file=sys.stderr,
+    )
+    print(
+        f"; SLP graphs: {attempted} attempted, {vectorized} vectorized",
+        file=sys.stderr,
+    )
+
+
+def _compile_memoized(args: argparse.Namespace) -> int:
+    """``compile --cache-dir``: the service's ``compile`` task, run
+    in-process over the directory's ``compile-task`` namespace, so the
+    CLI and the service share one memo (key rule, stored reply, format
+    and hit/miss counters).  Everything printed comes from the reply.
+
+    A stored reply cannot replay decision records, so with the journal
+    armed the task compiles without the store.  ``-v`` arms the metrics
+    registry: a compile that runs feeds its ``phase.<name>.seconds``
+    histograms, which make the per-phase table.
+    """
+    from .serve.tasks import WorkerState, run_task
+
+    text, language, name = _read_source(args.source)
+    config = _resolve_config(args.config)
+    target = _resolve_target(args.target)
+    session = current_session()
+    payload = {
+        "text": text,
+        "language": language,
+        "config": config.name,
+        "target": target.name,
+        "unroll": args.unroll,
+        "cache": not (session.tracer.mask & DECISION),
+    }
+    if name is not None:
+        payload["module_name"] = name
+    if args.verbose:
+        session.metrics.enable()
+    reply = run_task(
+        "compile", payload,
+        WorkerState(index=-1, session=session, cache_dir=args.cache_dir),
+    )
+    session.absorb(Capture(counters=reply["counters"]))
+    print(
+        f"; compile cache {'hit' if reply['cached'] else 'miss'} "
+        f"in {args.cache_dir}",
+        file=sys.stderr,
+    )
+    _print_compile_summary(
+        args.source, config.name, target.name, reply["compile_seconds"],
+        reply["attempted"], reply["vectorized"],
+    )
+    if args.verbose:
+        if reply["cached"]:
+            print(
+                f"; phase times ({config.name}): no phase ran (compile cache hit)",
+                file=sys.stderr,
+            )
+        else:
+            _print_phase_times(
+                {
+                    metric[len("phase."):-len(".seconds")]: histogram.total
+                    for metric, histogram in session.metrics.histograms.items()
+                    if metric.startswith("phase.")
+                },
+                config.name,
+            )
+    if args.emit_ir:
+        print(reply["module"], end="")
     return EXIT_OK
 
 
@@ -309,7 +376,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         unroll_factor=args.unroll, session=current_session(),
     )
     if args.verbose:
-        _print_phase_times(compiled, config.name)
+        _print_phase_times(compiled.phase_seconds, config.name)
     inputs = _seed_inputs(module, args.seed)
     result = simulate(
         compiled.module,
@@ -392,7 +459,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 f"{str(correct):>8s}"
             )
         if args.verbose and not args.json:
-            _print_phase_times(compiled, config.name)
+            _print_phase_times(compiled.phase_seconds, config.name)
         if args.stats:
             print(
                 config_session.stats.report(
@@ -580,7 +647,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         for reason, count in partial.items():
             print(f"  {count:3d}x {reason}")
     if args.verbose:
-        _print_phase_times(compiled, config.name)
+        _print_phase_times(compiled.phase_seconds, config.name)
     print()
     for graph in compiled.report.all_graphs():
         verdict = "vectorized" if graph.vectorized else "not profitable"
@@ -1250,8 +1317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument(
         "--cache-dir",
         metavar="DIR",
-        help="content-addressed compile cache: reuse the stored result when "
-        "the printed module + config + target + unroll factor match",
+        help="memoize the compile in DIR's compile-task/ store, the one "
+        "'repro serve --cache-dir' uses: a repeat of the same source text, "
+        "config, target and unroll factor prints the stored reply",
     )
     p_compile.set_defaults(fn=cmd_compile)
 

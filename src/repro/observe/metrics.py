@@ -5,7 +5,7 @@ happen"; this module answers "how is X *distributed* and what is its
 latest level".  A :class:`MetricsRegistry` belongs to a
 :class:`~repro.observe.session.CompilerSession` and collects
 
-* **gauges** — last-written scalar values (``cache.hit_rate``,
+* **gauges** — last-written scalar values (``serve.compiles_per_sec``,
   ``bench.geomean_speedup.SN-SLP``);
 * **histograms** — fixed-bucket distributions with p50/p90/p99
   summaries (``phase.vectorize.seconds``, ``bench.kernel.cycles``);
@@ -367,25 +367,23 @@ def _build_info_lines() -> List[str]:
     """The ``repro_build_info`` identity gauge, node-exporter style.
 
     The providers live in packages that import ``repro.observe`` (the
-    vectorizer cache, for the source fingerprint and the compile-cache
-    format; the service's tasks, for the task format), so they are
-    imported lazily here — at render time the cycle has long since
-    resolved.  If an embedder renders an exposition with those packages
-    unavailable, the gauge is simply omitted rather than failing the
-    scrape.
+    vectorizer cache, for the source fingerprint; the service's tasks,
+    for the task format), so they are imported lazily here — at render
+    time the cycle has long since resolved.  If an embedder renders an
+    exposition with those packages unavailable, the gauge is simply
+    omitted rather than failing the scrape.
     """
     try:
         from ..serve.tasks import TASK_FORMAT
-        from ..vectorizer.cache import CACHE_FORMAT, repro_source_fingerprint
+        from ..vectorizer.cache import repro_source_fingerprint
     except ImportError:  # pragma: no cover - partial installs only
         return []
     return [
-        "# HELP repro_build_info source fingerprint, compile-cache format "
-        "and service task format of this build",
+        "# HELP repro_build_info source fingerprint and service task "
+        "format of this build",
         "# TYPE repro_build_info gauge",
         "repro_build_info{"
         f'fingerprint="{repro_source_fingerprint()}",'
-        f'format="{CACHE_FORMAT}",'
         f'task_format="{TASK_FORMAT}"'
         "} 1",
     ]

@@ -264,38 +264,6 @@ def _counters_section(doc: Dict[str, object]) -> List[str]:
     return out
 
 
-def _cache_section(doc: Dict[str, object]) -> List[str]:
-    """Compile-cache effectiveness: the ``cache.hit_rate`` gauge.
-
-    Prefers the gauge recorded in the document's ``metrics`` block (written
-    by ``repro bench --json`` when metrics are armed); falls back to
-    recomputing it from the summed ``cache.hits``/``cache.misses`` run
-    counters so older documents still get the section.
-    """
-    metrics = dict(doc.get("metrics", {}) or {})
-    gauges = dict(metrics.get("gauges", {}) or {})
-    hits = misses = 0.0
-    for run in doc["runs"]:  # type: ignore[index]
-        counters = dict(run.get("counters", {}))
-        hits += float(counters.get("cache.hits", 0))
-        misses += float(counters.get("cache.misses", 0))
-    lookups = hits + misses
-    rate = gauges.get("cache.hit_rate")
-    if rate is None and lookups:
-        rate = hits / lookups
-    if rate is None:
-        return []
-    out = ["<h2>Compile cache</h2>", "<ul>"]
-    out.append(f"<li>hit rate: <b>{float(rate):.1%}</b></li>")
-    if lookups:
-        out.append(
-            f"<li>{hits:g} hit(s), {misses:g} miss(es) over "
-            f"{lookups:g} lookup(s)</li>"
-        )
-    out.append("</ul>")
-    return out
-
-
 def _metrics_section(doc: Dict[str, object]) -> List[str]:
     """Session metrics summary: gauges plus histogram percentiles."""
     metrics = dict(doc.get("metrics", {}) or {})
@@ -438,7 +406,6 @@ def render_report(
         deltas = diff_results(doc, baseline, cycle_tolerance)
         parts.extend(_diff_section(deltas))
     parts.extend(_counters_section(doc))
-    parts.extend(_cache_section(doc))
     parts.extend(_metrics_section(doc))
     parts.extend(_phase_section(doc))
     parts.extend(_dot_section(dots or {}))

@@ -9,8 +9,8 @@ stream (:class:`~repro.observe.trace.Tracer`), the counter registry and
 the metrics registry (plus the fault-injection registry and the
 benchmark seed) into an explicit object that every layer threads
 through, which is what makes the parallel benchmark/fuzz drivers
-(:mod:`repro.bench.parallel`) and the compile cache
-(:mod:`repro.vectorizer.cache`) possible.  Counters and metrics stay
+(:mod:`repro.bench.parallel`) and the compile memo
+(:mod:`repro.serve.tasks`) possible.  Counters and metrics stay
 registries because they aggregate: a record per counter bump would slow
 every workload.
 
@@ -46,8 +46,9 @@ Capture and absorb
 ------------------
 
 Every cross-session merge — pool tasks, bench pairs, fuzz chunks, the
-serial fallback rung, compile-cache hits, ``repro explain`` — is one
-:meth:`CompilerSession.capture` and one :meth:`CompilerSession.absorb`.
+serial fallback rung, ``repro compile --cache-dir`` replies, ``repro
+explain`` — is one :meth:`CompilerSession.capture` and one
+:meth:`CompilerSession.absorb`.
 Workers arm what the parent's :attr:`CompilerSession.mask` names.
 """
 

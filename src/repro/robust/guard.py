@@ -267,7 +267,6 @@ def _run_guarded_ladder(
         outcome.result = CompilationResult(
             module=working,
             report=VectorizationReport(config_name="pristine"),
-            compile_seconds=sum(phases.values()),
             phase_seconds=phases,
             counters=current_stats().snapshot(),
         )
@@ -358,7 +357,6 @@ def _attempt_config(
     return CompilationResult(
         module=working,
         report=report,
-        compile_seconds=sum(phases.values()),
         phase_seconds=phases,
         counters=current_stats().snapshot(),
     )

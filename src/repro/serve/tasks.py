@@ -17,13 +17,17 @@ Two task kinds memoize their results there, under one key rule
 
 * ``compile`` (namespace ``compile-task``) stores the reply it sends.  A
   hit returns that reply with ``cached: true`` and runs nothing else: no
-  frontend, no IR parse, no compile, no IR print.
+  frontend, no IR parse, no compile, no IR print.  ``repro compile
+  --cache-dir`` runs this task in-process, so the CLI and the service
+  share one memo.
 * ``bench-pair`` (namespace ``bench-task``) stores the whole
   :class:`~repro.bench.runner.KernelRun`.
 
 Both count ``serve.task_cache.hits``/``misses`` in the worker session,
 where the store also counts its ``cache.*`` statistics, so the service's
-``stats`` reply covers both kinds.
+``stats`` reply covers both kinds.  The same lookup leaves a
+``cache_hit`` analysis remark on a hit and a ``cache_corrupt`` one when
+it discards a garbage entry, when remarks are armed.
 
 The bench store exists because compile time is only ~4% of a bench pair
 on this suite (BENCH_pr6: 0.099s compile vs 2.258s wall — simulation
@@ -50,7 +54,7 @@ from typing import Callable, Dict, Optional
 
 from ..observe import DECISION, REMARK, SPAN, STAT
 from ..observe.metrics import MetricsRegistry
-from ..observe.session import METRICS, Capture, CompilerSession
+from ..observe.session import METRICS, Capture, CompilerSession, current_tracer
 
 TASK_KINDS: Dict[str, Callable] = {}
 
@@ -131,9 +135,26 @@ def task_key(kind: str, payload: object) -> str:
 
 def _lookup(store, key: str) -> Optional[Dict[str, object]]:
     """The stored document for ``key`` or None, counted as a task-cache
-    hit or miss in the ambient (worker) session."""
+    hit or miss in the ambient (worker) session, with a ``cache_hit`` or
+    ``cache_corrupt`` analysis remark when remarks are armed."""
     doc = store.get(key)
     (_TASK_HITS if doc is not None else _TASK_MISSES).add()
+    tracer = current_tracer()
+    if tracer.mask & REMARK:
+        if doc is not None:
+            tracer.remark(
+                "analysis", "cache",
+                f"cache_hit: replayed the stored {doc['config']} result "
+                f"from key {key[:12]}",
+                key=key, config=doc["config"], counters=dict(doc["counters"]),
+            )
+        elif store.last_get == "corrupt":
+            tracer.remark(
+                "analysis", "cache",
+                f"cache_corrupt: discarded garbage entry {key[:12]}; "
+                "running cold",
+                key=key,
+            )
     return doc
 
 
@@ -235,8 +256,10 @@ def _compile_task(payload, state: WorkerState):
 
     ``payload``: dict with ``text`` (mini-C or IR), ``language``
     (``"kernel"``/``"ir"``), ``config``, ``target``, ``unroll`` and
-    ``cache`` (bool).  Returns a slim JSON document (full reports stay
-    worker-side; wire clients want the IR and the headline numbers).
+    ``cache`` (bool), and optionally ``module_name`` (the name mini-C
+    lowers into; ``repro compile`` derives it from the file name, wire
+    requests leave it out).  Returns a slim JSON document (full reports
+    stay worker-side; wire clients want the IR and the headline numbers).
     With ``cache`` and a cache directory, the reply is memoized in
     ``compile-task``: a hit returns the stored reply with ``cached``
     set, and a miss stores exactly the reply it returns.
@@ -271,7 +294,7 @@ def _compile_reply(payload) -> Dict[str, object]:
     else:
         from ..frontend import compile_source
 
-        module = compile_source(text)
+        module = compile_source(text, payload.get("module_name", "kernelmod"))
     config = config_named(payload.get("config", "SN-SLP"))
     target_name = payload.get("target")
     target = target_named(target_name) if target_name else DEFAULT_TARGET
@@ -303,13 +326,6 @@ def _program_grid_task(payload, state: WorkerState):
     from ..bench.parallel import _run_program_config
 
     return _run_program_config(payload)
-
-
-@task_kind("fig11-timing")
-def _fig11_timing_task(payload, state: WorkerState):
-    from ..bench.parallel import _time_kernel
-
-    return _time_kernel(payload)
 
 
 @task_kind("ping")

@@ -43,7 +43,6 @@ from .slp import (
     config_named,
 )
 from .pipeline import CompilationResult, clone_module, compile_module
-from .cache import CompileCache, cache_key, cached_compile_module
 
 __all__ = [
     "LookAheadScorer", "ScoreTable", "DEFAULT_SCORES",
@@ -62,5 +61,4 @@ __all__ = [
     "SLPConfig", "SLPVectorizer", "config_named",
     "O3_CONFIG", "SLP_CONFIG", "LSLP_CONFIG", "SNSLP_CONFIG", "ALL_CONFIGS",
     "CompilationResult", "clone_module", "compile_module",
-    "CompileCache", "cache_key", "cached_compile_module",
 ]

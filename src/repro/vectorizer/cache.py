@@ -1,38 +1,29 @@
-"""Content-addressed compile cache and the shared cross-worker store.
+"""The shared cross-worker store and the repro-source fingerprint.
 
-Compilation is pure given (module text, configuration, target, unroll
+Compilation is pure given (input code, configuration, target, unroll
 factor): the pipeline clones its input, the cost model is deterministic,
-and PR 4's per-compilation sessions mean no hidden global state feeds the
-result.  That makes the *printed module text* a sound cache key — two
-modules that print identically compile identically.
+and per-compilation sessions mean no hidden global state feeds the
+result.  That is why compiles are memoized at all; the one memo is the
+service's ``compile`` task (:mod:`repro.serve.tasks`), which keys on its
+request payload and stores the reply it sends, and which ``repro compile
+--cache-dir`` runs in-process.
 
-The cache stores everything needed to rebuild a
-:class:`~repro.vectorizer.pipeline.CompilationResult` without running a
-single pass: the output module (as text, reparsed on hit), the
-vectorization report, the counter snapshot, and the recorded wall times.
-A cache hit therefore returns a result equal to a cold compile on every
-deterministic field; ``compile_seconds``/``phase_seconds`` are replayed
-from the original measurement (they describe the compile that produced
-the artifact, not the lookup).
+Task results persist in a :class:`SharedJsonStore`, a JSON document
+store designed for *concurrent writers*: all workers of a
+:mod:`repro.serve` pool (and successive service runs and CLI compiles)
+point at the same directory, so one worker's cold result becomes every
+other worker's hit.  Each entry is one file and the only record of its
+result: it carries the writing process's pid, which lets a reader count
+``cache.cross_worker_hits``, and its modification time is its recency
+stamp, set on every write and every hit.  Truncated or garbage entries
+are deleted and treated as misses (``cache.corrupt_entries``), never
+raised.  Once a bounded store holds more than ``max_entries`` documents,
+the ones with the oldest stamps are evicted in one batch
+(``cache.evictions``).
 
-Results persist in a :class:`SharedJsonStore`, a JSON document store
-designed for *concurrent writers*: all workers of a :mod:`repro.serve`
-pool (and successive service runs) point at the same directory, so one
-worker's cold result becomes every other worker's hit.  The service
-memoizes its task replies in stores of its own (see
-:mod:`repro.serve.tasks`); :class:`CompileCache` is the store behind
-``repro compile --cache-dir``.  Each entry is one file and the only
-record of its result: it carries the writing process's pid, which lets
-a reader count ``cache.cross_worker_hits``, and its modification time
-is its recency stamp, set on every write and every hit.  Truncated or
-garbage entries are deleted and treated as misses
-(``cache.corrupt_entries``), never raised.  Once a bounded store holds
-more than ``max_entries`` documents, the ones with the oldest stamps are
-evicted in one batch (``cache.evictions``).
-
-Compile-cache hits and misses are counted through the ambient
-:class:`~repro.observe.session.CompilerSession` via ``cache.hits`` /
-``cache.misses``.
+:func:`repro_source_fingerprint` is folded into every task key, so a
+store warmed by an older checkout misses instead of replaying results
+the current code would not produce.
 """
 
 from __future__ import annotations
@@ -49,20 +40,9 @@ try:  # file locking is POSIX-only; the no-op fallback keeps single-process use 
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None  # type: ignore[assignment]
 
-from ..ir.instructions import Opcode
-from ..ir.module import Module
-from ..ir.parser import parse_module
-from ..ir.printer import print_module
-from ..machine.targets import DEFAULT_TARGET, TargetMachine
-from ..observe import DECISION, STAT
-from ..observe.session import Capture, CompilerSession, current_session, use_session
-from .pipeline import CompilationResult, compile_module
-from .report import FunctionReport, GraphReport, VectorizationReport
-from .reorder import SuperNodeRecord
-from .slp import SLPConfig
+from ..observe import STAT
+from ..observe.session import current_session
 
-STAT_HITS = STAT("cache.hits", "compile cache hits")
-STAT_MISSES = STAT("cache.misses", "compile cache misses")
 STAT_EVICTIONS = STAT("cache.evictions", "LRU evictions from the shared store")
 STAT_CORRUPT = STAT(
     "cache.corrupt_entries", "truncated/garbage on-disk entries treated as misses"
@@ -71,20 +51,17 @@ STAT_CROSS_WORKER = STAT(
     "cache.cross_worker_hits", "disk hits on entries written by another process"
 )
 
-#: bump when the serialized entry layout changes; stale-version entries
-#: on disk are treated as misses rather than deserialization errors
-CACHE_FORMAT = 2
-
 _SOURCE_FINGERPRINT: Optional[str] = None
 
 
 def repro_source_fingerprint() -> str:
     """Content hash of every ``repro`` source module, cached per process.
 
-    Folded into cache keys so a persistent cache directory survives a
-    code change *safely*: entries written by an older checkout simply
-    stop matching and recompile, instead of replaying counters/reports
-    the current compiler would no longer produce.
+    Folded into every task key (:func:`repro.serve.tasks.task_key`) so
+    a persistent cache directory survives a code change *safely*:
+    entries written by an older checkout simply stop matching and
+    recompile, instead of replaying counters/reports the current
+    compiler would no longer produce.
     """
     global _SOURCE_FINGERPRINT
     if _SOURCE_FINGERPRINT is None:
@@ -108,120 +85,6 @@ def repro_source_fingerprint() -> str:
                 hasher.update(b"\x00")
         _SOURCE_FINGERPRINT = hasher.hexdigest()[:16]
     return _SOURCE_FINGERPRINT
-
-
-def cache_key(
-    module: Module,
-    config: SLPConfig,
-    target: TargetMachine = DEFAULT_TARGET,
-    unroll_factor: int = 0,
-) -> str:
-    """SHA-256 over the printed module text and the compile parameters."""
-    hasher = hashlib.sha256()
-    hasher.update(print_module(module).encode("utf-8"))
-    hasher.update(f"\x00{config.name}\x00{target.name}\x00{unroll_factor}".encode())
-    hasher.update(f"\x00{repro_source_fingerprint()}".encode())
-    return hasher.hexdigest()
-
-
-# -- (de)serialization --------------------------------------------------------------
-
-
-def _record_to_json(record: SuperNodeRecord) -> Dict[str, object]:
-    return {
-        "kind": record.kind,
-        "lanes": record.lanes,
-        "size": record.size,
-        "family": record.family.name,
-        "contains_inverse": record.contains_inverse,
-        "vectorized": record.vectorized,
-        "leaf_swaps": record.leaf_swaps,
-        "trunk_swaps": record.trunk_swaps,
-    }
-
-
-def _record_from_json(data: Dict[str, object]) -> SuperNodeRecord:
-    return SuperNodeRecord(
-        kind=data["kind"],
-        lanes=data["lanes"],
-        size=data["size"],
-        family=Opcode[data["family"]],
-        contains_inverse=data["contains_inverse"],
-        vectorized=data["vectorized"],
-        leaf_swaps=data["leaf_swaps"],
-        trunk_swaps=data["trunk_swaps"],
-    )
-
-
-def _graph_to_json(graph: GraphReport) -> Dict[str, object]:
-    return {
-        "function": graph.function,
-        "block": graph.block,
-        "lanes": graph.lanes,
-        "cost": graph.cost,
-        "vectorized": graph.vectorized,
-        "node_count": graph.node_count,
-        "gather_count": graph.gather_count,
-        "supernodes": [_record_to_json(r) for r in graph.supernodes],
-        "dump": graph.dump,
-        "kind": graph.kind,
-        "gather_reasons": list(graph.gather_reasons),
-    }
-
-
-def _graph_from_json(data: Dict[str, object]) -> GraphReport:
-    return GraphReport(
-        function=data["function"],
-        block=data["block"],
-        lanes=data["lanes"],
-        cost=data["cost"],
-        vectorized=data["vectorized"],
-        node_count=data["node_count"],
-        gather_count=data["gather_count"],
-        supernodes=[_record_from_json(r) for r in data["supernodes"]],
-        dump=data["dump"],
-        kind=data["kind"],
-        gather_reasons=list(data["gather_reasons"]),
-    )
-
-
-def result_to_json(result: CompilationResult) -> Dict[str, object]:
-    """Serialize a compilation result to a JSON-compatible document."""
-    return {
-        "format": CACHE_FORMAT,
-        "module": print_module(result.module),
-        "report": {
-            "config_name": result.report.config_name,
-            "functions": [
-                {"name": fn.name, "graphs": [_graph_to_json(g) for g in fn.graphs]}
-                for fn in result.report.functions
-            ],
-        },
-        "compile_seconds": result.compile_seconds,
-        "phase_seconds": dict(result.phase_seconds),
-        "counters": dict(result.counters),
-    }
-
-
-def result_from_json(data: Dict[str, object]) -> CompilationResult:
-    """Rebuild a compilation result from :func:`result_to_json` output."""
-    report = VectorizationReport(
-        config_name=data["report"]["config_name"],
-        functions=[
-            FunctionReport(
-                name=fn["name"],
-                graphs=[_graph_from_json(g) for g in fn["graphs"]],
-            )
-            for fn in data["report"]["functions"]
-        ],
-    )
-    return CompilationResult(
-        module=parse_module(data["module"]),
-        report=report,
-        compile_seconds=data["compile_seconds"],
-        phase_seconds=dict(data["phase_seconds"]),
-        counters=dict(data["counters"]),
-    )
 
 
 # -- the shared on-disk store -------------------------------------------------------
@@ -395,132 +258,3 @@ class SharedJsonStore:
 
     def __len__(self) -> int:
         return sum(1 for name in os.listdir(self.directory) if _is_entry(name))
-
-
-# -- the cache ----------------------------------------------------------------------
-
-
-class CompileCache:
-    """Compile cache over a shared on-disk store, behind ``repro compile
-    --cache-dir``.
-
-    Entries live in a :class:`SharedJsonStore` (namespace ``compile``)
-    under ``directory``, so a warm directory survives process boundaries
-    (the CI warm/hit check relies on this).  The store is the only
-    layer: every lookup reads the entry file, and ``max_entries`` bounds
-    the store with least-recently-used eviction.
-
-    ``last_lookup`` reports how the most recent :meth:`lookup` resolved:
-    ``"hit"``, ``"miss"``, ``"stale"`` (format-version mismatch) or
-    ``"corrupt"`` (garbage on disk, deleted and treated as a miss).
-    """
-
-    def __init__(self, directory: str, max_entries: Optional[int] = None) -> None:
-        self.last_lookup: str = "miss"
-        self._store = SharedJsonStore(
-            directory, namespace="compile", max_entries=max_entries
-        )
-
-    def lookup(self, key: str) -> Optional[CompilationResult]:
-        """Return the cached result for ``key``, or None."""
-        entry = self._store.get(key)
-        self.last_lookup = self._store.last_get  # "hit"/"miss"/"corrupt"
-        if entry is None:
-            return None
-        if entry.get("format") != CACHE_FORMAT:
-            self.last_lookup = "stale"
-            return None
-        return result_from_json(entry)
-
-    def store(self, key: str, result: CompilationResult) -> None:
-        self._store.put(key, result_to_json(result))
-
-
-def cached_compile_module(
-    module: Module,
-    config: SLPConfig,
-    target: TargetMachine = DEFAULT_TARGET,
-    verify: bool = True,
-    unroll_factor: int = 0,
-    session: Optional[CompilerSession] = None,
-    cache: Optional[CompileCache] = None,
-) -> CompilationResult:
-    """:func:`compile_module`, memoized through ``cache``.
-
-    ``cache=None`` degrades to a plain compile, and so does a session
-    with decisions armed: a stored result cannot replay the decision
-    records a compile makes.  On a hit the stored result is rehydrated,
-    ``cache.hits`` is bumped, the stored counter snapshot is absorbed
-    into the target session (so a hit accumulates the same counters a
-    compile into that session would have), and a ``cache_hit`` analysis
-    remark records the key and snapshot — cached compiles are
-    distinguishable from cold ones instead of silently skipping the
-    pipeline.  On a miss the module is compiled normally
-    (into ``session`` or an ephemeral child, exactly as
-    ``compile_module`` would) and the result is stored before being
-    returned.  A corrupt on-disk entry is a miss with a ``cache_corrupt``
-    analysis remark, never an exception.
-    """
-    target_session = session if session is not None else current_session()
-    if cache is None or target_session.tracer.mask & DECISION:
-        return compile_module(
-            module, config, target,
-            verify=verify, unroll_factor=unroll_factor, session=session,
-        )
-    key = cache_key(module, config, target, unroll_factor)
-    with target_session.metrics.timer(
-        "cache.lookup.seconds", "wall seconds per compile-cache lookup"
-    ):
-        # The shared store records its own stats (corrupt entries,
-        # cross-worker hits) into the ambient session; scope it to the
-        # same session the hit/miss counters target.
-        with use_session(target_session):
-            cached = cache.lookup(key)
-    if cache.last_lookup == "corrupt":
-        target_session.tracer.remark(
-            "analysis", "cache",
-            f"cache_corrupt: discarded garbage entry {key[:12]} for "
-            f"{config.name}/{target.name}; compiling cold",
-            key=key,
-            config=config.name,
-            target=target.name,
-        )
-    if cached is not None:
-        STAT_HITS.resolve(target_session.stats).add()
-        _gauge_hit_rate(target_session)
-        target_session.absorb(Capture(counters=dict(cached.counters)))
-        target_session.tracer.remark(
-            "analysis", "cache",
-            f"cache_hit: replayed {config.name}/{target.name} compile of "
-            f"module {module.name} from key {key[:12]}",
-            key=key,
-            config=config.name,
-            target=target.name,
-            unroll=unroll_factor,
-            counters=dict(cached.counters),
-        )
-        return cached
-    STAT_MISSES.resolve(target_session.stats).add()
-    _gauge_hit_rate(target_session)
-    result = compile_module(
-        module, config, target,
-        verify=verify, unroll_factor=unroll_factor, session=session,
-    )
-    with use_session(target_session):  # eviction stats, as for lookup
-        cache.store(key, result)
-    return result
-
-
-def _gauge_hit_rate(session: CompilerSession) -> None:
-    """Keep the ``cache.hit_rate`` gauge current with the session's
-    hit/miss counters (no-op while metrics are disabled)."""
-    if not session.metrics.enabled:
-        return
-    hits = session.stats.value(STAT_HITS.name)
-    misses = session.stats.value(STAT_MISSES.name)
-    total = hits + misses
-    if total:
-        session.metrics.gauge(
-            "cache.hit_rate", hits / total,
-            description="compile-cache hits / lookups for this session",
-        )

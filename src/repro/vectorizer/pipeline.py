@@ -50,13 +50,16 @@ class CompilationResult:
 
     module: Module
     report: VectorizationReport
-    #: wall-clock seconds spent in the vectorizer + cleanup passes
-    #: (kept for compatibility; equals the sum of ``phase_seconds``)
-    compile_seconds: float
     #: per-phase wall seconds: clone, simplify, [unroll], vectorize, verify
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: non-zero statistic counters accumulated during this compilation
     counters: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def compile_seconds(self) -> float:
+        """Wall seconds of the whole compilation: the sum of
+        ``phase_seconds``."""
+        return sum(self.phase_seconds.values())
 
 
 @contextmanager
@@ -170,7 +173,6 @@ def compile_module(
     return CompilationResult(
         module=working,
         report=report,
-        compile_seconds=sum(phases.values()),
         phase_seconds=phases,
         counters=own.stats.snapshot(),
     )

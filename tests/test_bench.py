@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.bench import (
-    compile_time_stats,
+    compile_time_and_phase_stats,
     fig5_kernel_speedups,
     fig6_aggregate_node_size,
     fig7_average_node_size,
@@ -164,9 +164,9 @@ class TestFigures:
         # SN-SLP does real work, but the overhead must stay moderate
         assert row["SN-SLP"] < 25.0
 
-    def test_compile_time_stats_protocol(self):
-        stats = compile_time_stats(SMALL[0], runs=3, warmup=1)
-        assert set(stats) == {"O3", "LSLP", "SN-SLP"}
+    def test_compile_time_protocol(self):
+        stats, phases = compile_time_and_phase_stats(SMALL[0], runs=3, warmup=1)
+        assert set(stats) == set(phases) == {"O3", "LSLP", "SN-SLP"}
         assert all(s.count == 3 for s in stats.values())
 
     def test_fig11_compiles_run_with_the_collector_off(self, monkeypatch):

@@ -63,6 +63,34 @@ class TestCompile:
         assert main(["compile", str(tmp_path / "nope.sn")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_cache_dir_prints_the_plain_compile_ir(self, fig3_file, tmp_path, capsys):
+        """``--cache-dir`` prints the IR a plain compile prints, byte for
+        byte, on the miss and on the hit."""
+        cache = str(tmp_path / "cache")
+        runs = []
+        for extra in ([], ["--cache-dir", cache], ["--cache-dir", cache]):
+            assert main(["compile", fig3_file, "--emit-ir", *extra]) == 0
+            runs.append(capsys.readouterr())
+        plain, miss, hit = runs
+        assert "<2 x i64>" in plain.out
+        assert miss.out == plain.out
+        assert hit.out == plain.out
+        assert "compile cache miss" in miss.err
+        assert "compile cache hit" in hit.err
+
+    def test_cache_dir_phase_table_only_when_compiled(self, fig3_file, tmp_path, capsys):
+        cache = str(tmp_path / "cache")
+        args = ["compile", fig3_file, "--cache-dir", cache, "-v"]
+        assert main(args) == 0
+        miss = capsys.readouterr().err
+        assert main(args) == 0
+        hit = capsys.readouterr().err
+        for phase in ("clone", "simplify", "vectorize", "verify", "total"):
+            assert f";   {phase} " in miss
+        assert "no phase ran" not in miss
+        assert "; phase times (SN-SLP): no phase ran (compile cache hit)" in hit
+        assert ";   vectorize " not in hit
+
     def test_guarded_compile_clean(self, fig3_file, capsys):
         assert main(["compile", fig3_file, "--guard", "--emit-ir"]) == 0
         out = capsys.readouterr()

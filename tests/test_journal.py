@@ -3,6 +3,7 @@ benchmark report — plus the journal-off zero-overhead contract."""
 
 import copy
 import json
+import re
 
 import pytest
 
@@ -376,34 +377,32 @@ class TestWorkerObservabilityMerge:
 
 
 class TestCacheHitRemark:
-    def test_cache_hit_emits_remark_and_replays_counters(self, tmp_path):
-        from repro.vectorizer import CompileCache, cached_compile_module
-        from conftest import build_simple_store_module
+    def test_cache_hit_emits_remark_and_replays_counters(self, tmp_path, capsys):
+        source = tmp_path / "fig3.sn"
+        source.write_text(TestCachedCompileWithDecisions.FIG3)
+        args = ["compile", str(source), "--cache-dir", str(tmp_path / "cache")]
+        assert main(args) == 0
+        assert "compile cache miss" in capsys.readouterr().err
 
-        cache = CompileCache(str(tmp_path / "cache"))
-        warm = CompilerSession(name="warm")
-        cached_compile_module(
-            build_simple_store_module(4), SNSLP_CONFIG,
-            session=warm, cache=cache,
-        )
-        assert warm.stats.value("cache.misses") == 1
-
-        hit = CompilerSession(name="hit")
-        hit.tracer.enable(REMARK)
-        cached_compile_module(
-            build_simple_store_module(4), SNSLP_CONFIG,
-            session=hit, cache=cache,
-        )
-        assert hit.stats.value("cache.hits") == 1
+        remarks = tmp_path / "remarks.jsonl"
+        assert main(args + ["--remarks", str(remarks), "--stats"]) == 0
+        err = capsys.readouterr().err
+        assert "compile cache hit" in err
+        stats = {
+            name: float(value)
+            for value, name in re.findall(r"^ *([\d.]+) (\S+)", err, re.MULTILINE)
+        }
+        assert stats["serve.task_cache.hits"] == 1
         (remark,) = [
-            r for r in hit.tracer.of("remark")
+            r for r in load_records(str(remarks))
             if r.message.startswith("cache_hit")
         ]
         assert remark.kind == "analysis"
         assert remark.args["config"] == SNSLP_CONFIG.name
         # the stored compile counters were replayed into the hit session
+        assert remark.args["counters"]
         for name, value in remark.args["counters"].items():
-            assert hit.stats.value(name) >= value
+            assert stats[name] >= value
 
 
 class TestCachedCompileWithDecisions:

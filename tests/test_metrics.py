@@ -130,14 +130,14 @@ class TestExposition:
         stats = StatsRegistry()
         stats.stat("slp.graphs-vectorized", "graphs vectorized").add(3)
         m = MetricsRegistry(enabled=True)
-        m.gauge("cache.hit_rate", 0.75, description="cache hits over lookups")
+        m.gauge("serve.compiles_per_sec", 0.75, description="tasks per second")
         m.observe("phase.vectorize.seconds", 0.002)
         text = m.render_exposition(stats)
         assert "# TYPE repro_slp_graphs_vectorized_total counter" in text
         assert "repro_slp_graphs_vectorized_total 3" in text
-        assert "# TYPE repro_cache_hit_rate gauge" in text
-        assert "repro_cache_hit_rate 0.75" in text
-        assert "# HELP repro_cache_hit_rate cache hits over lookups" in text
+        assert "# TYPE repro_serve_compiles_per_sec gauge" in text
+        assert "repro_serve_compiles_per_sec 0.75" in text
+        assert "# HELP repro_serve_compiles_per_sec tasks per second" in text
         assert "# TYPE repro_phase_vectorize_seconds histogram" in text
         assert 'repro_phase_vectorize_seconds_bucket{le="+Inf"} 1' in text
         assert "repro_phase_vectorize_seconds_count 1" in text
@@ -200,34 +200,6 @@ class TestMetricsOffBitIdentical:
         assert metered.counters == plain.counters
         # ... and the armed run did record distributions
         assert armed.metrics.histograms["bench.kernel.cycles"].count == 1
-
-
-class TestCacheHitRateGauge:
-    def test_hit_rate_gauge_tracks_lookups(self, tmp_path):
-        from repro.vectorizer.cache import CompileCache, cached_compile_module
-
-        session = CompilerSession(name="cache-metrics")
-        session.metrics.enable()
-        cache = CompileCache(str(tmp_path))
-        module = kernel_named("motiv-leaf-reorder").build
-        with use_session(session):
-            cached_compile_module(module(), SNSLP_CONFIG, cache=cache)
-            assert session.metrics.gauges["cache.hit_rate"] == 0.0
-            cached_compile_module(module(), SNSLP_CONFIG, cache=cache)
-        assert session.metrics.gauges["cache.hit_rate"] == 0.5
-        assert session.metrics.histograms["cache.lookup.seconds"].count == 2
-
-    def test_no_gauge_when_metrics_disabled(self, tmp_path):
-        from repro.vectorizer.cache import CompileCache, cached_compile_module
-
-        session = CompilerSession(name="cache-plain")
-        with use_session(session):
-            cached_compile_module(
-                kernel_named("motiv-leaf-reorder").build(),
-                SNSLP_CONFIG,
-                cache=CompileCache(str(tmp_path)),
-            )
-        assert session.metrics.gauges == {}
 
 
 class TestParallelOverheadMetrics:

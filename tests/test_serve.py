@@ -60,26 +60,14 @@ from repro.serve.chaos import (
 )
 from repro.serve import resilience
 from repro.serve.resilience import MAX_RETRIES, ResilientExecutor, run_batch
-from repro.serve.tasks import WorkerState, run_task
+from repro.serve.tasks import WorkerState, run_task, task_key
 from repro.serve.wire import (
     MAX_FRAME_BYTES,
     ServiceClient,
     SocketServer,
     serve_stream,
 )
-from repro.vectorizer import (
-    LSLP_CONFIG,
-    O3_CONFIG,
-    SNSLP_CONFIG,
-    CompileCache,
-    cached_compile_module,
-    compile_module,
-)
-from repro.vectorizer.cache import (
-    SharedJsonStore,
-    cache_key,
-    repro_source_fingerprint,
-)
+from repro.vectorizer.cache import SharedJsonStore, repro_source_fingerprint
 
 MOTIVATING = ("motiv-leaf-reorder", "motiv-trunk-reorder")
 
@@ -99,6 +87,14 @@ SIGNED_SUM = (
     "  A[1] = B[1] + D[1] - C[1];\n"
     "}\n"
 )
+
+
+#: a wire ``compile`` payload of :data:`SIGNED_SUM`, as ``serve_stream``
+#: builds it for ``{"kind": "compile", "source": SIGNED_SUM}``
+COMPILE_PAYLOAD = {
+    "text": SIGNED_SUM, "language": "kernel", "config": "SN-SLP",
+    "target": None, "unroll": 0, "cache": True,
+}
 
 
 def service_session() -> CompilerSession:
@@ -360,22 +356,23 @@ class TestSharedStore:
         assert session.stats.value("cache.cross_worker_hits") == 1
 
     def test_compile_cache_corrupt_entry_compiles_cold_with_remark(self, tmp_path):
-        module = kernel_named("motiv-leaf-reorder").build()
-        key = cache_key(module, SNSLP_CONFIG)
-        cold_session = CompilerSession(name="cold")
-        with use_session(cold_session):
-            cold = cached_compile_module(
-                module, SNSLP_CONFIG, cache=CompileCache(str(tmp_path)),
-            )
-        fresh = CompileCache(str(tmp_path))
-        with open(fresh._store._path(key), "w") as handle:
+        key = task_key("compile", COMPILE_PAYLOAD)
+        cold_state = WorkerState(
+            index=0, session=CompilerSession(name="cold"), cache_dir=str(tmp_path),
+        )
+        with use_session(cold_state.session):
+            cold = run_task("compile", COMPILE_PAYLOAD, cold_state)
+        store = cold_state.task_store("compile-task")
+        with open(store._path(key), "w") as handle:
             handle.write("not json at all")
         session = CompilerSession(name="corrupt")
         session.tracer.enable(REMARK)
+        state = WorkerState(index=0, session=session, cache_dir=str(tmp_path))
         with use_session(session):
-            result = cached_compile_module(module, SNSLP_CONFIG, cache=fresh)
-        assert result.counters == cold.counters
-        assert result.report.config_name == cold.report.config_name
+            reply = run_task("compile", COMPILE_PAYLOAD, state)
+        assert reply["cached"] is False
+        assert reply["counters"] == cold["counters"]
+        assert reply["config"] == cold["config"]
         corrupt = [
             r for r in session.tracer.of("remark")
             if r.message.startswith("cache_corrupt")
@@ -384,19 +381,20 @@ class TestSharedStore:
         assert corrupt[0].args["key"] == key
         assert session.stats.value("cache.corrupt_entries") == 1
         # the poisoned file is gone and the recompile re-seeded the store
-        warm = CompileCache(str(tmp_path))
-        assert warm.lookup(key) is not None
-        assert warm.last_lookup == "hit"
+        with use_session(service_session()):
+            assert store.get(key) is not None
+        assert store.last_get == "hit"
 
     def test_hot_entry_survives_eviction(self, tmp_path):
         """Hits refresh an entry's recency on disk: an entry looked up
         since a colder one was stored outlives it, and the namespace
         never holds more entries than the bound."""
-        module = kernel_named(MOTIVATING[0]).build()
-        configs = (SNSLP_CONFIG, LSLP_CONFIG, O3_CONFIG)  # A, B, C
-        keys = [cache_key(module, config) for config in configs]
-        results = [compile_module(module, config) for config in configs]
-        namespace = tmp_path / "compile"
+        configs = ("SN-SLP", "LSLP", "O3")  # A, B, C
+        keys = [
+            task_key("compile", dict(COMPILE_PAYLOAD, config=config))
+            for config in configs
+        ]
+        namespace = tmp_path / "compile-task"
 
         def entries():
             return sorted(
@@ -406,16 +404,18 @@ class TestSharedStore:
 
         held = []
         with use_session(service_session()):
-            cache = CompileCache(str(tmp_path), max_entries=2)
-            for key, result in zip(keys[:2], results[:2]):
-                cache.store(key, result)
+            store = SharedJsonStore(
+                str(tmp_path), namespace="compile-task", max_entries=2,
+            )
+            for key, config in zip(keys[:2], configs[:2]):
+                store.put(key, {"config": config})
                 held.append(len(entries()))
                 time.sleep(0.01)  # distinct recency stamps
             for _ in range(3):
-                assert cache.lookup(keys[0]) is not None
+                assert store.get(keys[0]) is not None
                 held.append(len(entries()))
                 time.sleep(0.01)
-            cache.store(keys[2], results[2])
+            store.put(keys[2], {"config": configs[2]})
             held.append(len(entries()))
         assert entries() == sorted([keys[0], keys[2]])  # B was the LRU entry
         assert max(held) <= 2
@@ -1117,17 +1117,16 @@ class TestWireHardening:
 
 class TestSourceFingerprint:
     def test_cache_key_folds_source_fingerprint(self, monkeypatch):
-        """Simulated code change (patched fingerprint) → different cache
+        """Simulated code change (patched fingerprint) → different task
         keys, so persistent stores warmed by an older checkout miss
         cleanly."""
-        module = kernel_named(MOTIVATING[0]).build()
         monkeypatch.setattr(FINGERPRINT, "checkout-a")
-        key_a = cache_key(module, SNSLP_CONFIG)
+        key_a = task_key("compile", COMPILE_PAYLOAD)
         monkeypatch.setattr(FINGERPRINT, "checkout-b")
-        key_b = cache_key(module, SNSLP_CONFIG)
+        key_b = task_key("compile", COMPILE_PAYLOAD)
         assert key_a != key_b
         monkeypatch.setattr(FINGERPRINT, None)  # recomputed from the sources
-        assert cache_key(module, SNSLP_CONFIG) not in (key_a, key_b)
+        assert task_key("compile", COMPILE_PAYLOAD) not in (key_a, key_b)
 
     def test_fingerprint_is_stable_within_a_checkout(self):
         assert repro_source_fingerprint() == repro_source_fingerprint()
@@ -1136,15 +1135,15 @@ class TestSourceFingerprint:
     def test_stale_store_entries_miss_after_code_change(
         self, tmp_path, monkeypatch
     ):
-        module = kernel_named(MOTIVATING[0]).build()
         monkeypatch.setattr(FINGERPRINT, "old-checkout")
-        with use_session(CompilerSession(name="warm")):
-            cached_compile_module(
-                module, SNSLP_CONFIG, cache=CompileCache(str(tmp_path)),
-            )
-        monkeypatch.setattr(FINGERPRINT, "new-checkout")
-        fresh = CompileCache(str(tmp_path))
-        assert fresh.lookup(cache_key(module, SNSLP_CONFIG)) is None
+        state = WorkerState(
+            index=0, session=CompilerSession(name="warm"), cache_dir=str(tmp_path),
+        )
+        with use_session(state.session):
+            run_task("compile", COMPILE_PAYLOAD, state)
+            monkeypatch.setattr(FINGERPRINT, "new-checkout")
+            store = state.task_store("compile-task")
+            assert store.get(task_key("compile", COMPILE_PAYLOAD)) is None
 
     def test_leftover_recency_index_is_ignored(self, tmp_path):
         """An older checkout kept a ``.index.json`` recency map beside

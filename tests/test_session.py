@@ -1,9 +1,9 @@
-"""Tests for CompilerSession: reentrancy, parallel drivers, compile cache.
+"""Tests for CompilerSession: reentrancy, parallel drivers, compile memo.
 
-PR 4's contract: compilation is reentrant (interleaved compiles never
+The contract: compilation is reentrant (interleaved compiles never
 bleed counters into each other), the parallel benchmark driver is
-bit-identical to the serial one, and a compile-cache hit reproduces a
-cold compile on every deterministic field.
+bit-identical to the serial one, and a hit in the ``compile`` task's
+store replies exactly what the cold compile replied.
 """
 
 import dataclasses
@@ -19,14 +19,8 @@ from repro.observe.session import (
     current_stats,
     use_session,
 )
-from repro.vectorizer import (
-    CompileCache,
-    LSLP_CONFIG,
-    SNSLP_CONFIG,
-    cached_compile_module,
-    clone_module,
-    compile_module,
-)
+from repro.serve.tasks import WorkerState, run_task
+from repro.vectorizer import SNSLP_CONFIG, clone_module, compile_module
 
 MOTIVATING = ("motiv-leaf-reorder", "motiv-trunk-reorder")
 
@@ -167,50 +161,60 @@ class TestParallelEquivalence:
         )
 
 
-class TestCompileCache:
+class TestCompileMemo:
+    """The ``compile`` task's store: a hit replies exactly what the cold
+    compile replied, across store instances, and the key tells configs
+    and unroll factors apart."""
+
+    @staticmethod
+    def payload(kernel: str, config: str = "SN-SLP", unroll: int = 0):
+        return {
+            "text": print_module(kernel_named(kernel).build()),
+            "language": "ir", "config": config, "target": None,
+            "unroll": unroll, "cache": True,
+        }
+
     def test_hit_equals_cold_compile(self, tmp_path):
-        module = kernel_named("motiv-leaf-reorder").build()
+        payload = self.payload("motiv-leaf-reorder")
         session = CompilerSession(name="cache-test")
-        cache = CompileCache(str(tmp_path))
+        state = WorkerState(index=-1, session=session, cache_dir=str(tmp_path))
         with use_session(session):
-            cold = cached_compile_module(module, SNSLP_CONFIG, cache=cache)
-            warm = cached_compile_module(module, SNSLP_CONFIG, cache=cache)
-        assert session.stats.value("cache.misses") == 1
-        assert session.stats.value("cache.hits") == 1
-        assert print_module(warm.module) == print_module(cold.module)
-        assert warm.counters == cold.counters
-        assert warm.phase_seconds == cold.phase_seconds
-        assert warm.compile_seconds == cold.compile_seconds
-        graphs = lambda r: [
-            (g.function, g.block, g.lanes, g.cost, g.vectorized,
-             g.node_count, g.gather_count, g.kind)
-            for g in r.report.all_graphs()
-        ]
-        assert graphs(warm) == graphs(cold)
+            cold = run_task("compile", payload, state)
+            warm = run_task("compile", payload, state)
+        assert session.stats.value("serve.task_cache.misses") == 1
+        assert session.stats.value("serve.task_cache.hits") == 1
+        assert (cold["cached"], warm["cached"]) == (False, True)
+        assert warm["module"] == cold["module"]
+        assert warm["counters"] == cold["counters"]
+        assert warm["compile_seconds"] == cold["compile_seconds"]
+        assert dict(warm, cached=False) == cold
 
     def test_cache_persists_across_instances(self, tmp_path):
-        module = kernel_named("motiv-trunk-reorder").build()
+        payload = self.payload("motiv-trunk-reorder")
         session = CompilerSession(name="cache-disk")
         with use_session(session):
-            cold = cached_compile_module(
-                module, SNSLP_CONFIG, cache=CompileCache(str(tmp_path))
+            cold, warm = (
+                run_task("compile", payload, WorkerState(
+                    index=-1, session=session, cache_dir=str(tmp_path),
+                ))
+                for _ in range(2)
             )
-            warm = cached_compile_module(
-                module, SNSLP_CONFIG, cache=CompileCache(str(tmp_path))
-            )
-        assert session.stats.value("cache.hits") == 1
-        assert warm.counters == cold.counters
-        assert print_module(warm.module) == print_module(cold.module)
+        assert session.stats.value("serve.task_cache.hits") == 1
+        assert warm["counters"] == cold["counters"]
+        assert warm["module"] == cold["module"]
 
     def test_key_distinguishes_config_and_unroll(self, tmp_path):
-        module = kernel_named("motiv-leaf-reorder").build()
-        cache = CompileCache(str(tmp_path))
         session = CompilerSession(name="cache-key")
+        state = WorkerState(index=-1, session=session, cache_dir=str(tmp_path))
         with use_session(session):
-            cached_compile_module(module, SNSLP_CONFIG, cache=cache)
-            cached_compile_module(module, LSLP_CONFIG, cache=cache)
-        assert session.stats.value("cache.misses") == 2
-        assert session.stats.value("cache.hits") == 0
+            for config, unroll in (("SN-SLP", 0), ("LSLP", 0), ("SN-SLP", 2)):
+                run_task(
+                    "compile",
+                    self.payload("motiv-leaf-reorder", config, unroll),
+                    state,
+                )
+        assert session.stats.value("serve.task_cache.misses") == 3
+        assert session.stats.value("serve.task_cache.hits") == 0
 
 
 class TestStructuralClone:

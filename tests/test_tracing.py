@@ -36,7 +36,7 @@ from repro.observe.trace import TraceEvent, Tracer
 from repro.serve.resilience import ResilientExecutor
 from repro.serve.service import CompileService
 from repro.serve.tasks import TASK_FORMAT
-from repro.vectorizer.cache import CACHE_FORMAT, repro_source_fingerprint
+from repro.vectorizer.cache import repro_source_fingerprint
 
 MOTIVATING = ("motiv-leaf-reorder", "motiv-trunk-reorder")
 
@@ -195,7 +195,6 @@ class TestBuildInfo:
         labels = dict(re.findall(r'(\w+)="([^"]*)"', line))
         assert labels == {
             "fingerprint": repro_source_fingerprint(),
-            "format": str(CACHE_FORMAT),
             "task_format": str(TASK_FORMAT),
         }
         assert line.endswith("} 1")
